@@ -11,8 +11,8 @@ Subpackages and modules:
   length scale
 - `simultaneity`: light-cone intersections, radar simultaneity, the
   mutual-simultaneity solver
-- `lattice`: exact integer-grid complements/completions and the lattice
-  law suites (compiled kernel with numpy fallback)
+- `lattice`: exact integer-grid complements/completions from per-slice
+  light-cone distances, and the lattice law suites
 - `rigid`: Born-rigidity kinematics by finite differences
 - `cli`: `minklab` command line front end
 """

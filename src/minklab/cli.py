@@ -1,10 +1,12 @@
 """Command line front end: verification suites and data-producing demos.
 
 Suite runs write a canonical JSON (or CSV) report and exit 0 exactly when
-every check passed; unknown suite names are usage errors (exit 2).  Demos
-write CSV/JSON/PBM files for external plotting.  The environment variable
-MINKLAB_THREADS caps parallelism of the lattice sweeps; reports are
-byte-identical across thread counts and repeated runs.
+every check passed.  Unknown suite names, bad grid specs, unknown config
+keys and non-positive sample counts or steps are usage errors (exit 2).
+Reports are byte-identical across repeated runs; the lattice suite's
+complements come from per-slice light-cone distances and are checked
+against the brute-force oracle in the report itself.  Demos write
+CSV/JSON/PBM files for external plotting.
 """
 
 from __future__ import annotations
@@ -57,10 +59,14 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_suite(args) -> int:
-    mapping = _read_config(args.config)
-    if args.grid:
-        mapping["grid"] = args.grid
-    config = Config.from_mapping(mapping)
+    try:
+        mapping = _read_config(args.config)
+        if args.grid:
+            mapping["grid"] = args.grid
+        config = Config.from_mapping(mapping)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         report = run_suite(args.suite, args.seed, config)
     except KeyError:

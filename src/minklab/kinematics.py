@@ -19,7 +19,6 @@ from .core import PreconditionError
 
 __all__ = [
     "BoostFamily",
-    "Boost1D",
     "Boost3D",
     "classify_branch",
     "a_of_v",
@@ -83,25 +82,6 @@ def boost_matrix_1d(k: float, v: float) -> np.ndarray:
     """
     a = a_of_v(k, v)
     return np.array([[a, k * v * a], [-v * a, a]])
-
-
-@dataclass(frozen=True)
-class Boost1D:
-    """A single boost within a family; checks the domain on construction."""
-
-    family: BoostFamily
-    v: float
-
-    def __post_init__(self):
-        _check_domain(self.family.k, self.v)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return boost_matrix_1d(self.family.k, self.v)
-
-    @property
-    def a(self) -> float:
-        return a_of_v(self.family.k, self.v)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,16 @@
 """Exact integer-grid realisation of the two causal-separation lattices.
 
 Regions are bitsets over a finite integer grid; complements, completions,
-meets and joins are computed with exact integer interval arithmetic.  The
-inner sweep runs on a compiled kernel when available (see
-`backend_name()`), with a bit-identical numpy fallback.
+meets and joins are computed with exact integer interval arithmetic.  A
+complement is read off per-slice light-cone distances: the exact squared
+spatial distance to each occupied time slice's nearest member, compared
+with the squared time difference.  `oracle.complement_mask_bruteforce` is
+the double-loop reference it is tested against.
 """
 
-from .engine import (backend_name, complement, completion, de_morgan_check,
-                     diamond, galilei_chron_complement, is_complete, join,
-                     meet, orthomodularity_check)
+from .engine import (complement, completion, de_morgan_check, diamond,
+                     galilei_chron_complement, is_complete, join, meet,
+                     orthomodularity_check)
 from .grid import CAUSAL, CHRONOLOGICAL, GALILEI, MODES, IntegerGrid, Region
 from .io import region_from_json, region_to_json, region_to_pbm
 from .laws import (covering_counterexample, distributivity_counterexample,
@@ -22,7 +24,6 @@ __all__ = [
     "MODES",
     "IntegerGrid",
     "Region",
-    "backend_name",
     "complement",
     "completion",
     "is_complete",

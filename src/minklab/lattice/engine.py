@@ -1,29 +1,27 @@
 """Complement, completion, meet and join on grid regions.
 
-The inner sweep (grid x set relation tests) dominates the runtime of every
-law check, so it is backed by a compiled kernel when the extension built,
-with a numpy fallback selected at import time.  Both produce bit-identical
-masks; MINKLAB_THREADS > 1 splits sweeps into row chunks whose results are
-concatenated in order, so the output does not depend on the thread count.
+Every lattice operation reduces to complements, and a complement is
+computed from light-cone distances per occupied time slice.  For each time
+slice t_s that holds members of the set, a separable pass gives the exact
+squared spatial distance d2 from every spatial cell to the slice's nearest
+member.  A cell x at time t is related to that slice iff d2 <= (t - t_s)^2
+(causal) or d2 < (t - t_s)^2 (chronological, where a member is also related
+to itself), i.e. iff |t - t_s| reaches an integer radius r(x) read off d2.
+So the cells at x that no slice relates form the open time interval
+(max_s t_s - r_s(x), min_s t_s + r_s(x)).  All arithmetic is exact int64;
+the cost is O(k |spatial| (1 + rows) + T |spatial|) for a set spanning k of
+the T slices, with no pairwise table.  The finite-speed (galilei) relation
+has a closed form.  `oracle.complement_mask_bruteforce` is the double-loop
+reference the tests compare this against.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
-from . import _kernels_py
 from .grid import GALILEI, IntegerGrid, Region, mode_code
 
-try:  # compiled fast path; the fallback is feature-identical
-    from . import _speedups as _kernels  # type: ignore[attr-defined]
-except ImportError:  # pragma: no cover - depends on the build environment
-    _kernels = _kernels_py
-
 __all__ = [
-    "backend_name",
     "complement",
     "completion",
     "is_complete",
@@ -35,54 +33,59 @@ __all__ = [
     "galilei_chron_complement",
 ]
 
-
-def backend_name() -> str:
-    """Which kernel implementation complement() dispatches to."""
-    if os.environ.get("MINKLAB_FORCE_PY_KERNELS"):
-        return _kernels_py.BACKEND
-    return _kernels.BACKEND
+# cells of the (slices, rows, rows, cols) array one 2+1 row-pass step may use
+_CHUNK_CELLS = 1 << 20
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("MINKLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _sq_distance(members: np.ndarray) -> np.ndarray:
+    """Squared distance from each spatial cell to its slice's nearest member.
+
+    `members` is (k, *spatial) bool with a member in every slice; the
+    result is int64 of the same shape.  The last axis is scanned both ways
+    for the nearest member in the same row; in 2+1 the rows are then
+    combined exactly as min over rows x' of (x - x')^2 + g(x', y)^2.
+    """
+    n = members.shape[-1]
+    idx = np.arange(n)
+    far = n + sum(members.shape[1:])  # a memberless row loses every min below
+    left = np.maximum.accumulate(np.where(members, idx, -far), axis=-1)
+    right = np.minimum.accumulate(np.where(members, idx, far)[..., ::-1], axis=-1)[..., ::-1]
+    gap = np.minimum(idx - left, right - idx)
+    gap2 = gap * gap
+    if members.ndim == 2:
+        return gap2
+    rows = np.arange(members.shape[1])
+    dx2 = ((rows[:, None] - rows[None, :]) ** 2)[:, :, None]
+    step = max(1, _CHUNK_CELLS // (rows.size * gap2[0].size))
+    return np.concatenate([(dx2 + gap2[i:i + step, None]).min(axis=2)
+                           for i in range(0, len(gap2), step)])
 
 
 def _complement_mask(region: Region, code: int) -> np.ndarray:
-    """Backend dispatch for one complement sweep, optionally row-chunked.
-
-    The compiled kernel loops with early exit; the numpy path slices a
-    cached pairwise relation table (block-broadcast beyond the cache
-    limit).  All paths are bit-identical and row chunks make the result
-    independent of the thread count by construction.
-    """
+    """Flat mask of the cells related (per mode code) to no cell of the region."""
     grid = region.grid
-    coords = grid.coords
-    compiled = _kernels is not _kernels_py and not os.environ.get(
-        "MINKLAB_FORCE_PY_KERNELS")
-    rel = None if compiled else grid.relation_matrix(code)
-    sel = None if rel is not None else np.ascontiguousarray(coords[region.mask])
-    idx = np.flatnonzero(region.mask) if rel is not None else None
-
-    def sweep(lo: int, hi: int) -> np.ndarray:
-        if rel is not None:
-            if idx.size == 0:
-                return np.ones(hi - lo, dtype=bool)
-            return ~rel[lo:hi][:, idx].any(axis=1)
-        kern = _kernels.complement_mask if compiled else _kernels_py.complement_mask
-        return kern(np.ascontiguousarray(coords[lo:hi]), sel, code)
-
-    threads = _thread_count()
-    if threads == 1 or grid.size < 2048:
-        return sweep(0, grid.size)
-    bounds = np.linspace(0, grid.size, threads + 1, dtype=int)
-    spans = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda ab: sweep(*ab), spans))
-    return np.concatenate(parts)
+    cells = region.mask.reshape(grid.shape[0], -1)
+    occupied = np.flatnonzero(cells.any(axis=1))
+    if occupied.size == 0:
+        return np.ones(grid.size, dtype=bool)
+    if code == 2:  # every time difference relates: only one slice can be left
+        out = np.zeros_like(cells)
+        if occupied.size == 1:
+            out[occupied[0]] = ~cells[occupied[0]]
+        return out.reshape(-1)
+    d2 = _sq_distance(region.mask.reshape(grid.shape)[occupied]).reshape(occupied.size, -1)
+    # smallest |t - t_s| with (t - t_s)^2 >= d2 (causal) or > d2 (chronological);
+    # root is floor(sqrt(d2)) or one more where the float sqrt rounded up
+    root = np.sqrt(d2).astype(np.int64)
+    sq = root * root
+    reach = root + (sq < d2 if code == 0 else sq <= d2)
+    future = (occupied[:, None] + reach).min(axis=0)
+    past = (occupied[:, None] - reach).max(axis=0)
+    t = np.arange(grid.shape[0])[:, None]
+    out = (t > past) & (t < future)
+    if code == 1:
+        out &= ~cells
+    return out.reshape(-1)
 
 
 def complement(region: Region, mode: str) -> Region:

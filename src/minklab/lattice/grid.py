@@ -51,6 +51,9 @@ class IntegerGrid:
             if hi < lo:
                 raise ValueError("empty axis range")
         object.__setattr__(self, "extents", ext)
+        shape = tuple(hi - lo + 1 for lo, hi in ext)
+        object.__setattr__(self, "_shape", shape)
+        object.__setattr__(self, "_size", int(np.prod(shape)))
 
     @classmethod
     def centered(cls, *sizes: int) -> "IntegerGrid":
@@ -63,11 +66,11 @@ class IntegerGrid:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(hi - lo + 1 for lo, hi in self.extents)
+        return self._shape
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape))
+        return self._size
 
     @cached_property
     def coords(self) -> np.ndarray:
@@ -76,34 +79,6 @@ class IntegerGrid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.ascontiguousarray(
             np.stack([m.reshape(-1) for m in mesh], axis=1))
-
-    # pairwise relation tables back the numpy complement path; ~N^2 bools
-    _RELATION_CELL_LIMIT = 7000
-
-    def relation_matrix(self, mode_code_: int) -> np.ndarray | None:
-        """Cached N x N table of the mode's relation; None for large grids."""
-        if self.size > self._RELATION_CELL_LIMIT:
-            return None
-        cache = self.__dict__.setdefault("_relation_cache", {})
-        got = cache.get(mode_code_)
-        if got is None:
-            c = self.coords
-            d0 = c[:, 0][:, None] - c[:, 0][None, :]
-            sp2 = np.zeros_like(d0)
-            for axis in range(1, self.dim):
-                d = c[:, axis][:, None] - c[:, axis][None, :]
-                sp2 += d * d
-            same = np.eye(self.size, dtype=bool)
-            if mode_code_ == 0:
-                got = d0 * d0 - sp2 >= 0
-            elif mode_code_ == 1:
-                got = (d0 * d0 - sp2 > 0) | same
-            elif mode_code_ == 2:
-                got = (d0 != 0) | same
-            else:
-                raise ValueError(f"unknown mode code {mode_code_}")
-            cache[mode_code_] = got
-        return got
 
     def index_of(self, point: Sequence[int]) -> int:
         p = tuple(int(c) for c in point)

@@ -1,11 +1,13 @@
 import json
-import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from minklab.lattice import (CAUSAL, CHRONOLOGICAL, GALILEI, IntegerGrid,
-                             Region, backend_name, complement, completion,
+from minklab.lattice import (CAUSAL, CHRONOLOGICAL, GALILEI, MODES,
+                             IntegerGrid, Region, complement, completion,
                              covering_counterexample, de_morgan_check,
                              diamond, distributivity_counterexample,
                              fig2_counterexample, galilei_chron_complement,
@@ -13,8 +15,7 @@ from minklab.lattice import (CAUSAL, CHRONOLOGICAL, GALILEI, IntegerGrid,
                              modularity_counterexample,
                              orthomodularity_check, random_region,
                              region_from_json, region_to_json, region_to_pbm)
-from minklab.lattice import _kernels_py
-from minklab.lattice.engine import _kernels
+from minklab.lattice.oracle import complement_mask_bruteforce
 
 
 @pytest.fixture(scope="module")
@@ -64,45 +65,75 @@ class TestGridAndRegion:
             Region.empty(grid) & Region.empty(other)
 
 
+def assert_matches_oracle(grid, mask, mode):
+    got = complement(Region(grid, mask), mode).mask
+    expect = complement_mask_bruteforce(grid.coords, mask, MODES.index(mode))
+    np.testing.assert_array_equal(got, expect)
+
+
 class TestKernels:
-    """Every accelerated path must be bit-identical to the brute-force oracle."""
+    """complement() must be bit-identical to the brute-force oracle."""
 
     @pytest.mark.parametrize("mode_code", [0, 1, 2])
     def test_backends_match_bruteforce(self, grid, mode_code, rng):
-        mode = (CAUSAL, CHRONOLOGICAL, GALILEI)[mode_code]
         for _ in range(100):
             mask = rng.random(grid.size) < float(rng.uniform(0.02, 0.5))
-            brute = _kernels_py.complement_mask_bruteforce(grid.coords, mask, mode_code)
-            sel = grid.coords[mask]
-            numpy_out = _kernels_py.complement_mask(grid.coords, sel, mode_code)
-            fast_out = _kernels.complement_mask(grid.coords, sel, mode_code)
-            table_out = complement(Region(grid, mask), mode).mask
-            assert np.array_equal(brute, numpy_out)
-            assert np.array_equal(brute, fast_out)
-            assert np.array_equal(brute, table_out)
+            assert_matches_oracle(grid, mask, MODES[mode_code])
 
     def test_backends_match_on_41(self, grid41, rng):
         for i in range(100):
             mask = rng.random(grid41.size) < float(rng.uniform(0.02, 0.3))
-            code = i % 3
-            mode = (CAUSAL, CHRONOLOGICAL, GALILEI)[code]
-            brute = _kernels_py.complement_mask_bruteforce(grid41.coords, mask, code)
-            sel = grid41.coords[mask]
-            assert np.array_equal(brute, _kernels.complement_mask(grid41.coords, sel, code))
-            assert np.array_equal(brute, complement(Region(grid41, mask), mode).mask)
+            assert_matches_oracle(grid41, mask, MODES[i % 3])
 
-    def test_thread_count_does_not_change_bits(self, grid41, rng):
-        region = random_region(grid41, rng)
-        base = complement(region, CAUSAL)
-        os.environ["MINKLAB_THREADS"] = "5"
-        try:
-            threaded = complement(region, CAUSAL)
-        finally:
-            os.environ.pop("MINKLAB_THREADS")
-        assert base == threaded
 
-    def test_backend_name(self):
-        assert backend_name() in ("compiled", "python")
+ORACLE_GRIDS = {
+    "1+1 centred": [(-4, 4), (-4, 4)],
+    "1+1 non-square off-centre": [(2, 9), (-6, -2)],
+    "1+1 one time slice": [(3, 3), (-4, 4)],
+    "1+1 one spatial cell": [(-3, 4), (7, 7)],
+    "2+1 centred": [(-2, 2), (-2, 2), (-2, 2)],
+    "2+1 non-square off-centre": [(0, 3), (-3, -1), (1, 6)],
+    "2+1 one row": [(-2, 3), (5, 5), (-3, 2)],
+    "2+1 one column": [(1, 5), (-2, 2), (0, 0)],
+}
+
+
+def oracle_regions(grid, rng):
+    """Empty, full, single-point (centre and corner), diamond and random masks."""
+    centre = tuple((lo + hi) // 2 for lo, hi in grid.extents)
+    point = np.zeros(grid.size, dtype=bool)
+    point[grid.index_of(centre)] = True
+    corner = np.zeros(grid.size, dtype=bool)
+    corner[-1] = True
+    (t_lo, t_hi), spatial = grid.extents[0], centre[1:]
+    yield "empty", np.zeros(grid.size, dtype=bool)
+    yield "full", np.ones(grid.size, dtype=bool)
+    yield "centre point", point
+    yield "corner point", corner
+    yield "diamond", diamond(grid, (t_lo, *spatial), (t_hi, *spatial)).mask
+    yield "random", rng.random(grid.size) < 0.3
+
+
+class TestOracleEquivalence:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", list(ORACLE_GRIDS))
+    def test_region_families(self, name, mode, rng):
+        grid = IntegerGrid(ORACLE_GRIDS[name])
+        for _, mask in oracle_regions(grid, rng):
+            assert_matches_oracle(grid, mask, mode)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_extents(self, data):
+        dim = data.draw(st.sampled_from([2, 3]), label="dim")
+        extents = []
+        for _ in range(dim):
+            lo = data.draw(st.integers(-5, 5))
+            extents.append((lo, lo + data.draw(st.integers(1, 9)) - 1))
+        grid = IntegerGrid(extents)
+        mask = data.draw(hnp.arrays(bool, grid.size), label="mask")
+        for mode in MODES:
+            assert_matches_oracle(grid, mask, mode)
 
 
 class TestComplement:
@@ -361,9 +392,8 @@ class TestThreeDimensional:
 
     def test_3d_kernel_identity(self, grid3d, rng):
         mask = rng.random(grid3d.size) < 0.05
-        brute = _kernels_py.complement_mask_bruteforce(grid3d.coords, mask, 0)
-        assert np.array_equal(
-            brute, _kernels.complement_mask(grid3d.coords, grid3d.coords[mask], 0))
+        for mode in MODES:
+            assert_matches_oracle(grid3d, mask, mode)
 
 
 class TestExport:
@@ -398,24 +428,3 @@ class TestExport:
     def test_json_round_trip_3d(self, grid3d, rng):
         s = random_region(grid3d, rng, density=0.1)
         assert region_from_json(region_to_json(s)) == Region(grid3d, s.mask)
-
-
-class TestBackendDispatch:
-    def test_forced_fallback_matches_compiled(self, grid, rng):
-        region = random_region(grid, rng)
-        default = complement(region, CAUSAL)
-        os.environ["MINKLAB_FORCE_PY_KERNELS"] = "1"
-        try:
-            assert backend_name() == "python"
-            forced = complement(region, CAUSAL)
-        finally:
-            os.environ.pop("MINKLAB_FORCE_PY_KERNELS")
-        assert default == forced
-
-    def test_large_grid_skips_relation_table(self):
-        big = IntegerGrid.centered(101, 101)
-        assert big.relation_matrix(0) is None
-        small = IntegerGrid.centered(13, 13)
-        rel = small.relation_matrix(1)
-        assert rel.shape == (small.size, small.size)
-        assert rel is small.relation_matrix(1)  # cached
