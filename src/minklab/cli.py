@@ -6,7 +6,8 @@ keys and non-positive sample counts or steps are usage errors (exit 2).
 Reports are byte-identical across repeated runs; the lattice suite's
 complements come from per-slice light-cone distances and are checked
 against the brute-force oracle in the report itself.  Demos write
-CSV/JSON/PBM files for external plotting.
+CSV/JSON/PBM files for external plotting; bad demo input (say a fig2 grid
+that is not 1+1 with 41+ cells per axis) is a usage error too.
 """
 
 from __future__ import annotations
@@ -122,11 +123,9 @@ def _demo_fig2(args, outdir: Path) -> list[Path]:
     for key in ("a", "b", "bprime", "join_a_bprime", "witness"):
         p = outdir / f"fig2_{key}.json"
         p.write_text(lat.region_to_json(fig[key]) + "\n")
-        paths.append(p)
-        if grid.dim == 2:
-            pb = outdir / f"fig2_{key}.pbm"
-            pb.write_text(lat.region_to_pbm(fig[key]))
-            paths.append(pb)
+        pb = outdir / f"fig2_{key}.pbm"
+        pb.write_text(lat.region_to_pbm(fig[key]))
+        paths.extend((p, pb))
     summary = outdir / "fig2_summary.json"
     summary.write_text(json.dumps({
         "witness_cells": fig["witness"].count,
@@ -179,7 +178,12 @@ def _cmd_demo(args) -> int:
         "fl-slab": _demo_fl_slab,
         "image-lines": _demo_image_lines,
     }[args.name]
-    for p in runner(args, outdir):
+    try:
+        paths = runner(args, outdir)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    for p in paths:
         print(p, file=sys.stderr)
     return 0
 

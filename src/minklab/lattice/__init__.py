@@ -15,7 +15,7 @@ from .grid import CAUSAL, CHRONOLOGICAL, GALILEI, MODES, IntegerGrid, Region
 from .io import region_from_json, region_to_json, region_to_pbm
 from .laws import (covering_counterexample, distributivity_counterexample,
                    fig2_counterexample, lattice_property_suite,
-                   modularity_counterexample, random_region)
+                   law_sweep, modularity_counterexample, random_region)
 
 __all__ = [
     "CAUSAL",
@@ -41,5 +41,6 @@ __all__ = [
     "modularity_counterexample",
     "distributivity_counterexample",
     "lattice_property_suite",
+    "law_sweep",
     "random_region",
 ]

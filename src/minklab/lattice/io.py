@@ -19,7 +19,6 @@ time first, and x increasing left to right.
 from __future__ import annotations
 
 import json
-from itertools import product
 
 import numpy as np
 
@@ -32,16 +31,23 @@ SCHEMA_VERSION = 1
 
 def region_to_json(region: Region) -> str:
     grid = region.grid
-    nd = region.mask.reshape(grid.shape)
+    # each row padded with a non-member on both ends; a run boundary is a
+    # cell whose membership differs from the cell before, so boundaries come
+    # row by row, each run as a (start, end) pair
+    padded = np.zeros((grid.size // grid.shape[-1], grid.shape[-1] + 2), dtype=bool)
+    padded[:, 1:-1] = region.mask.reshape(len(padded), -1)
+    row, col = np.nonzero(padded[:, 1:] != padded[:, :-1])
+    row, start, end = row[0::2], col[0::2], col[1::2]
+    lead = np.column_stack(np.unravel_index(row, grid.shape[:-1]))
+    lead += [lo for lo, _ in grid.extents[:-1]]
+    runs = np.column_stack((start + grid.extents[-1][0], end - start))
     rows = []
-    lead_ranges = [range(lo, hi + 1) for lo, hi in grid.extents[:-1]]
-    last_lo = grid.extents[-1][0]
-    for lead in product(*lead_ranges):
-        idx = tuple(c - lo for c, (lo, _) in zip(lead, grid.extents[:-1]))
-        line = nd[idx]
-        runs = _encode_runs(line, last_lo)
-        if runs:
-            rows.append([list(lead)] + runs)
+    last_row = -1
+    for r, key, run in zip(row.tolist(), lead.tolist(), runs.tolist()):
+        if r != last_row:
+            rows.append([key])
+            last_row = r
+        rows[-1].append(run)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "dim": grid.dim,
@@ -49,18 +55,6 @@ def region_to_json(region: Region) -> str:
         "rows": rows,
     }
     return json.dumps(doc, separators=(",", ":"), sort_keys=True)
-
-
-def _encode_runs(line: np.ndarray, offset: int) -> list[list[int]]:
-    runs = []
-    start = None
-    for i, v in enumerate(line.tolist() + [False]):
-        if v and start is None:
-            start = i
-        elif not v and start is not None:
-            runs.append([offset + start, i - start])
-            start = None
-    return runs
 
 
 def region_from_json(text: str) -> Region:
@@ -83,9 +77,9 @@ def region_to_pbm(region: Region) -> str:
     grid = region.grid
     if grid.dim != 2:
         raise ValueError("PBM export is for 2-d grids only")
-    nd = region.mask.reshape(grid.shape)
-    height, width = nd.shape
-    lines = [f"P1", f"{width} {height}"]
-    for row in nd:
-        lines.append(" ".join("1" if v else "0" for v in row))
-    return "\n".join(lines) + "\n"
+    height, width = grid.shape
+    # one row of "b b ... b\n": bits at even columns, spaces between
+    text = np.full((height, 2 * width), ord(" "), dtype=np.uint8)
+    text[:, 0::2] = region.mask.reshape(grid.shape) + ord("0")
+    text[:, -1] = ord("\n")
+    return f"P1\n{width} {height}\n" + text.tobytes().decode("ascii")

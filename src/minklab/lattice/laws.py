@@ -17,6 +17,8 @@ from .engine import (complement, completion, diamond, is_complete, join,
 from .grid import CAUSAL, CHRONOLOGICAL, GALILEI, IntegerGrid, Region
 
 __all__ = [
+    "LAWS",
+    "law_sweep",
     "random_region",
     "fig2_counterexample",
     "covering_counterexample",
@@ -34,7 +36,41 @@ def random_region(grid: IntegerGrid, rng: np.random.Generator,
     return Region(grid, rng.random(grid.size) < density)
 
 
+# orthocomplement laws checked by law_sweep, in the order reported per region
+LAWS = ("completion-idempotent", "triple-complement",
+        "meet-with-complement", "join-with-complement")
+
+
+def law_sweep(regions, mode: str) -> dict:
+    """Orthocomplement laws on each region S, from S', S'' and S''' once.
+
+    With a = S'': a'' = a, S''' = S', a meet a' = empty, a join a' = full.
+    Returns {"violations": {law: [region index, ...]}, "completions": [a
+    per region]}; the completions can be paired for `de_morgan_check`.
+    """
+    violations = {law: [] for law in LAWS}
+    completions = []
+    for idx, s in enumerate(regions):
+        s1 = complement(s, mode)
+        s2 = complement(s1, mode)
+        s3 = complement(s2, mode)
+        # a complement depends on its input only: S''' = S' gives a'' = S''
+        s4 = s2 if s3 == s1 else complement(s3, mode)
+        if s4 != s2:
+            violations["completion-idempotent"].append(idx)
+        if s3 != s1:
+            violations["triple-complement"].append(idx)
+        if not meet(s2, s3, mode).is_empty:
+            violations["meet-with-complement"].append(idx)
+        if complement(s3 & s4, mode) != Region.full(s.grid):  # a join a' = (a' meet a'')'
+            violations["join-with-complement"].append(idx)
+        completions.append(s2)
+    return {"violations": violations, "completions": completions}
+
+
 def _fig2_geometry(grid: IntegerGrid):
+    if grid.dim != 2:
+        raise ValueError("the two-diamond construction is for 1+1 grids only")
     span = min(hi - lo for lo, hi in grid.extents)
     big = span // 4
     small = max(2, big // 5)
@@ -45,15 +81,14 @@ def _fig2_geometry(grid: IntegerGrid):
     if big < 5 or cx - small < grid.extents[1][0]:
         raise ValueError("grid too small for the two-diamond construction "
                          "(needs at least 41 cells per axis)")
-    lo_t = (-big,) + (0,) * (grid.dim - 1)
-    hi_t = (big,) + (0,) * (grid.dim - 1)
-    a_lo = (ct - small, cx) + (0,) * (grid.dim - 2)
-    a_hi = (ct + small, cx) + (0,) * (grid.dim - 2)
-    return lo_t, hi_t, a_lo, a_hi
+    return (-big, 0), (big, 0), (ct - small, cx), (ct + small, cx)
 
 
 def fig2_counterexample(grid: IntegerGrid) -> dict:
     """Construct the two-diamond configuration and test orthomodularity.
+
+    The construction is 1+1: other grid dimensions, and grids with fewer
+    than 41 cells on an axis, raise ValueError.
 
     Returns the regions (a: small closed diamond, bprime: large open
     diamond, b: closed double wedge, join_a_bprime, witness) plus verdicts
@@ -80,8 +115,8 @@ def fig2_counterexample(grid: IntegerGrid) -> dict:
     edge_aligned = (orthomodularity_check(a_edge, b2, CHRONOLOGICAL)["holds"]
                     if a_edge <= b2 else None)
     gap = 2
-    a_gap = diamond(grid, (a_lo[0], a_lo[1] - gap) + a_lo[2:],
-                    (a_hi[0], a_hi[1] - gap) + a_hi[2:], closed=True)
+    a_gap = diamond(grid, (a_lo[0], a_lo[1] - gap), (a_hi[0], a_hi[1] - gap),
+                    closed=True)
     chron_holds = None
     if completion(a_gap, CHRONOLOGICAL) == a_gap and a_gap <= b2:
         chron_holds = orthomodularity_check(a_gap, b2, CHRONOLOGICAL)["holds"]
@@ -144,36 +179,36 @@ def _complete_family(grid: IntegerGrid, mode: str, rng: np.random.Generator,
     return out
 
 
-def modularity_counterexample(grid: IntegerGrid, mode: str, seed: int = 0,
-                              tries: int = 200) -> dict | None:
-    """Search a seeded family for a <= b with a join (b meet c) != b meet (a join c)."""
+def _triple_search(grid: IntegerGrid, mode: str, seed: int, tries: int,
+                   sides) -> dict | None:
+    """First seeded triple whose law sides, `sides(a, b, c) -> (a, b, c, lhs, rhs)`, differ."""
     rng = np.random.default_rng(seed)
     fam = _complete_family(grid, mode, rng, tries)
     for _ in range(tries):
         i, j, k = rng.integers(0, len(fam), size=3)
-        a, b, c = fam[i], fam[j], fam[k]
-        if not a <= b:
-            a, b = a & b, b  # meet of complete regions is complete
-        lhs = join(a, meet(b, c, mode), mode)
-        rhs = meet(b, join(a, c, mode), mode)
+        a, b, c, lhs, rhs = sides(fam[i], fam[j], fam[k])
         if lhs != rhs:
             return {"a": a, "b": b, "c": c, "lhs": lhs, "rhs": rhs}
     return None
+
+
+def modularity_counterexample(grid: IntegerGrid, mode: str, seed: int = 0,
+                              tries: int = 200) -> dict | None:
+    """Search a seeded family for a <= b with a join (b meet c) != b meet (a join c)."""
+    def sides(a, b, c):
+        if not a <= b:
+            a = a & b  # meet of complete regions is complete
+        return a, b, c, join(a, meet(b, c, mode), mode), meet(b, join(a, c, mode), mode)
+    return _triple_search(grid, mode, seed, tries, sides)
 
 
 def distributivity_counterexample(grid: IntegerGrid, mode: str, seed: int = 0,
                                   tries: int = 200) -> dict | None:
     """Search a seeded family for a triple violating meet-over-join."""
-    rng = np.random.default_rng(seed)
-    fam = _complete_family(grid, mode, rng, tries)
-    for _ in range(tries):
-        i, j, k = rng.integers(0, len(fam), size=3)
-        a, b, c = fam[i], fam[j], fam[k]
-        lhs = meet(a, join(b, c, mode), mode)
-        rhs = join(meet(a, b, mode), meet(a, c, mode), mode)
-        if lhs != rhs:
-            return {"a": a, "b": b, "c": c, "lhs": lhs, "rhs": rhs}
-    return None
+    def sides(a, b, c):
+        return (a, b, c, meet(a, join(b, c, mode), mode),
+                join(meet(a, b, mode), meet(a, c, mode), mode))
+    return _triple_search(grid, mode, seed, tries, sides)
 
 
 def lattice_property_suite(grid: IntegerGrid, mode: str, seed: int,
@@ -181,21 +216,9 @@ def lattice_property_suite(grid: IntegerGrid, mode: str, seed: int,
     """Orthocomplement-law sweep over random regions plus the structural
     counterexamples (covering, modularity, distributivity)."""
     rng = np.random.default_rng(seed)
-    full = Region.full(grid)
-    empty = Region.empty(grid)
-    failures = []
-    for idx in range(n_regions):
-        s = random_region(grid, rng)
-        a = completion(s, mode)
-        ac = complement(a, mode)
-        if completion(a, mode) != a:
-            failures.append((idx, "completion-idempotent"))
-        if complement(completion(s, mode), mode) != complement(s, mode):
-            failures.append((idx, "triple-complement"))
-        if meet(a, ac, mode) != empty:
-            failures.append((idx, "meet-with-complement"))
-        if join(a, ac, mode) != full:
-            failures.append((idx, "join-with-complement"))
+    sweep = law_sweep([random_region(grid, rng) for _ in range(n_regions)], mode)
+    failures = sorted(((idx, law) for law in LAWS for idx in sweep["violations"][law]),
+                      key=lambda f: f[0])
 
     # points are atoms: complete, and nothing complete sits strictly below
     pt = grid.coords[grid.size // 2]

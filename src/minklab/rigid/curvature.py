@@ -11,6 +11,8 @@ from typing import Callable
 
 import numpy as np
 
+from .decomp import _central
+
 __all__ = [
     "christoffels_fd",
     "riemann_lowered_fd",
@@ -22,12 +24,7 @@ def christoffels_fd(metric: Callable[[np.ndarray], np.ndarray], q: np.ndarray,
                     step: float = 1e-4) -> np.ndarray:
     """Gamma[m, a, b] at q by central differences of the metric."""
     q = np.asarray(q, dtype=float)
-    m = q.size
-    dg = np.zeros((m, m, m))  # dg[c, a, b] = d_c g_ab
-    for cidx in range(m):
-        dq = np.zeros(m)
-        dq[cidx] = step
-        dg[cidx] = (metric(q + dq) - metric(q - dq)) / (2 * step)
+    dg = _central(metric, q, step)  # dg[c, a, b] = d_c g_ab
     ginv = np.linalg.inv(metric(q))
     # Gamma^m_ab = 1/2 g^ml (d_a g_lb + d_b g_al - d_l g_ab)
     gamma = 0.5 * np.einsum("ml,alb->mab", ginv, dg)
@@ -40,13 +37,8 @@ def riemann_lowered_fd(metric: Callable[[np.ndarray], np.ndarray], q: np.ndarray
                        step: float = 1e-4) -> np.ndarray:
     """Totally covariant curvature R[m, a, b, c] at q, nested differences."""
     q = np.asarray(q, dtype=float)
-    m = q.size
-    dgamma = np.zeros((m, m, m, m))  # dgamma[d, m, a, b] = d_d Gamma^m_ab
-    for didx in range(m):
-        dq = np.zeros(m)
-        dq[didx] = step
-        dgamma[didx] = (christoffels_fd(metric, q + dq, step)
-                        - christoffels_fd(metric, q - dq, step)) / (2 * step)
+    # dgamma[d, m, a, b] = d_d Gamma^m_ab
+    dgamma = _central(lambda y: christoffels_fd(metric, y, step), q, step)
     gamma = christoffels_fd(metric, q, step)
     # R^m_abc = d_b Gamma^m_ac - d_c Gamma^m_ab + Gam^m_sb Gam^s_ac - Gam^m_sc Gam^s_ab
     riem_up = (np.einsum("bmac->mabc", dgamma)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import PreconditionError, metric_matrix
-from .fields import VelocityField
+from .fields import VelocityField, rescaled_field
 
 __all__ = [
     "DEFAULT_STEP",
@@ -88,17 +88,24 @@ class KinematicDecomposition:
         return float(np.abs(model - grad).max())
 
 
-def grad_lowered(field: VelocityField, event: np.ndarray, step: float) -> np.ndarray:
-    """D[a, b] = d_a u_b by central differences (derivative index first)."""
-    x = np.asarray(event, dtype=float)
-    n = x.size
-    G = metric_matrix(n)
-    D = np.zeros((n, n))
-    for a in range(n):
-        dx = np.zeros(n)
+def _central(fn, x: np.ndarray, step: float) -> np.ndarray:
+    """out[a] = d_a fn(x) by central differences, for array-valued fn."""
+    rows = []
+    for a in range(x.size):
+        dx = np.zeros(x.size)
         dx[a] = step
-        D[a, :] = G @ (field(x + dx) - field(x - dx)) / (2 * step)
-    return D
+        rows.append((np.asarray(fn(x + dx), dtype=float)
+                     - np.asarray(fn(x - dx), dtype=float)) / (2 * step))
+    return np.array(rows)
+
+
+def grad_lowered(field: VelocityField, event: np.ndarray, step: float) -> np.ndarray:
+    """D[a, b] = d_a u_b by central differences (derivative index first).
+
+    `field` may be any event -> vector callable, normalised or not.
+    """
+    x = np.asarray(event, dtype=float)
+    return _central(field, x, step) @ metric_matrix(x.size)
 
 
 def _check_interior(field: VelocityField, event: np.ndarray, step: float) -> None:
@@ -143,58 +150,28 @@ def is_rigid(field: VelocityField, probes, step: float = DEFAULT_STEP,
     return {"rigid": worst < tol, "max_theta": worst}
 
 
-def _theta_of_raw(evaluator, c: float, event: np.ndarray, step: float) -> float:
-    """Theta sup-norm for an arbitrary (not necessarily normalised) generator.
-
-    The split uses the generator's own normalisation direction, mirroring
-    the invariance of the rigidity condition under rescaling.
-    """
-    x = np.asarray(event, dtype=float)
-    n = x.size
-    G = metric_matrix(n)
-    K = np.asarray(evaluator(x), dtype=float)
-    q = K[0] * K[0] - float(K[1:] @ K[1:])
-    if q <= 0:
-        raise PreconditionError("generator must be timelike")
-    u = K * (c / np.sqrt(q))
-
-    def normalised(y):
-        Ky = np.asarray(evaluator(y), dtype=float)
-        qy = Ky[0] * Ky[0] - float(Ky[1:] @ Ky[1:])
-        return Ky * (c / np.sqrt(qy))
-
-    D = np.zeros((n, n))
-    for a in range(n):
-        dx = np.zeros(n)
-        dx[a] = step
-        D[a, :] = G @ (normalised(x + dx) - normalised(x - dx)) / (2 * step)
-    ul = G @ u
-    P = np.eye(n) - np.outer(u, ul) / (c * c)
-    theta = P.T @ (0.5 * (D + D.T)) @ P
-    return float(np.abs(theta).max())
-
-
 def reparameterization_invariance_check(field: VelocityField, scaling, probes,
                                         step: float = DEFAULT_STEP,
                                         tol: float = FIRST_DERIV_TOL) -> dict:
     """Rigidity verdict before and after rescaling the generator.
 
     Rescaling by a nowhere-zero function leaves the flow lines, and hence
-    the verdict, unchanged; the comparison is at verdict level.
+    the verdict, unchanged; the comparison is at verdict level.  The
+    rescaled generator is renormalised along its own direction before the
+    split.
     """
     base = is_rigid(field, probes, step, tol)
+    raw = rescaled_field(field, scaling)
 
-    def scaled(x):
-        s = float(scaling(np.asarray(x, dtype=float)))
-        if s == 0.0:
-            raise PreconditionError("scaling must be nowhere zero")
-        return s * field(x)
+    def normalised(x):
+        K = raw(x)
+        return K * (field.c / np.sqrt(K[0] * K[0] - float(K[1:] @ K[1:])))
 
-    worst = max(_theta_of_raw(scaled, field.c, p, step) for p in probes)
+    scaled = is_rigid(VelocityField(normalised, field.domain, field.c), probes, step, tol)
     return {
-        "verdict_unchanged": base["rigid"] == (worst < tol),
+        "verdict_unchanged": base["rigid"] == scaled["rigid"],
         "base": base,
-        "scaled_max_theta": worst,
+        "scaled_max_theta": scaled["max_theta"],
     }
 
 
@@ -202,36 +179,21 @@ def lie_derivative_oneform(field: VelocityField, oneform, event,
                            step: float = DEFAULT_STEP) -> np.ndarray:
     """(L_u alpha)_b = u^c d_c alpha_b + alpha_c d_b u^c by central differences."""
     x = np.asarray(event, dtype=float)
-    n = x.size
     u = field(x)
     alpha = np.asarray(oneform(x), dtype=float)
-    out = np.zeros(n)
-    dalpha = np.zeros((n, n))
-    du = np.zeros((n, n))
-    for a in range(n):
-        dx = np.zeros(n)
-        dx[a] = step
-        dalpha[a, :] = (np.asarray(oneform(x + dx)) - np.asarray(oneform(x - dx))) / (2 * step)
-        du[a, :] = (field(x + dx) - field(x - dx)) / (2 * step)
-    for b in range(n):
-        out[b] = u @ dalpha[:, b] + alpha @ du[b, :]
-    return out
+    dalpha = _central(oneform, x, step)
+    du = _central(field, x, step)
+    return np.array([u @ dalpha[:, b] + alpha @ du[b, :] for b in range(x.size)])
 
 
 def lie_derivative_2tensor(field: VelocityField, tensor, event,
                            step: float = DEFAULT_STEP) -> np.ndarray:
     """(L_u T)_ab = u^c d_c T_ab + T_cb d_a u^c + T_ac d_b u^c."""
     x = np.asarray(event, dtype=float)
-    n = x.size
     u = field(x)
     T = np.asarray(tensor(x), dtype=float)
-    dT = np.zeros((n, n, n))
-    du = np.zeros((n, n))
-    for cidx in range(n):
-        dx = np.zeros(n)
-        dx[cidx] = step
-        dT[cidx] = (np.asarray(tensor(x + dx)) - np.asarray(tensor(x - dx))) / (2 * step)
-        du[cidx, :] = (field(x + dx) - field(x - dx)) / (2 * step)
+    dT = _central(tensor, x, step)
+    du = _central(field, x, step)
     out = np.einsum("c,cab->ab", u, dT)
     out += np.einsum("cb,ac->ab", T, du)
     out += np.einsum("ac,bc->ab", T, du)
@@ -256,16 +218,9 @@ def generator_killing_residual(evaluator, event, step: float = DEFAULT_STEP) -> 
     equation; the normalised velocity of the same flow generally does not,
     since normalisation rescales pointwise.
     """
-    x = np.asarray(event, dtype=float)
-    n = x.size
-    G = metric_matrix(n)
-    D = np.zeros((n, n))
-    for a in range(n):
-        dx = np.zeros(n)
-        dx[a] = step
-        D[a, :] = G @ (np.asarray(evaluator(x + dx), dtype=float)
-                       - np.asarray(evaluator(x - dx), dtype=float)) / (2 * step)
-    return float(np.abs(D + D.T).max())
+    def raw(y):
+        return np.asarray(evaluator(y), dtype=float)
+    return float(np.abs(lie_derivative_metric(raw, event, step)).max())
 
 
 def accel_oneform(field: VelocityField, event, step: float = DEFAULT_STEP) -> np.ndarray:
@@ -278,14 +233,7 @@ def accel_oneform(field: VelocityField, event, step: float = DEFAULT_STEP) -> np
 
 def accel_curl(field: VelocityField, event, step: float = DEFAULT_STEP) -> np.ndarray:
     """Exterior derivative (d a-flat)_ab = d_a a_b - d_b a_a, nested differences."""
-    x = np.asarray(event, dtype=float)
-    n = x.size
-    da = np.zeros((n, n))
-    for a in range(n):
-        dx = np.zeros(n)
-        dx[a] = step
-        da[a, :] = (accel_oneform(field, x + dx, step)
-                    - accel_oneform(field, x - dx, step)) / (2 * step)
+    da = _central(lambda y: accel_oneform(field, y, step), np.asarray(event, dtype=float), step)
     return da - da.T
 
 

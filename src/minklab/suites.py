@@ -491,26 +491,16 @@ def suite_lattice(seed: int, config: Config) -> list[Check]:
                        "light-cone distances vs brute force",
                        passed=worst_ok))
     # law sweep
-    bad = 0
-    prev = None
-    pairs = []
-    for _ in range(config.regions):
-        s = lat.random_region(grid, rng)
-        for mode in (lat.CAUSAL, lat.CHRONOLOGICAL):
-            sc = lat.complement(s, mode)
-            scc = lat.complement(sc, mode)
-            if lat.complement(scc, mode) != sc:
-                bad += 1
-            if lat.completion(scc, mode) != scc:
-                bad += 1
-        if prev is not None:
-            pairs.append((lat.completion(prev, lat.CAUSAL), lat.completion(s, lat.CAUSAL)))
-        prev = s
+    regions = [lat.random_region(grid, rng) for _ in range(config.regions)]
+    sweeps = {mode: lat.law_sweep(regions, mode) for mode in (lat.CAUSAL, lat.CHRONOLOGICAL)}
+    bad = sum(len(v) for sweep in sweeps.values() for v in sweep["violations"].values())
     checks.append(_chk("laws.complement_completion", float(bad), 1.0,
                        f"{config.regions} random regions, both modes"))
-    dm = lat.de_morgan_check(pairs[: config.regions // 2], lat.CAUSAL)
+    comps = sweeps[lat.CAUSAL]["completions"]
+    pairs = list(zip(comps, comps[1:]))[: config.regions // 2]
+    dm = lat.de_morgan_check(pairs, lat.CAUSAL)
     checks.append(_chk("laws.de_morgan", float(len(dm)), 1.0,
-                       f"{len(pairs[: config.regions // 2])} complete pairs"))
+                       f"{len(pairs)} complete pairs"))
     rep = lat.lattice_property_suite(grid, lat.CAUSAL, seed, n_regions=20)
     checks.append(_chk("laws.orthocomplement", float(len(rep["failures"])), 1.0,
                        "involution, bounds, complement meets/joins"))
@@ -522,7 +512,8 @@ def suite_lattice(seed: int, config: Config) -> list[Check]:
                        passed=rep["modularity"] is not None))
     checks.append(_chk("laws.not_distributive", 0.0, 1.0, "",
                        passed=rep["distributivity"] is not None))
-    fig_grid = grid if min(config.grid) >= 41 else lat.IntegerGrid.centered(41, 41)
+    fig_grid = (grid if grid.dim == 2 and min(config.grid) >= 41
+                else lat.IntegerGrid.centered(41, 41))
     fig = lat.fig2_counterexample(fig_grid)
     checks.append(_chk("fig2.witness_nonempty", 0.0, 1.0,
                        f"witness has {fig['witness'].count} cells",

@@ -17,6 +17,7 @@ from minklab.isometry import (cartan_dieudonne, compose_reflections,
                               random_lorentz, random_rotation)
 from minklab.kinematics import (boost_3d, boost_matrix_1d, compose_velocities,
                                 rotation_embedding)
+from minklab.lattice.laws import LAWS
 from minklab.projective import (FLBoost,
                                 conjugation_check, deformation_phi,
                                 fl_boost_apply, lorentz_boost_event, time_slab)
@@ -152,33 +153,17 @@ class TestAcceptance:
         t0 = time.perf_counter()
         rng = np.random.default_rng(SEED)
         grid = lat.IntegerGrid.centered(41, 41)
-        full = lat.Region.full(grid)
-        empty = lat.Region.empty(grid)
-        prev_complete = None
-        demorgan_pairs = 0
-        for i in range(1000):
-            s = lat.random_region(grid, rng)
-            mode = lat.CAUSAL if i % 2 == 0 else lat.CHRONOLOGICAL
-            sc = lat.complement(s, mode)
-            scc = lat.complement(sc, mode)
-            sccc = lat.complement(scc, mode)
-            assert sccc == sc  # triple complement collapses
-            assert lat.completion(scc, mode) == scc  # completion idempotent
-            a, ac = scc, sccc
-            assert lat.meet(a, ac, mode) == empty
-            assert lat.join(a, ac, mode) == full
-            if prev_complete is not None and i % 2 == 0:
-                b = prev_complete
-                lhs = lat.complement(lat.meet(a, b, lat.CAUSAL), lat.CAUSAL)
-                rhs = lat.completion(lat.complement(a, lat.CAUSAL)
-                                     | lat.complement(b, lat.CAUSAL), lat.CAUSAL)
-                assert lhs == rhs
-                lhs2 = lat.complement(lat.join(a, b, lat.CAUSAL), lat.CAUSAL)
-                rhs2 = lat.complement(a, lat.CAUSAL) & lat.complement(b, lat.CAUSAL)
-                assert lhs2 == rhs2
-                demorgan_pairs += 1
-            if i % 2 == 0:
-                prev_complete = a
+        regions = [lat.random_region(grid, rng) for _ in range(1000)]
+        # even draws are swept causally, odd ones chronologically
+        sweeps = {lat.CAUSAL: lat.law_sweep(regions[0::2], lat.CAUSAL),
+                  lat.CHRONOLOGICAL: lat.law_sweep(regions[1::2], lat.CHRONOLOGICAL)}
+        for sweep in sweeps.values():
+            assert len(sweep["completions"]) == 500
+            assert sweep["violations"] == {law: [] for law in LAWS}
+        comps = sweeps[lat.CAUSAL]["completions"]
+        pairs = list(zip(comps, comps[1:]))
+        assert lat.de_morgan_check(pairs, lat.CAUSAL) == []
+        demorgan_pairs = len(pairs)
         assert demorgan_pairs >= 400
         fig = lat.fig2_counterexample(grid)
         assert not fig["holds"]

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import minklab
 from minklab.cli import main
 from minklab.suites import Config, parse_grid, run_suite
 
@@ -53,6 +56,12 @@ class TestBadInput:
         path = tmp_path / "cfg"
         path.write_text(line + "\n")
         assert main(["--suite", "core", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("spec", ["2x2", "15x15", "41x41x41"])
+    def test_bad_fig2_grid(self, tmp_path, capsys, spec):
+        assert main(["demo", "fig2", "--grid", spec, "--out", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSuiteRuns:
@@ -108,10 +117,13 @@ class TestSuiteRuns:
 
     def test_entrypoint_subprocess(self, tmp_path):
         out = tmp_path / "r.json"
+        # the child imports the same minklab as this process, installed or not
+        path = [str(Path(minklab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         proc = subprocess.run(
             [sys.executable, "-m", "minklab.cli", "--suite", "core",
              "--seed", "2", "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
         assert proc.returncode == 0
         assert "[pass]" in proc.stderr
         assert json.loads(out.read_text())["passed"] is True

@@ -11,10 +11,12 @@ from minklab.lattice import (CAUSAL, CHRONOLOGICAL, GALILEI, MODES,
                              covering_counterexample, de_morgan_check,
                              diamond, distributivity_counterexample,
                              fig2_counterexample, galilei_chron_complement,
-                             is_complete, join, lattice_property_suite, meet,
+                             is_complete, join, lattice_property_suite,
+                             law_sweep, meet,
                              modularity_counterexample,
                              orthomodularity_check, random_region,
                              region_from_json, region_to_json, region_to_pbm)
+from minklab.lattice import laws
 from minklab.lattice.oracle import complement_mask_bruteforce
 
 
@@ -114,6 +116,13 @@ def oracle_regions(grid, rng):
     yield "random", rng.random(grid.size) < 0.3
 
 
+def draw_grid(data):
+    """1+1 or 2+1 grid, each axis 1-9 cells long with its low end in -5..5."""
+    dims = data.draw(st.lists(st.tuples(st.integers(-5, 5), st.integers(0, 8)),
+                              min_size=2, max_size=3), label="axes")
+    return IntegerGrid([(lo, lo + n) for lo, n in dims])
+
+
 class TestOracleEquivalence:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("name", list(ORACLE_GRIDS))
@@ -125,12 +134,7 @@ class TestOracleEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_random_extents(self, data):
-        dim = data.draw(st.sampled_from([2, 3]), label="dim")
-        extents = []
-        for _ in range(dim):
-            lo = data.draw(st.integers(-5, 5))
-            extents.append((lo, lo + data.draw(st.integers(1, 9)) - 1))
-        grid = IntegerGrid(extents)
+        grid = draw_grid(data)
         mask = data.draw(hnp.arrays(bool, grid.size), label="mask")
         for mode in MODES:
             assert_matches_oracle(grid, mask, mode)
@@ -174,10 +178,8 @@ class TestCompletionLaws:
 
     @pytest.mark.parametrize("mode", [CAUSAL, CHRONOLOGICAL])
     def test_triple_complement(self, grid, mode, rng):
-        for _ in range(25):
-            s = random_region(grid, rng)
-            sc = complement(s, mode)
-            assert complement(completion(s, mode), mode) == sc
+        sweep = law_sweep([random_region(grid, rng) for _ in range(25)], mode)
+        assert sweep["violations"]["triple-complement"] == []
 
     @pytest.mark.parametrize("mode", [CAUSAL, CHRONOLOGICAL])
     def test_monotonicity(self, grid, mode, rng):
@@ -314,6 +316,10 @@ class TestOrthomodularity:
         with pytest.raises(ValueError):
             fig2_counterexample(IntegerGrid.centered(15, 15))
 
+    def test_fig2_is_1_plus_1(self):
+        with pytest.raises(ValueError, match="1\\+1"):
+            fig2_counterexample(IntegerGrid.centered(41, 41, 41))
+
     def test_requires_complete_inputs(self, grid):
         ragged = Region.from_points(grid, [(0, 0), (3, 0)])
         with pytest.raises(ValueError):
@@ -352,6 +358,25 @@ class TestPropertySuite:
         assert got["lhs"] != got["rhs"]
 
 
+class TestLawSweep:
+    @pytest.mark.parametrize("mode", [CAUSAL, CHRONOLOGICAL])
+    def test_completions_returned(self, grid, mode, rng):
+        regions = [random_region(grid, rng) for _ in range(6)]
+        assert law_sweep(regions, mode)["completions"] == [completion(s, mode) for s in regions]
+
+    def test_wrong_complement_is_caught(self, grid, monkeypatch):
+        def wrong(region, mode):  # complement of the region one slice later, plus the centre
+            later = np.roll(region.mask.reshape(grid.shape), 1, axis=0).reshape(-1)
+            return complement(Region(grid, later), mode) | Region.from_points(grid, [(0, 0)])
+
+        monkeypatch.setattr(laws, "complement", wrong)
+        regions = [Region.from_points(grid, pts) for pts in ([(0, 0)], [(3, 2), (-4, 1)])]
+        sweep = law_sweep(regions, CAUSAL)
+        assert all(sweep["violations"].values())  # every law is seen to fail
+        # the centre is in every completion and in its complement
+        assert sweep["violations"]["meet-with-complement"] == [0, 1]
+
+
 class TestGalilei:
     def test_point_complement_is_slice_minus_point(self, grid):
         p = Region.from_points(grid, [(0, 3)])
@@ -384,11 +409,8 @@ class TestGalilei:
 class TestThreeDimensional:
     def test_laws_on_3d_grid(self, grid3d, rng):
         for mode in (CAUSAL, CHRONOLOGICAL):
-            for _ in range(5):
-                s = random_region(grid3d, rng)
-                sc = complement(s, mode)
-                assert complement(completion(s, mode), mode) == sc
-                assert completion(sc, mode) == sc
+            sweep = law_sweep([random_region(grid3d, rng) for _ in range(5)], mode)
+            assert sweep["violations"] == {law: [] for law in laws.LAWS}
 
     def test_3d_kernel_identity(self, grid3d, rng):
         mask = rng.random(grid3d.size) < 0.05
@@ -428,3 +450,25 @@ class TestExport:
     def test_json_round_trip_3d(self, grid3d, rng):
         s = random_region(grid3d, rng, density=0.1)
         assert region_from_json(region_to_json(s)) == Region(grid3d, s.mask)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_json_rows_are_maximal_runs(self, data):
+        grid = draw_grid(data)
+        lines = data.draw(hnp.arrays(bool, grid.shape), label="mask").reshape(-1, grid.shape[-1])
+        fills = data.draw(st.lists(st.sampled_from([None, True, False]),
+                                   min_size=len(lines), max_size=len(lines)), label="rows")
+        for line, fill in zip(lines, fills):
+            if fill is not None:  # a whole row set or clear
+                line[:] = fill
+        region = Region(grid, lines.reshape(-1))
+        text = region_to_json(region)
+        assert np.array_equal(region_from_json(text).mask, region.mask)
+        for _, *runs in json.loads(text)["rows"]:
+            ends = [(start, start + length) for start, length in runs]
+            assert runs and all(grid.extents[-1][0] <= a < b <= grid.extents[-1][1] + 1
+                                for a, b in ends)
+            assert all(b < c for (_, b), (c, _) in zip(ends, ends[1:]))  # maximal runs
+        if grid.dim == 2:
+            bits = [r.split() for r in region_to_pbm(region).splitlines()[2:]]
+            assert np.array_equal(np.array(bits) == "1", lines)
