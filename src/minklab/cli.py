@@ -89,7 +89,7 @@ def _parse_range(text: str) -> tuple[float, float]:
     return float(lo), float(hi) if hi else float(lo)
 
 
-def _demo_rindler(args, outdir: Path) -> list[Path]:
+def _demo_rindler(args) -> list[tuple[str, str]]:
     lo, hi = _parse_range(args.x0)
     vf = args.v_final
     labels = np.linspace(lo, hi, args.orbits)
@@ -98,12 +98,10 @@ def _demo_rindler(args, outdir: Path) -> list[Path]:
         tau_final = (x0 / args.c) * np.arctanh(vf / args.c)
         for tau in np.linspace(0.0, tau_final, args.samples):
             rows.append((tau, rigid.boost_killing_flow(float(x0), float(tau), args.c)))
-    path = outdir / "rindler_orbits.csv"
-    path.write_text(rigid.trajectory_csv(rows))
-    return [path]
+    return [("rindler_orbits.csv", rigid.trajectory_csv(rows))]
 
 
-def _demo_disk(args, outdir: Path) -> list[Path]:
+def _demo_disk(args) -> list[tuple[str, str]]:
     field = rigid.rotation_killing_field(args.kappa, args.c)
     rows = []
     radii = np.linspace(0.1, 0.9, args.samples) * (args.c / args.kappa)
@@ -111,33 +109,26 @@ def _demo_disk(args, outdir: Path) -> list[Path]:
         event = np.array([0.0, float(rho), 0.0, 0.0])
         dec = rigid.kinematic_decomposition(field, event, 1e-3)
         rows.append((0.0, event, dec.theta_norm, dec.omega_norm, dec.accel_norm_g))
-    path = outdir / "disk_field.csv"
-    path.write_text(rigid.field_csv(rows))
-    return [path]
+    return [("disk_field.csv", rigid.field_csv(rows))]
 
 
-def _demo_fig2(args, outdir: Path) -> list[Path]:
+def _demo_fig2(args) -> list[tuple[str, str]]:
     grid = lat.IntegerGrid.centered(*parse_grid(args.grid or "41x41"))
     fig = lat.fig2_counterexample(grid)
-    paths = []
+    files = []
     for key in ("a", "b", "bprime", "join_a_bprime", "witness"):
-        p = outdir / f"fig2_{key}.json"
-        p.write_text(lat.region_to_json(fig[key]) + "\n")
-        pb = outdir / f"fig2_{key}.pbm"
-        pb.write_text(lat.region_to_pbm(fig[key]))
-        paths.extend((p, pb))
-    summary = outdir / "fig2_summary.json"
-    summary.write_text(json.dumps({
+        files.append((f"fig2_{key}.json", lat.region_to_json(fig[key]) + "\n"))
+        files.append((f"fig2_{key}.pbm", lat.region_to_pbm(fig[key])))
+    files.append(("fig2_summary.json", json.dumps({
         "witness_cells": fig["witness"].count,
         "orthomodular": fig["holds"],
         "chron_analogue_holds": fig["chron_analogue_holds"],
         "chron_edge_aligned_holds": fig["chron_edge_aligned_holds"],
-    }, indent=2, sort_keys=True) + "\n")
-    paths.append(summary)
-    return paths
+    }, indent=2, sort_keys=True) + "\n"))
+    return files
 
 
-def _demo_fl_slab(args, outdir: Path) -> list[Path]:
+def _demo_fl_slab(args) -> list[tuple[str, str]]:
     rng = np.random.default_rng(args.seed)
     R, c = args.R, args.c
     rows = []
@@ -151,26 +142,20 @@ def _demo_fl_slab(args, outdir: Path) -> list[Path]:
         except projective.SingularHyperplaneError:
             continue
         rows.append({"t": t, "slab": slab, "t_image": tp})
-    path = outdir / "fl_slab.json"
-    path.write_text(json.dumps({"R": R, "c": c, "rows": rows},
-                               indent=2, sort_keys=True) + "\n")
-    return [path]
+    return [("fl_slab.json", json.dumps({"R": R, "c": c, "rows": rows},
+                                        indent=2, sort_keys=True) + "\n")]
 
 
-def _demo_image_lines(args, outdir: Path) -> list[Path]:
+def _demo_image_lines(args) -> list[tuple[str, str]]:
     sigmas = [float(s) for s in args.sigmas.split(",")]
     demo = projective.parallelism_breaking_demo(sigmas)
     lines = ["sigma,dir_t,dir_x"]
     for s, d in demo["directions"].items():
         lines.append(f"{s!r},{d[0]!r},{d[1]!r}")
-    path = outdir / "image_line_directions.csv"
-    path.write_text("\n".join(lines) + "\n")
-    return [path]
+    return [("image_line_directions.csv", "\n".join(lines) + "\n")]
 
 
 def _cmd_demo(args) -> int:
-    outdir = Path(args.out or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
     runner = {
         "rindler": _demo_rindler,
         "disk": _demo_disk,
@@ -179,12 +164,16 @@ def _cmd_demo(args) -> int:
         "image-lines": _demo_image_lines,
     }[args.name]
     try:
-        paths = runner(args, outdir)
+        files = runner(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for p in paths:
-        print(p, file=sys.stderr)
+    outdir = Path(args.out or ".")
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, text in files:
+        path = outdir / name
+        path.write_text(text)
+        print(path, file=sys.stderr)
     return 0
 
 

@@ -108,22 +108,11 @@ def grad_lowered(field: VelocityField, event: np.ndarray, step: float) -> np.nda
     return _central(field, x, step) @ metric_matrix(x.size)
 
 
-def _check_interior(field: VelocityField, event: np.ndarray, step: float) -> None:
-    x = np.asarray(event, dtype=float)
-    for a in range(x.size):
-        dx = np.zeros(x.size)
-        dx[a] = 2 * step
-        if not (field.in_domain(x + dx) and field.in_domain(x - dx)):
-            raise PreconditionError(
-                f"event {x.tolist()} is within 2 steps of the domain boundary")
-
-
 def kinematic_decomposition(field: VelocityField, event, step: float = DEFAULT_STEP) -> KinematicDecomposition:
     """Expansion/shear, vorticity and acceleration of the field at an event."""
     if step <= 0:
         raise PreconditionError("step must be positive")
     x = np.asarray(event, dtype=float)
-    _check_interior(field, x, step)
     c = field.c
     u = field(x)
     n = u.size

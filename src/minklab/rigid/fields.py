@@ -35,7 +35,10 @@ NORMALIZATION_RTOL = 1e-10
 class VelocityField:
     """Event -> vector evaluator with u.u = c^2 enforced on evaluation.
 
-    `domain` guards evaluation; `tag` records the provenance
+    `domain` is checked before every evaluation and guards evaluators that
+    would otherwise return a wrong vector off their domain; an evaluator
+    that raises PreconditionError there itself passes `lambda x: True`.
+    `tag` records the provenance
     (boost-killing | rotation-killing | worldline-induced | user).
     """
 
@@ -61,9 +64,6 @@ class VelocityField:
         u = self(event)
         G = metric_matrix(u.size)
         return G @ u
-
-    def in_domain(self, event) -> bool:
-        return bool(self.domain(np.asarray(event, dtype=float)))
 
 
 def constant_field(dim: int = 4, c: float = 1.0) -> VelocityField:

@@ -73,8 +73,6 @@ def rotation_killing_checks(kappa: float, c: float, probes,
     rows = []
     for p in probes:
         x = np.asarray(p, dtype=float)
-        if not field.in_domain(x):
-            raise PreconditionError(f"probe {x.tolist()} outside the timelike region")
         dec = kinematic_decomposition(field, x, step)
 
         def omega_at(y, _f=field, _s=step):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..core import PreconditionError, metric_matrix
 from .fields import VelocityField
@@ -162,6 +161,61 @@ def _dot(v: np.ndarray, w: np.ndarray) -> float:
     return float(v[0] * w[0] - v[1:] @ w[1:])
 
 
+def _brent(f: Callable[[float], float], a: float, b: float,
+           xtol: float, rtol: float, maxiter: int) -> float:
+    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A statement-for-statement port of the C routine brentq.c, so for the
+    same f, bracket and tolerances the root is bit-identical to that
+    routine's (the tests compare the two).  f(a) and f(b) must not have
+    the same sign; a NaN value of f raises ValueError.
+    """
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"f({x!r}) is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):  # both non-zero, so < 0 is the C signbit
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations")
+
+
 def foliation_time(curve: WorldLineCurve, event, tau_window: tuple[float, float],
                    guard: float = CAUSTIC_GUARD) -> float:
     """The parameter sigma(x) of the orthogonal hyperplane through x.
@@ -185,7 +239,7 @@ def foliation_time(curve: WorldLineCurve, event, tau_window: tuple[float, float]
         grow += 1
         if grow > 60:
             raise PreconditionError("could not bracket the hyperplane parameter")
-    tau = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    tau = _brent(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
     n = foliation_gap(curve, tau, x)
     if n <= guard:
         raise PreconditionError(
@@ -210,14 +264,8 @@ def herglotz_field(curve: WorldLineCurve, tau_window: tuple[float, float] = (-1.
     def ev(x: np.ndarray) -> np.ndarray:
         return curve.zdot(foliation_time(curve, x, tau_window, guard))
 
-    def dom(x: np.ndarray) -> bool:
-        try:
-            foliation_time(curve, x, tau_window, guard)
-        except PreconditionError:
-            return False
-        return True
-
-    return VelocityField(ev, dom, curve.c, "worldline-induced")
+    # foliation_time raises PreconditionError outside the tube itself
+    return VelocityField(ev, lambda x: True, curve.c, "worldline-induced")
 
 
 def _proj_along(v: np.ndarray, w: np.ndarray, c: float) -> np.ndarray:

@@ -59,9 +59,10 @@ class TestBadInput:
 
     @pytest.mark.parametrize("spec", ["2x2", "15x15", "41x41x41"])
     def test_bad_fig2_grid(self, tmp_path, capsys, spec):
-        assert main(["demo", "fig2", "--grid", spec, "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert main(["demo", "fig2", "--grid", spec, "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        assert not out.exists()
 
 
 class TestSuiteRuns:
@@ -117,16 +118,30 @@ class TestSuiteRuns:
 
     def test_entrypoint_subprocess(self, tmp_path):
         out = tmp_path / "r.json"
-        # the child imports the same minklab as this process, installed or not
-        path = [str(Path(minklab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-        proc = subprocess.run(
-            [sys.executable, "-m", "minklab.cli", "--suite", "core",
-             "--seed", "2", "--out", str(out)],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+        proc = run_child(["-m", "minklab.cli", "--suite", "core", "--seed", "2",
+                          "--out", str(out)])
         assert proc.returncode == 0
         assert "[pass]" in proc.stderr
         assert json.loads(out.read_text())["passed"] is True
+
+    def test_runs_without_scipy(self, tmp_path):
+        # scipy is a test-only reference; the program must not import it
+        code = ("import sys\n"
+                "from minklab.cli import main\n"
+                f"rc = main(['--suite', 'rigid', '--out', {str(tmp_path / 'r.json')!r}])\n"
+                "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        proc = run_child(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[-2] == "0 []"
+
+
+def run_child(args):
+    """Run this interpreter on `args`, importing the same minklab as this
+    process, installed or not."""
+    path = [str(Path(minklab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
 
 
 class TestDemos:

@@ -376,6 +376,40 @@ class TestLawSweep:
         # the centre is in every completion and in its complement
         assert sweep["violations"]["meet-with-complement"] == [0, 1]
 
+    @pytest.mark.parametrize("mode", [CAUSAL, CHRONOLOGICAL])
+    @pytest.mark.parametrize("shape", [(41, 41), (13, 13, 13)])
+    def test_structured_regions(self, shape, mode, rng):
+        # random_region's densities leave S' empty on these grids, so the laws
+        # are checked here on sets whose complement is not trivial
+        grid = IntegerGrid.centered(*shape)
+        regions = structured_regions(grid, rng)
+        assert all(not complement(s, mode).is_empty for s in regions)
+        sweep = law_sweep(regions, mode)
+        assert sweep["violations"] == {law: [] for law in laws.LAWS}
+        done = sweep["completions"]
+        assert de_morgan_check(list(zip(done, done[1:])), mode) == []
+
+
+def structured_regions(grid, rng, per_kind=10):
+    """Single points, two-point sets, closed diamonds and density-0.004
+    masks, all inside the grid's central half."""
+    lows = np.array([lo + (hi - lo) // 4 for lo, hi in grid.extents])
+    highs = np.array([hi - (hi - lo) // 4 for lo, hi in grid.extents])
+    central = np.all((grid.coords >= lows) & (grid.coords <= highs), axis=1)
+
+    def point():
+        return tuple(int(v) for v in rng.integers(lows, highs + 1))
+
+    regions = [Region.from_points(grid, [point()]) for _ in range(per_kind)]
+    regions += [Region.from_points(grid, [point(), point()]) for _ in range(per_kind)]
+    while len(regions) < 3 * per_kind:
+        d = diamond(grid, point(), point())
+        if not d.is_empty:  # spacelike-separated tips span no diamond
+            regions.append(d)
+    regions += [Region(grid, central & (rng.random(grid.size) < 0.004))
+                for _ in range(per_kind)]
+    return regions
+
 
 class TestGalilei:
     def test_point_complement_is_slice_minus_point(self, grid):

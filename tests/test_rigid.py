@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from minklab.core import PreconditionError
+from minklab.rigid import worldline
 from minklab.rigid import (accel_curl, accel_oneform, boost_killing_field,
                            boost_killing_flow, constant_field,
                            expected_accel_curl, expected_lie_accel, field_csv,
@@ -364,12 +365,79 @@ class TestWorldlineInduced:
     def test_caustic_guard(self):
         wl = hyperbolic_worldline(1.0)
         # the wedge vertex is the caustic of the orbit hyperplanes
+        near = np.array([0.0, 1e-4, 0.0, 0.0])
         with pytest.raises(PreconditionError):
-            foliation_time(wl, np.array([0.0, 1e-4, 0.0, 0.0]), (-1, 1))
+            foliation_time(wl, near, (-1, 1))
+        with pytest.raises(PreconditionError):
+            kinematic_decomposition(herglotz_field(wl), near, STEP)
+
+    def test_one_root_solve_per_field_value(self, monkeypatch):
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return foliation_time(*args, **kwargs)
+
+        monkeypatch.setattr(worldline, "foliation_time", counted)
+        f = herglotz_field(hyperbolic_worldline(1.0), (-1.5, 1.5))
+        kinematic_decomposition(f, np.array([0.1, 1.2, 0.3, -0.2]), STEP)
+        assert len(solves) == 9  # the event and its 8 central-difference neighbours
 
     def test_validate(self):
         wiggly_worldline(0.3).validate(np.linspace(-1, 1, 9))
         hyperbolic_worldline(2.0).validate(np.linspace(-1, 1, 9))
+
+
+def foliation_function(curve, x):
+    """The function whose root foliation_time finds."""
+    return lambda tau: worldline._dot(curve.zdot(tau), x - curve.z(tau))
+
+
+class TestBrent:
+    """The in-package Brent loop against scipy.optimize.brentq, bit for bit."""
+
+    TOLS = dict(xtol=1e-14, rtol=8.9e-16, maxiter=200)  # as in foliation_time
+
+    @pytest.mark.parametrize("curve", [hyperbolic_worldline(1.0),
+                                       hyperbolic_worldline(1.0, c=2.0),
+                                       wiggly_worldline(0.5)],
+                             ids=["hyperbolic-c1", "hyperbolic-c2", "wiggly"])
+    def test_matches_brentq(self, curve, rng):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        used = 0
+        for _ in range(1000):
+            # an event on the hyperplane of tau0, inside the tube
+            tau0 = rng.uniform(-1.0, 1.0)
+            zd = curve.zdot(tau0)
+            w = rng.standard_normal(4)
+            w = w - zd * (worldline._dot(zd, w) / curve.c ** 2)
+            x = curve.z(tau0) + rng.uniform(0.0, 0.6) * w / np.linalg.norm(w)
+            lo, hi = tau0 - rng.uniform(0.01, 1.5), tau0 + rng.uniform(0.01, 1.5)
+            f = foliation_function(curve, x)
+            if f(lo) * f(hi) > 0:
+                continue
+            used += 1
+            assert worldline._brent(f, lo, hi, **self.TOLS) == brentq(f, lo, hi, **self.TOLS)
+        assert used >= 900
+
+    def test_root_at_bracket_end(self):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        wl = hyperbolic_worldline(1.0)
+        f = foliation_function(wl, wl.z(0.0) + np.array([0.0, 0.5, 0.1, 0.0]))
+        assert f(0.0) == 0.0
+        for lo, hi in ((0.0, 1.0), (-1.0, 0.0)):
+            root = worldline._brent(f, lo, hi, **self.TOLS)
+            assert root == brentq(f, lo, hi, **self.TOLS) == 0.0
+
+    @pytest.mark.parametrize("f", [
+        lambda t: t * t + 1.0,  # no sign change
+        lambda t: math.nan if t == 0.0 else -t,  # the first secant step lands on 0
+    ], ids=["same-sign", "nan"])
+    def test_rejects_like_brentq(self, f):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        for solve in (brentq, worldline._brent):
+            with pytest.raises(ValueError):
+                solve(f, -1.0, 1.0, **self.TOLS)
 
 
 class TestExport:
