@@ -185,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--out", help="output path (suite report or demo dir)")
-    parser.add_argument("--grid", help="lattice grid size, e.g. 41x41")
+    parser.add_argument("--grid", help="lattice grid size, time axis first: "
+                        "41x41, 13x13x13 or 9x9x9x9")
     fmt = parser.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="format", action="store_const", const="json")
     fmt.add_argument("--csv", dest="format", action="store_const", const="csv")

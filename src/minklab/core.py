@@ -33,7 +33,6 @@ __all__ = [
     "affine_combination",
     "frame_coords",
     "frame_point",
-    "affinely_independent",
 ]
 
 
@@ -408,17 +407,3 @@ def frame_point(frame: AffineFrame, x: Sequence[float]) -> Event:
     """Event at coordinates x: origin + sum x_a * basis_a."""
     xa = np.asarray(x, dtype=float)
     return frame.origin + MinkVector(frame.matrix @ xa)
-
-
-def affinely_independent(points: Sequence[Event]) -> bool:
-    """True iff the difference vectors from any base point are independent."""
-    if len(points) == 0:
-        raise PreconditionError("need at least one point")
-    if len(points) == 1:
-        return True
-    base = points[0]
-    m = np.vstack([(p - base).a for p in points[1:]])
-    if len(points) - 1 > base.dim:
-        raise PreconditionError("more than dim+1 points can never be independent")
-    tol = 1e-12 * max(1.0, float(np.abs(m).max()))
-    return int(np.linalg.matrix_rank(m, tol=tol)) == len(points) - 1

@@ -25,7 +25,6 @@ __all__ = [
     "dilation_apply",
     "conformal_factor",
     "ConformalProbeError",
-    "product_preservation_residual",
     "relation_preservation_harness",
     "unit_distance_harness",
     "random_rotation",
@@ -251,16 +250,6 @@ def conformal_factor(f: np.ndarray, tol: float = 1e-9) -> dict:
     alpha = float(h[0, 0])
     residual = float(np.abs(h - alpha * G).max())
     return {"alpha": alpha, "residual": residual}
-
-
-def product_preservation_residual(f: Callable[[np.ndarray], np.ndarray],
-                                  probes: Sequence[np.ndarray]) -> float:
-    """max |f(v).f(w) - v.w| over all probe pairs."""
-    worst = 0.0
-    for v in probes:
-        for w in probes:
-            worst = max(worst, abs(inner(f(v), f(w)) - inner(v, w)))
-    return worst
 
 
 _RELATIONS = ("ge", "gt", "lightlike-successor", "interval-sign")

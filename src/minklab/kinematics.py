@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -19,14 +18,11 @@ from .core import PreconditionError
 
 __all__ = [
     "BoostFamily",
-    "Boost3D",
     "classify_branch",
     "a_of_v",
-    "b_of_v",
     "boost_matrix_1d",
     "compose_velocities",
     "rapidity",
-    "rapidity_inverse",
     "rotation_embedding",
     "rotation_taking_x_axis",
     "boost_3d",
@@ -70,11 +66,6 @@ def a_of_v(k: float, v: float) -> float:
     return 1.0 / math.sqrt(1.0 + k * v * v)
 
 
-def b_of_v(k: float, v: float) -> float:
-    """Off-diagonal entry b(v) = k v a(v); odd in v."""
-    return k * v * a_of_v(k, v)
-
-
 def boost_matrix_1d(k: float, v: float) -> np.ndarray:
     """2x2 action on (t, x): [[a, k v a], [-v a, a]].
 
@@ -82,31 +73,6 @@ def boost_matrix_1d(k: float, v: float) -> np.ndarray:
     """
     a = a_of_v(k, v)
     return np.array([[a, k * v * a], [-v * a, a]])
-
-
-@dataclass(frozen=True)
-class Boost3D:
-    """Spatial boost on the k <= 0 branches, built by rotation equivariance."""
-
-    family: BoostFamily
-    velocity: np.ndarray
-
-    def __init__(self, family: BoostFamily, velocity):
-        if family.k > 0:
-            raise PreconditionError("spatial boosts need k <= 0")
-        v = np.asarray(velocity, dtype=float).reshape(3)
-        if family.k < 0 and np.linalg.norm(v) >= family.invariant_speed:
-            raise PreconditionError("speed must be below the invariant speed")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "velocity", v)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        if self.family.k == 0:
-            out = np.eye(4)
-            out[1:, 0] = -self.velocity  # Galilean shear
-            return out
-        return boost_3d(self.velocity, self.family.invariant_speed)
 
 
 def compose_velocities(k: float, v: float, vp: float) -> float:
@@ -129,11 +95,6 @@ def rapidity(v: float, c: float = 1.0) -> float:
     if abs(v) >= c:
         raise PreconditionError(f"|v| must be below the invariant speed {c}")
     return math.atanh(v / c)
-
-
-def rapidity_inverse(rho: float, c: float = 1.0) -> float:
-    """Velocity c*tanh(rho) for a given rapidity."""
-    return c * math.tanh(rho)
 
 
 def rotation_embedding(D: np.ndarray) -> np.ndarray:

@@ -2,16 +2,19 @@
 
 Every lattice operation reduces to complements, and a complement is
 computed from light-cone distances per occupied time slice.  For each time
-slice t_s that holds members of the set, a separable pass gives the exact
-squared spatial distance d2 from every spatial cell to the slice's nearest
-member.  A cell x at time t is related to that slice iff d2 <= (t - t_s)^2
-(causal) or d2 < (t - t_s)^2 (chronological, where a member is also related
-to itself), i.e. iff |t - t_s| reaches an integer radius r(x) read off d2.
-So the cells at x that no slice relates form the open time interval
-(max_s t_s - r_s(x), min_s t_s + r_s(x)).  All arithmetic is exact int64;
-the cost is O(k |spatial| (1 + rows) + T |spatial|) for a set spanning k of
-the T slices, with no pairwise table.  The finite-speed (galilei) relation
-has a closed form.  `oracle.complement_mask_bruteforce` is the double-loop
+slice t_s that holds members of the set, a separable pass, the same for
+every grid dimension, gives the exact squared spatial distance d2 from
+every spatial cell to the slice's nearest member.  A cell x at time t is
+related to that slice iff d2 <= (t - t_s)^2 (causal) or d2 < (t - t_s)^2
+(chronological, where a member is also related to itself), i.e. iff
+|t - t_s| reaches an integer radius r(x) read off d2.  So the cells at x
+that no slice relates form the open time interval
+(max_s t_s - r_s(x), min_s t_s + r_s(x)).  All arithmetic is exact int64.
+For a set spanning k of the T slices the cost is
+O(k |spatial| (1 + L) + T |spatial|), with L the summed length of the
+spatial axes before the last, and the temporary memory is O(k |spatial|):
+there is no pairwise table.  The finite-speed (galilei) relation has a
+closed form.  `oracle.complement_mask_bruteforce` is the double-loop
 reference the tests compare this against.
 """
 
@@ -33,32 +36,31 @@ __all__ = [
     "galilei_chron_complement",
 ]
 
-# cells of the (slices, rows, rows, cols) array one 2+1 row-pass step may use
-_CHUNK_CELLS = 1 << 20
-
 
 def _sq_distance(members: np.ndarray) -> np.ndarray:
     """Squared distance from each spatial cell to its slice's nearest member.
 
     `members` is (k, *spatial) bool with a member in every slice; the
     result is int64 of the same shape.  The last axis is scanned both ways
-    for the nearest member in the same row; in 2+1 the rows are then
-    combined exactly as min over rows x' of (x - x')^2 + g(x', y)^2.
+    for the nearest member on the same line; every other spatial axis then
+    takes the exact 1-D step g(x) <- min over x' of (x - x')^2 + g(x'),
+    one x' at a time over whole arrays of lines.
     """
     n = members.shape[-1]
     idx = np.arange(n)
-    far = n + sum(members.shape[1:])  # a memberless row loses every min below
+    far = n + sum(members.shape[1:])  # a memberless line loses every min below
     left = np.maximum.accumulate(np.where(members, idx, -far), axis=-1)
     right = np.minimum.accumulate(np.where(members, idx, far)[..., ::-1], axis=-1)[..., ::-1]
     gap = np.minimum(idx - left, right - idx)
-    gap2 = gap * gap
-    if members.ndim == 2:
-        return gap2
-    rows = np.arange(members.shape[1])
-    dx2 = ((rows[:, None] - rows[None, :]) ** 2)[:, :, None]
-    step = max(1, _CHUNK_CELLS // (rows.size * gap2[0].size))
-    return np.concatenate([(dx2 + gap2[i:i + step, None]).min(axis=2)
-                           for i in range(0, len(gap2), step)])
+    d2 = gap * gap
+    for axis in range(1, members.ndim - 1):
+        g = np.moveaxis(d2, axis, 0)
+        x = np.arange(len(g)).reshape((-1,) + (1,) * (g.ndim - 1))
+        out = g.copy()
+        for xp in range(len(g)):
+            np.minimum(out, g[xp] + (x - xp) ** 2, out=out)
+        d2 = np.moveaxis(out, 0, axis)
+    return d2
 
 
 def _complement_mask(region: Region, code: int) -> np.ndarray:

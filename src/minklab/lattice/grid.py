@@ -1,5 +1,6 @@
 """Integer event grids and bitset regions.
 
+A grid has a time axis and one or more spatial axes (1+1, 2+1, 3+1, ...).
 Squared intervals between grid events are computed in exact integer
 arithmetic, so every lattice law in this package is checked bit-exactly:
 there is no tolerance anywhere.  Region membership is a flat boolean mask
@@ -45,8 +46,8 @@ class IntegerGrid:
 
     def __init__(self, extents: Sequence[Sequence[int]]):
         ext = tuple((int(lo), int(hi)) for lo, hi in extents)
-        if len(ext) not in (2, 3):
-            raise ValueError("grid dimension must be 2 or 3")
+        if len(ext) < 2:
+            raise ValueError("a grid needs a time axis and at least one spatial axis")
         for lo, hi in ext:
             if hi < lo:
                 raise ValueError("empty axis range")

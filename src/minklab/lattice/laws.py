@@ -225,7 +225,7 @@ def lattice_property_suite(grid: IntegerGrid, mode: str, seed: int,
     atom_complete = is_complete(Region.from_points(grid, [pt]), mode)
 
     p = tuple(int(c) for c in pt)
-    q = (p[0] + 4,) + p[1:]
+    q = (min(p[0] + 4, grid.extents[0][1]),) + p[1:]  # short grids: the last slice
     covering = covering_counterexample(grid, p, q, mode) if mode != GALILEI else None
     modularity = modularity_counterexample(grid, mode, seed) if mode != GALILEI else None
     distributivity = (distributivity_counterexample(grid, mode, seed)

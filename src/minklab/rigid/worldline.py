@@ -161,25 +161,25 @@ def _dot(v: np.ndarray, w: np.ndarray) -> float:
     return float(v[0] * w[0] - v[1:] @ w[1:])
 
 
-def _brent(f: Callable[[float], float], a: float, b: float,
+def _brent(f: Callable[[float], float], a: float, fa: float, b: float, fb: float,
            xtol: float, rtol: float, maxiter: int) -> float:
     """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
 
     A statement-for-statement port of the C routine brentq.c, so for the
     same f, bracket and tolerances the root is bit-identical to that
-    routine's (the tests compare the two).  f(a) and f(b) must not have
-    the same sign; a NaN value of f raises ValueError.
+    routine's (the tests compare the two).  The caller passes the end
+    values fa = f(a) and fb = f(b), which must not have the same sign; a
+    NaN value of f raises ValueError.
     """
 
-    def value(x: float) -> float:
-        fx = f(x)
+    def checked(x: float, fx: float) -> float:
         if math.isnan(fx):
             raise ValueError(f"f({x!r}) is NaN")
         return fx
 
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
+    fpre, fcur = checked(xpre, fa), checked(xcur, fb)
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -212,7 +212,7 @@ def _brent(f: Callable[[float], float], a: float, b: float,
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
+        fcur = checked(xcur, f(xcur))
     raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations")
 
 
@@ -222,7 +222,9 @@ def foliation_time(curve: WorldLineCurve, event, tau_window: tuple[float, float]
 
     Solves zdot(tau).(x - z(tau)) = 0 by bracketed root finding; the
     derivative of that function is -c^2 N with N the caustic factor, so the
-    root is unique inside the tube.  Raises near caustics (N <= guard).
+    root is unique inside the tube.  The window grows until f changes sign
+    strictly across it: far out, cancellation can round f to exactly 0.0,
+    and that zero is no root.  Raises near caustics (N <= guard).
     """
     x = np.asarray(event, dtype=float)
 
@@ -232,14 +234,14 @@ def foliation_time(curve: WorldLineCurve, event, tau_window: tuple[float, float]
     lo, hi = tau_window
     flo, fhi = f(lo), f(hi)
     grow = 0
-    while flo * fhi > 0:
+    while not (flo < 0 < fhi or fhi < 0 < flo):
         span = hi - lo
         lo, hi = lo - 0.5 * span, hi + 0.5 * span
         flo, fhi = f(lo), f(hi)
         grow += 1
         if grow > 60:
             raise PreconditionError("could not bracket the hyperplane parameter")
-    tau = _brent(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    tau = _brent(f, lo, flo, hi, fhi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
     n = foliation_gap(curve, tau, x)
     if n <= guard:
         raise PreconditionError(

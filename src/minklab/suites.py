@@ -74,7 +74,7 @@ class Config:
 
 def parse_grid(text: str) -> tuple[int, ...]:
     parts = tuple(int(p) for p in str(text).lower().split("x"))
-    if len(parts) not in (2, 3) or any(p < 3 for p in parts):
+    if len(parts) < 2 or any(p < 3 for p in parts):
         raise ValueError(f"bad grid spec {text!r}")
     return parts
 

@@ -15,6 +15,7 @@ class TestConfig:
     def test_parse_grid(self):
         assert parse_grid("41x41") == (41, 41)
         assert parse_grid("9x9x9") == (9, 9, 9)
+        assert parse_grid("9x9x9x9") == (9, 9, 9, 9)
         with pytest.raises(ValueError):
             parse_grid("41")
 
@@ -57,7 +58,7 @@ class TestBadInput:
         path.write_text(line + "\n")
         assert main(["--suite", "core", "--config", str(path)]) == 2
 
-    @pytest.mark.parametrize("spec", ["2x2", "15x15", "41x41x41"])
+    @pytest.mark.parametrize("spec", ["2x2", "15x15", "41x41x41", "9x9x9x9"])
     def test_bad_fig2_grid(self, tmp_path, capsys, spec):
         out = tmp_path / "out"
         assert main(["demo", "fig2", "--grid", spec, "--out", str(out)]) == 2
@@ -100,6 +101,13 @@ class TestSuiteRuns:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_lattice_3_plus_1(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["--suite", "lattice", "--grid", "7x7x7x7", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["config"]["grid"] == "7x7x7x7"
+        assert report["counts"] == {"failed": 0, "total": 10}
 
     def test_large_scale_limit_has_margin(self):
         for seed in range(3):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from minklab.core import (AffineFrame, CausalClass, DimensionMismatchError,
                           Event, Metric, MinkVector, PreconditionError,
-                          affine_combination, affinely_independent,
+                          affine_combination,
                           cauchy_schwarz_case, classify, frame_coords,
                           frame_point, inner, metric_matrix,
                           minkowski_distance, norm_g, reversed_triangle_check,
@@ -231,27 +231,6 @@ class TestFrames:
         rows = [np.array([1.0, 0, 0, 0])] * 4
         with pytest.raises(ValueError):
             AffineFrame(Event([0, 0, 0, 0]), tuple(MinkVector(r) for r in rows))
-
-
-class TestAffinelyIndependent:
-    def test_simplex(self):
-        o = Event([0, 0, 0, 0])
-        assert affinely_independent([o, Event(E[0]), Event(E[1])])
-
-    def test_collinear(self):
-        pts = [Event([0, 0, 0, 0]), Event([1, 1, 0, 0]), Event([2, 2, 0, 0])]
-        assert not affinely_independent(pts)
-
-    def test_base_point_permutation_invariant(self, rng):
-        for _ in range(50):
-            pts = [Event(r) for r in rng.standard_normal((4, 4))]
-            base = affinely_independent(pts)
-            perm = [pts[i] for i in rng.permutation(4)]
-            assert affinely_independent(perm) == base
-
-    def test_empty_rejected(self):
-        with pytest.raises(PreconditionError):
-            affinely_independent([])
 
 
 @given(st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4),

@@ -6,8 +6,7 @@ from minklab.isometry import (AffineIsometry, ConformalProbeError, Dilation,
                               Reflection, cartan_dieudonne,
                               compose_reflections, conformal_factor,
                               dilation_apply, is_lorentz, lorentz_residual,
-                              product_preservation_residual, random_lorentz,
-                              random_rotation, reflect,
+                              random_lorentz, random_rotation, reflect,
                               relation_preservation_harness,
                               unit_distance_harness)
 
@@ -136,17 +135,6 @@ class TestConformalFactor:
         f = np.array([[0.0, 1.0], [1.0, 0.0]])
         got = conformal_factor(f)
         assert got["alpha"] == -1.0 and got["residual"] < 1e-12
-
-
-class TestProductPreservation:
-    def test_lorentz_plus_nonlinearity_is_caught(self, rng):
-        L = random_lorentz(4, rng)
-        probes = [rng.standard_normal(4) for _ in range(12)]
-        assert product_preservation_residual(lambda v: L @ v, probes) < 1e-10
-        for eps in (1e-3, 1e-6):
-            bent = lambda v: L @ v + eps * np.array([np.sin(v[1]), 0, 0, 0])
-            res = product_preservation_residual(bent, probes)
-            assert res > eps * 1e-3  # nonlinear part cannot hide
 
 
 class TestRelationHarness:

@@ -97,6 +97,9 @@ ORACLE_GRIDS = {
     "2+1 non-square off-centre": [(0, 3), (-3, -1), (1, 6)],
     "2+1 one row": [(-2, 3), (5, 5), (-3, 2)],
     "2+1 one column": [(1, 5), (-2, 2), (0, 0)],
+    "3+1 centred": [(-2, 2), (-2, 2), (-2, 2), (-2, 2)],
+    "3+1 non-square off-centre": [(0, 3), (-3, -1), (1, 4), (-2, 0)],
+    "3+1 one middle cell": [(-2, 2), (-1, 2), (4, 4), (-3, 0)],
 }
 
 
@@ -117,9 +120,12 @@ def oracle_regions(grid, rng):
 
 
 def draw_grid(data):
-    """1+1 or 2+1 grid, each axis 1-9 cells long with its low end in -5..5."""
-    dims = data.draw(st.lists(st.tuples(st.integers(-5, 5), st.integers(0, 8)),
-                              min_size=2, max_size=3), label="axes")
+    """1+1, 2+1 or 3+1 grid with each axis's low end in -5..5; an axis is
+    1-9 cells long, or 1-5 in 3+1 to keep the oracle fast."""
+    dim = data.draw(st.integers(2, 4), label="dim")
+    longest = 9 if dim < 4 else 5
+    dims = data.draw(st.lists(st.tuples(st.integers(-5, 5), st.integers(0, longest - 1)),
+                              min_size=dim, max_size=dim), label="axes")
     return IntegerGrid([(lo, lo + n) for lo, n in dims])
 
 
@@ -377,7 +383,7 @@ class TestLawSweep:
         assert sweep["violations"]["meet-with-complement"] == [0, 1]
 
     @pytest.mark.parametrize("mode", [CAUSAL, CHRONOLOGICAL])
-    @pytest.mark.parametrize("shape", [(41, 41), (13, 13, 13)])
+    @pytest.mark.parametrize("shape", [(41, 41), (13, 13, 13), (9, 9, 9, 9)])
     def test_structured_regions(self, shape, mode, rng):
         # random_region's densities leave S' empty on these grids, so the laws
         # are checked here on sets whose complement is not trivial

@@ -383,6 +383,28 @@ class TestWorldlineInduced:
         kinematic_decomposition(f, np.array([0.1, 1.2, 0.3, -0.2]), STEP)
         assert len(solves) == 9  # the event and its 8 central-difference neighbours
 
+    def test_no_repeated_field_evaluation_per_solve(self, rng):
+        # the bracket's end values are handed to the Brent loop, not recomputed
+        wl = hyperbolic_worldline(1.0)
+        taus = []
+        counted = worldline.WorldLineCurve(wl.z, lambda t: taus.append(t) or wl.zdot(t),
+                                           wl.zddot, wl.zdddot, wl.c)
+        calls = 0
+        for _ in range(200):
+            x = np.array([rng.uniform(-0.5, 0.5), rng.uniform(0.7, 2.0),
+                          rng.uniform(-1, 1), rng.uniform(-1, 1)])
+            taus.clear()
+            foliation_time(counted, x, (-1.5, 1.5))
+            assert len(set(taus)) == len(taus)
+            calls += len(taus)
+        assert calls / 200 < 10  # 11 per solve when both ends were evaluated twice
+
+    def test_event_outside_tube_raises(self):
+        # two roots in the window, both ends negative: the grown bracket must
+        # not stop where cancellation rounds f to exactly 0.0 (at tau = -2^21)
+        with pytest.raises(PreconditionError):
+            foliation_time(wiggly_worldline(0.5), (0, 50, 0, 0), (-1, 1))
+
     def test_validate(self):
         wiggly_worldline(0.3).validate(np.linspace(-1, 1, 9))
         hyperbolic_worldline(2.0).validate(np.linspace(-1, 1, 9))
@@ -417,7 +439,8 @@ class TestBrent:
             if f(lo) * f(hi) > 0:
                 continue
             used += 1
-            assert worldline._brent(f, lo, hi, **self.TOLS) == brentq(f, lo, hi, **self.TOLS)
+            root = worldline._brent(f, lo, f(lo), hi, f(hi), **self.TOLS)
+            assert root == brentq(f, lo, hi, **self.TOLS)
         assert used >= 900
 
     def test_root_at_bracket_end(self):
@@ -426,7 +449,7 @@ class TestBrent:
         f = foliation_function(wl, wl.z(0.0) + np.array([0.0, 0.5, 0.1, 0.0]))
         assert f(0.0) == 0.0
         for lo, hi in ((0.0, 1.0), (-1.0, 0.0)):
-            root = worldline._brent(f, lo, hi, **self.TOLS)
+            root = worldline._brent(f, lo, f(lo), hi, f(hi), **self.TOLS)
             assert root == brentq(f, lo, hi, **self.TOLS) == 0.0
 
     @pytest.mark.parametrize("f", [
@@ -435,9 +458,10 @@ class TestBrent:
     ], ids=["same-sign", "nan"])
     def test_rejects_like_brentq(self, f):
         brentq = pytest.importorskip("scipy.optimize").brentq
-        for solve in (brentq, worldline._brent):
-            with pytest.raises(ValueError):
-                solve(f, -1.0, 1.0, **self.TOLS)
+        with pytest.raises(ValueError):
+            brentq(f, -1.0, 1.0, **self.TOLS)
+        with pytest.raises(ValueError):
+            worldline._brent(f, -1.0, f(-1.0), 1.0, f(1.0), **self.TOLS)
 
 
 class TestExport:
