@@ -1,8 +1,11 @@
 """Command line front end: verification suites and data-producing demos.
 
 Suite runs write a canonical JSON (or CSV) report and exit 0 exactly when
-every check passed.  Unknown suite names, bad grid specs, unknown config
-keys and non-positive sample counts or steps are usage errors (exit 2).
+every check passed: a check passes iff its residual is below its
+tolerance, and a yes/no check reports its count of failed conditions
+against 1.0.  Unknown suite names, bad grid specs (an axis under 5 cells,
+int64 overflow), unknown config keys and non-positive sample counts or
+steps are usage errors (exit 2).
 Reports are byte-identical across repeated runs; the lattice suite's
 complements come from per-slice light-cone distances and are checked
 against the brute-force oracle in the report itself.  Demos write

@@ -3,12 +3,14 @@
 A grid has a time axis and one or more spatial axes (1+1, 2+1, 3+1, ...).
 Squared intervals between grid events are computed in exact integer
 arithmetic, so every lattice law in this package is checked bit-exactly:
-there is no tolerance anywhere.  Region membership is a flat boolean mask
-over the grid cells in lexicographic order.
+there is no tolerance anywhere.  Grids whose cell count or largest squared
+interval would not fit in int64 are rejected.  Region membership is a flat
+boolean mask over the grid cells in lexicographic order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -30,6 +32,7 @@ GALILEI = "galilei"
 MODES = (CAUSAL, CHRONOLOGICAL, GALILEI)
 
 _MODE_CODE = {CAUSAL: 0, CHRONOLOGICAL: 1, GALILEI: 2}
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def mode_code(mode: str) -> int:
@@ -51,10 +54,13 @@ class IntegerGrid:
         for lo, hi in ext:
             if hi < lo:
                 raise ValueError("empty axis range")
-        object.__setattr__(self, "extents", ext)
         shape = tuple(hi - lo + 1 for lo, hi in ext)
+        size = math.prod(shape)
+        if size > _INT64_MAX or sum((s - 1) ** 2 for s in shape) > _INT64_MAX:
+            raise ValueError(f"grid {shape} overflows int64 cell indices or intervals")
+        object.__setattr__(self, "extents", ext)
         object.__setattr__(self, "_shape", shape)
-        object.__setattr__(self, "_size", int(np.prod(shape)))
+        object.__setattr__(self, "_size", size)
 
     @classmethod
     def centered(cls, *sizes: int) -> "IntegerGrid":

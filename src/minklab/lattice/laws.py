@@ -170,6 +170,17 @@ def covering_counterexample(grid: IntegerGrid, p, q, mode: str = CAUSAL) -> dict
             "via_point": None}
 
 
+def _covering_span(grid: IntegerGrid, p) -> int:
+    """Time separation, at most 4, of a covering pair starting at p.
+
+    Complements are grid-relative: two points' join is their closed diamond
+    only if every spatial axis has (span + 1) // 2 + 1 cells each side of
+    p, spacelike to both.  Below 2 no element fits in between."""
+    (_, t_hi), *space = grid.extents
+    side = min(min(hi - c, c - lo) for c, (lo, hi) in zip(p[1:], space))
+    return max(0, min(4, t_hi - p[0], 2 * side - 2))
+
+
 def _complete_family(grid: IntegerGrid, mode: str, rng: np.random.Generator,
                      count: int) -> list[Region]:
     out = []
@@ -221,11 +232,10 @@ def lattice_property_suite(grid: IntegerGrid, mode: str, seed: int,
                       key=lambda f: f[0])
 
     # points are atoms: complete, and nothing complete sits strictly below
-    pt = grid.coords[grid.size // 2]
-    atom_complete = is_complete(Region.from_points(grid, [pt]), mode)
+    p = tuple((lo + hi + 1) // 2 for lo, hi in grid.extents)
+    atom_complete = is_complete(Region.from_points(grid, [p]), mode)
 
-    p = tuple(int(c) for c in pt)
-    q = (min(p[0] + 4, grid.extents[0][1]),) + p[1:]  # short grids: the last slice
+    q = (p[0] + _covering_span(grid, p),) + p[1:]
     covering = covering_counterexample(grid, p, q, mode) if mode != GALILEI else None
     modularity = modularity_counterexample(grid, mode, seed) if mode != GALILEI else None
     distributivity = (distributivity_counterexample(grid, mode, seed)

@@ -2,9 +2,9 @@
 expansion/shear and vorticity split, rigidity and Killing tests.
 
 All derivatives are second-order central differences with a configurable
-step, so identities checked here carry O(step^2) error; defaults follow the
-split 1e-5 for first-derivative and 1e-4 for second-derivative residuals at
-step 1e-3.
+step, so identities checked here carry O(step^2) error.  The verdicts use
+FIRST_DERIV_TOL (1e-5) for first-derivative and SECOND_DERIV_TOL (1e-4) for
+nested second-derivative residuals, both sized for steps near 1e-3.
 """
 
 from __future__ import annotations
@@ -130,18 +130,16 @@ def kinematic_decomposition(field: VelocityField, event, step: float = DEFAULT_S
                                   accel_flat=accel_flat, u=u, at=x, fd_step=step)
 
 
-def is_rigid(field: VelocityField, probes, step: float = DEFAULT_STEP,
-             tol: float = FIRST_DERIV_TOL) -> dict:
+def is_rigid(field: VelocityField, probes, step: float = DEFAULT_STEP) -> dict:
     """Rigidity verdict: the flow is rigid iff theta vanishes at all probes."""
     worst = 0.0
     for p in probes:
         worst = max(worst, kinematic_decomposition(field, p, step).theta_norm)
-    return {"rigid": worst < tol, "max_theta": worst}
+    return {"rigid": worst < FIRST_DERIV_TOL, "max_theta": worst}
 
 
 def reparameterization_invariance_check(field: VelocityField, scaling, probes,
-                                        step: float = DEFAULT_STEP,
-                                        tol: float = FIRST_DERIV_TOL) -> dict:
+                                        step: float = DEFAULT_STEP) -> dict:
     """Rigidity verdict before and after rescaling the generator.
 
     Rescaling by a nowhere-zero function leaves the flow lines, and hence
@@ -149,14 +147,14 @@ def reparameterization_invariance_check(field: VelocityField, scaling, probes,
     rescaled generator is renormalised along its own direction before the
     split.
     """
-    base = is_rigid(field, probes, step, tol)
+    base = is_rigid(field, probes, step)
     raw = rescaled_field(field, scaling)
 
     def normalised(x):
         K = raw(x)
         return K * (field.c / np.sqrt(K[0] * K[0] - float(K[1:] @ K[1:])))
 
-    scaled = is_rigid(VelocityField(normalised, field.domain, field.c), probes, step, tol)
+    scaled = is_rigid(VelocityField(normalised, field.domain, field.c), probes, step)
     return {
         "verdict_unchanged": base["rigid"] == scaled["rigid"],
         "base": base,
@@ -226,15 +224,14 @@ def accel_curl(field: VelocityField, event, step: float = DEFAULT_STEP) -> np.nd
     return da - da.T
 
 
-def killing_test(field: VelocityField, probes, step: float = DEFAULT_STEP,
-                 rigid_tol: float = FIRST_DERIV_TOL,
-                 curl_tol: float = SECOND_DERIV_TOL) -> dict:
+def killing_test(field: VelocityField, probes, step: float = DEFAULT_STEP) -> dict:
     """A rigid flow is an isometry flow iff its acceleration one-form is
     closed (exact on the simply connected domains used here)."""
-    rigid = is_rigid(field, probes, step, rigid_tol)
+    rigid = is_rigid(field, probes, step)
     worst = max(float(np.abs(accel_curl(field, p, step)).max()) for p in probes)
     return {
-        "is_killing": bool(rigid["rigid"] and worst < curl_tol),
+        "is_killing": bool(rigid["rigid"] and worst < SECOND_DERIV_TOL),
         "rigid": rigid["rigid"],
+        "max_theta": rigid["max_theta"],
         "closedness_residual": worst,
     }

@@ -23,6 +23,9 @@ __all__ = [
     "projected_curvature_check",
 ]
 
+# step of the nested differences of the closed-form comoving metric
+METRIC_STEP = 1e-4
+
 
 def comoving_coords(event: np.ndarray, kappa: float, c: float) -> np.ndarray:
     """(z, rho, psi) of an event, with psi the angle comoving at rate kappa."""
@@ -108,9 +111,7 @@ def _comoving_vorticity(field: VelocityField, event: np.ndarray, kappa: float,
 
 
 def projected_curvature_check(kappa: float, c: float, probes,
-                              step: float = DEFAULT_STEP,
-                              metric_step: float = 1e-4,
-                              tol: float = SECOND_DERIV_TOL) -> dict:
+                              step: float = DEFAULT_STEP) -> dict:
     """Flat-ambient curvature identity for the rotation flow.
 
     With zero spacetime curvature the comoving curvature must equal
@@ -124,7 +125,7 @@ def projected_curvature_check(kappa: float, c: float, probes,
     for p in probes:
         x = np.asarray(p, dtype=float)
         q = comoving_coords(x, kappa, c)
-        riem = riemann_lowered_fd(hfun, q, metric_step)
+        riem = riemann_lowered_fd(hfun, q, METRIC_STEP)
         om = _comoving_vorticity(field, x, kappa, c, step)
         ww = np.einsum("ij,kl->ijkl", om, om)
         alt = total_antisymmetrizer(ww)
@@ -137,4 +138,4 @@ def projected_curvature_check(kappa: float, c: float, probes,
             "omega_norm": float(np.abs(om).max()),
         })
     worst = max(r["residual"] for r in rows)
-    return {"rows": rows, "max_residual": worst, "passes": worst < tol}
+    return {"rows": rows, "max_residual": worst, "passes": worst < SECOND_DERIV_TOL}

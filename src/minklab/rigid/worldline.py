@@ -26,7 +26,6 @@ __all__ = [
     "foliation_time",
     "foliation_gap",
     "herglotz_field",
-    "expected_accel_oneform",
     "expected_accel_curl",
     "expected_lie_accel",
 ]
@@ -270,19 +269,22 @@ def herglotz_field(curve: WorldLineCurve, tau_window: tuple[float, float] = (-1.
     return VelocityField(ev, lambda x: True, curve.c, "worldline-induced")
 
 
-def _proj_along(v: np.ndarray, w: np.ndarray, c: float) -> np.ndarray:
-    """Component of w g-orthogonal to the normalised v (v.v = c^2)."""
-    return w - v * (_dot(v, w) / (c * c))
-
-
-def expected_accel_oneform(curve: WorldLineCurve, event,
-                           tau_window: tuple[float, float] = (-1.0, 1.0)) -> np.ndarray:
-    """Closed-form lowered acceleration zddot-flat(sigma)/N of the induced field."""
+def _jerk_bracket(curve: WorldLineCurve, event, tau_window: tuple[float, float]):
+    """(bracket, N, zdot-flat) at sigma(x), with the projected-jerk bracket
+    Proj jerk-flat + zddot-flat (Proj jerk).(x-z)/(N c^2) shared by the
+    closed forms below."""
     x = np.asarray(event, dtype=float)
+    c = curve.c
     tau = foliation_time(curve, x, tau_window)
     n = foliation_gap(curve, tau, x)
     G = metric_matrix(x.size)
-    return (G @ curve.zddot(tau)) / n
+    zd = curve.zdot(tau)
+    zdd = curve.zddot(tau)
+    jerk = curve.zdddot(tau)
+    jerk_h = jerk - zd * (_dot(zd, jerk) / (c * c))  # g-orthogonal to zdot
+    rel = x - curve.z(tau)
+    bracket = G @ jerk_h + (G @ zdd) * (_dot(jerk_h, rel) / (n * c * c))
+    return bracket, n, G @ zd
 
 
 def expected_accel_curl(curve: WorldLineCurve, event,
@@ -293,17 +295,8 @@ def expected_accel_curl(curve: WorldLineCurve, event,
     (Proj jerk).(x-z)/(N c^2)} / (N^2 c^2); it vanishes identically iff the
     projected jerk does (constant acceleration).
     """
-    x = np.asarray(event, dtype=float)
+    bracket, n, zdl = _jerk_bracket(curve, event, tau_window)
     c = curve.c
-    tau = foliation_time(curve, x, tau_window)
-    n = foliation_gap(curve, tau, x)
-    G = metric_matrix(x.size)
-    zd = curve.zdot(tau)
-    zdd = curve.zddot(tau)
-    jerk_h = _proj_along(zd, curve.zdddot(tau), c)
-    rel = x - curve.z(tau)
-    bracket = G @ jerk_h + (G @ zdd) * (_dot(jerk_h, rel) / (n * c * c))
-    zdl = G @ zd
     return (np.outer(zdl, bracket) - np.outer(bracket, zdl)) / (n * n * c * c)
 
 
@@ -315,14 +308,5 @@ def expected_lie_accel(curve: WorldLineCurve, event,
     the worldline itself (x = z, N = 1) only the projected-jerk term
     survives.
     """
-    x = np.asarray(event, dtype=float)
-    c = curve.c
-    tau = foliation_time(curve, x, tau_window)
-    n = foliation_gap(curve, tau, x)
-    G = metric_matrix(x.size)
-    zd = curve.zdot(tau)
-    zdd = curve.zddot(tau)
-    jerk_h = _proj_along(zd, curve.zdddot(tau), c)
-    rel = x - curve.z(tau)
-    bracket = G @ jerk_h + (G @ zdd) * (_dot(jerk_h, rel) / (n * c * c))
+    bracket, n, _ = _jerk_bracket(curve, event, tau_window)
     return bracket / (n * n)

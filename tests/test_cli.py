@@ -1,14 +1,18 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import minklab
 from minklab.cli import main
-from minklab.suites import Config, parse_grid, run_suite
+from minklab.lattice import engine
+from minklab.rigid import decomp
+from minklab.suites import Check, Config, parse_grid, run_suite, suite_lattice
 
 
 class TestConfig:
@@ -45,6 +49,24 @@ class TestBadInput:
                      "--out", str(tmp_path / "r.json")]) == 2
         assert "error: bad grid spec" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("spec", ["3x3", "3x5", "5x3", "4x4", "3x9", "9x3",
+                                      "3x3x3", "4x4x4", "3x7x7"])
+    def test_grid_too_small_for_lattice(self, tmp_path, capsys, spec):
+        # no covering pair with spacelike room beside its diamond fits
+        assert main(["--suite", "lattice", "--grid", spec,
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert "error: bad grid spec" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("spec", ["4294967296x4294967296", "5x3037000501",
+                                      "5x5x2147483649x2147483649"])
+    def test_int64_overflowing_grid(self, capsys, spec):
+        # refused while parsing: no grid cells are ever allocated
+        with pytest.raises(ValueError, match="int64"):
+            parse_grid(spec)
+        assert main(["--suite", "core", "--grid", spec]) == 2
+        assert "int64" in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path, capsys):
         path = tmp_path / "cfg"
@@ -102,6 +124,13 @@ class TestSuiteRuns:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("spec", ["5x5", "5x6", "6x5", "6x6", "5x7", "7x5", "9x5",
+                                      "11x5", "5x5x5", "5x5x7", "7x5x5", "5x5x5x5"])
+    def test_smallest_grids_pass_lattice(self, tmp_path, spec):
+        out = tmp_path / "r.json"
+        assert main(["--suite", "lattice", "--grid", spec, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["counts"]["failed"] == 0
+
     def test_lattice_3_plus_1(self, tmp_path):
         out = tmp_path / "r.json"
         assert main(["--suite", "lattice", "--grid", "7x7x7x7", "--out", str(out)]) == 0
@@ -143,6 +172,46 @@ class TestSuiteRuns:
         assert proc.stdout.split("\n")[-2] == "0 []"
 
 
+class TestVerdictRule:
+    """A check passes iff its residual is below its tolerance."""
+
+    @pytest.mark.parametrize("seed, grid", [(0, (41, 41)), (1, (41, 41)), (0, (5, 5, 7))])
+    def test_passed_is_residual_below_tolerance(self, seed, grid):
+        report = run_suite("all", seed, Config(grid=grid))
+        for c in report["checks"]:
+            assert math.isfinite(c["residual"]), c
+            assert c["passed"] == (c["residual"] < c["tolerance"]), c
+        assert report["passed"] == all(c["passed"] for c in report["checks"])
+
+    def test_nan_residual_fails(self):
+        assert not Check("nan", math.nan, 1.0).passed
+
+    def test_killing_closedness_at_printed_tolerance(self, monkeypatch):
+        # a closedness residual of 5e-5 passes killing_test's own 1e-4 bound,
+        # but the report prints 1e-5 and must fail at it
+        monkeypatch.setattr(decomp, "accel_curl",
+                            lambda field, event, step: np.full((4, 4), 5e-5))
+        report = run_suite("rigid", 0, Config())
+        check, = (c for c in report["checks"]
+                  if c["name"] == "worldline.constant_accel_killing")
+        assert check["residual"] == 5e-5 and check["tolerance"] == 1e-5
+        assert not check["passed"] and not report["passed"]
+
+    def test_oracle_comparison_has_the_grid_axes(self, monkeypatch):
+        real = engine._complement_mask
+
+        def wrong_in_2_plus_1(region, code):
+            out = real(region, code)
+            if region.grid.dim == 3:
+                out[0] = not out[0]
+            return out
+
+        monkeypatch.setattr(engine, "_complement_mask", wrong_in_2_plus_1)
+        check, *_ = suite_lattice(0, Config(grid=(7, 7, 7), regions=2))
+        assert check.name == "kernel.bit_identical"
+        assert check.residual == 45.0 and not check.passed
+
+
 def run_child(args):
     """Run this interpreter on `args`, importing the same minklab as this
     process, installed or not."""
@@ -161,7 +230,6 @@ class TestDemos:
         assert lines[0] == "tau,ct,x,y,z"
         assert len(lines) == 1 + 3 * 20
         # orbit rows satisfy the hyperbola invariant
-        import numpy as np
         tau, ct, x = np.loadtxt(lines[1:][:20], delimiter=",",
                                 usecols=(0, 1, 2), unpack=True)
         assert np.allclose(x ** 2 - ct ** 2, x[0] ** 2 - ct[0] ** 2, atol=1e-9)

@@ -66,6 +66,17 @@ class TestGridAndRegion:
         with pytest.raises(ValueError):
             Region.empty(grid) & Region.empty(other)
 
+    @pytest.mark.parametrize("sizes", [(2 ** 32, 2 ** 32), (2 ** 32, 2 ** 31 + 1),
+                                       (3, 3037000501), (3, 5, 7, 2 ** 21, 2 ** 40)])
+    def test_int64_overflow_rejected(self, sizes):
+        # constructs only: a Region on such a grid would allocate its cells
+        with pytest.raises(ValueError, match="int64"):
+            IntegerGrid.centered(*sizes)
+
+    def test_largest_grids_accepted(self):
+        assert IntegerGrid.centered(3, 3037000500).size == 3 * 3037000500
+        assert IntegerGrid.centered(2 ** 31, 2 ** 31).size == 2 ** 62
+
 
 def assert_matches_oracle(grid, mask, mode):
     got = complement(Region(grid, mask), mode).mask

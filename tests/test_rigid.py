@@ -308,6 +308,7 @@ class TestWorldlineInduced:
         got = killing_test(f, [np.array([0.1, 1.2, 0.3, -0.2])], STEP)
         assert got["is_killing"]
         assert got["closedness_residual"] < 1e-5
+        assert got["max_theta"] < 1e-5
 
     def test_wiggly_rigid_but_not_killing(self):
         wl = wiggly_worldline(0.5)
