@@ -4,13 +4,14 @@ the relation-preservation and unit-distance rigidity statements."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Event, MinkVector, PreconditionError, inner, metric_matrix
+from .core import (DimensionMismatchError, Event, MinkVector, PreconditionError,
+                   inner, metric_matrix)
 
 __all__ = [
     "AffineIsometry",
@@ -130,15 +131,12 @@ class Reflection:
     """Reflection at the hyperplane orthogonal to the (non-null) axis."""
 
     axis: np.ndarray
+    matrix: np.ndarray = field(repr=False, compare=False)
 
     def __init__(self, axis):
         a = axis.a if isinstance(axis, MinkVector) else np.asarray(axis, dtype=float)
-        reflection_matrix(a)  # validates the axis
         object.__setattr__(self, "axis", a)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return reflection_matrix(self.axis)
+        object.__setattr__(self, "matrix", reflection_matrix(a))  # validates the axis
 
     def apply(self, x):
         return reflect(self.axis, x)
@@ -255,21 +253,31 @@ def conformal_factor(f: np.ndarray, tol: float = 1e-9) -> dict:
 _RELATIONS = ("ge", "gt", "lightlike-successor", "interval-sign")
 
 
-def _rel_holds(relation: str, d: np.ndarray, tol: float) -> bool | str:
-    q = inner(d, d)
-    scale = max(1.0, float(d @ d))
+def _relation_row(relation: str, D: np.ndarray, tol: float) -> np.ndarray:
+    """The relation on every displacement row d of D.
+
+    The quadratic forms are taken with np.vecdot, which equals core.inner
+    and d @ d bit for bit.  'interval-sign' gives the sign class of the
+    interval: 0 null, 1 positive, 2 negative.
+    """
+    d0 = D[:, 0]
+    q = d0 * d0 - np.vecdot(D[:, 1:], D[:, 1:])
+    e2 = np.vecdot(D, D)
+    band = tol * np.fmax(e2, 1.0)  # fmax, like max(1.0, d @ d), ignores NaN
     if relation == "ge":
-        return (q >= -tol * scale) and (d[0] > 0 or float(d @ d) == 0.0)
+        return (q >= -band) & ((d0 > 0) | (e2 == 0.0))
     if relation == "gt":
-        return q > tol * scale and d[0] > 0
+        return (q > band) & (d0 > 0)
     if relation == "lightlike-successor":
-        return abs(q) <= tol * scale and float(d @ d) > 0 and d[0] > 0
-    if relation == "interval-sign":
-        # symmetric: the sign class of the interval itself
-        if abs(q) <= tol * scale:
-            return "null"
-        return "pos" if q > 0 else "neg"
-    raise ValueError(f"unknown relation {relation!r}")
+        return (np.abs(q) <= band) & (e2 > 0) & (d0 > 0)
+    return np.where(np.abs(q) <= band, 0, np.where(q > 0, 1, 2))
+
+
+def _stack(points) -> np.ndarray:
+    dims = sorted({p.a.size for p in points})
+    if len(dims) > 1:
+        raise DimensionMismatchError(f"dimension mismatch: {dims[0]} vs {dims[-1]}")
+    return np.stack([p.a for p in points])
 
 
 def relation_preservation_harness(events: Sequence[Event],
@@ -281,33 +289,35 @@ def relation_preservation_harness(events: Sequence[Event],
     `relation` is one of 'ge', 'gt', 'lightlike-successor' (the oriented cone
     relations) or 'interval-sign' (the symmetric interval-sign relation).
     Both the map and its inverse on the finite set are examined; the report
-    is sorted and empty exactly when the relation is preserved.
+    lists (i, j, 'forward' | 'inverse') sorted, and is empty exactly when the
+    relation is preserved.  Events (and images) of mixed dimension raise
+    DimensionMismatchError, a map that is not injective on the events raises
+    PreconditionError.
+
+    The events and their images are stacked once and each relation table is
+    built one row at a time, row i being event i against every partner, so
+    for N events in dimension n the memory is O(N n), not O(N^2 n).
     """
     if relation not in _RELATIONS:
         raise ValueError(f"relation must be one of {_RELATIONS}")
     images = [mapping(p) for p in events]
-    # bijectivity on the finite set: images must be pairwise distinct
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            if np.abs(images[i].a - images[j].a).max() < 1e-12:
-                raise PreconditionError("mapping is not injective on the event set")
+    if len(events) < 2:
+        return []
+    P, Q = _stack(events), _stack(images)
+    for i in range(len(Q) - 1):
+        if (np.abs(Q[i] - Q[i + 1:]).max(axis=1) < 1e-12).any():
+            raise PreconditionError("mapping is not injective on the event set")
     violations = []
-    npts = len(events)
-    for i in range(npts):
-        for j in range(npts):
-            if i == j:
-                continue
-            before = _rel_holds(relation, (events[i] - events[j]).a, tol)
-            after = _rel_holds(relation, (images[i] - images[j]).a, tol)
-            if relation == "interval-sign":
-                if before != after:
-                    violations.append((i, j, "forward"))
-            else:
-                if before and not after:
-                    violations.append((i, j, "forward"))
-                if after and not before:
-                    violations.append((i, j, "inverse"))
-    return sorted(violations)
+    for i in range(len(P)):
+        before = _relation_row(relation, P[i] - P, tol)
+        after = _relation_row(relation, Q[i] - Q, tol)
+        changed = before != after
+        changed[i] = False
+        for j in np.flatnonzero(changed).tolist():
+            # the oriented relations break forward when only the events relate
+            forward = relation == "interval-sign" or before[j]
+            violations.append((i, j, "forward" if forward else "inverse"))
+    return violations  # built in (i, j) order, hence sorted
 
 
 def unit_distance_harness(f: Callable[[np.ndarray], np.ndarray],
@@ -318,18 +328,25 @@ def unit_distance_harness(f: Callable[[np.ndarray], np.ndarray],
     """Check that pairs at Euclidean distance delta stay at distance delta.
 
     Pairs are built as (x, x + delta * unit direction); the report lists
-    (point index, direction index, |new distance - delta|) for violations.
-    This checks a necessary condition only.
+    (point index, direction index, |new distance - delta|) for violations,
+    a non-finite distance included.  A zero or non-finite direction raises
+    PreconditionError.  This checks a necessary condition only.
     """
+    units = []
+    for d in directions:
+        u = np.asarray(d, dtype=float)
+        norm = np.linalg.norm(u)
+        if not 0.0 < norm < np.inf:
+            raise PreconditionError("directions must be nonzero and finite")
+        units.append(u / norm)
     report = []
     for i, x in enumerate(points):
-        for j, d in enumerate(directions):
-            u = np.asarray(d, dtype=float)
-            u = u / np.linalg.norm(u)
-            y = np.asarray(x, dtype=float) + delta * u
-            dist = float(np.linalg.norm(f(y) - f(np.asarray(x, dtype=float))))
-            if abs(dist - delta) > tol * max(1.0, delta):
-                report.append((i, j, abs(dist - delta)))
+        x = np.asarray(x, dtype=float)
+        fx = f(x)
+        for j, u in enumerate(units):
+            err = abs(float(np.linalg.norm(f(x + delta * u) - fx)) - delta)
+            if not err <= tol * max(1.0, delta):
+                report.append((i, j, err))
     return report
 
 

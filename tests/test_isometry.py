@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
-from minklab.core import Event, MinkVector, PreconditionError, inner, metric_matrix
+from minklab.core import (DimensionMismatchError, Event, MinkVector,
+                          PreconditionError, inner, metric_matrix)
 from minklab.isometry import (AffineIsometry, ConformalProbeError, Dilation,
                               Reflection, cartan_dieudonne,
                               compose_reflections, conformal_factor,
                               dilation_apply, is_lorentz, lorentz_residual,
                               random_lorentz, random_rotation, reflect,
+                              reflection_matrix,
                               relation_preservation_harness,
                               unit_distance_harness)
 
@@ -61,6 +65,20 @@ class TestReflect:
             m = Reflection(v).matrix
             assert np.abs(m @ m - np.eye(4)).max() < 1e-10
             assert lorentz_residual(m) < 1e-10
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_stored_matrix_is_reflection_matrix(self, dim, rng):
+        for _ in range(50):
+            v = rng.standard_normal(dim)
+            if abs(inner(v, v)) < 1e-6:
+                continue
+            assert np.array_equal(Reflection(v).matrix, reflection_matrix(v))
+            assert np.array_equal(Reflection(MinkVector(v)).matrix, reflection_matrix(v))
+
+    @pytest.mark.parametrize("axis", [[1.0, 1.0, 0.0, 0.0], [2.0, 0.0, -2.0], [0.0, 0.0]])
+    def test_null_axis_rejected_at_construction(self, axis):
+        with pytest.raises(PreconditionError):
+            Reflection(axis)
 
 
 class TestCartanDieudonne:
@@ -171,6 +189,143 @@ class TestRelationHarness:
             relation_preservation_harness(events, lambda p: events[0], "gt")
 
 
+def _reference_rel_holds(relation, d, tol):
+    """One pair's relation value, computed with the scalar form."""
+    q = inner(d, d)
+    scale = max(1.0, float(d @ d))
+    if relation == "ge":
+        return (q >= -tol * scale) and (d[0] > 0 or float(d @ d) == 0.0)
+    if relation == "gt":
+        return q > tol * scale and d[0] > 0
+    if relation == "lightlike-successor":
+        return abs(q) <= tol * scale and float(d @ d) > 0 and d[0] > 0
+    if abs(q) <= tol * scale:
+        return "null"
+    return "pos" if q > 0 else "neg"
+
+
+def _reference_harness(events, mapping, relation, tol=1e-9):
+    """The relation harness as a loop over ordered pairs."""
+    images = [mapping(p) for p in events]
+    for i in range(len(images)):
+        for j in range(i + 1, len(images)):
+            if np.abs(images[i].a - images[j].a).max() < 1e-12:
+                raise PreconditionError("mapping is not injective on the event set")
+    violations = []
+    for i in range(len(events)):
+        for j in range(len(events)):
+            if i == j:
+                continue
+            before = _reference_rel_holds(relation, (events[i] - events[j]).a, tol)
+            after = _reference_rel_holds(relation, (images[i] - images[j]).a, tol)
+            if relation == "interval-sign":
+                if before != after:
+                    violations.append((i, j, "forward"))
+            else:
+                if before and not after:
+                    violations.append((i, j, "forward"))
+                if after and not before:
+                    violations.append((i, j, "inverse"))
+    return sorted(violations)
+
+
+RELATIONS = ("ge", "gt", "lightlike-successor", "interval-sign")
+
+
+def _events(family, seed):
+    rng = np.random.default_rng(seed)
+    if family == "float":
+        return [Event(a) for a in rng.uniform(-5, 5, (30, 4))]
+    if family == "integer":
+        # distinct integer events: many pairs are exactly null
+        return [Event(a) for a in np.unique(rng.integers(-3, 4, (50, 4)), axis=0)[:30]]
+    # pairs p, p + d with d short and null up to a relative 4e-9, so the
+    # interval falls on both sides of the tolerance band
+    out = []
+    for p in rng.uniform(-3, 3, (25, 4)):
+        u = rng.standard_normal(3)
+        s = rng.uniform(0.1, 2.0)
+        d = s * np.concatenate([[1.0 + rng.uniform(-4e-9, 4e-9)], u / np.linalg.norm(u)])
+        out += [Event(p), Event(p + d)]
+    return out
+
+
+def _map(kind, seed):
+    rng = np.random.default_rng([seed, 1])
+    if kind == "poincare-dilation":
+        L, shift = random_lorentz(4, rng), rng.uniform(-1, 1, 4)
+        return lambda p: Event(1.5 * (L @ p.a) + shift)
+    if kind == "time-reversal":
+        return lambda p: Event(p.a * [-1.0, 1.0, 1.0, 1.0])
+    return lambda p: Event(p.a * [1.0, 2.0, 1.0, 0.5] + [0.0, 1.0, 0.0, -1.0])
+
+
+class TestRelationHarnessReference:
+    @pytest.mark.parametrize("kind", ["poincare-dilation", "time-reversal", "anisotropic"])
+    @pytest.mark.parametrize("family", ["float", "integer", "near-null"])
+    @pytest.mark.parametrize("relation", RELATIONS)
+    def test_matches_pairwise_reference(self, relation, family, kind):
+        events, fmap = _events(family, 0), _map(kind, 0)
+        for tol in (1e-9, 0.0):
+            want = _reference_harness(events, fmap, relation, tol)
+            assert relation_preservation_harness(events, fmap, relation, tol) == want
+
+    def test_integer_events_have_null_pairs(self):
+        events = _events("integer", 0)
+        nulls = sum(inner(p - q, p - q) == 0.0 for p in events for q in events if p is not q)
+        assert nulls > 0
+
+    @pytest.mark.parametrize("relation", RELATIONS)
+    def test_nan_image_matches_reference(self, relation):
+        events = _events("float", 0)
+        fmap = lambda p: Event(np.full(4, np.nan)) if p is events[3] else p
+        want = _reference_harness(events, fmap, relation)
+        assert relation_preservation_harness(events, fmap, relation) == want
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fewer_than_two_events(self, count):
+        events = [Event([1.0, 0.0, 0.0])][:count]
+        assert relation_preservation_harness(events, lambda p: p, "gt") == []
+
+    @pytest.mark.parametrize("pair", [(0, 1), (4, 17)])
+    def test_one_colliding_pair_rejected(self, pair):
+        events = _events("float", 0)
+        a, b = (events[k] for k in pair)
+        fmap = lambda p: a if p is b else p
+        with pytest.raises(PreconditionError):
+            _reference_harness(events, fmap, "gt")
+        with pytest.raises(PreconditionError):
+            relation_preservation_harness(events, fmap, "gt")
+
+    @pytest.mark.parametrize("relation", RELATIONS)
+    def test_coincident_events_match_reference(self, relation):
+        # a map that is not a function of the coordinates can separate two
+        # coincident events; 'ge' holds on their zero displacement
+        events = _events("float", 1)[:6] + [Event([0.5, 0.0, 1.0, 0.0])]
+        events.append(Event(events[-1].a.copy()))
+        step = np.array([0.3, 0.1, 0.0, 0.0])
+        fmap = lambda p: Event(p.a + step) if p is events[-1] else p
+        want = _reference_harness(events, fmap, relation)
+        assert relation_preservation_harness(events, fmap, relation) == want
+        if relation == "ge":
+            assert (6, 7, "forward") in want
+
+    def test_mixed_event_dimensions_rejected(self):
+        events = [Event([0.0, 0.0, 0.0]), Event([1.0, 0.0, 0.0, 0.0])]
+        with pytest.raises(DimensionMismatchError):
+            relation_preservation_harness(events, lambda p: p, "gt")
+
+    def test_mixed_image_dimensions_rejected(self):
+        events = [Event([0.0, 0.0, 0.0]), Event([1.0, 0.0, 0.0])]
+        fmap = lambda p: Event(np.append(p.a, 1.0)) if p is events[0] else p
+        with pytest.raises(DimensionMismatchError):
+            relation_preservation_harness(events, fmap, "gt")
+
+    def test_unknown_relation_rejected(self):
+        with pytest.raises(ValueError, match="relation"):
+            relation_preservation_harness([], lambda p: p, "before")
+
+
 class TestUnitDistanceHarness:
     def test_euclidean_motion_clean(self, rng):
         Q = random_rotation(4, rng)[1:, 1:]
@@ -194,6 +349,25 @@ class TestUnitDistanceHarness:
         pts = [rng.uniform(-3, 3, 3) for _ in range(15)]
         dirs = [rng.standard_normal(3) for _ in range(5)]
         assert unit_distance_harness(lambda x: M @ x, 1.0, pts, dirs) == []
+
+    @pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0], [np.nan, 1.0, 0.0],
+                                     [np.inf, 0.0, 0.0], [1e300, 1e300, 0.0]])
+    def test_degenerate_direction_rejected(self, bad, rng):
+        pts = [rng.uniform(-3, 3, 3) for _ in range(3)]
+        dirs = [rng.standard_normal(3), np.array(bad)]
+        with pytest.raises(PreconditionError), np.errstate(over="ignore"):
+            unit_distance_harness(lambda x: 2.0 * x, 1.0, pts, dirs)
+
+    def test_non_finite_distance_is_violation(self, rng):
+        pts = [rng.uniform(-3, 3, 3) for _ in range(4)]
+        dirs = [rng.standard_normal(3) for _ in range(3)]
+        report = unit_distance_harness(lambda x: x * np.nan, 1.0, pts, dirs)
+        assert [(i, j) for i, j, _ in report] == [(i, j) for i in range(4) for j in range(3)]
+        assert all(math.isnan(err) for _, _, err in report)
+        # finite images whose distance overflows
+        with np.errstate(over="ignore"):
+            overflow = unit_distance_harness(lambda x: x * 1e307, 1.0, pts, dirs)
+        assert len(overflow) == 12 and not any(math.isfinite(err) for _, _, err in overflow)
 
 
 class TestAffineIsometry:
