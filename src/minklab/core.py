@@ -330,11 +330,15 @@ def _violates_strict_ics(va: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 
 def _violation_candidates(va: np.ndarray) -> np.ndarray:
-    """Projections of the basis into va's g-orthogonal complement, as rows.
+    """Projections of the basis into va's g-orthogonal complement, as rows,
+    then, in dimension 3 and up, (0, u) with u a unit spatial vector
+    orthogonal to va's spatial part.
 
-    For spacelike va some of these are spacelike, for lightlike va they lie in
-    the degenerate hyperplane; either way they defeat strictness.  For
-    timelike va the complement is spacelike and none of them violates.
+    For spacelike va some projections are spacelike, for lightlike va they
+    lie in the degenerate hyperplane; either way they defeat strictness.
+    Near the light cone the projections can all be timelike, but (0, u) is
+    spacelike and g-orthogonal to va, so it still violates.  For timelike va
+    the complement is spacelike and no candidate violates.
     """
     vv = inner(va, va)
     if abs(vv) > 1e-14 * float(va @ va):
@@ -345,7 +349,13 @@ def _violation_candidates(va: np.ndarray) -> np.ndarray:
         subtract = va.copy()
         subtract[0] = -subtract[0]
         denom = inner(subtract, va)
-    return np.array([b - subtract * (inner(b, va) / denom) for b in np.eye(va.size)])
+    rows = [b - subtract * (inner(b, va) / denom) for b in np.eye(va.size)]
+    if va.size >= 3:
+        s = va[1:]
+        e = np.eye(s.size)[np.argmin(np.abs(s))]  # s is never along e, so u != 0
+        u = e - s * ((e @ s) / ((s @ s) or 1.0))
+        rows.append(np.concatenate([[0.0], u / np.linalg.norm(u)]))
+    return np.array(rows)
 
 
 def reversed_triangle_check(v, w) -> dict:

@@ -6,6 +6,11 @@ separated, yet their join swallows an open enveloping diamond, and cutting
 that join down to the double wedge leaves extra cells below the small
 diamond.  Orthomodularity fails in the strictly-spacelike mode and survives
 in the non-timelike mode on the analogous closed shapes.
+
+One deterministic pentagon breaks modularity and distributivity (Dedekind's
+N5): for timelike-separated p, q the covering witness k sits strictly
+between {p} and {p} join {q}, with k meet {q} empty.  The law sides are
+computed with the engine's join and meet, so the engine is tested, not assumed.
 """
 
 from __future__ import annotations
@@ -181,51 +186,37 @@ def _covering_span(grid: IntegerGrid, p) -> int:
     return max(0, min(4, t_hi - p[0], 2 * side - 2))
 
 
-def _complete_family(grid: IntegerGrid, mode: str, rng: np.random.Generator,
-                     count: int) -> list[Region]:
-    out = []
-    while len(out) < count:
-        pts = grid.coords[rng.integers(0, grid.size, size=int(rng.integers(1, 4)))]
-        out.append(completion(Region.from_points(grid, pts), mode))
-    return out
+def _pentagon(grid: IntegerGrid, p, q, mode: str, sides) -> dict | None:
+    """Law sides, `sides({p}, k, {q}) -> (a, b, c, lhs, rhs)`, on the covering
+    pentagon; None when there is no witness k or the two sides agree."""
+    k = covering_counterexample(grid, p, q, mode)["intermediate"]
+    if k is None:
+        return None
+    a, b, c, lhs, rhs = sides(Region.from_points(grid, [p]), k, Region.from_points(grid, [q]))
+    return None if lhs == rhs else {"a": a, "b": b, "c": c, "lhs": lhs, "rhs": rhs}
 
 
-def _triple_search(grid: IntegerGrid, mode: str, seed: int, tries: int,
-                   sides) -> dict | None:
-    """First seeded triple whose law sides, `sides(a, b, c) -> (a, b, c, lhs, rhs)`, differ."""
-    rng = np.random.default_rng(seed)
-    fam = _complete_family(grid, mode, rng, tries)
-    for _ in range(tries):
-        i, j, k = rng.integers(0, len(fam), size=3)
-        a, b, c, lhs, rhs = sides(fam[i], fam[j], fam[k])
-        if lhs != rhs:
-            return {"a": a, "b": b, "c": c, "lhs": lhs, "rhs": rhs}
-    return None
+def modularity_counterexample(grid: IntegerGrid, p, q, mode: str = CAUSAL) -> dict | None:
+    """a = {p} <= b = k, c = {q} with a join (b meet c) = {p} != b meet (a join c) = k."""
+    def sides(atom, k, other):
+        return (atom, k, other, join(atom, meet(k, other, mode), mode),
+                meet(k, join(atom, other, mode), mode))
+    return _pentagon(grid, p, q, mode, sides)
 
 
-def modularity_counterexample(grid: IntegerGrid, mode: str, seed: int = 0,
-                              tries: int = 200) -> dict | None:
-    """Search a seeded family for a <= b with a join (b meet c) != b meet (a join c)."""
-    def sides(a, b, c):
-        if not a <= b:
-            a = a & b  # meet of complete regions is complete
-        return a, b, c, join(a, meet(b, c, mode), mode), meet(b, join(a, c, mode), mode)
-    return _triple_search(grid, mode, seed, tries, sides)
-
-
-def distributivity_counterexample(grid: IntegerGrid, mode: str, seed: int = 0,
-                                  tries: int = 200) -> dict | None:
-    """Search a seeded family for a triple violating meet-over-join."""
-    def sides(a, b, c):
-        return (a, b, c, meet(a, join(b, c, mode), mode),
-                join(meet(a, b, mode), meet(a, c, mode), mode))
-    return _triple_search(grid, mode, seed, tries, sides)
+def distributivity_counterexample(grid: IntegerGrid, p, q, mode: str = CAUSAL) -> dict | None:
+    """a = k, b = {p}, c = {q} with a meet (b join c) = k != (a meet b) join (a meet c) = {p}."""
+    def sides(atom, k, other):
+        return (k, atom, other, meet(k, join(atom, other, mode), mode),
+                join(meet(k, atom, mode), meet(k, other, mode), mode))
+    return _pentagon(grid, p, q, mode, sides)
 
 
 def lattice_property_suite(grid: IntegerGrid, mode: str, seed: int,
                            n_regions: int = 50) -> dict:
     """Orthocomplement-law sweep over random regions plus the structural
-    counterexamples (covering, modularity, distributivity)."""
+    counterexamples: covering, and the modularity and distributivity
+    pentagon it spans, all from the same central pair (p, q)."""
     rng = np.random.default_rng(seed)
     sweep = law_sweep([random_region(grid, rng) for _ in range(n_regions)], mode)
     failures = sorted(((idx, law) for law in LAWS for idx in sweep["violations"][law]),
@@ -237,8 +228,8 @@ def lattice_property_suite(grid: IntegerGrid, mode: str, seed: int,
 
     q = (p[0] + _covering_span(grid, p),) + p[1:]
     covering = covering_counterexample(grid, p, q, mode) if mode != GALILEI else None
-    modularity = modularity_counterexample(grid, mode, seed) if mode != GALILEI else None
-    distributivity = (distributivity_counterexample(grid, mode, seed)
+    modularity = modularity_counterexample(grid, p, q, mode) if mode != GALILEI else None
+    distributivity = (distributivity_counterexample(grid, p, q, mode)
                       if mode != GALILEI else None)
     return {
         "failures": failures,

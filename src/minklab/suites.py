@@ -39,6 +39,12 @@ class Check:
                 "tolerance": self.tolerance, "note": self.note}
 
 
+# finite-difference steps with margin inside those at which every rigid check
+# passes: from 1.5e-3 up the curvature identity's truncation error fails it,
+# and at 2e-6 roundoff fails the constant-acceleration Killing test
+FD_STEP_RANGE = (1e-5, 1e-3)
+
+
 @dataclass(frozen=True)
 class Config:
     """Runtime knobs, parsed from key=value lines and CLI flags."""
@@ -50,7 +56,8 @@ class Config:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "Config":
-        """Parse key=value strings; unknown keys and non-positive values are errors."""
+        """Parse key=value strings; unknown keys, non-positive values and an
+        fd_step outside FD_STEP_RANGE are errors."""
         unknown = sorted(set(mapping) - {"grid", "fd_step", "samples", "regions"})
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
@@ -63,6 +70,10 @@ class Config:
                 if not value > 0:
                     raise ValueError(f"{key} must be positive, got {mapping[key]!r}")
                 kwargs[key] = value
+        lo, hi = FD_STEP_RANGE
+        if not lo <= kwargs.get("fd_step", lo) <= hi:
+            raise ValueError(f"fd_step must lie in [{lo:g}, {hi:g}], where every rigid "
+                             f"identity passes, got {mapping['fd_step']!r}")
         return cls(**kwargs)
 
     def as_dict(self) -> dict:

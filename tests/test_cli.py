@@ -80,6 +80,15 @@ class TestBadInput:
         path.write_text(line + "\n")
         assert main(["--suite", "core", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("line", ["fd_step=4e-3", "fd_step=1e-6"])
+    def test_fd_step_outside_convergent_range(self, tmp_path, capsys, line):
+        path = tmp_path / "cfg"
+        path.write_text(line + "\n")
+        assert main(["--suite", "rigid", "--config", str(path),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert "fd_step must lie in [1e-05, 0.001]" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("spec", ["2x2", "15x15", "41x41x41", "9x9x9x9"])
     def test_bad_fig2_grid(self, tmp_path, capsys, spec):
         out = tmp_path / "out"
@@ -129,6 +138,13 @@ class TestSuiteRuns:
     def test_smallest_grids_pass_lattice(self, tmp_path, spec):
         out = tmp_path / "r.json"
         assert main(["--suite", "lattice", "--grid", spec, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["counts"]["failed"] == 0
+
+    @pytest.mark.parametrize("spec, seed", [("41x11", "0"), ("5x15", "6")])
+    def test_narrow_and_tall_grids_not_modular(self, tmp_path, spec, seed):
+        out = tmp_path / "r.json"
+        assert main(["--suite", "lattice", "--grid", spec, "--seed", seed,
+                     "--out", str(out)]) == 0
         assert json.loads(out.read_text())["counts"]["failed"] == 0
 
     def test_lattice_3_plus_1(self, tmp_path):

@@ -158,8 +158,14 @@ def _reference_strict_ics(v, sample_count, seed):
         subtract = va.copy()
         subtract[0] = -subtract[0]
         denom = inner(subtract, va)
-    for b in np.eye(va.size):
-        w = b - subtract * (inner(b, va) / denom)
+    candidates = [b - subtract * (inner(b, va) / denom) for b in np.eye(va.size)]
+    if va.size >= 3:
+        # (0, u), u a unit spatial vector orthogonal to v's spatial part
+        s = va[1:]
+        e = np.eye(s.size)[np.argmin(np.abs(s))]
+        u = e - s * ((e @ s) / ((s @ s) or 1.0))
+        candidates.append(np.concatenate([[0.0], u / np.linalg.norm(u)]))
+    for w in candidates:
         if not dependent(w) and violates(w):
             return {"holds": False, "witness": w, "sampled": False}
     for _ in range(sample_count):
@@ -170,8 +176,7 @@ def _reference_strict_ics(v, sample_count, seed):
 
 
 # time component per unit spatial norm; "near-null" is spacelike by 1e-6
-# relative, which defeats the constructed candidates on some axes, so the
-# witness has to come from the random sweep
+# relative, which defeats every basis projection on some axes
 AXIS_KINDS = {"timelike": 1.5, "spacelike": 0.5, "lightlike": 1.0, "near-null": 1.0 - 1e-6}
 
 
@@ -195,12 +200,16 @@ class TestStrictInvertedCSSweep:
             else:
                 assert got["witness"].a.tobytes() == want["witness"].tobytes()
 
-    def test_sampled_witness_reached(self):
-        # on this near-null axis no constructed candidate violates, so the
-        # grid above also compares a witness taken from the random sweep
-        v = _axis("near-null", 4, 4)
-        assert _reference_strict_ics(v, 500, 4)["sampled"]
-        assert not strict_inverted_cs_holds(MinkVector(v), 500, 4)["holds"]
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_near_null_witness_constructed(self, n):
+        # spacelike by 1e-6 relative: every basis projection is timelike on
+        # these axes, and (0, u) still violates without a sample
+        for seed in range(5):
+            v = _axis("near-null", n, seed)
+            got = strict_inverted_cs_holds(MinkVector(v), 0, seed)
+            assert got["holds"] is False
+            w = got["witness"].a
+            assert inner(v, v) * inner(w, w) >= inner(v, w) ** 2
 
     def test_timelike_holds_in_every_dimension(self):
         for n in (3, 4, 5):

@@ -343,16 +343,41 @@ class TestOrthomodularity:
             orthomodularity_check(ragged, Region.full(grid), CAUSAL)
 
 
+def oracle_join(grid, a, b, mode):
+    """(a' meet b')' from the brute-force complement."""
+    code = MODES.index(mode)
+    inside = (complement_mask_bruteforce(grid.coords, a.mask, code)
+              & complement_mask_bruteforce(grid.coords, b.mask, code))
+    return Region(grid, complement_mask_bruteforce(grid.coords, inside, code))
+
+
+# the 21x21 fixture's shape, narrow and tall 1+1 grids, and 2+1 and 3+1 grids
+PROPERTY_GRIDS = [(21, 21), (11, 6), (12, 5), (13, 5), (14, 5), (16, 6), (41, 5), (41, 7),
+                  (41, 11), (5, 15), (7, 5, 5), (9, 9, 9, 9)]
+
+
 class TestPropertySuite:
     @pytest.mark.parametrize("mode", [CAUSAL, CHRONOLOGICAL])
-    def test_laws_and_counterexamples(self, grid, mode):
-        rep = lattice_property_suite(grid, mode, seed=11, n_regions=25)
+    @pytest.mark.parametrize("shape", PROPERTY_GRIDS, ids=lambda s: "x".join(map(str, s)))
+    def test_laws_and_counterexamples(self, shape, mode):
+        grid = IntegerGrid.centered(*shape)
+        rep = lattice_property_suite(grid, mode, seed=0, n_regions=25)
         assert rep["failures"] == []
         assert rep["atom_complete"]
         assert rep["covering"]["intermediate"] is not None
         assert rep["covering"]["join_is_expected_diamond"]
         assert rep["modularity"] is not None
         assert rep["distributivity"] is not None
+        # both triples are the pentagon {p} <= k, {q}: two oracle joins re-derive
+        # all four sides
+        mod, dis = rep["modularity"], rep["distributivity"]
+        atom, k, other = mod["a"], mod["b"], mod["c"]
+        assert atom <= k and (dis["a"], dis["b"], dis["c"]) == (k, atom, other)
+        low = oracle_join(grid, atom, k & other, mode)  # = (k meet {p}) join (k meet {q})
+        high = k & oracle_join(grid, atom, other, mode)
+        assert (mod["lhs"], mod["rhs"]) == (low, high)
+        assert (dis["lhs"], dis["rhs"]) == (high, low)
+        assert low != high
 
     def test_covering_intermediate_is_strict(self, grid):
         got = covering_counterexample(grid, (0, 0), (4, 0), CAUSAL)
@@ -363,14 +388,14 @@ class TestPropertySuite:
         assert is_complete(k, CAUSAL)
 
     def test_modularity_counterexample_verified(self, grid):
-        got = modularity_counterexample(grid, CAUSAL, seed=2)
+        got = modularity_counterexample(grid, (0, 0), (4, 0), CAUSAL)
         assert got is not None
         a, b, c = got["a"], got["b"], got["c"]
         assert a <= b
         assert join(a, meet(b, c, CAUSAL), CAUSAL) != meet(b, join(a, c, CAUSAL), CAUSAL)
 
     def test_distributivity_counterexample_verified(self, grid):
-        got = distributivity_counterexample(grid, CAUSAL, seed=2)
+        got = distributivity_counterexample(grid, (0, 0), (4, 0), CAUSAL)
         assert got is not None
         assert got["lhs"] != got["rhs"]
 
