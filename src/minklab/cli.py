@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lattice as lat
-from . import projective, rigid
+from . import kinematics, projective, rigid
 from .suites import Config, SUITES, parse_grid, run_suite
 
 __all__ = ["main"]
@@ -87,6 +87,17 @@ def _cmd_suite(args) -> int:
     return 0 if report["passed"] else 1
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: numpy seeds are non-negative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def _parse_range(text: str) -> tuple[float, float]:
     lo, _, hi = text.partition("..")
     return float(lo), float(hi) if hi else float(lo)
@@ -95,19 +106,23 @@ def _parse_range(text: str) -> tuple[float, float]:
 def _demo_rindler(args) -> list[tuple[str, str]]:
     lo, hi = _parse_range(args.x0)
     vf = args.v_final
+    kinematics.rapidity(vf)  # PreconditionError unless |v| < c
     labels = np.linspace(lo, hi, args.orbits)
     rows = []
     for x0 in labels:
-        tau_final = (x0 / args.c) * np.arctanh(vf / args.c)
+        # np.arctanh, not rapidity's math.atanh: they differ in the last bit at 0.5
+        tau_final = x0 * np.arctanh(vf)
         for tau in np.linspace(0.0, tau_final, args.samples):
-            rows.append((tau, rigid.boost_killing_flow(float(x0), float(tau), args.c)))
+            rows.append((tau, rigid.boost_killing_flow(float(x0), float(tau))))
     return [("rindler_orbits.csv", rigid.trajectory_csv(rows))]
 
 
 def _demo_disk(args) -> list[tuple[str, str]]:
-    field = rigid.rotation_killing_field(args.kappa, args.c)
+    if not 0.0 < args.kappa < np.inf:
+        raise ValueError(f"kappa must be positive and finite, got {args.kappa!r}")
+    field = rigid.rotation_killing_field(args.kappa)
     rows = []
-    radii = np.linspace(0.1, 0.9, args.samples) * (args.c / args.kappa)
+    radii = np.linspace(0.1, 0.9, args.samples) * (1.0 / args.kappa)
     for rho in radii:
         event = np.array([0.0, float(rho), 0.0, 0.0])
         dec = rigid.kinematic_decomposition(field, event, 1e-3)
@@ -133,7 +148,7 @@ def _demo_fig2(args) -> list[tuple[str, str]]:
 
 def _demo_fl_slab(args) -> list[tuple[str, str]]:
     rng = np.random.default_rng(args.seed)
-    R, c = args.R, args.c
+    R, c = args.R, 1.0
     rows = []
     for _ in range(args.samples):
         t = float(rng.uniform(-3 * R / c, 3 * R / c))
@@ -185,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="minklab",
         description="Verification suites and demos for flat-spacetime geometry.")
     parser.add_argument("--suite", help=f"run a suite: {', '.join([*SUITES, 'all'])}")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--out", help="output path (suite report or demo dir)")
     parser.add_argument("--grid", help="lattice grid size, time axis first: "
@@ -200,13 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("name", choices=DEMOS)
     demo.add_argument("--out", help="output directory (default: cwd)")
     demo.add_argument("--grid", help="grid for the lattice demo, e.g. 61x61")
-    demo.add_argument("--seed", type=int, default=0)
+    demo.add_argument("--seed", type=_seed, default=0)
     demo.add_argument("--samples", type=int, default=200)
     demo.add_argument("--x0", default="1..2", help="orbit label range lo..hi")
     demo.add_argument("--v-final", dest="v_final", type=float, default=0.5)
     demo.add_argument("--orbits", type=int, default=5)
     demo.add_argument("--kappa", type=float, default=1.0)
-    demo.add_argument("--c", type=float, default=1.0)
     demo.add_argument("--R", type=float, default=10.0)
     demo.add_argument("--sigmas", default="0,1,2")
     return parser

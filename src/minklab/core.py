@@ -36,6 +36,12 @@ __all__ = [
 ]
 
 
+# tolerance of the float predicates: lightlike classification and degenerate
+# hyperplanes (relative to the Euclidean norm squared), hyperplane and
+# world-line membership, and world-line equality
+PREDICATE_TOL = 1e-10
+
+
 class DimensionMismatchError(ValueError):
     """Operands live in spaces of different dimension."""
 
@@ -174,32 +180,17 @@ class CausalClass:
 
 @dataclass(frozen=True)
 class Metric:
-    """Classification context: dimension, future reference vector, tolerance.
+    """Classification context: the dimension.
 
-    `future_ref` is a fixed timelike vector whose orientation class is called
-    the future.  `tol` is the relative tolerance against the Euclidean norm
-    squared that decides lightlikeness in floating point.
+    The future is the orientation class of e0, and a vector is lightlike
+    when |v.v| <= PREDICATE_TOL times its Euclidean norm squared.
     """
 
     dim: int
-    future_ref: MinkVector | None = None
-    tol: float = 1e-10
 
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError("dim must be >= 2")
-        if self.tol < 0 or self.tol >= 1e-6:
-            raise ValueError("tol must lie in [0, 1e-6)")
-        ref = self.future_ref
-        if ref is None:
-            e0 = np.zeros(self.dim)
-            e0[0] = 1.0
-            object.__setattr__(self, "future_ref", MinkVector(e0))
-        else:
-            if ref.dim != self.dim:
-                raise DimensionMismatchError("future_ref has wrong dimension")
-            if inner(ref, ref) <= 0:
-                raise ValueError("future_ref must be timelike")
 
 
 def classify(v, m: Metric) -> CausalClass:
@@ -214,14 +205,13 @@ def classify(v, m: Metric) -> CausalClass:
     if eucl2 == 0.0:
         return CausalClass("zero")
     q = inner(va, va)
-    if abs(q) <= m.tol * eucl2:
+    if abs(q) <= PREDICATE_TOL * eucl2:
         label = "lightlike"
     elif q > 0:
         label = "timelike"
     else:
         return CausalClass("spacelike")
-    orient = "future" if inner(va, m.future_ref) > 0 else "past"
-    return CausalClass(label, orient)
+    return CausalClass(label, "future" if va[0] > 0 else "past")
 
 
 @dataclass(frozen=True)
@@ -240,12 +230,12 @@ class Hyperplane:
     def degenerate(self) -> bool:
         """True iff the normal is lightlike (g restricted to the plane is degenerate)."""
         n = self.normal.a
-        return abs(inner(n, n)) <= 1e-10 * float(n @ n)
+        return abs(inner(n, n)) <= PREDICATE_TOL * float(n @ n)
 
-    def contains(self, p: Event, tol: float = 1e-10) -> bool:
+    def contains(self, p: Event) -> bool:
         d = p - self.base
         scale = max(1.0, norm_euclid(self.normal.a) * norm_euclid(d.a))
-        return abs(inner(self.normal, d)) <= tol * scale
+        return abs(inner(self.normal, d)) <= PREDICATE_TOL * scale
 
 
 def norm_euclid(a: np.ndarray) -> float:

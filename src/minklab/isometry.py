@@ -32,6 +32,12 @@ __all__ = [
     "random_lorentz",
 ]
 
+# tolerance of the Cartan-Dieudonne reduction to the identity, of null probe
+# images in conformal_factor and of unit distances in unit_distance_harness
+RESIDUAL_TOL = 1e-9
+# random_lorentz draws its rapidity uniformly from [-MAX_RAPIDITY, MAX_RAPIDITY]
+MAX_RAPIDITY = 2.0
+
 
 def lorentz_residual(L: np.ndarray, g: np.ndarray | None = None) -> float:
     """max |(L^T G L - G)_ij| — how far L is from preserving the form G."""
@@ -42,9 +48,9 @@ def lorentz_residual(L: np.ndarray, g: np.ndarray | None = None) -> float:
     return float(np.abs(L.T @ G @ L - G).max())
 
 
-def is_lorentz(L: np.ndarray, tol: float = 1e-10, g: np.ndarray | None = None) -> tuple[bool, float]:
+def is_lorentz(L: np.ndarray, tol: float = 1e-10) -> tuple[bool, float]:
     """Whether L preserves the form, together with the residual."""
-    r = lorentz_residual(L, g)
+    r = lorentz_residual(L)
     return r < tol, r
 
 
@@ -150,7 +156,7 @@ def compose_reflections(reflections: Sequence[Reflection], dim: int) -> np.ndarr
     return out
 
 
-def cartan_dieudonne(L: np.ndarray, tol: float = 1e-9) -> list[Reflection]:
+def cartan_dieudonne(L: np.ndarray) -> list[Reflection]:
     """Decompose a form-preserving matrix into at most 2n-1 reflections.
 
     One basis direction is fixed per sweep: if the image w of the basis
@@ -182,7 +188,7 @@ def cartan_dieudonne(L: np.ndarray, tol: float = 1e-9) -> list[Reflection]:
             rho_v = Reflection(v)
             phi = rho_v.matrix @ rho_s.matrix @ phi
             factors.extend([rho_s, rho_v])  # rho_s acts first
-    if np.abs(phi - np.eye(n)).max() > tol:
+    if np.abs(phi - np.eye(n)).max() > RESIDUAL_TOL:
         raise RuntimeError("decomposition did not reduce to the identity")
     # phi_m ... phi_1 L = 1, hence L = phi_1 ... phi_m (reflections are involutive)
     if len(factors) > 2 * n - 1:
@@ -226,7 +232,7 @@ def _null_probes(n: int) -> list[np.ndarray]:
     return probes
 
 
-def conformal_factor(f: np.ndarray, tol: float = 1e-9) -> dict:
+def conformal_factor(f: np.ndarray) -> dict:
     """Factor alpha with g(f.,f.) = alpha g, for a lightcone-preserving f.
 
     The null probes e0 +- ea and sqrt(2) e0 + ea + eb pin the pulled-back
@@ -239,7 +245,7 @@ def conformal_factor(f: np.ndarray, tol: float = 1e-9) -> dict:
     violated = []
     for p in _null_probes(n):
         fp = f @ p
-        if abs(inner(fp, fp)) > tol * max(1.0, float(fp @ fp)):
+        if abs(inner(fp, fp)) > RESIDUAL_TOL * max(1.0, float(fp @ fp)):
             violated.append(p)
     if violated:
         raise ConformalProbeError(violated)
@@ -323,8 +329,7 @@ def relation_preservation_harness(events: Sequence[Event],
 def unit_distance_harness(f: Callable[[np.ndarray], np.ndarray],
                           delta: float,
                           points: Sequence[np.ndarray],
-                          directions: Sequence[np.ndarray],
-                          tol: float = 1e-9) -> list[tuple[int, int, float]]:
+                          directions: Sequence[np.ndarray]) -> list[tuple[int, int, float]]:
     """Check that pairs at Euclidean distance delta stay at distance delta.
 
     Pairs are built as (x, x + delta * unit direction); the report lists
@@ -345,7 +350,7 @@ def unit_distance_harness(f: Callable[[np.ndarray], np.ndarray],
         fx = f(x)
         for j, u in enumerate(units):
             err = abs(float(np.linalg.norm(f(x + delta * u) - fx)) - delta)
-            if not err <= tol * max(1.0, delta):
+            if not err <= RESIDUAL_TOL * max(1.0, delta):
                 report.append((i, j, err))
     return report
 
@@ -369,16 +374,15 @@ def _boost_along_first_axis(n: int, rapidity: float) -> np.ndarray:
     return b
 
 
-def random_lorentz(n: int, rng: np.random.Generator,
-                   max_rapidity: float = 2.0,
+def random_lorentz(n: int, rng: np.random.Generator, *,
                    orthochronous: bool = True,
                    proper: bool = True) -> np.ndarray:
     """Random form-preserving matrix: rotation . boost . rotation.
 
-    Rapidity is uniform in [-max_rapidity, max_rapidity]; the distribution
+    Rapidity is uniform in [-MAX_RAPIDITY, MAX_RAPIDITY]; the distribution
     is a test convenience, not canonical.
     """
-    rho = rng.uniform(-max_rapidity, max_rapidity)
+    rho = rng.uniform(-MAX_RAPIDITY, MAX_RAPIDITY)
     L = random_rotation(n, rng) @ _boost_along_first_axis(n, rho) @ random_rotation(n, rng)
     if not proper and rng.random() < 0.5:
         P = np.eye(n)

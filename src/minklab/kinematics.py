@@ -92,7 +92,7 @@ def compose_velocities(k: float, v: float, vp: float) -> float:
 
 def rapidity(v: float, c: float = 1.0) -> float:
     """artanh(v/c); additive under composition on the k < 0 branch."""
-    if abs(v) >= c:
+    if not abs(v) < c:  # NaN included
         raise PreconditionError(f"|v| must be below the invariant speed {c}")
     return math.atanh(v / c)
 

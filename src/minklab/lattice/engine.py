@@ -119,6 +119,13 @@ def join(s1: Region, s2: Region, mode: str) -> Region:
     return complement(complement(s1, mode) & complement(s2, mode), mode)
 
 
+def _cone_offsets(grid: IntegerGrid, p) -> tuple[np.ndarray, np.ndarray]:
+    """Time offset x_t - p_t and exact int64 interval (x - p).(x - p) of
+    every grid cell x from the event p."""
+    d = grid.coords - np.asarray(p, dtype=np.int64)[None, :]
+    return d[:, 0], d[:, 0] ** 2 - (d[:, 1:] ** 2).sum(axis=1)
+
+
 def diamond(grid: IntegerGrid, p, q, closed: bool = True) -> Region:
     """Double-cone intersection region spanned by events p and q.
 
@@ -127,20 +134,13 @@ def diamond(grid: IntegerGrid, p, q, closed: bool = True) -> Region:
     The two cone orderings are both tried, so the argument order of p and q
     does not matter.
     """
-    coords = grid.coords
-    pa = np.asarray(p, dtype=np.int64)
-    qa = np.asarray(q, dtype=np.int64)
-
-    def cone_between(lo, hi):
-        d1 = coords - lo[None, :]
-        d2 = hi[None, :] - coords
-        i1 = d1[:, 0] ** 2 - (d1[:, 1:] ** 2).sum(axis=1)
-        i2 = d2[:, 0] ** 2 - (d2[:, 1:] ** 2).sum(axis=1)
-        if closed:
-            return (i1 >= 0) & (d1[:, 0] >= 0) & (i2 >= 0) & (d2[:, 0] >= 0)
-        return (i1 > 0) & (d1[:, 0] > 0) & (i2 > 0) & (d2[:, 0] > 0)
-
-    return Region(grid, cone_between(pa, qa) | cone_between(qa, pa))
+    tp, ip = _cone_offsets(grid, p)
+    tq, iq = _cone_offsets(grid, q)
+    if closed:  # in the future cone of one endpoint and the past cone of the other
+        between = ((tp >= 0) & (tq <= 0)) | ((tq >= 0) & (tp <= 0))
+        return Region(grid, (ip >= 0) & (iq >= 0) & between)
+    between = ((tp > 0) & (tq < 0)) | ((tq > 0) & (tp < 0))
+    return Region(grid, (ip > 0) & (iq > 0) & between)
 
 
 def de_morgan_check(pairs, mode: str) -> list[tuple[int, str]]:

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import (complement, completion, diamond, is_complete, join,
-                     meet, orthomodularity_check)
+from .engine import (_cone_offsets, complement, completion, diamond,
+                     is_complete, join, meet, orthomodularity_check)
 from .grid import CAUSAL, CHRONOLOGICAL, GALILEI, IntegerGrid, Region
 
 __all__ = [
@@ -139,14 +139,10 @@ def fig2_counterexample(grid: IntegerGrid) -> dict:
 
 def _equator(grid: IntegerGrid, p, q) -> Region:
     """Cells lightlike to both endpoints: the diamond's corner sphere."""
-    coords = grid.coords
-    d1 = coords - np.asarray(p, dtype=np.int64)[None, :]
-    d2 = coords - np.asarray(q, dtype=np.int64)[None, :]
-    i1 = d1[:, 0] ** 2 - (d1[:, 1:] ** 2).sum(axis=1)
-    i2 = d2[:, 0] ** 2 - (d2[:, 1:] ** 2).sum(axis=1)
-    nz1 = (d1 != 0).any(axis=1)
-    nz2 = (d2 != 0).any(axis=1)
-    return Region(grid, (i1 == 0) & (i2 == 0) & nz1 & nz2)
+    tp, ip = _cone_offsets(grid, p)
+    tq, iq = _cone_offsets(grid, q)
+    # a null offset is nonzero iff its time part is
+    return Region(grid, (ip == 0) & (iq == 0) & (tp != 0) & (tq != 0))
 
 
 def covering_counterexample(grid: IntegerGrid, p, q, mode: str = CAUSAL) -> dict:
@@ -186,30 +182,37 @@ def _covering_span(grid: IntegerGrid, p) -> int:
     return max(0, min(4, t_hi - p[0], 2 * side - 2))
 
 
-def _pentagon(grid: IntegerGrid, p, q, mode: str, sides) -> dict | None:
-    """Law sides, `sides({p}, k, {q}) -> (a, b, c, lhs, rhs)`, on the covering
-    pentagon; None when there is no witness k or the two sides agree."""
-    k = covering_counterexample(grid, p, q, mode)["intermediate"]
+def _modular_sides(atom, k, other, mode):
+    return (atom, k, other, join(atom, meet(k, other, mode), mode),
+            meet(k, join(atom, other, mode), mode))
+
+
+def _distributive_sides(atom, k, other, mode):
+    return (k, atom, other, meet(k, join(atom, other, mode), mode),
+            join(meet(k, atom, mode), meet(k, other, mode), mode))
+
+
+def _pentagon(grid: IntegerGrid, p, q, k, mode: str, sides) -> dict | None:
+    """Law sides, `sides({p}, k, {q}, mode) -> (a, b, c, lhs, rhs)`, on the
+    pentagon of the covering witness k; None when there is no witness or the
+    two sides agree."""
     if k is None:
         return None
-    a, b, c, lhs, rhs = sides(Region.from_points(grid, [p]), k, Region.from_points(grid, [q]))
+    a, b, c, lhs, rhs = sides(Region.from_points(grid, [p]), k,
+                              Region.from_points(grid, [q]), mode)
     return None if lhs == rhs else {"a": a, "b": b, "c": c, "lhs": lhs, "rhs": rhs}
 
 
 def modularity_counterexample(grid: IntegerGrid, p, q, mode: str = CAUSAL) -> dict | None:
     """a = {p} <= b = k, c = {q} with a join (b meet c) = {p} != b meet (a join c) = k."""
-    def sides(atom, k, other):
-        return (atom, k, other, join(atom, meet(k, other, mode), mode),
-                meet(k, join(atom, other, mode), mode))
-    return _pentagon(grid, p, q, mode, sides)
+    k = covering_counterexample(grid, p, q, mode)["intermediate"]
+    return _pentagon(grid, p, q, k, mode, _modular_sides)
 
 
 def distributivity_counterexample(grid: IntegerGrid, p, q, mode: str = CAUSAL) -> dict | None:
     """a = k, b = {p}, c = {q} with a meet (b join c) = k != (a meet b) join (a meet c) = {p}."""
-    def sides(atom, k, other):
-        return (k, atom, other, meet(k, join(atom, other, mode), mode),
-                join(meet(k, atom, mode), meet(k, other, mode), mode))
-    return _pentagon(grid, p, q, mode, sides)
+    k = covering_counterexample(grid, p, q, mode)["intermediate"]
+    return _pentagon(grid, p, q, k, mode, _distributive_sides)
 
 
 def lattice_property_suite(grid: IntegerGrid, mode: str, seed: int,
@@ -226,11 +229,13 @@ def lattice_property_suite(grid: IntegerGrid, mode: str, seed: int,
     p = tuple((lo + hi + 1) // 2 for lo, hi in grid.extents)
     atom_complete = is_complete(Region.from_points(grid, [p]), mode)
 
-    q = (p[0] + _covering_span(grid, p),) + p[1:]
-    covering = covering_counterexample(grid, p, q, mode) if mode != GALILEI else None
-    modularity = modularity_counterexample(grid, p, q, mode) if mode != GALILEI else None
-    distributivity = (distributivity_counterexample(grid, p, q, mode)
-                      if mode != GALILEI else None)
+    covering = modularity = distributivity = None
+    if mode != GALILEI:
+        q = (p[0] + _covering_span(grid, p),) + p[1:]
+        covering = covering_counterexample(grid, p, q, mode)
+        k = covering["intermediate"]  # one witness spans both pentagons
+        modularity = _pentagon(grid, p, q, k, mode, _modular_sides)
+        distributivity = _pentagon(grid, p, q, k, mode, _distributive_sides)
     return {
         "failures": failures,
         "atom_complete": atom_complete,

@@ -47,16 +47,14 @@ class ProjectiveMap:
     a: np.ndarray
     p: np.ndarray
     q: float
-    eps_singular: float = EPS_SINGULAR
 
-    def __init__(self, A, a, p, q, eps_singular: float = EPS_SINGULAR):
+    def __init__(self, A, a, p, q):
         A = np.asarray(A, dtype=float)
         n = A.shape[0]
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "a", np.asarray(a, dtype=float).reshape(n))
         object.__setattr__(self, "p", np.asarray(p, dtype=float).reshape(n))
         object.__setattr__(self, "q", float(q))
-        object.__setattr__(self, "eps_singular", float(eps_singular))
 
     @property
     def proper(self) -> bool:
@@ -77,8 +75,8 @@ def proj_apply(m: ProjectiveMap, x) -> Event | np.ndarray:
     """Apply the map; straight segments in the domain stay straight."""
     xa = x.a if isinstance(x, Event) else np.asarray(x, dtype=float)
     d = m.denominator(xa)
-    if abs(d) <= m.eps_singular:
-        raise SingularHyperplaneError(f"denominator {d!r} within {m.eps_singular} of zero")
+    if abs(d) <= EPS_SINGULAR:
+        raise SingularHyperplaneError(f"denominator {d!r} within {EPS_SINGULAR} of zero")
     out = (m.A @ xa + m.a) / d
     return Event(out) if isinstance(x, Event) else out
 
@@ -136,17 +134,14 @@ class FLBoost:
     velocity: np.ndarray
     c: float = 1.0
     R: float = 1.0
-    eps_singular: float = EPS_SINGULAR
 
-    def __init__(self, velocity, c: float = 1.0, R: float = 1.0,
-                 eps_singular: float = EPS_SINGULAR):
+    def __init__(self, velocity, c: float = 1.0, R: float = 1.0):
         v = np.asarray(velocity, dtype=float).reshape(3)
         if np.linalg.norm(v) >= c:
             raise PreconditionError("boost speed must be below c")
         object.__setattr__(self, "velocity", v)
         object.__setattr__(self, "c", float(c))
         object.__setattr__(self, "R", float(R))
-        object.__setattr__(self, "eps_singular", float(eps_singular))
 
     @property
     def gamma(self) -> float:
@@ -180,30 +175,28 @@ def fl_boost_apply(b: FLBoost, t: float, x) -> tuple[float, np.ndarray]:
     xa = np.asarray(x, dtype=float).reshape(3)
     g = b.gamma
     denom = 1.0 - (g - 1.0) * b.c * t / b.R + g * float(b.velocity @ xa) / (b.R * b.c)
-    if abs(denom) <= b.eps_singular:
-        raise SingularHyperplaneError(f"denominator {denom!r} within {b.eps_singular} of zero")
+    if abs(denom) <= EPS_SINGULAR:
+        raise SingularHyperplaneError(f"denominator {denom!r} within {EPS_SINGULAR} of zero")
     xpar, xperp = _split(xa, b.velocity)
     tp = g * (t - float(b.velocity @ xa) / (b.c * b.c)) / denom
     xp = (g * (xpar - b.velocity * t) + xperp) / denom
     return tp, xp
 
 
-def deformation_phi(R: float, c: float, t: float, x,
-                    eps_singular: float = EPS_SINGULAR) -> tuple[float, np.ndarray]:
+def deformation_phi(R: float, c: float, t: float, x) -> tuple[float, np.ndarray]:
     """(t, x) -> (t, x)/(1 - c t / R); singular at t = R/c."""
     xa = np.asarray(x, dtype=float)
     d = 1.0 - c * t / R
-    if abs(d) <= eps_singular:
+    if abs(d) <= EPS_SINGULAR:
         raise SingularHyperplaneError(f"deformation denominator {d!r} too small")
     return t / d, xa / d
 
 
-def deformation_phi_inverse(R: float, c: float, t: float, x,
-                            eps_singular: float = EPS_SINGULAR) -> tuple[float, np.ndarray]:
+def deformation_phi_inverse(R: float, c: float, t: float, x) -> tuple[float, np.ndarray]:
     """Inverse squash (t, x) -> (t, x)/(1 + c t / R); singular at t = -R/c."""
     xa = np.asarray(x, dtype=float)
     d = 1.0 + c * t / R
-    if abs(d) <= eps_singular:
+    if abs(d) <= EPS_SINGULAR:
         raise SingularHyperplaneError(f"deformation denominator {d!r} too small")
     return t / d, xa / d
 

@@ -19,12 +19,14 @@ __all__ = [
     "total_antisymmetrizer",
 ]
 
+# step of the nested central differences of a closed-form metric
+METRIC_STEP = 1e-4
 
-def christoffels_fd(metric: Callable[[np.ndarray], np.ndarray], q: np.ndarray,
-                    step: float = 1e-4) -> np.ndarray:
+
+def christoffels_fd(metric: Callable[[np.ndarray], np.ndarray], q: np.ndarray) -> np.ndarray:
     """Gamma[m, a, b] at q by central differences of the metric."""
     q = np.asarray(q, dtype=float)
-    dg = _central(metric, q, step)  # dg[c, a, b] = d_c g_ab
+    dg = _central(metric, q, METRIC_STEP)  # dg[c, a, b] = d_c g_ab
     ginv = np.linalg.inv(metric(q))
     # Gamma^m_ab = 1/2 g^ml (d_a g_lb + d_b g_al - d_l g_ab)
     gamma = 0.5 * np.einsum("ml,alb->mab", ginv, dg)
@@ -33,13 +35,12 @@ def christoffels_fd(metric: Callable[[np.ndarray], np.ndarray], q: np.ndarray,
     return gamma
 
 
-def riemann_lowered_fd(metric: Callable[[np.ndarray], np.ndarray], q: np.ndarray,
-                       step: float = 1e-4) -> np.ndarray:
+def riemann_lowered_fd(metric: Callable[[np.ndarray], np.ndarray], q: np.ndarray) -> np.ndarray:
     """Totally covariant curvature R[m, a, b, c] at q, nested differences."""
     q = np.asarray(q, dtype=float)
     # dgamma[d, m, a, b] = d_d Gamma^m_ab
-    dgamma = _central(lambda y: christoffels_fd(metric, y, step), q, step)
-    gamma = christoffels_fd(metric, q, step)
+    dgamma = _central(lambda y: christoffels_fd(metric, y), q, METRIC_STEP)
+    gamma = christoffels_fd(metric, q)
     # R^m_abc = d_b Gamma^m_ac - d_c Gamma^m_ab + Gam^m_sb Gam^s_ac - Gam^m_sc Gam^s_ab
     riem_up = (np.einsum("bmac->mabc", dgamma)
                - np.einsum("cmab->mabc", dgamma)

@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 NORMALIZATION_RTOL = 1e-10
+# step of the central differences of the wedge chart's embedding
+WEDGE_CHART_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ def constant_field(dim: int = 4, c: float = 1.0) -> VelocityField:
     return VelocityField(lambda x: u0.copy(), lambda x: True, c, "user")
 
 
-def boost_killing_field(c: float = 1.0, dim: int = 4) -> VelocityField:
+def boost_killing_field(c: float = 1.0) -> VelocityField:
     """Normalised generator of boosts, on the right wedge x > |c t|.
 
     The unnormalised generator is x d_ct + ct d_x; its flow moves each
@@ -112,7 +114,7 @@ def rotation_killing_field(kappa: float, c: float = 1.0) -> VelocityField:
     return VelocityField(ev, dom, c, "rotation-killing")
 
 
-def radial_expanding_field(eps: float, c: float = 1.0, dim: int = 4) -> VelocityField:
+def radial_expanding_field(eps: float, c: float = 1.0) -> VelocityField:
     """Non-rigid comparison field: normalised c e0 + eps * (0, x-vector)."""
 
     def ev(x: np.ndarray) -> np.ndarray:
@@ -198,7 +200,7 @@ def rindler_from_event(ct: float, x: float, c: float = 1.0) -> tuple[float, floa
     return lam, x0 * lam / c, x0
 
 
-def wedge_chart_metric(x0: float, lam: float, step: float = 1e-5) -> np.ndarray:
+def wedge_chart_metric(x0: float, lam: float) -> np.ndarray:
     """Pulled-back form components in the comoving chart (lambda, x0).
 
     Computed by finite differences of the embedding; the exact components
@@ -213,7 +215,7 @@ def wedge_chart_metric(x0: float, lam: float, step: float = 1e-5) -> np.ndarray:
     jac = np.zeros((2, 2))
     for j in range(2):
         dq = np.zeros(2)
-        dq[j] = step
-        jac[:, j] = (embed(q0 + dq) - embed(q0 - dq)) / (2 * step)
+        dq[j] = WEDGE_CHART_STEP
+        jac[:, j] = (embed(q0 + dq) - embed(q0 - dq)) / (2 * WEDGE_CHART_STEP)
     G = metric_matrix(2)
     return jac.T @ G @ jac

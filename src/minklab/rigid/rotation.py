@@ -23,9 +23,6 @@ __all__ = [
     "projected_curvature_check",
 ]
 
-# step of the nested differences of the closed-form comoving metric
-METRIC_STEP = 1e-4
-
 
 def comoving_coords(event: np.ndarray, kappa: float, c: float) -> np.ndarray:
     """(z, rho, psi) of an event, with psi the angle comoving at rate kappa."""
@@ -125,7 +122,7 @@ def projected_curvature_check(kappa: float, c: float, probes,
     for p in probes:
         x = np.asarray(p, dtype=float)
         q = comoving_coords(x, kappa, c)
-        riem = riemann_lowered_fd(hfun, q, METRIC_STEP)
+        riem = riemann_lowered_fd(hfun, q)
         om = _comoving_vorticity(field, x, kappa, c, step)
         ww = np.einsum("ij,kl->ijkl", om, om)
         alt = total_antisymmetrizer(ww)

@@ -215,15 +215,14 @@ def _brent(f: Callable[[float], float], a: float, fa: float, b: float, fb: float
     raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations")
 
 
-def foliation_time(curve: WorldLineCurve, event, tau_window: tuple[float, float],
-                   guard: float = CAUSTIC_GUARD) -> float:
+def foliation_time(curve: WorldLineCurve, event, tau_window: tuple[float, float]) -> float:
     """The parameter sigma(x) of the orthogonal hyperplane through x.
 
     Solves zdot(tau).(x - z(tau)) = 0 by bracketed root finding; the
     derivative of that function is -c^2 N with N the caustic factor, so the
     root is unique inside the tube.  The window grows until f changes sign
     strictly across it: far out, cancellation can round f to exactly 0.0,
-    and that zero is no root.  Raises near caustics (N <= guard).
+    and that zero is no root.  Raises near caustics (N <= CAUSTIC_GUARD).
     """
     x = np.asarray(event, dtype=float)
 
@@ -242,9 +241,9 @@ def foliation_time(curve: WorldLineCurve, event, tau_window: tuple[float, float]
             raise PreconditionError("could not bracket the hyperplane parameter")
     tau = _brent(f, lo, flo, hi, fhi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
     n = foliation_gap(curve, tau, x)
-    if n <= guard:
+    if n <= CAUSTIC_GUARD:
         raise PreconditionError(
-            f"event within the caustic guard (N = {n!r} <= {guard})")
+            f"event within the caustic guard (N = {n!r} <= {CAUSTIC_GUARD})")
     return float(tau)
 
 
@@ -258,12 +257,12 @@ def foliation_gap(curve: WorldLineCurve, tau: float, event) -> float:
     return 1.0 - _dot(curve.zddot(tau), x - curve.z(tau)) / (curve.c * curve.c)
 
 
-def herglotz_field(curve: WorldLineCurve, tau_window: tuple[float, float] = (-1.0, 1.0),
-                   guard: float = CAUSTIC_GUARD) -> VelocityField:
+def herglotz_field(curve: WorldLineCurve,
+                   tau_window: tuple[float, float] = (-1.0, 1.0)) -> VelocityField:
     """The irrotational rigid field u = zdot(sigma(x)) induced by the curve."""
 
     def ev(x: np.ndarray) -> np.ndarray:
-        return curve.zdot(foliation_time(curve, x, tau_window, guard))
+        return curve.zdot(foliation_time(curve, x, tau_window))
 
     # foliation_time raises PreconditionError outside the tube itself
     return VelocityField(ev, lambda x: True, curve.c, "worldline-induced")

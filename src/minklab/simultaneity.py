@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Event, Hyperplane, MinkVector, PreconditionError, inner
+from .core import PREDICATE_TOL, Event, Hyperplane, MinkVector, PreconditionError, inner
 
 __all__ = [
     "WorldLine",
@@ -61,16 +61,16 @@ class WorldLine:
     def point(self, lam: float) -> Event:
         return self.base + float(lam) * self.direction
 
-    def contains(self, p: Event, tol: float = 1e-10) -> bool:
+    def contains(self, p: Event) -> bool:
         d = (p - self.base).a
         v = self.direction.a
         resid = d - (float(d @ v) / float(v @ v)) * v
         scale = max(1.0, float(np.abs(d).max()))
-        return float(np.abs(resid).max()) <= tol * scale
+        return float(np.abs(resid).max()) <= PREDICATE_TOL * scale
 
-    def same_line(self, other: "WorldLine", tol: float = 1e-10) -> bool:
-        return (np.abs(self.base.a - other.base.a).max() <= tol
-                and np.abs(self.direction.a - other.direction.a).max() <= tol)
+    def same_line(self, other: "WorldLine") -> bool:
+        return (np.abs(self.base.a - other.base.a).max() <= PREDICATE_TOL
+                and np.abs(self.direction.a - other.direction.a).max() <= PREDICATE_TOL)
 
 
 def line_cone_intersect(line: WorldLine, p: Event) -> list[Event]:

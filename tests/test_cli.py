@@ -89,6 +89,33 @@ class TestBadInput:
         assert "fd_step must lie in [1e-05, 0.001]" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("args", [["--suite", "core"], ["--suite", "all"],
+                                      ["demo", "fl-slab"], ["demo", "rindler"]],
+                             ids=["suite-core", "suite-all", "demo-fl-slab", "demo-rindler"])
+    @pytest.mark.parametrize("seed", ["-1", "-7", "x"])
+    def test_bad_seed(self, tmp_path, capsys, args, seed):
+        # numpy seeds are non-negative: refused by argparse, not by numpy
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--seed", seed, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "error: argument --seed: must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("v_final", ["1", "2", "-1", "nan"])
+    def test_rindler_speed_not_below_c(self, tmp_path, capsys, v_final):
+        out = tmp_path / "out"
+        assert main(["demo", "rindler", "--v-final", v_final, "--out", str(out)]) == 2
+        assert "error: |v| must be below the invariant speed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kappa", ["0", "-1", "inf", "nan"])
+    def test_disk_kappa_not_positive(self, tmp_path, capsys, kappa):
+        out = tmp_path / "out"
+        assert main(["demo", "disk", "--kappa", kappa, "--out", str(out)]) == 2
+        assert "error: kappa must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("spec", ["2x2", "15x15", "41x41x41", "9x9x9x9"])
     def test_bad_fig2_grid(self, tmp_path, capsys, spec):
         out = tmp_path / "out"

@@ -146,6 +146,11 @@ class TestRapidity:
     def test_half_c(self):
         assert rapidity(0.5) == pytest.approx(0.5493061443340549, abs=1e-15)
 
+    @pytest.mark.parametrize("v", [1.0, -1.0, 2.0, math.inf, math.nan])
+    def test_speed_not_below_c_rejected(self, v):
+        with pytest.raises(PreconditionError):
+            rapidity(v)
+
     def test_inverse(self, rng):
         for _ in range(100):
             c = float(rng.uniform(0.5, 2.0))

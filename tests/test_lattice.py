@@ -399,6 +399,20 @@ class TestPropertySuite:
         assert got is not None
         assert got["lhs"] != got["rhs"]
 
+    def test_one_covering_search_per_suite(self, grid, monkeypatch):
+        # the covering witness spans both pentagons, so it is built once
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return covering_counterexample(*args, **kwargs)
+
+        monkeypatch.setattr(laws, "covering_counterexample", counted)
+        rep = lattice_property_suite(grid, CAUSAL, 0)
+        assert len(calls) == 1
+        assert rep["modularity"] is not None and rep["distributivity"] is not None
+        assert rep["modularity"]["b"] == rep["covering"]["intermediate"]
+
 
 class TestLawSweep:
     @pytest.mark.parametrize("mode", [CAUSAL, CHRONOLOGICAL])
