@@ -9,8 +9,9 @@ steps are usage errors (exit 2).
 Reports are byte-identical across repeated runs; the lattice suite's
 complements come from per-slice light-cone distances and are checked
 against the brute-force oracle in the report itself.  Demos write
-CSV/JSON/PBM files for external plotting; bad demo input (say a fig2 grid
-that is not 1+1 with 41+ cells per axis) is a usage error too.
+CSV/JSON/PBM files for external plotting; bad demo input (a fig2 grid that
+is not 1+1 with 41+ cells per axis, a count, kappa, R or x0 that is not
+positive and finite, a non-finite sigma) is a usage error too.
 """
 
 from __future__ import annotations
@@ -98,13 +99,23 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _positive(name: str, value) -> None:
+    """Refuse a demo input that is not positive and finite (NaN included)."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def _parse_range(text: str) -> tuple[float, float]:
     lo, _, hi = text.partition("..")
     return float(lo), float(hi) if hi else float(lo)
 
 
 def _demo_rindler(args) -> list[tuple[str, str]]:
+    _positive("orbits", args.orbits)
+    _positive("samples", args.samples)
     lo, hi = _parse_range(args.x0)
+    _positive("x0", lo)
+    _positive("x0", hi)
     vf = args.v_final
     kinematics.rapidity(vf)  # PreconditionError unless |v| < c
     labels = np.linspace(lo, hi, args.orbits)
@@ -118,8 +129,8 @@ def _demo_rindler(args) -> list[tuple[str, str]]:
 
 
 def _demo_disk(args) -> list[tuple[str, str]]:
-    if not 0.0 < args.kappa < np.inf:
-        raise ValueError(f"kappa must be positive and finite, got {args.kappa!r}")
+    _positive("kappa", args.kappa)
+    _positive("samples", args.samples)
     field = rigid.rotation_killing_field(args.kappa)
     rows = []
     radii = np.linspace(0.1, 0.9, args.samples) * (1.0 / args.kappa)
@@ -147,6 +158,8 @@ def _demo_fig2(args) -> list[tuple[str, str]]:
 
 
 def _demo_fl_slab(args) -> list[tuple[str, str]]:
+    _positive("R", args.R)
+    _positive("samples", args.samples)
     rng = np.random.default_rng(args.seed)
     R, c = args.R, 1.0
     rows = []
@@ -169,7 +182,7 @@ def _demo_image_lines(args) -> list[tuple[str, str]]:
     demo = projective.parallelism_breaking_demo(sigmas)
     lines = ["sigma,dir_t,dir_x"]
     for s, d in demo["directions"].items():
-        lines.append(f"{s!r},{d[0]!r},{d[1]!r}")
+        lines.append(f"{s!r},{float(d[0])!r},{float(d[1])!r}")
     return [("image_line_directions.csv", "\n".join(lines) + "\n")]
 
 

@@ -13,9 +13,8 @@ from .engine import (complement, completion, de_morgan_check, diamond,
                      orthomodularity_check)
 from .grid import CAUSAL, CHRONOLOGICAL, GALILEI, MODES, IntegerGrid, Region
 from .io import region_from_json, region_to_json, region_to_pbm
-from .laws import (covering_counterexample, distributivity_counterexample,
-                   fig2_counterexample, lattice_property_suite,
-                   law_sweep, modularity_counterexample, random_region)
+from .laws import (covering_counterexample, fig2_counterexample,
+                   lattice_property_suite, law_sweep, random_region)
 
 __all__ = [
     "CAUSAL",
@@ -38,8 +37,6 @@ __all__ = [
     "region_to_pbm",
     "fig2_counterexample",
     "covering_counterexample",
-    "modularity_counterexample",
-    "distributivity_counterexample",
     "lattice_property_suite",
     "law_sweep",
     "random_region",

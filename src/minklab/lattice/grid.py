@@ -96,11 +96,6 @@ class IntegerGrid:
             idx = idx * (hi - lo + 1) + (c - lo)
         return idx
 
-    def interval2(self, p: Sequence[int], q: Sequence[int]) -> int:
-        """Exact squared interval (p-q)^2 = dt^2 - |dx|^2."""
-        d = [int(a) - int(b) for a, b in zip(p, q)]
-        return d[0] * d[0] - sum(x * x for x in d[1:])
-
     def __repr__(self) -> str:
         return f"IntegerGrid({list(self.extents)})"
 

@@ -27,8 +27,6 @@ __all__ = [
     "random_region",
     "fig2_counterexample",
     "covering_counterexample",
-    "modularity_counterexample",
-    "distributivity_counterexample",
     "lattice_property_suite",
 ]
 
@@ -183,11 +181,13 @@ def _covering_span(grid: IntegerGrid, p) -> int:
 
 
 def _modular_sides(atom, k, other, mode):
+    """a = {p} <= b = k, c = {q}: a join (b meet c) against b meet (a join c)."""
     return (atom, k, other, join(atom, meet(k, other, mode), mode),
             meet(k, join(atom, other, mode), mode))
 
 
 def _distributive_sides(atom, k, other, mode):
+    """a = k, b = {p}, c = {q}: a meet (b join c) against (a meet b) join (a meet c)."""
     return (k, atom, other, meet(k, join(atom, other, mode), mode),
             join(meet(k, atom, mode), meet(k, other, mode), mode))
 
@@ -201,18 +201,6 @@ def _pentagon(grid: IntegerGrid, p, q, k, mode: str, sides) -> dict | None:
     a, b, c, lhs, rhs = sides(Region.from_points(grid, [p]), k,
                               Region.from_points(grid, [q]), mode)
     return None if lhs == rhs else {"a": a, "b": b, "c": c, "lhs": lhs, "rhs": rhs}
-
-
-def modularity_counterexample(grid: IntegerGrid, p, q, mode: str = CAUSAL) -> dict | None:
-    """a = {p} <= b = k, c = {q} with a join (b meet c) = {p} != b meet (a join c) = k."""
-    k = covering_counterexample(grid, p, q, mode)["intermediate"]
-    return _pentagon(grid, p, q, k, mode, _modular_sides)
-
-
-def distributivity_counterexample(grid: IntegerGrid, p, q, mode: str = CAUSAL) -> dict | None:
-    """a = k, b = {p}, c = {q} with a meet (b join c) = k != (a meet b) join (a meet c) = {p}."""
-    k = covering_counterexample(grid, p, q, mode)["intermediate"]
-    return _pentagon(grid, p, q, k, mode, _distributive_sides)
 
 
 def lattice_property_suite(grid: IntegerGrid, mode: str, seed: int,

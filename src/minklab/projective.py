@@ -113,6 +113,8 @@ def parallelism_breaking_demo(sigma_values) -> dict:
     the pairwise angles between them.
     """
     sigmas = [float(s) for s in sigma_values]
+    if not all(math.isfinite(s) for s in sigmas):
+        raise PreconditionError("sigma values must be finite")
     if len(set(sigmas)) != len(sigmas):
         raise PreconditionError("sigma values must be distinct")
     directions = {}

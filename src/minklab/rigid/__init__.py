@@ -5,31 +5,26 @@ chart, and the single-worldline construction of irrotational rigid motion."""
 from .curvature import christoffels_fd, riemann_lowered_fd, total_antisymmetrizer
 from .decomp import (DEFAULT_STEP, FIRST_DERIV_TOL, SECOND_DERIV_TOL,
                      KinematicDecomposition, accel_curl, accel_oneform,
-                     generator_killing_residual, grad_lowered, is_rigid,
-                     killing_test,
+                     grad_lowered, is_rigid, killing_test,
                      kinematic_decomposition, lie_derivative_2tensor,
-                     lie_derivative_metric, lie_derivative_oneform,
+                     lie_derivative_oneform,
                      reparameterization_invariance_check, spatial_metric)
 from .export import field_csv, trajectory_csv
-from .fields import (RindlerChart, VelocityField, boost_killing_field,
-                     boost_killing_flow,
-                     constant_field, radial_expanding_field, rescaled_field,
-                     rindler_from_event, rotation_killing_field,
+from .fields import (VelocityField, boost_killing_field, boost_killing_flow,
+                     rescaled_field, rindler_from_event, rotation_killing_field,
                      wedge_chart_metric)
 from .rotation import (comoving_coords, comoving_frame_vectors,
                        comoving_rotation_metric, projected_curvature_check,
                        rotation_killing_checks)
 from .worldline import (WorldLineCurve, expected_accel_curl, expected_lie_accel,
                         foliation_gap, foliation_time, herglotz_field,
-                        hyperbolic_worldline, straight_worldline,
-                        wiggly_worldline)
+                        hyperbolic_worldline, wiggly_worldline)
 
 __all__ = [
     "DEFAULT_STEP",
     "FIRST_DERIV_TOL",
     "SECOND_DERIV_TOL",
     "VelocityField",
-    "RindlerChart",
     "KinematicDecomposition",
     "WorldLineCurve",
     "spatial_metric",
@@ -39,20 +34,15 @@ __all__ = [
     "reparameterization_invariance_check",
     "lie_derivative_oneform",
     "lie_derivative_2tensor",
-    "lie_derivative_metric",
     "accel_oneform",
     "accel_curl",
-    "generator_killing_residual",
     "killing_test",
-    "constant_field",
     "boost_killing_field",
     "rotation_killing_field",
-    "radial_expanding_field",
     "rescaled_field",
     "boost_killing_flow",
     "rindler_from_event",
     "wedge_chart_metric",
-    "straight_worldline",
     "hyperbolic_worldline",
     "wiggly_worldline",
     "foliation_time",

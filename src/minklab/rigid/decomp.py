@@ -9,6 +9,7 @@ nested second-derivative residuals, both sized for steps near 1e-3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,6 @@ __all__ = [
     "reparameterization_invariance_check",
     "lie_derivative_oneform",
     "lie_derivative_2tensor",
-    "lie_derivative_metric",
     "accel_oneform",
     "accel_curl",
     "killing_test",
@@ -110,8 +110,8 @@ def grad_lowered(field: VelocityField, event: np.ndarray, step: float) -> np.nda
 
 def kinematic_decomposition(field: VelocityField, event, step: float = DEFAULT_STEP) -> KinematicDecomposition:
     """Expansion/shear, vorticity and acceleration of the field at an event."""
-    if step <= 0:
-        raise PreconditionError("step must be positive")
+    if not 0 < step < math.inf:  # NaN included
+        raise PreconditionError("step must be positive and finite")
     x = np.asarray(event, dtype=float)
     c = field.c
     u = field(x)
@@ -185,29 +185,6 @@ def lie_derivative_2tensor(field: VelocityField, tensor, event,
     out += np.einsum("cb,ac->ab", T, du)
     out += np.einsum("ac,bc->ab", T, du)
     return out
-
-
-def lie_derivative_metric(field: VelocityField, event, step: float = DEFAULT_STEP) -> np.ndarray:
-    """L_u g: for the flat form this is the symmetrised lowered gradient.
-
-    Note this vanishes for the flow's *generator*, not for its normalised
-    velocity field; see generator_killing_residual.
-    """
-    x = np.asarray(event, dtype=float)
-    D = grad_lowered(field, x, step)
-    return D + D.T
-
-
-def generator_killing_residual(evaluator, event, step: float = DEFAULT_STEP) -> float:
-    """Sup-norm of the symmetrised lowered gradient of a raw generator.
-
-    Zero exactly when the generator satisfies the isometry (Killing)
-    equation; the normalised velocity of the same flow generally does not,
-    since normalisation rescales pointwise.
-    """
-    def raw(y):
-        return np.asarray(evaluator(y), dtype=float)
-    return float(np.abs(lie_derivative_metric(raw, event, step)).max())
 
 
 def accel_oneform(field: VelocityField, event, step: float = DEFAULT_STEP) -> np.ndarray:

@@ -17,11 +17,8 @@ from ..core import PreconditionError, metric_matrix
 
 __all__ = [
     "VelocityField",
-    "RindlerChart",
-    "constant_field",
     "boost_killing_field",
     "rotation_killing_field",
-    "radial_expanding_field",
     "rescaled_field",
     "boost_killing_flow",
     "rindler_from_event",
@@ -68,15 +65,8 @@ class VelocityField:
         return G @ u
 
 
-def constant_field(dim: int = 4, c: float = 1.0) -> VelocityField:
-    """Inertial rest-frame field u = c e0."""
-    u0 = np.zeros(dim)
-    u0[0] = c
-    return VelocityField(lambda x: u0.copy(), lambda x: True, c, "user")
-
-
-def boost_killing_field(c: float = 1.0) -> VelocityField:
-    """Normalised generator of boosts, on the right wedge x > |c t|.
+def boost_killing_field() -> VelocityField:
+    """Normalised generator of boosts, on the right wedge x > |ct|, at c = 1.
 
     The unnormalised generator is x d_ct + ct d_x; its flow moves each
     point along the hyperbola x^2 - (ct)^2 = const.
@@ -85,14 +75,14 @@ def boost_killing_field(c: float = 1.0) -> VelocityField:
     def ev(x: np.ndarray) -> np.ndarray:
         x0 = math.sqrt(x[1] * x[1] - x[0] * x[0])
         u = np.zeros(x.size)
-        u[0] = c * x[1] / x0
-        u[1] = c * x[0] / x0
+        u[0] = x[1] / x0
+        u[1] = x[0] / x0
         return u
 
     def dom(x: np.ndarray) -> bool:
         return x[1] > abs(x[0])
 
-    return VelocityField(ev, dom, c, "boost-killing")
+    return VelocityField(ev, dom, 1.0, "boost-killing")
 
 
 def rotation_killing_field(kappa: float, c: float = 1.0) -> VelocityField:
@@ -114,22 +104,6 @@ def rotation_killing_field(kappa: float, c: float = 1.0) -> VelocityField:
     return VelocityField(ev, dom, c, "rotation-killing")
 
 
-def radial_expanding_field(eps: float, c: float = 1.0) -> VelocityField:
-    """Non-rigid comparison field: normalised c e0 + eps * (0, x-vector)."""
-
-    def ev(x: np.ndarray) -> np.ndarray:
-        v = np.zeros(x.size)
-        v[0] = c
-        v[1:] = eps * x[1:]
-        q = v[0] * v[0] - float(v[1:] @ v[1:])
-        return v * (c / math.sqrt(q))
-
-    def dom(x: np.ndarray) -> bool:
-        return eps * eps * float(x[1:] @ x[1:]) < c * c
-
-    return VelocityField(ev, dom, c, "user")
-
-
 def rescaled_field(field: VelocityField, scaling: Callable[[np.ndarray], float]) -> Callable:
     """Pointwise rescaling of the (un-normalised) generator.
 
@@ -149,39 +123,14 @@ def rescaled_field(field: VelocityField, scaling: Callable[[np.ndarray], float])
 
 # Wedge chart -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RindlerChart:
-    """Comoving wedge coordinates of one event: flow angle, proper time,
-    orbit label.  lam and tau are redundant (tau = x0 lam / c) and checked."""
-
-    x0: float
-    lam: float
-    tau: float
-    c: float = 1.0
-
-    def __post_init__(self):
-        if self.x0 <= 0:
-            raise PreconditionError("orbit label x0 must be positive")
-        if abs(self.lam - self.c * self.tau / self.x0) > 1e-10 * max(1.0, abs(self.lam)):
-            raise PreconditionError("lam and tau disagree for this orbit label")
-
-    @classmethod
-    def from_event(cls, ct: float, x: float, c: float = 1.0) -> "RindlerChart":
-        lam, tau, x0 = rindler_from_event(ct, x, c)
-        return cls(x0, lam, tau, c)
-
-    def event(self) -> np.ndarray:
-        return boost_killing_flow(self.x0, self.tau, self.c)
-
-
 def boost_killing_flow(x0: float, tau: float, c: float = 1.0) -> np.ndarray:
     """Orbit point (ct, x) = x0 (sinh(c tau / x0), cosh(c tau / x0)).
 
     tau is the proper time along the orbit labelled by x0 > 0, with tau = 0
     on the x axis.
     """
-    if x0 <= 0:
-        raise PreconditionError("orbit label x0 must be positive")
+    if not 0 < x0 < math.inf:  # NaN included
+        raise PreconditionError("orbit label x0 must be positive and finite")
     lam = c * tau / x0
     return np.array([x0 * math.sinh(lam), x0 * math.cosh(lam)])
 

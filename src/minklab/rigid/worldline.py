@@ -20,7 +20,6 @@ from .fields import VelocityField
 
 __all__ = [
     "WorldLineCurve",
-    "straight_worldline",
     "hyperbolic_worldline",
     "wiggly_worldline",
     "foliation_time",
@@ -60,28 +59,14 @@ class WorldLineCurve:
                 raise PreconditionError(f"zdot.zddot != 0 at tau={t}")
 
 
-def straight_worldline(c: float = 1.0, dim: int = 4) -> WorldLineCurve:
-    """Inertial curve z(tau) = (c tau, 0, ...)."""
-    e0 = np.zeros(dim)
-    e0[0] = 1.0
-    zero = np.zeros(dim)
-    return WorldLineCurve(
-        z=lambda t: c * t * e0,
-        zdot=lambda t: c * e0,
-        zddot=lambda t: zero.copy(),
-        zdddot=lambda t: zero.copy(),
-        c=c,
-    )
-
-
-def hyperbolic_worldline(x0: float, c: float = 1.0, dim: int = 4) -> WorldLineCurve:
-    """Constant-acceleration curve x0 (sinh(c tau/x0), cosh(c tau/x0), 0...)."""
-    if x0 <= 0:
-        raise PreconditionError("x0 must be positive")
+def hyperbolic_worldline(x0: float, c: float = 1.0) -> WorldLineCurve:
+    """Constant-acceleration curve x0 (sinh(c tau/x0), cosh(c tau/x0), 0, 0)."""
+    if not 0 < x0 < math.inf:  # NaN included
+        raise PreconditionError("x0 must be positive and finite")
 
     def make(fn0, fn1, scale):
         def ev(t):
-            out = np.zeros(dim)
+            out = np.zeros(4)
             lam = c * t / x0
             out[0] = scale * fn0(lam)
             out[1] = scale * fn1(lam)
@@ -97,17 +82,17 @@ def hyperbolic_worldline(x0: float, c: float = 1.0, dim: int = 4) -> WorldLineCu
     )
 
 
-def wiggly_worldline(eps: float, c: float = 1.0, dim: int = 4) -> WorldLineCurve:
-    """Variable-acceleration curve with closed-form eigentime derivatives.
+def wiggly_worldline(eps: float) -> WorldLineCurve:
+    """Variable-acceleration curve with closed-form eigentime derivatives, at c = 1.
 
     Built from the rapidity profile chi(tau) = ln(1 + eps tau^2): the
-    velocity is c (cosh chi, sinh chi, 0, ...), automatically normalised,
+    velocity is (cosh chi, sinh chi, 0, 0), automatically normalised,
     and the position integrates in closed form.  The projected jerk is
     nonzero wherever chi'' != 0, so the induced flow is rigid but not an
     isometry flow.
     """
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
+    if not 0 < eps < math.inf:  # NaN included
+        raise PreconditionError("eps must be positive and finite")
     s = math.sqrt(eps)
 
     def uexp(t):  # e^chi and derivatives of chi
@@ -119,41 +104,41 @@ def wiggly_worldline(eps: float, c: float = 1.0, dim: int = 4) -> WorldLineCurve
         return u, chi_p, chi_pp
 
     def z(t):
-        out = np.zeros(dim)
+        out = np.zeros(4)
         u = 1.0 + eps * t * t
         # integral of cosh(chi) = (u + 1/u)/2 and of sinh(chi) = (u - 1/u)/2
         poly = t + eps * t ** 3 / 3.0
         arct = math.atan(s * t) / s
-        out[0] = c * 0.5 * (poly + arct)
-        out[1] = c * 0.5 * (poly - arct)
+        out[0] = 0.5 * (poly + arct)
+        out[1] = 0.5 * (poly - arct)
         return out
 
     def zdot(t):
-        out = np.zeros(dim)
+        out = np.zeros(4)
         u = 1.0 + eps * t * t
-        out[0] = c * 0.5 * (u + 1.0 / u)
-        out[1] = c * 0.5 * (u - 1.0 / u)
+        out[0] = 0.5 * (u + 1.0 / u)
+        out[1] = 0.5 * (u - 1.0 / u)
         return out
 
     def zddot(t):
-        out = np.zeros(dim)
+        out = np.zeros(4)
         u, chi_p, _ = uexp(t)
         cosh = 0.5 * (u + 1.0 / u)
         sinh = 0.5 * (u - 1.0 / u)
-        out[0] = c * chi_p * sinh
-        out[1] = c * chi_p * cosh
+        out[0] = chi_p * sinh
+        out[1] = chi_p * cosh
         return out
 
     def zdddot(t):
-        out = np.zeros(dim)
+        out = np.zeros(4)
         u, chi_p, chi_pp = uexp(t)
         cosh = 0.5 * (u + 1.0 / u)
         sinh = 0.5 * (u - 1.0 / u)
-        out[0] = c * (chi_pp * sinh + chi_p * chi_p * cosh)
-        out[1] = c * (chi_pp * cosh + chi_p * chi_p * sinh)
+        out[0] = chi_pp * sinh + chi_p * chi_p * cosh
+        out[1] = chi_pp * cosh + chi_p * chi_p * sinh
         return out
 
-    return WorldLineCurve(z=z, zdot=zdot, zddot=zddot, zdddot=zdddot, c=c)
+    return WorldLineCurve(z=z, zdot=zdot, zddot=zddot, zdddot=zdddot)
 
 
 def _dot(v: np.ndarray, w: np.ndarray) -> float:

@@ -68,10 +68,6 @@ class WorldLine:
         scale = max(1.0, float(np.abs(d).max()))
         return float(np.abs(resid).max()) <= PREDICATE_TOL * scale
 
-    def same_line(self, other: "WorldLine") -> bool:
-        return (np.abs(self.base.a - other.base.a).max() <= PREDICATE_TOL
-                and np.abs(self.direction.a - other.direction.a).max() <= PREDICATE_TOL)
-
 
 def line_cone_intersect(line: WorldLine, p: Event) -> list[Event]:
     """Intersection of a causal line with the light double-cone at p.

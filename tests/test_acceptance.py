@@ -25,10 +25,12 @@ from minklab.rigid import (accel_curl, accel_oneform, boost_killing_field,
                            expected_lie_accel, herglotz_field,
                            hyperbolic_worldline,
                            kinematic_decomposition, lie_derivative_oneform,
-                           projected_curvature_check, radial_expanding_field,
+                           projected_curvature_check,
                            rotation_killing_checks, wiggly_worldline)
 from minklab.simultaneity import (WorldLine, mutual_simultaneity,
                                   radar_echo_points)
+
+from conftest import radial_expanding_field
 
 SEED = 20260810
 

@@ -109,11 +109,24 @@ class TestBadInput:
         assert "error: |v| must be below the invariant speed" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("kappa", ["0", "-1", "inf", "nan"])
-    def test_disk_kappa_not_positive(self, tmp_path, capsys, kappa):
+    @pytest.mark.parametrize("demo, flag, value, error", [
+        *[("disk", "--kappa", v, "kappa must be positive and finite")
+          for v in ("0", "-1", "inf", "nan")],
+        *[(demo, "--samples", v, "samples must be positive and finite")
+          for demo in ("rindler", "disk", "fl-slab") for v in ("0", "-1")],
+        *[("rindler", "--orbits", v, "orbits must be positive and finite")
+          for v in ("0", "-1")],
+        *[("rindler", "--x0", v, "x0 must be positive and finite")
+          for v in ("nan", "1..inf", "0..1")],
+        *[("fl-slab", "--R", v, "R must be positive and finite")
+          for v in ("0", "-5", "inf", "nan")],
+        *[("image-lines", "--sigmas", v, "sigma values must be finite")
+          for v in ("nan", "0,inf")],
+    ])
+    def test_demo_input_rejected(self, tmp_path, capsys, demo, flag, value, error):
         out = tmp_path / "out"
-        assert main(["demo", "disk", "--kappa", kappa, "--out", str(out)]) == 2
-        assert "error: kappa must be positive and finite" in capsys.readouterr().err
+        assert main(["demo", demo, flag, value, "--out", str(out)]) == 2
+        assert f"error: {error}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("spec", ["2x2", "15x15", "41x41x41", "9x9x9x9"])
@@ -311,3 +324,8 @@ class TestDemos:
         lines = (tmp_path / "image_line_directions.csv").read_text().splitlines()
         assert lines[0] == "sigma,dir_t,dir_x"
         assert len(lines) == 4
+        sigma, dir_t, dir_x = np.loadtxt(lines[1:], delimiter=",", unpack=True)
+        assert sigma.tolist() == [0.0, 1.0, 2.0]
+        norm = np.sqrt(1.0 + sigma ** 2)
+        assert np.allclose(dir_t, 1.0 / norm, rtol=0.0, atol=1e-15)
+        assert np.allclose(dir_x, sigma / norm, rtol=0.0, atol=1e-15)

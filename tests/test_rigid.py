@@ -6,20 +6,33 @@ import pytest
 from minklab.core import PreconditionError
 from minklab.rigid import worldline
 from minklab.rigid import (accel_curl, accel_oneform, boost_killing_field,
-                           boost_killing_flow, constant_field,
-                           expected_accel_curl, expected_lie_accel, field_csv,
-                           foliation_gap, foliation_time, herglotz_field,
+                           boost_killing_flow, expected_accel_curl,
+                           expected_lie_accel, field_csv, foliation_gap,
+                           foliation_time, grad_lowered, herglotz_field,
                            hyperbolic_worldline, is_rigid, killing_test,
-                           kinematic_decomposition, lie_derivative_metric,
-                           lie_derivative_oneform, projected_curvature_check,
-                           radial_expanding_field,
+                           kinematic_decomposition, lie_derivative_oneform,
+                           projected_curvature_check,
                            reparameterization_invariance_check,
                            rindler_from_event, rotation_killing_checks,
                            rotation_killing_field, spatial_metric,
-                           straight_worldline, trajectory_csv,
-                           wedge_chart_metric, wiggly_worldline)
+                           trajectory_csv, wedge_chart_metric, wiggly_worldline)
+
+from conftest import constant_field, radial_expanding_field, straight_worldline
 
 STEP = 1e-3
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("call", [
+    lambda v: boost_killing_flow(v, 0.0),
+    lambda v: hyperbolic_worldline(v),
+    lambda v: wiggly_worldline(v),
+    lambda v: kinematic_decomposition(constant_field(), np.zeros(4), v),
+], ids=["boost_killing_flow-x0", "hyperbolic_worldline-x0", "wiggly_worldline-eps",
+        "kinematic_decomposition-step"])
+def test_positive_finite_preconditions(call, bad):
+    with pytest.raises(PreconditionError, match="positive and finite"):
+        call(bad)
 
 
 class TestSpatialMetric:
@@ -77,7 +90,6 @@ class TestDecomposition:
     def test_reconstruction(self, rng):
         # the split re-sums to the gradient up to the step^2 error of the
         # numerically differentiated normalisation constraint
-        from minklab.rigid.decomp import grad_lowered
         f = rotation_killing_field(0.8, 1.0)
         x = np.array([0.1, 0.4, -0.2, 0.3])
         d = kinematic_decomposition(f, x, STEP)
@@ -102,10 +114,6 @@ class TestDecomposition:
             errs.append(np.abs(d.theta - exact).max())
         ratio = errs[0] / errs[1]
         assert 3.0 <= ratio <= 5.0
-
-    def test_step_validation(self):
-        with pytest.raises(PreconditionError):
-            kinematic_decomposition(constant_field(), np.zeros(4), -1e-3)
 
     def test_domain_boundary_guard(self):
         f = boost_killing_field()
@@ -168,23 +176,25 @@ class TestLieIdentities:
             a_fd = accel_oneform(f, x, STEP)
             assert np.abs(lie - a_fd).max() < 1e-5
 
+    @staticmethod
+    def killing_residual(field, x):
+        """Sup-norm of L_u g, for the flat form the symmetrised lowered gradient."""
+        D = grad_lowered(field, x, STEP)
+        return float(np.abs(D + D.T).max())
+
     def test_generators_satisfy_killing_equation(self):
-        from minklab.rigid import generator_killing_residual
         x = np.array([0.1, 0.6, 0.2, 0.0])
         boost_gen = lambda y: np.array([y[1], y[0], 0.0, 0.0])
         rot_gen = lambda y: np.array([1.0, -0.9 * y[2], 0.9 * y[1], 0.0])
-        assert generator_killing_residual(boost_gen, x, STEP) < 1e-12
-        assert generator_killing_residual(rot_gen, x, STEP) < 1e-12
+        assert self.killing_residual(boost_gen, x) < 1e-12
+        assert self.killing_residual(rot_gen, x) < 1e-12
         # the normalised velocity of the same flow is not itself a
         # generator of isometries: normalisation rescales pointwise
-        f = boost_killing_field()
-        assert np.abs(lie_derivative_metric(f, x, STEP)).max() > 1e-3
+        assert self.killing_residual(boost_killing_field(), x) > 1e-3
 
     def test_expanding_field_generator_is_not_killing(self):
-        from minklab.rigid import generator_killing_residual
         gen = lambda y: np.concatenate([[1.0], 0.1 * y[1:]])
-        assert generator_killing_residual(gen, np.array([0.0, 0.5, 0.2, 0.1]),
-                                          STEP) > 1e-2
+        assert self.killing_residual(gen, np.array([0.0, 0.5, 0.2, 0.1])) > 1e-2
 
 
 class TestWedgeChart:
@@ -478,15 +488,3 @@ class TestExport:
         text = field_csv([(0.0, np.array([0.0, 1.0, 0.0, 0.0]), 1e-8, 0.5, 1.0)])
         assert text.splitlines()[0] == "tau,ct,x,y,z,theta_norm,omega_norm,accel_norm"
 
-
-class TestRindlerChartType:
-    def test_round_trip(self):
-        from minklab.rigid import RindlerChart
-        chart = RindlerChart.from_event(0.5, 2.0)
-        assert np.abs(chart.event() - [0.5, 2.0]).max() < 1e-10
-        assert chart.x0 ** 2 == pytest.approx(2.0 ** 2 - 0.5 ** 2)
-
-    def test_inconsistent_pair_rejected(self):
-        from minklab.rigid import RindlerChart
-        with pytest.raises(PreconditionError):
-            RindlerChart(x0=1.0, lam=0.5, tau=0.9)
