@@ -173,6 +173,9 @@ def _demo_fl_slab(args) -> list[tuple[str, str]]:
         except projective.SingularHyperplaneError:
             continue
         rows.append({"t": t, "slab": slab, "t_image": tp})
+    if not rows:  # an R below about 1e-6 puts every sample in the horizon band
+        raise ValueError(f"every sample of t was skipped at the horizon or a "
+                         f"singular hyperplane, R={R!r}")
     return [("fl_slab.json", json.dumps({"R": R, "c": c, "rows": rows},
                                         indent=2, sort_keys=True) + "\n")]
 

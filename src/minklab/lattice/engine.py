@@ -13,9 +13,16 @@ that no slice relates form the open time interval
 For a set spanning k of the T slices the cost is
 O(k |spatial| (1 + L) + T |spatial|), with L the summed length of the
 spatial axes before the last, and the temporary memory is O(k |spatial|):
-there is no pairwise table.  The finite-speed (galilei) relation has a
-closed form.  `oracle.complement_mask_bruteforce` is the double-loop
-reference the tests compare this against.
+there is no pairwise table.  A set on more than 4 slices is first bounded
+by its first and last slices alone: when they leave no interval open, the
+complement is empty at a cost of O(|spatial| (1 + L)), before the middle
+slices and the T |spatial| output build.  Otherwise the middle slices fold
+into the same min and max, which gives the same bits in any order.
+`completion` and `join` skip that try for their outer complement, which
+contains their non-empty input and so cannot come out empty.  The
+finite-speed (galilei) relation has a closed form.
+`oracle.complement_mask_bruteforce` is the double-loop reference the tests
+compare this against.
 """
 
 from __future__ import annotations
@@ -63,8 +70,32 @@ def _sq_distance(members: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _complement_mask(region: Region, code: int) -> np.ndarray:
-    """Flat mask of the cells related (per mode code) to no cell of the region."""
+# a set on this many occupied slices or fewer takes one distance pass: there,
+# a second pass for the middle slices costs more than stopping early saves
+_ONE_PASS_SLICES = 4
+
+
+def _slice_bounds(cube: np.ndarray, slices: np.ndarray,
+                  code: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per spatial cell, the earliest future time (`future`) and the latest
+    past time (`past`) that the given occupied slices of `cube` relate."""
+    d2 = _sq_distance(cube[slices]).reshape(slices.size, -1)
+    # smallest |t - t_s| with (t - t_s)^2 >= d2 (causal) or > d2 (chronological);
+    # root is floor(sqrt(d2)) or one more where the float sqrt rounded up
+    root = np.sqrt(d2).astype(np.int64)
+    sq = root * root
+    reach = root + (sq < d2 if code == 0 else sq <= d2)
+    return (slices[:, None] + reach).min(axis=0), (slices[:, None] - reach).max(axis=0)
+
+
+def _complement_mask(region: Region, code: int, *, ends_first: bool = True) -> np.ndarray:
+    """Flat mask of the cells related (per mode code) to no cell of the region.
+
+    With `ends_first`, a set on more than _ONE_PASS_SLICES slices is
+    first bounded by its first and last slices alone, and the complement is
+    returned empty when they already leave no cell unrelated.  A caller
+    that knows the complement is not empty passes False to skip that try.
+    """
     grid = region.grid
     cells = region.mask.reshape(grid.shape[0], -1)
     occupied = np.flatnonzero(cells.any(axis=1))
@@ -75,14 +106,17 @@ def _complement_mask(region: Region, code: int) -> np.ndarray:
         if occupied.size == 1:
             out[occupied[0]] = ~cells[occupied[0]]
         return out.reshape(-1)
-    d2 = _sq_distance(region.mask.reshape(grid.shape)[occupied]).reshape(occupied.size, -1)
-    # smallest |t - t_s| with (t - t_s)^2 >= d2 (causal) or > d2 (chronological);
-    # root is floor(sqrt(d2)) or one more where the float sqrt rounded up
-    root = np.sqrt(d2).astype(np.int64)
-    sq = root * root
-    reach = root + (sq < d2 if code == 0 else sq <= d2)
-    future = (occupied[:, None] + reach).min(axis=0)
-    past = (occupied[:, None] - reach).max(axis=0)
+    cube = region.mask.reshape(grid.shape)
+    if ends_first and occupied.size > _ONE_PASS_SLICES:
+        future, past = _slice_bounds(cube, occupied[[0, -1]], code)
+        if (future - past <= 1).all():  # no time lies strictly between
+            return np.zeros(grid.size, dtype=bool)
+        # min and max are associative, so the middle slices fold in bit-exactly
+        mid_future, mid_past = _slice_bounds(cube, occupied[1:-1], code)
+        future = np.minimum(future, mid_future)
+        past = np.maximum(past, mid_past)
+    else:
+        future, past = _slice_bounds(cube, occupied, code)
     t = np.arange(grid.shape[0])[:, None]
     out = (t > past) & (t < future)
     if code == 1:
@@ -101,7 +135,9 @@ def complement(region: Region, mode: str) -> Region:
 
 def completion(region: Region, mode: str) -> Region:
     """Double complement: the smallest complete superset of the region."""
-    return complement(complement(region, mode), mode)
+    inner = complement(region, mode)
+    # the outer complement contains the region, so trying for an empty one is waste
+    return Region(region.grid, _complement_mask(inner, mode_code(mode), ends_first=False))
 
 
 def is_complete(region: Region, mode: str) -> bool:
@@ -116,7 +152,9 @@ def meet(s1: Region, s2: Region, mode: str) -> Region:
 
 def join(s1: Region, s2: Region, mode: str) -> Region:
     """Least upper bound of complete regions: (s1' intersect s2')'."""
-    return complement(complement(s1, mode) & complement(s2, mode), mode)
+    both = complement(s1, mode) & complement(s2, mode)
+    # the outer complement contains s1 and s2, so trying for an empty one is waste
+    return Region(s1.grid, _complement_mask(both, mode_code(mode), ends_first=False))
 
 
 def _cone_offsets(grid: IntegerGrid, p) -> tuple[np.ndarray, np.ndarray]:

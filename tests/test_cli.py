@@ -120,6 +120,7 @@ class TestBadInput:
           for v in ("nan", "1..inf", "0..1")],
         *[("fl-slab", "--R", v, "R must be positive and finite")
           for v in ("0", "-5", "inf", "nan")],
+        ("fl-slab", "--R", "1e-7", "every sample of t was skipped"),
         *[("image-lines", "--sigmas", v, "sigma values must be finite")
           for v in ("nan", "0,inf")],
     ])
@@ -256,8 +257,8 @@ class TestVerdictRule:
     def test_oracle_comparison_has_the_grid_axes(self, monkeypatch):
         real = engine._complement_mask
 
-        def wrong_in_2_plus_1(region, code):
-            out = real(region, code)
+        def wrong_in_2_plus_1(region, code, **kwargs):
+            out = real(region, code, **kwargs)
             if region.grid.dim == 3:
                 out[0] = not out[0]
             return out
@@ -266,6 +267,19 @@ class TestVerdictRule:
         check, *_ = suite_lattice(0, Config(grid=(7, 7, 7), regions=2))
         assert check.name == "kernel.bit_identical"
         assert check.residual == 45.0 and not check.passed
+
+    def test_fig2_construction_error_is_a_failed_check(self, tmp_path, monkeypatch):
+        def broken(grid):
+            raise RuntimeError("construction error: small diamond not inside the wedge")
+
+        monkeypatch.setattr(minklab.lattice, "fig2_counterexample", broken)
+        out = tmp_path / "r.json"
+        assert main(["--suite", "lattice", "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        failed = [(c["name"], c["note"]) for c in report["checks"] if not c["passed"]]
+        note = "construction error: small diamond not inside the wedge"
+        assert failed == [("fig2.witness_nonempty", note), ("fig2.chron_analogue", note)]
+        assert report["counts"] == {"failed": 2, "total": 10}
 
 
 def run_child(args):
