@@ -5,7 +5,7 @@ the relation-preservation and unit-distance rigidity statements."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,6 +37,8 @@ __all__ = [
 RESIDUAL_TOL = 1e-9
 # random_lorentz draws its rapidity uniformly from [-MAX_RAPIDITY, MAX_RAPIDITY]
 MAX_RAPIDITY = 2.0
+# is_lorentz accepts L when lorentz_residual(L) is below this
+LORENTZ_TOL = 1e-10
 
 
 def lorentz_residual(L: np.ndarray, g: np.ndarray | None = None) -> float:
@@ -48,10 +50,10 @@ def lorentz_residual(L: np.ndarray, g: np.ndarray | None = None) -> float:
     return float(np.abs(L.T @ G @ L - G).max())
 
 
-def is_lorentz(L: np.ndarray, tol: float = 1e-10) -> tuple[bool, float]:
-    """Whether L preserves the form, together with the residual."""
+def is_lorentz(L: np.ndarray) -> tuple[bool, float]:
+    """Whether L preserves the form to LORENTZ_TOL, together with the residual."""
     r = lorentz_residual(L)
-    return r < tol, r
+    return r < LORENTZ_TOL, r
 
 
 @dataclass(frozen=True)
@@ -111,23 +113,51 @@ class AffineIsometry:
         return cls(np.eye(dim))
 
 
+@lru_cache(maxsize=None)
+def _frame(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only identity and form matrices of dimension n."""
+    E, G = np.eye(n), metric_matrix(n)
+    E.flags.writeable = G.flags.writeable = False
+    return E, G
+
+
+def _forms(X: np.ndarray) -> np.ndarray:
+    """x.x for every row x of X, equal to core.inner bit for bit."""
+    return X[:, 0] * X[:, 0] - np.vecdot(X[:, 1:], X[:, 1:])
+
+
+def _axis_forms(A: np.ndarray) -> np.ndarray:
+    """v.v for every axis row v of A; PreconditionError unless each axis is
+    finite, nonzero and non-null to a relative 1e-14."""
+    vv = _forms(A)
+    ok = np.abs(vv) > 1e-14 * np.vecdot(A, A)  # false for NaN and inf
+    if np.count_nonzero(ok) < len(ok):
+        raise PreconditionError("reflection axis must be finite, non-null and nonzero")
+    return vv
+
+
+def _reflection_matrices(A: np.ndarray) -> np.ndarray:
+    """Matrices (N, n, n) of x -> x - 2 v (x.v)/(v.v) for the axis rows v of A."""
+    vv = _axis_forms(A)
+    GA = -A  # G v for each axis
+    GA[:, 0] = A[:, 0]
+    E = _frame(A.shape[1])[0]
+    return E - (2.0 / vv)[:, None, None] * (A[:, :, None] * GA[:, None, :])
+
+
+def _as_array(v) -> np.ndarray:
+    return v.a if isinstance(v, MinkVector) else np.asarray(v, dtype=float)
+
+
 def reflection_matrix(v) -> np.ndarray:
-    """Matrix of x -> x - 2 v (x.v)/(v.v); undefined for null axes."""
-    va = v.a if isinstance(v, MinkVector) else np.asarray(v, dtype=float)
-    vv = inner(va, va)
-    if abs(vv) <= 1e-14 * float(va @ va) or float(va @ va) == 0.0:
-        raise PreconditionError("reflection axis must be non-null and nonzero")
-    G = metric_matrix(va.size)
-    return np.eye(va.size) - (2.0 / vv) * np.outer(va, G @ va)
+    """Matrix of x -> x - 2 v (x.v)/(v.v); undefined for null or non-finite axes."""
+    return _reflection_matrices(_as_array(v)[None])[0]
 
 
 def reflect(v, x):
     """Reflect x at the hyperplane g-orthogonal to v."""
-    va = v.a if isinstance(v, MinkVector) else np.asarray(v, dtype=float)
-    xa = x.a if isinstance(x, MinkVector) else np.asarray(x, dtype=float)
-    vv = inner(va, va)
-    if abs(vv) <= 1e-14 * float(va @ va) or float(va @ va) == 0.0:
-        raise PreconditionError("reflection axis must be non-null and nonzero")
+    va, xa = _as_array(v), _as_array(x)
+    vv = _axis_forms(va[None])[0]
     out = xa - 2.0 * va * (inner(xa, va) / vv)
     return MinkVector(out) if isinstance(x, MinkVector) else out
 
@@ -140,20 +170,103 @@ class Reflection:
     matrix: np.ndarray = field(repr=False, compare=False)
 
     def __init__(self, axis):
-        a = axis.a if isinstance(axis, MinkVector) else np.asarray(axis, dtype=float)
+        a = _as_array(axis)
         object.__setattr__(self, "axis", a)
         object.__setattr__(self, "matrix", reflection_matrix(a))  # validates the axis
+
+    @classmethod
+    def _validated(cls, axis: np.ndarray, matrix: np.ndarray) -> "Reflection":
+        """A reflection whose matrix the stacked formula has already built."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "axis", axis)
+        object.__setattr__(out, "matrix", matrix)
+        return out
 
     def apply(self, x):
         return reflect(self.axis, x)
 
 
-def compose_reflections(reflections: Sequence[Reflection], dim: int) -> np.ndarray:
-    """Product of reflection matrices, in the given order."""
+def compose_reflections(reflections: Sequence[Reflection] | np.ndarray,
+                        dim: int) -> np.ndarray:
+    """Product of reflection matrices, in the given order.
+
+    `reflections` is a sequence of Reflection, or an array (..., m, dim, dim)
+    of reflection matrices whose every stack of m is composed in order.
+    """
+    if isinstance(reflections, np.ndarray):
+        mats = reflections
+    else:
+        mats = np.array([r.matrix for r in reflections], dtype=float).reshape(-1, dim, dim)
     out = np.eye(dim)
-    for r in reflections:
-        out = out @ r.matrix
+    for j in range(mats.shape[-3]):
+        out = out @ mats[..., j, :, :]
     return out
+
+
+_ALL = slice(None)
+
+
+def _rows(mask: np.ndarray):
+    """Index of the True rows of mask: _ALL when that is every row, None
+    when there is none."""
+    count = np.count_nonzero(mask)
+    if count == len(mask):
+        return _ALL
+    return mask.nonzero()[0] if count else None
+
+
+def _reflection_sweep(L: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cartan-Dieudonne on a stack L of shape (N, n, n).
+
+    Basis vector k owns the factor slots 2k and 2k+1.  Returns the slot
+    axes (N, 2n, n), their matrices (N, 2n, n, n) and which slots are used
+    (N, 2n); an unused slot holds a zero axis and the identity, so composing
+    every slot in order reproduces L.  The sweep is the one described in
+    cartan_dieudonne, with its skip, single-reflection and pair branches
+    taken as masks over the stack.
+    """
+    if L.ndim != 3 or L.shape[1] != L.shape[2]:
+        raise ValueError("L must hold square matrices")
+    N, n = L.shape[0], L.shape[1]
+    E, G = _frame(n)
+    r = np.abs(L.mT @ G @ L - G).max(initial=0.0)
+    if not r < 1e-8:
+        raise PreconditionError(f"input is not an isometry (residual {r:.3e})")
+    phi = L.copy()
+    axes = np.zeros((N, 2 * n, n))
+    mats = np.empty((N, 2 * n, n, n))
+    mats[...] = E
+    for k in range(n):
+        v = E[k]  # basis vectors are unit-norm for the diagonal form
+        w = phi[:, :, k]  # phi @ v; the single branch leaves the pair rows as they are
+        d = v - w
+        dd = np.vecdot(d, d)
+        # a row with max |d| < 1e-13, which the sweep skips, has |d.d| far
+        # below 1e-8, so no skipped row is single
+        single = np.abs(_forms(d)) > 1e-8 * np.fmax(dd, 1.0)
+        i = _rows(single)
+        if i is not None:
+            a = d[i] / np.sqrt(dd[i])[:, None]  # d / |d|, as np.linalg.norm takes it
+            M = _reflection_matrices(a)
+            phi[i] = M @ phi[i]
+            axes[i, 2 * k], mats[i, 2 * k] = a, M
+        if i is _ALL:
+            continue
+        i = _rows(~single & (np.abs(d).max(axis=1) >= 1e-13))  # moved along a null d
+        if i is not None:
+            s = v + w[i]
+            a = s / np.sqrt(np.vecdot(s, s))[:, None]
+            Ms, Mv = _reflection_matrices(a), reflection_matrix(v)
+            phi[i] = Mv @ Ms @ phi[i]
+            axes[i, 2 * k], mats[i, 2 * k] = a, Ms  # rho_s acts first
+            axes[i, 2 * k + 1], mats[i, 2 * k + 1] = v, Mv
+    if np.abs(phi - E).max(initial=0.0) > RESIDUAL_TOL:
+        raise RuntimeError("decomposition did not reduce to the identity")
+    # phi_m ... phi_1 L = 1, hence L = phi_1 ... phi_m (reflections are involutive)
+    used = axes.any(axis=2)  # a reflection axis is never zero
+    if used.all(axis=1).any():  # 2n factors, one past the bound
+        raise RuntimeError("factor count exceeded 2n-1")  # cannot happen
+    return axes, mats, used
 
 
 def cartan_dieudonne(L: np.ndarray) -> list[Reflection]:
@@ -162,38 +275,11 @@ def cartan_dieudonne(L: np.ndarray) -> list[Reflection]:
     One basis direction is fixed per sweep: if the image w of the basis
     vector v differs from v, apply the reflection at v-w when that axis is
     non-null, otherwise the pair of reflections at v and v+w.  Composing the
-    returned list in order reproduces L.
+    returned list in order reproduces L.  This is the stack of one of the
+    stacked sweep that suite_isometry runs.
     """
-    L = np.asarray(L, dtype=float)
-    ok, r = is_lorentz(L, tol=1e-8)
-    if not ok:
-        raise PreconditionError(f"input is not an isometry (residual {r:.3e})")
-    n = L.shape[0]
-    phi = L.copy()
-    factors: list[Reflection] = []
-    for k in range(n):
-        v = np.zeros(n)
-        v[k] = 1.0  # basis vectors are unit-norm for the diagonal form
-        w = phi @ v
-        if np.abs(w - v).max() < 1e-13:
-            continue
-        d = v - w
-        if abs(inner(d, d)) > 1e-8 * max(1.0, float(d @ d)):
-            rho = Reflection(d / np.linalg.norm(d))
-            phi = rho.matrix @ phi
-            factors.append(rho)
-        else:
-            s = v + w
-            rho_s = Reflection(s / np.linalg.norm(s))
-            rho_v = Reflection(v)
-            phi = rho_v.matrix @ rho_s.matrix @ phi
-            factors.extend([rho_s, rho_v])  # rho_s acts first
-    if np.abs(phi - np.eye(n)).max() > RESIDUAL_TOL:
-        raise RuntimeError("decomposition did not reduce to the identity")
-    # phi_m ... phi_1 L = 1, hence L = phi_1 ... phi_m (reflections are involutive)
-    if len(factors) > 2 * n - 1:
-        raise RuntimeError("factor count exceeded 2n-1")  # cannot happen
-    return factors
+    axes, mats, used = _reflection_sweep(np.asarray(L, dtype=float)[None])
+    return [Reflection._validated(axes[0, j], mats[0, j]) for j in used[0].nonzero()[0]]
 
 
 @dataclass(frozen=True)
@@ -245,7 +331,7 @@ def conformal_factor(f: np.ndarray) -> dict:
     violated = []
     for p in _null_probes(n):
         fp = f @ p
-        if abs(inner(fp, fp)) > RESIDUAL_TOL * max(1.0, float(fp @ fp)):
+        if not abs(inner(fp, fp)) <= RESIDUAL_TOL * max(1.0, float(fp @ fp)):
             violated.append(p)
     if violated:
         raise ConformalProbeError(violated)
@@ -267,7 +353,7 @@ def _relation_row(relation: str, D: np.ndarray, tol: float) -> np.ndarray:
     interval: 0 null, 1 positive, 2 negative.
     """
     d0 = D[:, 0]
-    q = d0 * d0 - np.vecdot(D[:, 1:], D[:, 1:])
+    q = _forms(D)
     e2 = np.vecdot(D, D)
     band = tol * np.fmax(e2, 1.0)  # fmax, like max(1.0, d @ d), ignores NaN
     if relation == "ge":
@@ -355,41 +441,76 @@ def unit_distance_harness(f: Callable[[np.ndarray], np.ndarray],
     return report
 
 
-def random_rotation(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Spatial rotation block: identity on the time axis, SO(n-1) below."""
-    m = rng.standard_normal((n - 1, n - 1))
-    q, r = np.linalg.qr(m)
-    q = q @ np.diag(np.sign(np.diag(r)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    out = np.eye(n)
-    out[1:, 1:] = q
+def _require_dim(n: int) -> None:
+    if not n >= 2:
+        raise ValueError(f"dimension must be at least 2, got {n!r}")
+
+
+def _rotations(M: np.ndarray) -> np.ndarray:
+    """Spatial rotations (K, n, n) from standard normal draws M (K, n-1, n-1).
+
+    Each is the identity on the time axis and, below it, the Q of M's QR
+    with R's diagonal made positive, its first column negated when that
+    leaves det -1.
+    """
+    K, m = M.shape[0], M.shape[1]
+    q, r = np.linalg.qr(M)
+    signs = np.zeros_like(M)
+    diag = np.arange(m)
+    signs[:, diag, diag] = np.sign(r[:, diag, diag])
+    q = q @ signs
+    flip = np.linalg.det(q) < 0
+    q[flip, :, 0] = -q[flip, :, 0]
+    out = np.zeros((K, m + 1, m + 1))
+    out[:, 0, 0] = 1.0
+    out[:, 1:, 1:] = q
     return out
 
 
-def _boost_along_first_axis(n: int, rapidity: float) -> np.ndarray:
-    b = np.eye(n)
-    b[0, 0] = b[1, 1] = np.cosh(rapidity)
-    b[0, 1] = b[1, 0] = -np.sinh(rapidity)
-    return b
+def random_rotation(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Spatial rotation block: identity on the time axis, SO(n-1) below."""
+    _require_dim(n)
+    return _rotations(rng.standard_normal((1, n - 1, n - 1)))[0]
 
 
-def random_lorentz(n: int, rng: np.random.Generator, *,
+def random_lorentz(n: int, rng: np.random.Generator, size: int | None = None, *,
                    orthochronous: bool = True,
                    proper: bool = True) -> np.ndarray:
     """Random form-preserving matrix: rotation . boost . rotation.
 
-    Rapidity is uniform in [-MAX_RAPIDITY, MAX_RAPIDITY]; the distribution
-    is a test convenience, not canonical.
+    With `size` a stack (size, n, n) of them.  Each matrix draws in turn its
+    rapidity, uniform in [-MAX_RAPIDITY, MAX_RAPIDITY], its two rotations
+    and then its parity and time-reversal coins, so a stack of k equals k
+    single calls bit for bit and leaves rng in the same state.  The
+    distribution is a test convenience, not canonical.
     """
-    rho = rng.uniform(-MAX_RAPIDITY, MAX_RAPIDITY)
-    L = random_rotation(n, rng) @ _boost_along_first_axis(n, rho) @ random_rotation(n, rng)
-    if not proper and rng.random() < 0.5:
+    _require_dim(n)
+    if size is not None and (isinstance(size, bool) or not isinstance(size, (int, np.integer))
+                             or size < 0):
+        raise ValueError(f"size must be None or a non-negative int, got {size!r}")
+    k = 1 if size is None else int(size)
+    coins = (not proper) + (not orthochronous)
+    rapidity = np.empty(k)
+    normals = np.empty((k, 2, n - 1, n - 1))
+    flips = np.empty((k, coins))
+    for i in range(k):
+        rapidity[i] = rng.uniform(-MAX_RAPIDITY, MAX_RAPIDITY)
+        rng.standard_normal(out=normals[i])
+        if coins:
+            rng.random(out=flips[i])
+    R = _rotations(normals.reshape(2 * k, n - 1, n - 1)).reshape(k, 2, n, n)
+    boost = np.tile(np.eye(n), (k, 1, 1))
+    boost[:, 0, 0] = boost[:, 1, 1] = np.cosh(rapidity)
+    boost[:, 0, 1] = boost[:, 1, 0] = -np.sinh(rapidity)
+    L = R[:, 0] @ boost @ R[:, 1]
+    if not proper:
         P = np.eye(n)
         P[-1, -1] = -1.0
-        L = L @ P
-    if not orthochronous and rng.random() < 0.5:
+        flip = flips[:, 0] < 0.5
+        L[flip] = L[flip] @ P
+    if not orthochronous:
         T = np.eye(n)
         T[0, 0] = -1.0
-        L = T @ L
-    return L
+        flip = flips[:, -1] < 0.5
+        L[flip] = T @ L[flip]
+    return L[0] if size is None else L

@@ -165,14 +165,17 @@ class TestSuiteRuns:
         assert failed == []
 
     def test_byte_identical_reports(self, tmp_path):
-        outs = []
-        for name in ("a.json", "b.json"):
-            out = tmp_path / name
-            rc = main(["--suite", "lattice", "--seed", "9", "--grid", "21x21",
-                       "--out", str(out)])
-            assert rc == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        config = tmp_path / "samples.cfg"
+        config.write_text("samples=800\n")  # 200 matrices per dimension in one stacked sweep
+        for args in (["--suite", "lattice", "--grid", "21x21"],
+                     ["--suite", "isometry", "--config", str(config)]):
+            outs = []
+            for name in ("a.json", "b.json"):
+                out = tmp_path / name
+                rc = main(args + ["--seed", "9", "--out", str(out)])
+                assert rc == 0
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("spec", ["5x5", "5x6", "6x5", "6x6", "5x7", "7x5", "9x5",
                                       "11x5", "5x5x5", "5x5x7", "7x5x5", "5x5x5x5"])

@@ -6,7 +6,7 @@ import pytest
 from minklab.core import (DimensionMismatchError, Event, MinkVector,
                           PreconditionError, inner, metric_matrix)
 from minklab.isometry import (AffineIsometry, ConformalProbeError, Dilation,
-                              Reflection, cartan_dieudonne,
+                              Reflection, _reflection_sweep, cartan_dieudonne,
                               compose_reflections, conformal_factor,
                               dilation_apply, is_lorentz, lorentz_residual,
                               random_lorentz, random_rotation, reflect,
@@ -80,6 +80,16 @@ class TestReflect:
         with pytest.raises(PreconditionError):
             Reflection(axis)
 
+    @pytest.mark.parametrize("axis", [[np.nan, 1.0], [np.inf, 0.0], [1.0, -np.inf, 0.0],
+                                      [2.0, 1.0, np.nan]])
+    def test_non_finite_axis_rejected(self, axis):
+        with pytest.raises(PreconditionError):
+            Reflection(axis)
+        with pytest.raises(PreconditionError):
+            reflection_matrix(axis)
+        with pytest.raises(PreconditionError):
+            reflect(np.array(axis), np.ones(len(axis)))
+
 
 class TestCartanDieudonne:
     def test_identity_is_empty(self):
@@ -103,6 +113,98 @@ class TestCartanDieudonne:
     def test_non_isometry_rejected(self):
         with pytest.raises(PreconditionError):
             cartan_dieudonne(np.diag([2.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        L = np.eye(3)
+        L[1, 2] = bad
+        with pytest.raises(PreconditionError), np.errstate(invalid="ignore"):
+            cartan_dieudonne(L)
+
+
+def _null_rotation(a):
+    """exp(a X) for the 2+1 null rotation X = l (G e1)^T - e1 (G l)^T about
+    l = (1, 0, 1); X^3 = 0, so the series stops."""
+    G = metric_matrix(3)
+    l, e1 = np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0])
+    X = np.outer(l, G @ e1) - np.outer(e1, G @ l)
+    return np.eye(3) + a * X + (a * a / 2) * (X @ X)
+
+
+def _reference_axes(L):
+    """Cartan-Dieudonne axes by the per-matrix sweep in the docstring."""
+    n = len(L)
+    phi = np.array(L, dtype=float)
+    axes = []
+    for k in range(n):
+        v = np.eye(n)[k]
+        w = phi @ v
+        if np.abs(w - v).max() < 1e-13:
+            continue
+        d = v - w
+        if abs(inner(d, d)) > 1e-8 * max(1.0, float(d @ d)):
+            a = d / np.linalg.norm(d)
+            phi = reflection_matrix(a) @ phi
+            axes.append(a)
+        else:
+            s = v + w
+            a = s / np.linalg.norm(s)
+            phi = reflection_matrix(v) @ reflection_matrix(a) @ phi
+            axes += [a, v]
+    return axes
+
+
+def _same_axes(got, want):
+    return len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+class TestCartanDieudonneStack:
+    def test_finite_null_rotation_takes_single_reflections(self):
+        # v - w is never exactly null for a moved basis vector, so a finite
+        # null rotation takes one reflection for e0 and one for e1
+        L = _null_rotation(1.0)
+        d = np.array([-0.5, 1.0, -0.5])  # e0 - L e0
+        axes = [f.axis for f in cartan_dieudonne(L)]
+        assert _same_axes(axes, [d / np.linalg.norm(d), np.array([0.0, 1.0, 0.0])])
+
+    def test_pair_branch(self):
+        # within about 1e-4 of the identity |d.d| falls inside the relative
+        # 1e-8 band, so e0 and e1 each take the pair of reflections at s/|s| and v
+        L = _null_rotation(1e-5)
+        assert np.array_equal(L @ [1.0, 0.0, 1.0], [1.0, 0.0, 1.0]) and lorentz_residual(L) < 1e-15
+        factors = cartan_dieudonne(L)
+        axes = [f.axis for f in factors]
+        assert _same_axes(axes, _reference_axes(L))
+        s = np.array([1.0, 0.0, 0.0]) + L[:, 0]
+        assert len(axes) == 4 and np.array_equal(axes[0], s / np.linalg.norm(s))
+        assert np.array_equal(axes[1], [1.0, 0.0, 0.0]) and np.array_equal(axes[3], [0.0, 1.0, 0.0])
+        assert np.abs(compose_reflections(factors, 3) - L).max() < 1e-9
+
+    def test_mixed_stack_matches_stack_of_one(self):
+        draws = random_lorentz(3, np.random.default_rng(11), 6, orthochronous=False, proper=False)
+        assert (np.linalg.det(draws) < 0).any() and (draws[:, 0, 0] < 0).any()
+        stack = np.stack([np.eye(3), _null_rotation(1e-5), _null_rotation(1.0), *draws])
+        axes, mats, used = _reflection_sweep(stack)
+        products = compose_reflections(mats, 3)
+        assert np.abs(products - stack).max() < 1e-9
+        for j, L in enumerate(stack):
+            factors = cartan_dieudonne(L)
+            assert _same_axes(list(axes[j][used[j]]), [f.axis for f in factors])
+            assert _same_axes(list(mats[j][used[j]]), [f.matrix for f in factors])
+            assert _same_axes(list(axes[j][used[j]]), _reference_axes(L))
+            assert np.array_equal(products[j], compose_reflections(factors, 3))
+        assert used[0].sum() == 0 and used[1].sum() == 4
+
+    def test_one_non_isometry_in_stack_rejected(self):
+        stack = random_lorentz(3, np.random.default_rng(2), 5)
+        _reflection_sweep(stack)
+        stack[3] = np.diag([2.0, 1.0, 1.0])
+        with pytest.raises(PreconditionError):
+            _reflection_sweep(stack)
+
+    def test_empty_stack(self):
+        axes, mats, used = _reflection_sweep(np.zeros((0, 4, 4)))
+        assert axes.shape == (0, 8, 4) and mats.shape == (0, 8, 4, 4) and used.shape == (0, 8)
 
 
 class TestDilation:
@@ -147,6 +249,13 @@ class TestConformalFactor:
         # the sqrt(2) e0 + e1 + e2 probe maps to interval 2 - 1 - 4 != 0
         probe = np.array([np.sqrt(2.0), 1.0, 1.0, 0.0])
         assert any(np.allclose(p, probe) for p in err.value.probes)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_map_rejected(self, entry):
+        f = np.eye(4)
+        f[2, 1] = entry
+        with pytest.raises(ConformalProbeError), np.errstate(invalid="ignore"):
+            conformal_factor(f)
 
     def test_negative_alpha_for_time_flip_composite(self):
         # swapping time and space axes pulls back to -g
@@ -368,6 +477,75 @@ class TestUnitDistanceHarness:
         with np.errstate(over="ignore"):
             overflow = unit_distance_harness(lambda x: x * 1e307, 1.0, pts, dirs)
         assert len(overflow) == 12 and not any(math.isfinite(err) for _, _, err in overflow)
+
+
+FLAGS = [(True, True), (True, False), (False, True), (False, False)]
+
+
+def _reference_lorentz(n, rng, orthochronous, proper):
+    """One random Lorentz matrix, drawn and computed matrix by matrix."""
+    def rotation():
+        q, r = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))
+        q = q @ np.diag(np.sign(np.diag(r)))
+        if np.linalg.det(q) < 0:
+            q[:, 0] = -q[:, 0]
+        out = np.eye(n)
+        out[1:, 1:] = q
+        return out
+
+    rho = rng.uniform(-2.0, 2.0)
+    boost = np.eye(n)
+    boost[0, 0] = boost[1, 1] = np.cosh(rho)
+    boost[0, 1] = boost[1, 0] = -np.sinh(rho)
+    L = rotation() @ boost @ rotation()
+    if not proper and rng.random() < 0.5:
+        L = L @ np.diag([1.0] * (n - 1) + [-1.0])
+    if not orthochronous and rng.random() < 0.5:
+        L = np.diag([-1.0] + [1.0] * (n - 1)) @ L
+    return L
+
+
+class TestRandomDraws:
+    @pytest.mark.parametrize("k", [0, 1, 7])
+    @pytest.mark.parametrize("orthochronous, proper", FLAGS)
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_stack_equals_single_calls(self, dim, orthochronous, proper, k):
+        flags = dict(orthochronous=orthochronous, proper=proper)
+        stack_rng, single_rng = np.random.default_rng([dim, k]), np.random.default_rng([dim, k])
+        ref_rng = np.random.default_rng([dim, k])
+        stack = random_lorentz(dim, stack_rng, k, **flags)
+        singles = [random_lorentz(dim, single_rng, **flags) for _ in range(k)]
+        refs = [_reference_lorentz(dim, ref_rng, **flags) for _ in range(k)]
+        assert stack.shape == (k, dim, dim)
+        assert stack.tobytes() == b"".join(L.tobytes() for L in singles)
+        assert stack.tobytes() == b"".join(L.tobytes() for L in refs)
+        assert stack_rng.bit_generator.state == single_rng.bit_generator.state
+        assert stack_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_components_drawn(self, dim):
+        L = random_lorentz(dim, np.random.default_rng(dim), 200, orthochronous=False, proper=False)
+        assert max(lorentz_residual(m) for m in L) < 1e-10
+        assert {(np.linalg.det(m) > 0, m[0, 0] > 0) for m in L} == {
+            (True, True), (True, False), (False, True), (False, False)}
+        kept = random_lorentz(dim, np.random.default_rng(dim), 50)
+        assert (np.linalg.det(kept) > 0).all() and (kept[:, 0, 0] > 0).all()
+
+    @pytest.mark.parametrize("n", [1, 0, -2])
+    def test_dimension_below_two_rejected(self, n):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="dimension"):
+            random_lorentz(n, rng)
+        with pytest.raises(ValueError, match="dimension"):
+            random_rotation(n, rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    @pytest.mark.parametrize("size", [-1, 2.0, True, "3", (2,)])
+    def test_bad_size_rejected(self, size):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="size"):
+            random_lorentz(3, rng, size)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 class TestAffineIsometry:
