@@ -162,9 +162,23 @@ def inner(v, w) -> float:
     return float(va[0] * wa[0] - va[1:] @ wa[1:])
 
 
+def _inner_rows(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The bilinear form along the last axis of broadcast stacks v and w.
+
+    np.vecdot is the 1-D @ of `inner` row by row, so each entry equals
+    inner of the rows bit for bit.
+    """
+    return v[..., 0] * w[..., 0] - np.vecdot(v[..., 1:], w[..., 1:])
+
+
 def norm_g(v) -> float:
     """sqrt(|v.v|); degenerates to 0 on the light cone."""
-    return float(np.sqrt(abs(inner(v, v))))
+    return float(_norm_g_rows(_vec(v)))
+
+
+def _norm_g_rows(v: np.ndarray) -> np.ndarray:
+    """norm_g along the last axis of a stack."""
+    return np.sqrt(np.abs(_inner_rows(v, v)))
 
 
 @dataclass(frozen=True)
@@ -307,12 +321,12 @@ def _first_violation(va: np.ndarray, W: np.ndarray) -> MinkVector | None:
 def _violates_strict_ics(va: np.ndarray, W: np.ndarray) -> np.ndarray:
     """(v.v)(w.w) >= (v.w)^2 up to rounding, for each row w of W.
 
-    np.vecdot equals inner and w @ w bit for bit, and float_power is libm's
-    pow, as the scalar (v.w) ** 2 is; vw * vw differs from it in the last
-    bit on about 0.1 % of values.
+    np.vecdot equals w @ w bit for bit, and float_power is libm's pow, as
+    the scalar (v.w) ** 2 is; vw * vw differs from it in the last bit on
+    about 0.1 % of values.
     """
-    ww = W[:, 0] * W[:, 0] - np.vecdot(W[:, 1:], W[:, 1:])
-    vw = va[0] * W[:, 0] - np.vecdot(va[1:], W[:, 1:])
+    ww = _inner_rows(W, W)
+    vw = _inner_rows(va, W)
     lhs = inner(va, va) * ww
     rhs = np.float_power(vw, 2)
     scale = np.maximum((va @ va) * np.vecdot(W, W), 1e-300)

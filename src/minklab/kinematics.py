@@ -55,9 +55,9 @@ def classify_branch(k: float) -> BoostFamily:
 
 
 def _check_domain(k: float, v: float) -> None:
-    if 1.0 + k * v * v <= 0.0:
+    if not (math.isfinite(v) and 1.0 + k * v * v > 0.0):  # NaN k included
         raise PreconditionError(
-            f"velocity {v} outside the branch domain (needs 1 + k v^2 > 0)")
+            f"velocity {v} outside the branch domain (needs a finite v with 1 + k v^2 > 0)")
 
 
 def a_of_v(k: float, v: float) -> float:
@@ -141,7 +141,7 @@ def boost_3d(velocity: np.ndarray, c: float = 1.0) -> np.ndarray:
     if v.shape != (3,):
         raise ValueError("velocity must be a 3-vector")
     speed = float(np.linalg.norm(v))
-    if speed >= c:
+    if not speed < c:  # NaN included
         raise PreconditionError(f"speed {speed} is not below c = {c}")
     if speed == 0.0:
         return np.eye(4)

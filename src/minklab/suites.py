@@ -100,7 +100,32 @@ def _chk(name: str, residual: float, tolerance: float, note: str = "") -> Check:
     return Check(name, float(residual), float(tolerance), note)
 
 
+# The sample sweeps below draw their random numbers in the order of a
+# per-sample loop, with one array call where that gives the same bits, and
+# then take all samples at once: the geometry as stacks, the scalar boost
+# family functions mapped over the draws.  A residual folds with one np.max,
+# so a NaN in any sample fails its check.
+
+def _worst(residuals) -> float:
+    return np.max(np.abs(residuals), initial=0.0)
+
+
+def _future_timelike(v: np.ndarray, margin: float) -> np.ndarray:
+    """Sets each row's time component to |v0| + |v_space| + margin, in place,
+    which makes the rows future timelike; returns v."""
+    v[..., 0] = np.abs(v[..., 0]) + np.sqrt(np.vecdot(v[..., 1:], v[..., 1:])) + margin
+    return v
+
+
 # ---------------------------------------------------------------------- core
+
+def _orientation_sweep(rng: np.random.Generator, samples: int) -> int:
+    """Random future-timelike triples u, v, w with u.v > 0 and v.w > 0 but
+    not u.w > 0."""
+    u, v, w = _future_timelike(rng.standard_normal((samples, 3, 4)), 0.1).transpose(1, 0, 2)
+    uv, vw, uw = core._inner_rows(u, v), core._inner_rows(v, w), core._inner_rows(u, w)
+    return np.count_nonzero((uv > 0) & (vw > 0) & (uw <= 0))
+
 
 def suite_core(seed: int, config: Config) -> list[Check]:
     rng = np.random.default_rng(seed)
@@ -143,19 +168,8 @@ def suite_core(seed: int, config: Config) -> list[Check]:
     checks.append(_chk("distance.triangle_violated", not tri < 0, 1.0,
                        "chain strictly shorter than the straight segment"))
     # time-orientation transitivity on random future-timelike triples
-    bad = 0
-    for _ in range(config.samples):
-        vs = []
-        while len(vs) < 3:
-            v = rng.standard_normal(n)
-            v[0] = abs(v[0]) + np.linalg.norm(v[1:]) + 0.1
-            vs.append(v)
-        uv, vw, uw = (core.inner(vs[0], vs[1]), core.inner(vs[1], vs[2]),
-                      core.inner(vs[0], vs[2]))
-        if uv > 0 and vw > 0 and uw <= 0:
-            bad += 1
-    checks.append(_chk("orientation.transitive", float(bad), 1.0,
-                       f"{config.samples} random future triples"))
+    checks.append(_chk("orientation.transitive", float(_orientation_sweep(rng, config.samples)),
+                       1.0, f"{config.samples} random future triples"))
     # affine identities
     pts = [core.Event(rng.integers(-5, 5, size=n).astype(float)) for _ in range(3)]
     lhs = pts[0] + (pts[1] - pts[2])
@@ -254,6 +268,51 @@ def suite_isometry(seed: int, config: Config) -> list[Check]:
 
 # ---------------------------------------------------------------- kinematics
 
+def _rapidity_sweep(rng: np.random.Generator, samples: int) -> float:
+    """Worst failure of rapidity additivity over random velocity pairs."""
+    return _worst([kinematics.rapidity(kinematics.compose_velocities(-1.0, v, vp))
+                   - (kinematics.rapidity(v) + kinematics.rapidity(vp))
+                   for v, vp in rng.uniform(-0.9, 0.9, (samples, 2)).tolist()])
+
+
+def _hyperbolic_form_sweep(rng: np.random.Generator, samples: int) -> float:
+    """Worst entry of S A S^-1 minus the hyperbolic boost, S = diag(c, 1),
+    over random invariant speeds c and velocities below 0.9 c."""
+    draws = []
+    for _ in range(samples):
+        c = float(rng.uniform(0.5, 3.0))
+        draws.append((c, float(rng.uniform(-0.9 * c, 0.9 * c))))
+    A = np.array([kinematics.boost_matrix_1d(-1.0 / (c * c), v) for c, v in draws])
+    c, v = np.array(draws).T
+    beta = v / c
+    gam = 1.0 / np.sqrt(1 - beta * beta)
+    S, hyper = np.zeros((2, samples, 2, 2))
+    S[:, 0, 0], S[:, 1, 1] = c, 1.0
+    hyper[:, 0, 0] = hyper[:, 1, 1] = gam
+    hyper[:, 0, 1] = hyper[:, 1, 0] = -beta * gam
+    return _worst(S @ A @ np.linalg.inv(S) - hyper)
+
+
+def _reciprocity_sweep(rng: np.random.Generator, samples: int) -> float:
+    """Worst entry of A(v) A(-v) minus the identity over random branches k."""
+    draws = []
+    for _ in range(samples):
+        k = float(rng.uniform(-2.0, 2.0))
+        vmax = 0.9 / math.sqrt(-k) if k < 0 else 2.0
+        draws.append((k, float(rng.uniform(-vmax, vmax))))
+    A = np.array([kinematics.boost_matrix_1d(k, v) for k, v in draws])
+    A_rev = np.array([kinematics.boost_matrix_1d(k, -v) for k, v in draws])
+    return _worst(A @ A_rev - np.eye(2))
+
+
+def _associativity_sweep(rng: np.random.Generator, samples: int) -> float:
+    """Worst failure of associativity of Einstein composition."""
+    compose = kinematics.compose_velocities
+    return _worst([compose(-1.0, compose(-1.0, v1, v2), v3)
+                   - compose(-1.0, v1, compose(-1.0, v2, v3))
+                   for v1, v2, v3 in rng.uniform(-0.9, 0.9, (samples, 3)).tolist()])
+
+
 def suite_kinematics(seed: int, config: Config) -> list[Check]:
     rng = np.random.default_rng(seed)
     checks = []
@@ -269,36 +328,11 @@ def suite_kinematics(seed: int, config: Config) -> list[Check]:
     checks.append(_chk("compose.rotation_pathologies",
                        abs(neg + 1.0) + (not math.isinf(pole)), 1e-15,
                        "pole and sign flip past the pole"))
-    worst = 0.0
-    for _ in range(config.samples):
-        v, vp = rng.uniform(-0.9, 0.9, size=2)
-        lhs = kinematics.rapidity(kinematics.compose_velocities(-1.0, v, vp))
-        rhs = kinematics.rapidity(v) + kinematics.rapidity(vp)
-        worst = max(worst, abs(lhs - rhs))
-    checks.append(_chk("rapidity.additive", worst, 1e-12,
+    checks.append(_chk("rapidity.additive", _rapidity_sweep(rng, config.samples), 1e-12,
                        f"{config.samples} random pairs"))
-    worst = 0.0
-    for _ in range(config.samples):
-        c = float(rng.uniform(0.5, 3.0))
-        k = -1.0 / (c * c)
-        v = float(rng.uniform(-0.9 * c, 0.9 * c))
-        A = kinematics.boost_matrix_1d(k, v)
-        beta = v / c
-        gam = 1.0 / math.sqrt(1 - beta * beta)
-        S = np.diag([c, 1.0])
-        hyper = np.array([[gam, -beta * gam], [-beta * gam, gam]])
-        worst = max(worst, float(np.abs(S @ A @ np.linalg.inv(S) - hyper).max()))
-    checks.append(_chk("boost1d.hyperbolic_form", worst, 1e-12,
-                       "entrywise in rescaled time"))
-    worst_inv = 0.0
-    for _ in range(config.samples):
-        k = float(rng.uniform(-2.0, 2.0))
-        vmax = 0.9 / math.sqrt(-k) if k < 0 else 2.0
-        v = float(rng.uniform(-vmax, vmax))
-        A = kinematics.boost_matrix_1d(k, v)
-        worst_inv = max(worst_inv, float(np.abs(
-            A @ kinematics.boost_matrix_1d(k, -v) - np.eye(2)).max()))
-    checks.append(_chk("boost1d.reciprocity", worst_inv, 1e-12,
+    checks.append(_chk("boost1d.hyperbolic_form", _hyperbolic_form_sweep(rng, config.samples),
+                       1e-12, "entrywise in rescaled time"))
+    checks.append(_chk("boost1d.reciprocity", _reciprocity_sweep(rng, config.samples), 1e-12,
                        "opposite velocity inverts the matrix"))
     # spatial boosts: isometry plus rotation equivariance
     c = 1.0
@@ -320,13 +354,8 @@ def suite_kinematics(seed: int, config: Config) -> list[Check]:
     br = kinematics.classify_branch(-4.0)
     checks.append(_chk("branch.invariant_speed", abs(br.invariant_speed - 0.5)
                        + (br.branch != "lorentz"), 1e-15, ""))
-    worst_assoc = 0.0
-    for _ in range(config.samples):
-        v1, v2, v3 = rng.uniform(-0.9, 0.9, size=3)
-        lhs = kinematics.compose_velocities(-1.0, kinematics.compose_velocities(-1.0, v1, v2), v3)
-        rhs = kinematics.compose_velocities(-1.0, v1, kinematics.compose_velocities(-1.0, v2, v3))
-        worst_assoc = max(worst_assoc, abs(lhs - rhs))
-    checks.append(_chk("compose.associative", worst_assoc, 1e-12, ""))
+    checks.append(_chk("compose.associative", _associativity_sweep(rng, config.samples),
+                       1e-12, ""))
     return checks
 
 
@@ -418,6 +447,40 @@ def suite_projective(seed: int, config: Config) -> list[Check]:
 
 # -------------------------------------------------------------- simultaneity
 
+def _radar_sweep(rng: np.random.Generator, lines: int) -> tuple[float, float]:
+    """Worst g-orthogonality of the radar event and worst echo-product
+    identity -(q - p)^2 = |q_plus - q| |q - q_minus| at ten chord points,
+    over random timelike 3+1 lines and events off them."""
+    V, B, P = np.empty((3, lines, 4))
+    for i in range(lines):
+        V[i] = rng.standard_normal(4)
+        B[i], P[i] = rng.uniform(-2, 2, (2, 4))
+    r, v, _ = simultaneity._canonical_lines(B, _future_timelike(V, 0.2), 1.0)
+    off = ~simultaneity._contains_rows(r, v, P)
+    r, v, P = r[off], v[off], P[off]
+    qm, qp = simultaneity._echo_points(r, v, P)
+    q = simultaneity._radar_events(qm, qp)
+    s = np.linspace(0.05, 0.95, 10)[:, None]
+    qq = (1 - s) * qm[:, None] + s * qp[:, None]
+    lhs = core._inner_rows(qq - P[:, None], qq - P[:, None])
+    rhs = core._norm_g_rows(qp[:, None] - qq) * core._norm_g_rows(qq - qm[:, None])
+    return _worst(core._inner_rows(q - P, v)), _worst(-lhs - rhs)
+
+
+def _mutual_sweep(rng: np.random.Generator, pairs: int) -> float:
+    """Worst g-orthogonality of q - q' to both lines over random pairs of
+    timelike 2+1 lines; parallel pairs are skipped."""
+    V, B = np.empty((2, pairs, 2, 3))
+    for i in range(pairs):
+        V[i] = rng.standard_normal((2, 3))
+        B[i] = rng.uniform(-2, 2, (2, 3))
+    r, v, _ = simultaneity._canonical_lines(B, _future_timelike(V, 0.2), 1.0)
+    skew = ~simultaneity._parallel_rows(v[:, 0], v[:, 1])
+    r, v = r[skew], v[skew]
+    q, qp = simultaneity._mutual_points(r[:, 0], v[:, 0], r[:, 1], v[:, 1])
+    return _worst([core._inner_rows(q - qp, v[:, 0]), core._inner_rows(q - qp, v[:, 1])])
+
+
 def suite_simultaneity(seed: int, config: Config) -> list[Check]:
     rng = np.random.default_rng(seed)
     checks = []
@@ -427,23 +490,7 @@ def suite_simultaneity(seed: int, config: Config) -> list[Check]:
     checks.append(_chk("cone.two_points", float(np.abs(
         np.asarray(got) - [(-2.0, 2.0), (2.0, 2.0)]).max()), 1e-12,
         "timelike line meets the cone twice"))
-    worst_mid = 0.0
-    worst_prod = 0.0
-    for _ in range(config.samples // 4):
-        v = rng.standard_normal(4)
-        v[0] = abs(v[0]) + np.linalg.norm(v[1:]) + 0.2
-        ln = simultaneity.WorldLine(core.Event(rng.uniform(-2, 2, 4)), core.MinkVector(v))
-        p = core.Event(rng.uniform(-2, 2, 4))
-        if ln.contains(p):
-            continue
-        q = simultaneity.radar_simultaneous_event(ln, p)
-        worst_mid = max(worst_mid, abs(core.inner(q - p, ln.direction)))
-        qm, qp = simultaneity.radar_echo_points(ln, p)
-        for s in np.linspace(0.05, 0.95, 10):
-            qq = core.Event((1 - s) * qm.a + s * qp.a)
-            lhs = core.inner(qq - p, qq - p)
-            rhs = core.norm_g(qp - qq) * core.norm_g(qq - qm)
-            worst_prod = max(worst_prod, abs(-lhs - rhs))
+    worst_mid, worst_prod = _radar_sweep(rng, config.samples // 4)
     checks.append(_chk("radar.orthogonal", worst_mid, 1e-10,
                        "midpoint is the orthogonal foot"))
     checks.append(_chk("radar.product_identity", worst_prod, 1e-10,
@@ -454,19 +501,7 @@ def suite_simultaneity(seed: int, config: Config) -> list[Check]:
     res = max(float(np.abs(q.a - [-2.0, 0.0]).max()), float(np.abs(qp.a - [-2.0, 0.0]).max()))
     checks.append(_chk("mutual.intersection_case", res, 1e-10,
                        "intersecting observers agree at the crossing"))
-    worst = 0.0
-    for _ in range(config.samples // 4):
-        v1, v2 = rng.standard_normal((2, 3))
-        v1[0] = abs(v1[0]) + np.linalg.norm(v1[1:]) + 0.2
-        v2[0] = abs(v2[0]) + np.linalg.norm(v2[1:]) + 0.2
-        la = simultaneity.WorldLine(core.Event(rng.uniform(-2, 2, 3)), core.MinkVector(v1))
-        lb = simultaneity.WorldLine(core.Event(rng.uniform(-2, 2, 3)), core.MinkVector(v2))
-        try:
-            q, qp = simultaneity.mutual_simultaneity(la, lb)
-        except core.PreconditionError:
-            continue
-        d = q - qp
-        worst = max(worst, abs(core.inner(d, la.direction)), abs(core.inner(d, lb.direction)))
+    worst = _mutual_sweep(rng, config.samples // 4)
     checks.append(_chk("mutual.orthogonality", worst, 1e-10, "skew pairs"))
     plane = simultaneity.simultaneity_hyperplane(l1, core.Event([0.0, 0.0]))
     checks.append(_chk("hyperplane.time_slice",

@@ -166,9 +166,10 @@ class TestSuiteRuns:
 
     def test_byte_identical_reports(self, tmp_path):
         config = tmp_path / "samples.cfg"
-        config.write_text("samples=800\n")  # 200 matrices per dimension in one stacked sweep
+        config.write_text("samples=800\n")  # stacked sweeps of 200 to 800 samples
         for args in (["--suite", "lattice", "--grid", "21x21"],
-                     ["--suite", "isometry", "--config", str(config)]):
+                     *(["--suite", name, "--config", str(config)]
+                       for name in ("isometry", "simultaneity", "kinematics", "core"))):
             outs = []
             for name in ("a.json", "b.json"):
                 out = tmp_path / name

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minklab import suites
 from minklab.core import (AffineFrame, CausalClass, DimensionMismatchError,
                           Event, Metric, MinkVector, PreconditionError,
                           affine_combination,
                           cauchy_schwarz_case, classify, frame_coords,
                           frame_point, inner, metric_matrix,
                           minkowski_distance, norm_g, reversed_triangle_check,
-                          strict_inverted_cs_holds)
+                          strict_inverted_cs_holds, _inner_rows, _norm_g_rows)
 
 E = np.eye(4)
 
@@ -357,3 +358,49 @@ class TestHyperplane:
         plane = Hyperplane(MinkVector([1, 0, 0, 0]), Event([2, 0, 0, 0]))
         assert plane.contains(Event([2, 5, -3, 1]))
         assert not plane.contains(Event([2.1, 5, -3, 1]))
+
+
+class TestStackedForms:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_rows_equal_scalar_calls(self, rng, n):
+        V, W = rng.standard_normal((2, 50, n))
+        assert _inner_rows(V, W).tobytes() == np.array(
+            [inner(v, w) for v, w in zip(V, W)]).tobytes()
+        assert _inner_rows(V[0], W).tobytes() == np.array([inner(V[0], w) for w in W]).tobytes()
+        assert _norm_g_rows(V).tobytes() == np.array([norm_g(v) for v in V]).tobytes()
+
+    @pytest.mark.parametrize("margin", [0.1, 0.2])
+    def test_future_timelike_equals_row_by_row(self, rng, margin):
+        V = rng.standard_normal((40, 3, 4))
+        want = V.copy()
+        for v in want.reshape(-1, 4):
+            v[0] = abs(v[0]) + np.linalg.norm(v[1:]) + margin
+        assert suites._future_timelike(V, margin).tobytes() == want.tobytes()
+
+
+def _per_sample_orientation(rng, samples):
+    """The core suite's transitivity sweep, drawn and tested triple by triple."""
+    bad = 0
+    for _ in range(samples):
+        vs = []
+        while len(vs) < 3:
+            v = rng.standard_normal(4)
+            v[0] = abs(v[0]) + np.linalg.norm(v[1:]) + 0.1
+            vs.append(v)
+        uv, vw, uw = inner(vs[0], vs[1]), inner(vs[1], vs[2]), inner(vs[0], vs[2])
+        if uv > 0 and vw > 0 and uw <= 0:
+            bad += 1
+    return bad
+
+
+@pytest.mark.parametrize("samples", [60, 200, 800])
+@pytest.mark.parametrize("seed", range(10))
+def test_orientation_sweep_matches_per_sample_reference(seed, samples):
+    ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = _per_sample_orientation(ref, samples)
+    assert suites._orientation_sweep(rng, samples) == want
+    assert rng.bit_generator.state == ref.bit_generator.state
+    report = suites.run_suite("core", seed, suites.Config(samples=samples))
+    reported = {c["name"]: c["residual"] for c in report["checks"]}
+    assert reported["orientation.transitive"] == float(want)
+    assert report["passed"]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minklab import kinematics, suites
 from minklab.core import PreconditionError, metric_matrix
 from minklab.isometry import lorentz_residual, random_rotation
 from minklab.kinematics import (BoostFamily, a_of_v, boost_3d,
@@ -42,6 +43,19 @@ class TestAOfV:
     def test_domain_guard(self):
         with pytest.raises(PreconditionError):
             a_of_v(-1.0, 1.5)
+
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("k", [-1.0, 0.0, 1.0])
+    def test_non_finite_velocity_rejected(self, k, v):
+        for call in (lambda: a_of_v(k, v), lambda: boost_matrix_1d(k, v),
+                     lambda: compose_velocities(k, v, 0.1),
+                     lambda: compose_velocities(k, 0.1, v)):
+            with pytest.raises(PreconditionError, match="domain"):
+                call()
+
+    def test_nan_constant_rejected(self):
+        with pytest.raises(PreconditionError):
+            a_of_v(math.nan, 0.5)
 
     def test_b_from_a_identity(self, rng):
         # the unimodularity route b = (a/v)(1/a^2 - 1) equals k v a
@@ -233,6 +247,11 @@ class TestBoost3D:
         with pytest.raises(PreconditionError):
             boost_3d(np.array([1.2, 0, 0]), 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_velocity_rejected(self, bad):
+        with pytest.raises(PreconditionError):
+            boost_3d(np.array([0.1, bad, 0.0]))
+
     def test_rotation_taking_x_axis_cases(self, rng):
         assert np.array_equal(rotation_taking_x_axis(np.array([1.0, 0, 0])), np.eye(3))
         anti = rotation_taking_x_axis(np.array([-1.0, 0, 0]))
@@ -257,3 +276,100 @@ def test_composition_stays_subluminal_property(v, vp):
 def test_rapidity_round_trip_property(v):
     assert math.tanh(rapidity(v)) == pytest.approx(v, abs=1e-12)
 
+
+
+# The kinematics suite's sweeps, drawn and computed sample by sample; the
+# suite must report the same residuals bit for bit and leave the generator
+# in the same state after each sweep.
+
+def _per_sample_rapidity(rng, samples):
+    worst = 0.0
+    for _ in range(samples):
+        v, vp = rng.uniform(-0.9, 0.9, size=2)
+        lhs = rapidity(compose_velocities(-1.0, v, vp))
+        rhs = rapidity(v) + rapidity(vp)
+        worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def _per_sample_hyperbolic_form(rng, samples):
+    worst = 0.0
+    for _ in range(samples):
+        c = float(rng.uniform(0.5, 3.0))
+        k = -1.0 / (c * c)
+        v = float(rng.uniform(-0.9 * c, 0.9 * c))
+        A = boost_matrix_1d(k, v)
+        beta = v / c
+        gam = 1.0 / math.sqrt(1 - beta * beta)
+        S = np.diag([c, 1.0])
+        hyper = np.array([[gam, -beta * gam], [-beta * gam, gam]])
+        worst = max(worst, float(np.abs(S @ A @ np.linalg.inv(S) - hyper).max()))
+    return worst
+
+
+def _per_sample_reciprocity(rng, samples):
+    worst = 0.0
+    for _ in range(samples):
+        k = float(rng.uniform(-2.0, 2.0))
+        vmax = 0.9 / math.sqrt(-k) if k < 0 else 2.0
+        v = float(rng.uniform(-vmax, vmax))
+        A = boost_matrix_1d(k, v)
+        worst = max(worst, float(np.abs(A @ boost_matrix_1d(k, -v) - np.eye(2)).max()))
+    return worst
+
+
+def _boost3d_draws(rng):
+    """The draws of the suite's spatial-boost loop, which runs between the
+    reciprocity and associativity sweeps."""
+    for _ in range(50):
+        if np.linalg.norm(rng.uniform(-0.6, 0.6, size=3)) < 0.95:
+            random_rotation(4, rng)
+
+
+def _per_sample_associativity(rng, samples):
+    worst = 0.0
+    for _ in range(samples):
+        v1, v2, v3 = rng.uniform(-0.9, 0.9, size=3)
+        lhs = compose_velocities(-1.0, compose_velocities(-1.0, v1, v2), v3)
+        rhs = compose_velocities(-1.0, v1, compose_velocities(-1.0, v2, v3))
+        worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def _bits(*values):
+    return [np.float64(x).tobytes() for x in values]
+
+
+@pytest.mark.parametrize("samples", [60, 200, 800])
+@pytest.mark.parametrize("seed", range(10))
+def test_suite_sweeps_match_per_sample_reference(seed, samples):
+    ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want, got = {}, {}
+    for name, reference, sweep in [
+            ("rapidity.additive", _per_sample_rapidity, suites._rapidity_sweep),
+            ("boost1d.hyperbolic_form", _per_sample_hyperbolic_form, suites._hyperbolic_form_sweep),
+            ("boost1d.reciprocity", _per_sample_reciprocity, suites._reciprocity_sweep),
+            ("compose.associative", _per_sample_associativity, suites._associativity_sweep)]:
+        if name == "compose.associative":
+            _boost3d_draws(ref)
+            _boost3d_draws(rng)
+        want[name], got[name] = reference(ref, samples), sweep(rng, samples)
+        assert rng.bit_generator.state == ref.bit_generator.state
+    assert _bits(*got.values()) == _bits(*want.values())
+    report = suites.run_suite("kinematics", seed, suites.Config(samples=samples))
+    reported = {c["name"]: c["residual"] for c in report["checks"]}
+    assert _bits(*(reported[name] for name in want)) == _bits(*want.values())
+    assert report["passed"]
+
+
+def test_nan_in_a_later_sample_fails_the_check(monkeypatch):
+    calls = []
+
+    def poisoned(v):
+        calls.append(v)
+        return math.nan if len(calls) == 7 else rapidity(v)
+
+    monkeypatch.setattr(kinematics, "rapidity", poisoned)
+    report = suites.run_suite("kinematics", 0, suites.Config())
+    failed = {c["name"] for c in report["checks"] if not c["passed"]}
+    assert failed == {"rapidity.additive"}

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from minklab import simultaneity, suites
 from minklab.core import Event, MinkVector, PreconditionError, inner, norm_g
 from minklab.simultaneity import (WorldLine, line_cone_intersect,
                                   mutual_simultaneity, radar_echo_points,
                                   radar_simultaneous_event,
                                   simultaneity_hyperplane)
+from minklab.suites import Config, run_suite
 
 
 def random_timelike_line(rng, dim=4, c=1.0):
@@ -34,6 +36,21 @@ class TestWorldLine:
     def test_spacelike_rejected(self):
         with pytest.raises(PreconditionError):
             WorldLine(Event([0.0, 0.0]), MinkVector([0.3, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["base", "direction"])
+    def test_non_finite_rejected(self, bad, where):
+        base, direction = np.array([0.0, 0.0]), np.array([1.0, 0.0])
+        (base if where == "base" else direction)[1] = bad
+        with pytest.raises(PreconditionError, match="finite"):
+            WorldLine(Event(base), MinkVector(direction))
+
+    def test_near_null_direction_is_not_timelike(self):
+        # canonicalised as lightlike, so the radar construction refuses it
+        ln = WorldLine(Event([0.0, 0.0]), MinkVector([1.0 + 3e-13, 1.0]))
+        assert not ln.timelike
+        with pytest.raises(PreconditionError, match="timelike"):
+            radar_simultaneous_event(ln, Event([0.0, 1.0]))
 
 
 class TestLineConeIntersect:
@@ -235,3 +252,139 @@ class TestFrameStabilizerHarness:
                 w[0] = 0.0  # spatial offset inside the plane
                 x = q + MinkVector(w)
                 assert img_plane.contains(Event(R @ x.a + shift))
+
+
+# Scalar forms of the line formulas, computed one line at a time with the
+# 1-D inner product; the stacked helpers must equal them bit for bit.
+
+def _scalar_canonical(b, v, c=1.0):
+    q, eucl2 = inner(v, v), float(v @ v)
+    v = v * (c / np.sqrt(q)) if q > 1e-12 * eucl2 else v / np.sqrt(eucl2)
+    if v[0] < 0:
+        v = -v
+    return b - (float(b @ v) / float(v @ v)) * v, v
+
+
+def _scalar_echoes(r, v, p):
+    d = r - p
+    dd, vv, vd = inner(d, d), inner(v, v), inner(v, d)
+    root = np.sqrt(vd * vd - vv * dd)
+    return [r + float(lam) * v for lam in sorted([(-vd - root) / vv, (-vd + root) / vv])]
+
+
+def _scalar_mutual(r, v, rp, vp):
+    mat = np.array([[inner(v, v), -inner(v, vp)], [inner(v, vp), -inner(vp, vp)]])
+    lam, lamp = np.linalg.solve(mat, np.array([inner(rp - r, v), inner(rp - r, vp)]))
+    return r + float(lam) * v, rp + float(lamp) * vp
+
+
+def _bits(*arrays):
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+class TestScalarForms:
+    @pytest.mark.parametrize("c", [1.0, 0.3])
+    def test_lines_match(self, rng, c):
+        for dim in (2, 3, 4):
+            for _ in range(100):
+                v = rng.standard_normal(dim)
+                if rng.random() < 0.3:  # lightlike, either orientation
+                    v[0] = np.sign(v[0]) * np.linalg.norm(v[1:])
+                else:
+                    v[0] = np.sign(v[0]) * (abs(v[0]) + np.linalg.norm(v[1:]) + 0.2)
+                b, p = rng.uniform(-2, 2, (2, dim))
+                ln = WorldLine(Event(b), MinkVector(v), c)
+                r, d = _scalar_canonical(b, v, c)
+                assert _bits(ln.base.a, ln.direction.a) == _bits(r, d)
+                if ln.timelike and not ln.contains(Event(p)):
+                    got = [q.a for q in radar_echo_points(ln, Event(p))]
+                    want = _scalar_echoes(r, d, p)
+                    assert _bits(*got) == _bits(*want)
+                    assert _bits(radar_simultaneous_event(ln, Event(p)).a) == _bits(
+                        0.5 * (want[0] + want[1]))
+
+    def test_mutual_matches(self, rng):
+        for dim in (2, 3, 4):
+            for _ in range(100):
+                l1, l2 = random_timelike_line(rng, dim), random_timelike_line(rng, dim)
+                got = [q.a for q in mutual_simultaneity(l1, l2)]
+                want = _scalar_mutual(l1.base.a, l1.direction.a, l2.base.a, l2.direction.a)
+                assert _bits(*got) == _bits(*want)
+
+
+# The simultaneity suite's sweeps, drawn and computed sample by sample; the
+# suite must report the same residuals bit for bit and leave the generator
+# in the same state after each sweep.
+
+def _per_sample_radar(rng, lines):
+    worst_mid = worst_prod = 0.0
+    for _ in range(lines):
+        v = rng.standard_normal(4)
+        v[0] = abs(v[0]) + np.linalg.norm(v[1:]) + 0.2
+        ln = WorldLine(Event(rng.uniform(-2, 2, 4)), MinkVector(v))
+        p = Event(rng.uniform(-2, 2, 4))
+        if ln.contains(p):
+            continue
+        q = radar_simultaneous_event(ln, p)
+        worst_mid = max(worst_mid, abs(inner(q - p, ln.direction)))
+        qm, qp = radar_echo_points(ln, p)
+        for s in np.linspace(0.05, 0.95, 10):
+            qq = Event((1 - s) * qm.a + s * qp.a)
+            lhs = inner(qq - p, qq - p)
+            rhs = norm_g(qp - qq) * norm_g(qq - qm)
+            worst_prod = max(worst_prod, abs(-lhs - rhs))
+    return worst_mid, worst_prod
+
+
+def _per_sample_mutual(rng, pairs):
+    worst = 0.0
+    for _ in range(pairs):
+        v1, v2 = rng.standard_normal((2, 3))
+        v1[0] = abs(v1[0]) + np.linalg.norm(v1[1:]) + 0.2
+        v2[0] = abs(v2[0]) + np.linalg.norm(v2[1:]) + 0.2
+        la = WorldLine(Event(rng.uniform(-2, 2, 3)), MinkVector(v1))
+        lb = WorldLine(Event(rng.uniform(-2, 2, 3)), MinkVector(v2))
+        try:
+            q, qp = mutual_simultaneity(la, lb)
+        except PreconditionError:
+            continue
+        d = q - qp
+        worst = max(worst, abs(inner(d, la.direction)), abs(inner(d, lb.direction)))
+    return worst
+
+
+@pytest.mark.parametrize("samples", [60, 200, 800])
+@pytest.mark.parametrize("seed", range(10))
+def test_suite_sweeps_match_per_sample_reference(seed, samples):
+    ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = dict(zip(["radar.orthogonal", "radar.product_identity"],
+                    _per_sample_radar(ref, samples // 4)))
+    got = dict(zip(want, suites._radar_sweep(rng, samples // 4)))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    want["mutual.orthogonality"] = _per_sample_mutual(ref, samples // 4)
+    got["mutual.orthogonality"] = suites._mutual_sweep(rng, samples // 4)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert _bits(*got.values()) == _bits(*want.values())
+    report = run_suite("simultaneity", seed, Config(samples=samples))
+    reported = {c["name"]: c["residual"] for c in report["checks"]}
+    assert _bits(*(reported[name] for name in want)) == _bits(*want.values())
+    assert report["passed"]
+
+
+@pytest.mark.parametrize("helper, checks", [
+    ("_echo_points", ["radar.orthogonal", "radar.product_identity"]),
+    ("_mutual_points", ["mutual.orthogonality"]),
+])
+def test_nan_in_a_later_sample_fails_the_check(monkeypatch, helper, checks):
+    original = getattr(simultaneity, helper)
+
+    def poisoned(*args):
+        out = original(*args)
+        if out[0].ndim == 2:  # the suite's stack, not a single worked line
+            out[0][-1] = np.nan
+        return out
+
+    monkeypatch.setattr(simultaneity, helper, poisoned)
+    report = run_suite("simultaneity", 0, Config())
+    failed = {c["name"] for c in report["checks"] if not c["passed"]}
+    assert failed == set(checks)
