@@ -248,12 +248,8 @@ class Hyperplane:
 
     def contains(self, p: Event) -> bool:
         d = p - self.base
-        scale = max(1.0, norm_euclid(self.normal.a) * norm_euclid(d.a))
+        scale = max(1.0, float(np.linalg.norm(self.normal.a) * np.linalg.norm(d.a)))
         return abs(inner(self.normal, d)) <= PREDICATE_TOL * scale
-
-
-def norm_euclid(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
 
 
 def cauchy_schwarz_case(v, w) -> dict:

@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (DimensionMismatchError, Event, MinkVector, PreconditionError,
-                   inner, metric_matrix)
+                   _inner_rows, inner, metric_matrix)
 
 __all__ = [
     "AffineIsometry",
@@ -121,15 +121,10 @@ def _frame(n: int) -> tuple[np.ndarray, np.ndarray]:
     return E, G
 
 
-def _forms(X: np.ndarray) -> np.ndarray:
-    """x.x for every row x of X, equal to core.inner bit for bit."""
-    return X[:, 0] * X[:, 0] - np.vecdot(X[:, 1:], X[:, 1:])
-
-
 def _axis_forms(A: np.ndarray) -> np.ndarray:
     """v.v for every axis row v of A; PreconditionError unless each axis is
     finite, nonzero and non-null to a relative 1e-14."""
-    vv = _forms(A)
+    vv = _inner_rows(A, A)
     ok = np.abs(vv) > 1e-14 * np.vecdot(A, A)  # false for NaN and inf
     if np.count_nonzero(ok) < len(ok):
         raise PreconditionError("reflection axis must be finite, non-null and nonzero")
@@ -243,7 +238,7 @@ def _reflection_sweep(L: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
         dd = np.vecdot(d, d)
         # a row with max |d| < 1e-13, which the sweep skips, has |d.d| far
         # below 1e-8, so no skipped row is single
-        single = np.abs(_forms(d)) > 1e-8 * np.fmax(dd, 1.0)
+        single = np.abs(_inner_rows(d, d)) > 1e-8 * np.fmax(dd, 1.0)
         i = _rows(single)
         if i is not None:
             a = d[i] / np.sqrt(dd[i])[:, None]  # d / |d|, as np.linalg.norm takes it
@@ -353,7 +348,7 @@ def _relation_row(relation: str, D: np.ndarray, tol: float) -> np.ndarray:
     interval: 0 null, 1 positive, 2 negative.
     """
     d0 = D[:, 0]
-    q = _forms(D)
+    q = _inner_rows(D, D)
     e2 = np.vecdot(D, D)
     band = tol * np.fmax(e2, 1.0)  # fmax, like max(1.0, d @ d), ignores NaN
     if relation == "ge":

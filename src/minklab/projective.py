@@ -107,19 +107,21 @@ def parallelism_breaking_demo(sigma_values) -> dict:
     """Image directions of the parallel line family t -> t e0 + sigma e1
     under the worked projective map.
 
-    Each image line is straight with direction (1, sigma) up to
-    normalisation, independent of the line parameter but dependent on
-    sigma: parallelism is destroyed.  Returns unit directions per sigma and
-    the pairwise angles between them.
+    Each image line is straight.  Its direction is taken from the images of
+    the points at t = 0 and t = 1/2, which are (0, sigma) and (1, 2 sigma),
+    so it is (1, sigma) up to normalisation: independent of the line
+    parameter but dependent on sigma, so parallelism is destroyed.  Returns
+    unit directions per sigma and the pairwise angles between them.
     """
     sigmas = [float(s) for s in sigma_values]
-    if not all(math.isfinite(s) for s in sigmas):
-        raise PreconditionError("sigma values must be finite")
+    if not all(math.isfinite(2.0 * s) for s in sigmas):  # (1, 2 sigma) is an image point
+        raise PreconditionError("sigma values must be finite, and so must twice them")
     if len(set(sigmas)) != len(sigmas):
         raise PreconditionError("sigma values must be distinct")
+    m = ProjectiveMap.worked_example(2)
     directions = {}
     for s in sigmas:
-        d = np.array([1.0, s])
+        d = proj_apply(m, [0.5, s]) - proj_apply(m, [0.0, s])
         directions[s] = d / np.linalg.norm(d)
     angles = {}
     for i, s1 in enumerate(sigmas):
@@ -179,10 +181,8 @@ def fl_boost_apply(b: FLBoost, t: float, x) -> tuple[float, np.ndarray]:
     denom = 1.0 - (g - 1.0) * b.c * t / b.R + g * float(b.velocity @ xa) / (b.R * b.c)
     if abs(denom) <= EPS_SINGULAR:
         raise SingularHyperplaneError(f"denominator {denom!r} within {EPS_SINGULAR} of zero")
-    xpar, xperp = _split(xa, b.velocity)
-    tp = g * (t - float(b.velocity @ xa) / (b.c * b.c)) / denom
-    xp = (g * (xpar - b.velocity * t) + xperp) / denom
-    return tp, xp
+    tp, xp = lorentz_boost_event(b.velocity, t, xa, b.c)
+    return tp / denom, xp / denom
 
 
 def deformation_phi(R: float, c: float, t: float, x) -> tuple[float, np.ndarray]:
@@ -195,12 +195,12 @@ def deformation_phi(R: float, c: float, t: float, x) -> tuple[float, np.ndarray]
 
 
 def deformation_phi_inverse(R: float, c: float, t: float, x) -> tuple[float, np.ndarray]:
-    """Inverse squash (t, x) -> (t, x)/(1 + c t / R); singular at t = -R/c."""
-    xa = np.asarray(x, dtype=float)
-    d = 1.0 + c * t / R
-    if abs(d) <= EPS_SINGULAR:
-        raise SingularHyperplaneError(f"deformation denominator {d!r} too small")
-    return t / d, xa / d
+    """Inverse squash (t, x) -> (t, x)/(1 + c t / R); singular at t = -R/c.
+
+    It is the squash at -R: negating R is exact, so 1 - c t/(-R) equals
+    1 + c t/R bit for bit.
+    """
+    return deformation_phi(-R, c, t, x)
 
 
 def time_slab(t: float, R: float, c: float) -> str:

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .decomp import _central
+from .fields import _central
 
 __all__ = [
     "christoffels_fd",

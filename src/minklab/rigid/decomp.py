@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import PreconditionError, metric_matrix
-from .fields import VelocityField, rescaled_field
+from ..core import PreconditionError, inner, metric_matrix, norm_g
+from .fields import VelocityField, _central, rescaled_field
 
 __all__ = [
     "DEFAULT_STEP",
@@ -46,7 +46,7 @@ def spatial_metric(u: np.ndarray, c: float = 1.0) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     G = metric_matrix(u.size)
-    q = u[0] * u[0] - float(u[1:] @ u[1:])
+    q = inner(u, u)
     if abs(q - c * c) > 1e-8 * c * c:
         raise PreconditionError("u must be normalised to u.u = c^2")
     ul = G @ u
@@ -79,24 +79,12 @@ class KinematicDecomposition:
 
     @property
     def accel_norm_g(self) -> float:
-        a = self.accel
-        return float(np.sqrt(abs(a[0] * a[0] - a[1:] @ a[1:])))
+        return norm_g(self.accel)
 
     def reconstruction_residual(self, grad: np.ndarray, c: float) -> float:
         ul = metric_matrix(self.u.size) @ self.u
         model = self.theta + self.omega + np.outer(ul, self.accel_flat) / (c * c)
         return float(np.abs(model - grad).max())
-
-
-def _central(fn, x: np.ndarray, step: float) -> np.ndarray:
-    """out[a] = d_a fn(x) by central differences, for array-valued fn."""
-    rows = []
-    for a in range(x.size):
-        dx = np.zeros(x.size)
-        dx[a] = step
-        rows.append((np.asarray(fn(x + dx), dtype=float)
-                     - np.asarray(fn(x - dx), dtype=float)) / (2 * step))
-    return np.array(rows)
 
 
 def grad_lowered(field: VelocityField, event: np.ndarray, step: float) -> np.ndarray:
@@ -152,7 +140,7 @@ def reparameterization_invariance_check(field: VelocityField, scaling, probes,
 
     def normalised(x):
         K = raw(x)
-        return K * (field.c / np.sqrt(K[0] * K[0] - float(K[1:] @ K[1:])))
+        return K * (field.c / np.sqrt(inner(K, K)))
 
     scaled = is_rigid(VelocityField(normalised, field.domain, field.c), probes, step)
     return {

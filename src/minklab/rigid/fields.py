@@ -1,4 +1,5 @@
-"""Normalised timelike velocity fields and the wedge chart.
+"""Normalised timelike velocity fields, the wedge chart and the central
+difference every finite-difference quantity of the package is built from.
 
 Events are plain arrays (c t, x, y, z) in length units, so the form matrix
 is always diag(1, -1, ..., -1) and the light speed c enters only through
@@ -13,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..core import PreconditionError, metric_matrix
+from ..core import PreconditionError, inner, metric_matrix, norm_g
 
 __all__ = [
     "VelocityField",
@@ -52,7 +53,7 @@ class VelocityField:
             raise PreconditionError(f"event {x.tolist()} outside the field domain")
         u = np.asarray(self.evaluator(x), dtype=float)
         c2 = self.c * self.c
-        q = u[0] * u[0] - float(u[1:] @ u[1:])
+        q = inner(u, u)
         if abs(q - c2) > NORMALIZATION_RTOL * c2:
             raise PreconditionError(
                 f"field not normalised at {x.tolist()}: u.u = {q!r}, expected {c2!r}")
@@ -73,7 +74,7 @@ def boost_killing_field() -> VelocityField:
     """
 
     def ev(x: np.ndarray) -> np.ndarray:
-        x0 = math.sqrt(x[1] * x[1] - x[0] * x[0])
+        x0 = norm_g(x[:2])  # the orbit label, sqrt(x^2 - (ct)^2)
         u = np.zeros(x.size)
         u[0] = x[1] / x0
         u[1] = x[0] / x0
@@ -121,32 +122,43 @@ def rescaled_field(field: VelocityField, scaling: Callable[[np.ndarray], float])
     return ev
 
 
+def _central(fn, x: np.ndarray, step: float) -> np.ndarray:
+    """out[a] = d_a fn(x) by central differences, for array-valued fn."""
+    rows = []
+    for a in range(x.size):
+        dx = np.zeros(x.size)
+        dx[a] = step
+        rows.append((np.asarray(fn(x + dx), dtype=float)
+                     - np.asarray(fn(x - dx), dtype=float)) / (2 * step))
+    return np.array(rows)
+
+
 # Wedge chart -------------------------------------------------------------
 
-def boost_killing_flow(x0: float, tau: float, c: float = 1.0) -> np.ndarray:
-    """Orbit point (ct, x) = x0 (sinh(c tau / x0), cosh(c tau / x0)).
+def boost_killing_flow(x0: float, tau: float) -> np.ndarray:
+    """Orbit point (ct, x) = x0 (sinh(tau / x0), cosh(tau / x0)), at c = 1.
 
     tau is the proper time along the orbit labelled by x0 > 0, with tau = 0
     on the x axis.
     """
     if not 0 < x0 < math.inf:  # NaN included
         raise PreconditionError("orbit label x0 must be positive and finite")
-    lam = c * tau / x0
+    lam = tau / x0
     return np.array([x0 * math.sinh(lam), x0 * math.cosh(lam)])
 
 
-def rindler_from_event(ct: float, x: float, c: float = 1.0) -> tuple[float, float, float]:
-    """Invert the wedge flow: (lambda, tau, x0) from an event with x > |ct|.
+def rindler_from_event(ct: float, x: float) -> tuple[float, float, float]:
+    """Invert the wedge flow: (lambda, tau, x0) from an event with x > |ct|, at c = 1.
 
     lambda = artanh(ct/x) is the flow parameter of the unnormalised
-    generator, x0 = sqrt(x^2 - (ct)^2) the orbit label, tau = x0 lambda / c
+    generator, x0 = sqrt(x^2 - (ct)^2) the orbit label, tau = x0 lambda
     the proper time.
     """
     if not x > abs(ct):
         raise PreconditionError("event must lie in the right wedge x > |ct|")
     lam = math.atanh(ct / x)
     x0 = math.sqrt(x * x - ct * ct)
-    return lam, x0 * lam / c, x0
+    return lam, x0 * lam, x0
 
 
 def wedge_chart_metric(x0: float, lam: float) -> np.ndarray:
@@ -160,11 +172,5 @@ def wedge_chart_metric(x0: float, lam: float) -> np.ndarray:
         l, r = q
         return np.array([r * math.sinh(l), r * math.cosh(l)])
 
-    q0 = np.array([lam, x0])
-    jac = np.zeros((2, 2))
-    for j in range(2):
-        dq = np.zeros(2)
-        dq[j] = WEDGE_CHART_STEP
-        jac[:, j] = (embed(q0 + dq) - embed(q0 - dq)) / (2 * WEDGE_CHART_STEP)
-    G = metric_matrix(2)
-    return jac.T @ G @ jac
+    jac_t = _central(embed, np.array([lam, x0]), WEDGE_CHART_STEP)  # jac_t[j] = d_j embed
+    return jac_t @ metric_matrix(2) @ jac_t.T

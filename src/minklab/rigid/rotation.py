@@ -32,7 +32,7 @@ def comoving_coords(event: np.ndarray, kappa: float, c: float) -> np.ndarray:
     return np.array([x[3], rho, psi])
 
 
-def comoving_frame_vectors(event: np.ndarray, kappa: float, c: float) -> np.ndarray:
+def comoving_frame_vectors(event: np.ndarray) -> np.ndarray:
     """Columns lift the comoving coordinate directions (z, rho, psi) to
     spacetime; differences of lifts point along the flow, which horizontal
     tensors do not see."""
@@ -79,7 +79,7 @@ def rotation_killing_checks(kappa: float, c: float, probes,
             return kinematic_decomposition(_f, y, _s).omega
 
         lie_omega = lie_derivative_2tensor(field, omega_at, x, step)
-        frame = comoving_frame_vectors(x, kappa, c)
+        frame = comoving_frame_vectors(x)
         h_frame = frame.T @ spatial_metric(field(x), c) @ frame
         q = comoving_coords(x, kappa, c)
         h_expected = hfun(q)
@@ -100,10 +100,9 @@ def rotation_killing_checks(kappa: float, c: float, probes,
     }
 
 
-def _comoving_vorticity(field: VelocityField, event: np.ndarray, kappa: float,
-                        c: float, step: float) -> np.ndarray:
+def _comoving_vorticity(field: VelocityField, event: np.ndarray, step: float) -> np.ndarray:
     dec = kinematic_decomposition(field, event, step)
-    frame = comoving_frame_vectors(event, kappa, c)
+    frame = comoving_frame_vectors(event)
     return frame.T @ dec.omega @ frame
 
 
@@ -123,7 +122,7 @@ def projected_curvature_check(kappa: float, c: float, probes,
         x = np.asarray(p, dtype=float)
         q = comoving_coords(x, kappa, c)
         riem = riemann_lowered_fd(hfun, q)
-        om = _comoving_vorticity(field, x, kappa, c, step)
+        om = _comoving_vorticity(field, x, step)
         ww = np.einsum("ij,kl->ijkl", om, om)
         alt = total_antisymmetrizer(ww)
         identity = riem + 3.0 * (ww - alt)

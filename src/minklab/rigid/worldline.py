@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..core import PreconditionError, metric_matrix
+from ..core import PreconditionError, inner, metric_matrix
 from .fields import VelocityField
 
 __all__ = [
@@ -51,11 +51,9 @@ class WorldLineCurve:
         for t in taus:
             v = self.zdot(t)
             a = self.zddot(t)
-            q = v[0] * v[0] - float(v[1:] @ v[1:])
-            if abs(q - c2) > 1e-10 * c2:
+            if abs(inner(v, v) - c2) > 1e-10 * c2:
                 raise PreconditionError(f"zdot.zdot != c^2 at tau={t}")
-            va = v[0] * a[0] - float(v[1:] @ a[1:])
-            if abs(va) > 1e-10 * max(c2, 1.0):
+            if abs(inner(v, a)) > 1e-10 * max(c2, 1.0):
                 raise PreconditionError(f"zdot.zddot != 0 at tau={t}")
 
 
@@ -141,10 +139,6 @@ def wiggly_worldline(eps: float) -> WorldLineCurve:
     return WorldLineCurve(z=z, zdot=zdot, zddot=zddot, zdddot=zdddot)
 
 
-def _dot(v: np.ndarray, w: np.ndarray) -> float:
-    return float(v[0] * w[0] - v[1:] @ w[1:])
-
-
 def _brent(f: Callable[[float], float], a: float, fa: float, b: float, fb: float,
            xtol: float, rtol: float, maxiter: int) -> float:
     """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
@@ -212,7 +206,7 @@ def foliation_time(curve: WorldLineCurve, event, tau_window: tuple[float, float]
     x = np.asarray(event, dtype=float)
 
     def f(tau: float) -> float:
-        return _dot(curve.zdot(tau), x - curve.z(tau))
+        return inner(curve.zdot(tau), x - curve.z(tau))
 
     lo, hi = tau_window
     flo, fhi = f(lo), f(hi)
@@ -239,7 +233,7 @@ def foliation_gap(curve: WorldLineCurve, tau: float, event) -> float:
     away from the curve.
     """
     x = np.asarray(event, dtype=float)
-    return 1.0 - _dot(curve.zddot(tau), x - curve.z(tau)) / (curve.c * curve.c)
+    return 1.0 - inner(curve.zddot(tau), x - curve.z(tau)) / (curve.c * curve.c)
 
 
 def herglotz_field(curve: WorldLineCurve,
@@ -265,9 +259,9 @@ def _jerk_bracket(curve: WorldLineCurve, event, tau_window: tuple[float, float])
     zd = curve.zdot(tau)
     zdd = curve.zddot(tau)
     jerk = curve.zdddot(tau)
-    jerk_h = jerk - zd * (_dot(zd, jerk) / (c * c))  # g-orthogonal to zdot
+    jerk_h = jerk - zd * (inner(zd, jerk) / (c * c))  # g-orthogonal to zdot
     rel = x - curve.z(tau)
-    bracket = G @ jerk_h + (G @ zdd) * (_dot(jerk_h, rel) / (n * c * c))
+    bracket = G @ jerk_h + (G @ zdd) * (inner(jerk_h, rel) / (n * c * c))
     return bracket, n, G @ zd
 
 

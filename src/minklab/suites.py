@@ -104,10 +104,12 @@ def _chk(name: str, residual: float, tolerance: float, note: str = "") -> Check:
 # per-sample loop, with one array call where that gives the same bits, and
 # then take all samples at once: the geometry as stacks, the scalar boost
 # family functions mapped over the draws.  A residual folds with one np.max,
-# so a NaN in any sample fails its check.
+# so a NaN in any sample fails its check, and a sweep that kept no sample
+# reports NaN, so it fails too.
 
 def _worst(residuals) -> float:
-    return np.max(np.abs(residuals), initial=0.0)
+    a = np.abs(residuals)
+    return np.max(a) if a.size else math.nan
 
 
 def _future_timelike(v: np.ndarray, margin: float) -> np.ndarray:
@@ -121,10 +123,11 @@ def _future_timelike(v: np.ndarray, margin: float) -> np.ndarray:
 
 def _orientation_sweep(rng: np.random.Generator, samples: int) -> int:
     """Random future-timelike triples u, v, w with u.v > 0 and v.w > 0 but
-    not u.w > 0."""
+    not u.w > 0.  A triple counts unless a comparison shows the implication
+    holds, so a NaN product counts."""
     u, v, w = _future_timelike(rng.standard_normal((samples, 3, 4)), 0.1).transpose(1, 0, 2)
     uv, vw, uw = core._inner_rows(u, v), core._inner_rows(v, w), core._inner_rows(u, w)
-    return np.count_nonzero((uv > 0) & (vw > 0) & (uw <= 0))
+    return np.count_nonzero(~((uv <= 0) | (vw <= 0) | (uw > 0)))
 
 
 def suite_core(seed: int, config: Config) -> list[Check]:

@@ -1,9 +1,11 @@
-"""The public API holds only what the package itself or the benchmark uses.
+"""The public API holds only what the package itself or the benchmark uses,
+and every function reads every parameter it takes.
 
 A module-level public function or class that nothing in `src/minklab` or
 `perfbench/` refers to (by name or as an attribute) is a test-only wrapper:
 its behaviour belongs in the tests, not in the package.  Imports and
-`__all__` strings are not references.
+`__all__` strings are not references.  A parameter that its function never
+reads is a knob that changes nothing.
 """
 
 import ast
@@ -40,3 +42,30 @@ def unreferenced_public_names() -> set[str]:
 
 def test_every_public_name_is_used():
     assert unreferenced_public_names() == ALLOWED_UNREFERENCED
+
+
+def unread_parameters() -> set[str]:
+    """Parameters of functions in src/minklab that their body never reads.
+
+    Nested functions count as part of the body, so a closure that reads a
+    parameter reads it.  `del name` marks a parameter that an interface
+    keeps on purpose (`meet` takes the mode that `join` needs).  Lambdas are
+    exempt: an interface such as a field's domain fixes their signature,
+    and `lambda x: True` reads nothing.
+    """
+    found = set()
+    for _, tree in _trees("src/minklab"):
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs]
+            params += [p for p in (a.vararg, a.kwarg) if p is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, (ast.Load, ast.Del))}
+            found |= {f"{node.name}({p.arg})" for p in params if p.arg not in read}
+    return found
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == set()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minklab import suites
+from minklab import core, suites
 from minklab.core import (AffineFrame, CausalClass, DimensionMismatchError,
                           Event, Metric, MinkVector, PreconditionError,
                           affine_combination,
@@ -404,3 +404,20 @@ def test_orientation_sweep_matches_per_sample_reference(seed, samples):
     reported = {c["name"]: c["residual"] for c in report["checks"]}
     assert reported["orientation.transitive"] == float(want)
     assert report["passed"]
+
+
+def test_nan_product_fails_orientation(monkeypatch):
+    # a NaN in one triple's products decides nothing, so the triple counts
+    original = core._inner_rows
+    samples = suites.Config().samples
+
+    def poisoned(v, w):
+        out = original(v, w)
+        if out.shape == (samples,):  # the sweep's stacks, not strict_ics's
+            out[-1] = np.nan
+        return out
+
+    monkeypatch.setattr(core, "_inner_rows", poisoned)
+    report = suites.run_suite("core", 0, suites.Config())
+    failed = {c["name"]: c["residual"] for c in report["checks"] if not c["passed"]}
+    assert failed == {"orientation.transitive": 1.0}

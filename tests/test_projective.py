@@ -95,6 +95,30 @@ class TestParallelismDemo:
         with pytest.raises(PreconditionError):
             parallelism_breaking_demo([1.0, 1.0])
 
+    def test_directions_equal_the_closed_form(self, rng):
+        # the map's image points give exactly (1, sigma), so demo files keep
+        # the bytes of the closed form
+        sigmas = np.concatenate([rng.uniform(-1e6, 1e6, 500),
+                                 rng.standard_normal(500) * 10.0 ** rng.uniform(-300, 5, 500),
+                                 [0.0, 1e-308, 5e-324, 1e150]])
+        for s in sigmas.tolist():
+            got = parallelism_breaking_demo([s])["directions"][s]
+            want = np.array([1.0, s]) / np.linalg.norm([1.0, s])
+            assert got.tobytes() == want.tobytes()
+
+    def test_overflowing_image_rejected(self):
+        with pytest.raises(PreconditionError, match="twice"):
+            parallelism_breaking_demo([1.0, 1e308])
+
+    def test_directions_come_from_the_map(self, monkeypatch):
+        # with a map that moves nothing the lines stay parallel, and the
+        # suite's check must see it
+        from minklab import projective, suites
+        monkeypatch.setattr(projective, "proj_apply", lambda m, x: np.asarray(x, dtype=float))
+        report = suites.run_suite("projective", 0, suites.Config())
+        failed = {c["name"] for c in report["checks"] if not c["passed"]}
+        assert failed == {"proj.worked_map", "proj.parallelism_broken"}
+
     def test_directions_are_line_image_velocities(self):
         # direction of the image line must match differences of image points
         m = ProjectiveMap.worked_example(2)
@@ -244,3 +268,74 @@ class TestConjugation:
         t_sing = b.R / (b.c * (g - 1.0))  # x = 0 root of the deformed denominator
         with pytest.raises(SingularHyperplaneError):
             fl_boost_apply(b, t_sing, np.zeros(3))
+
+
+class TestOneClosedForm:
+    """fl_boost_apply divides lorentz_boost_event's numerators by its own
+    denominator, and deformation_phi_inverse is the squash at -R.  The
+    references are the separate formulas they replaced, compared bit for
+    bit, refusals included."""
+
+    @staticmethod
+    def fl_boost_reference(b, t, x):
+        xa = np.asarray(x, dtype=float).reshape(3)
+        g = b.gamma
+        denom = 1.0 - (g - 1.0) * b.c * t / b.R + g * float(b.velocity @ xa) / (b.R * b.c)
+        if abs(denom) <= EPS_SINGULAR:
+            raise SingularHyperplaneError(f"denominator {denom!r} within {EPS_SINGULAR} of zero")
+        vv = float(b.velocity @ b.velocity)
+        xpar = np.zeros_like(xa) if vv == 0.0 else (float(xa @ b.velocity) / vv) * b.velocity
+        xperp = xa - xpar
+        tp = g * (t - float(b.velocity @ xa) / (b.c * b.c)) / denom
+        xp = (g * (xpar - b.velocity * t) + xperp) / denom
+        return tp, xp
+
+    @staticmethod
+    def phi_inverse_reference(R, c, t, x):
+        xa = np.asarray(x, dtype=float)
+        d = 1.0 + c * t / R
+        if abs(d) <= EPS_SINGULAR:
+            raise SingularHyperplaneError(f"deformation denominator {d!r} too small")
+        return t / d, xa / d
+
+    @staticmethod
+    def outcome(fn, *args):
+        try:
+            t, x = fn(*args)
+        except SingularHyperplaneError as exc:
+            return "refused", str(exc)
+        return np.float64(t).tobytes(), np.asarray(x).tobytes()
+
+    def test_fl_boost_apply(self, rng):
+        refused = 0
+        for i in range(2000):
+            c = float(rng.uniform(0.5, 3.0))
+            v = rng.standard_normal(3) * (0.0 if i % 50 == 0 else 1.0)
+            v *= rng.uniform(0.0, 0.99) * c / max(float(np.linalg.norm(v)), 1e-300)
+            b = FLBoost(v, c=c, R=float(rng.uniform(0.5, 20.0)))
+            x = rng.uniform(-5, 5, 3)
+            if i % 4 == 0:  # on or next to the singular hyperplane
+                g = b.gamma
+                t = (1.0 + g * float(v @ x) / (b.R * c)) * b.R / ((g - 1.0) * c or 1.0)
+                t += float(rng.choice([0.0, 1e-12, -1e-9, 1e-7]))
+            else:
+                t = float(rng.uniform(-20, 20))
+            want = self.outcome(self.fl_boost_reference, b, t, x)
+            assert self.outcome(fl_boost_apply, b, t, x) == want
+            refused += want[0] == "refused"
+        assert refused > 100
+
+    def test_deformation_phi_inverse(self, rng):
+        refused = 0
+        for i in range(2000):
+            R = float(rng.uniform(0.1, 50.0)) * (-1.0 if i % 3 == 0 else 1.0)
+            c = float(rng.uniform(0.5, 3.0))
+            if i % 4 == 0:  # on or next to the singular t = -R/c
+                t = -R / c + float(rng.choice([0.0, 1e-12, -1e-9, 1e-7])) * R / c
+            else:
+                t = float(rng.uniform(-60, 60))
+            x = rng.uniform(-5, 5, 3)
+            want = self.outcome(self.phi_inverse_reference, R, c, t, x)
+            assert self.outcome(deformation_phi_inverse, R, c, t, x) == want
+            refused += want[0] == "refused"
+        assert refused > 100

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from minklab.core import PreconditionError
+from minklab.core import PreconditionError, inner
 from minklab.rigid import worldline
-from minklab.rigid import (accel_curl, accel_oneform, boost_killing_field,
+from minklab.rigid import (KinematicDecomposition, VelocityField,
+                           accel_curl, accel_oneform, boost_killing_field,
                            boost_killing_flow, expected_accel_curl,
                            expected_lie_accel, field_csv, foliation_gap,
                            foliation_time, grad_lowered, herglotz_field,
@@ -423,7 +424,7 @@ class TestWorldlineInduced:
 
 def foliation_function(curve, x):
     """The function whose root foliation_time finds."""
-    return lambda tau: worldline._dot(curve.zdot(tau), x - curve.z(tau))
+    return lambda tau: inner(curve.zdot(tau), x - curve.z(tau))
 
 
 class TestBrent:
@@ -443,7 +444,7 @@ class TestBrent:
             tau0 = rng.uniform(-1.0, 1.0)
             zd = curve.zdot(tau0)
             w = rng.standard_normal(4)
-            w = w - zd * (worldline._dot(zd, w) / curve.c ** 2)
+            w = w - zd * (inner(zd, w) / curve.c ** 2)
             x = curve.z(tau0) + rng.uniform(0.0, 0.6) * w / np.linalg.norm(w)
             lo, hi = tau0 - rng.uniform(0.01, 1.5), tau0 + rng.uniform(0.01, 1.5)
             f = foliation_function(curve, x)
@@ -473,6 +474,84 @@ class TestBrent:
             brentq(f, -1.0, 1.0, **self.TOLS)
         with pytest.raises(ValueError):
             worldline._brent(f, -1.0, f(-1.0), 1.0, f(1.0), **self.TOLS)
+
+
+class TestOneForm:
+    """The rigid modules take the bilinear form from core and the central
+    difference from fields._central.  The references are the inline
+    formulas they replaced, compared bit for bit, refusals included."""
+
+    @staticmethod
+    def normalised_or_not(rng, c):
+        u = np.concatenate([[0.0], rng.uniform(-3, 3, 3)])
+        u[0] = math.sqrt(c * c + float(u[1:] @ u[1:]))
+        return u * (1.0 + float(rng.choice([0.0, 0.0, 1e-11, 3e-9, 2e-8, -1e-6])))
+
+    def test_velocity_field_normalisation(self, rng):
+        refused = 0
+        for _ in range(2000):
+            c = float(rng.uniform(0.5, 3.0))
+            u = self.normalised_or_not(rng, c)
+            x = rng.standard_normal(4)
+            c2 = c * c
+            q = u[0] * u[0] - float(u[1:] @ u[1:])
+            if abs(q - c2) > 1e-10 * c2:
+                want = (f"field not normalised at {x.tolist()}: u.u = {float(q)!r}, "
+                        f"expected {c2!r}")
+            else:
+                want = u.tobytes()
+            try:
+                got = VelocityField(lambda y: u, lambda y: True, c)(x).tobytes()
+            except PreconditionError as exc:
+                got = str(exc)
+                refused += 1
+            assert got == want
+        assert refused > 100
+
+    def test_spatial_metric(self, rng):
+        refused = 0
+        for _ in range(2000):
+            c = float(rng.uniform(0.5, 3.0))
+            u = self.normalised_or_not(rng, c)
+            q = u[0] * u[0] - float(u[1:] @ u[1:])
+            G = np.diag([1.0, -1.0, -1.0, -1.0])
+            if abs(q - c * c) > 1e-8 * c * c:
+                want = None
+            else:
+                ul = G @ u
+                want = (np.outer(ul, ul) / (c * c) - G).tobytes()
+            try:
+                got = spatial_metric(u, c).tobytes()
+            except PreconditionError:
+                got = None
+                refused += 1
+            assert got == want
+        assert refused > 100
+
+    def test_accel_norm_g(self, rng):
+        zero = np.zeros((4, 4))
+        for _ in range(2000):
+            a = rng.standard_normal(4) * 10.0 ** rng.uniform(-6, 3)
+            dec = KinematicDecomposition(zero, zero, a, a, a, a, 1e-3)
+            want = float(np.sqrt(abs(a[0] * a[0] - a[1:] @ a[1:])))
+            assert np.float64(dec.accel_norm_g).tobytes() == np.float64(want).tobytes()
+
+    def test_wedge_chart_metric(self, rng):
+        G = np.diag([1.0, -1.0])
+        step = 1e-5
+
+        def embed(q):
+            return np.array([q[1] * math.sinh(q[0]), q[1] * math.cosh(q[0])])
+
+        for _ in range(2000):
+            x0, lam = float(rng.uniform(0.05, 6.0)), float(rng.uniform(-4.0, 4.0))
+            q0 = np.array([lam, x0])
+            jac = np.zeros((2, 2))
+            for j in range(2):
+                dq = np.zeros(2)
+                dq[j] = step
+                jac[:, j] = (embed(q0 + dq) - embed(q0 - dq)) / (2 * step)
+            assert wedge_chart_metric(x0, lam).tobytes() == (jac.T @ G @ jac).tobytes()
 
 
 class TestExport:
