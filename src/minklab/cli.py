@@ -162,17 +162,10 @@ def _demo_fl_slab(args) -> list[tuple[str, str]]:
     _positive("samples", args.samples)
     rng = np.random.default_rng(args.seed)
     R, c = args.R, 1.0
-    rows = []
-    for _ in range(args.samples):
-        t = float(rng.uniform(-3 * R / c, 3 * R / c))
-        if abs(abs(t) - R / c) < 1e-6:
-            continue
-        slab = projective.time_slab(t, R, c)
-        try:
-            tp, _ = projective.deformation_phi(R, c, t, np.zeros(3))
-        except projective.SingularHyperplaneError:
-            continue
-        rows.append({"t": t, "slab": slab, "t_image": tp})
+    t = rng.uniform(-3 * R / c, 3 * R / c, args.samples)
+    tp, keep = projective._slab_table(t, R, c, 1e-6)
+    rows = [{"t": ti, "slab": projective.time_slab(ti, R, c), "t_image": tpi}
+            for ti, tpi in zip(t[keep].tolist(), tp[keep].tolist())]
     if not rows:  # an R below about 1e-6 puts every sample in the horizon band
         raise ValueError(f"every sample of t was skipped at the horizon or a "
                          f"singular hyperplane, R={R!r}")

@@ -47,7 +47,12 @@ def lorentz_residual(L: np.ndarray, g: np.ndarray | None = None) -> float:
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError("L must be a square matrix")
     G = metric_matrix(L.shape[0]) if g is None else np.asarray(g, dtype=float)
-    return float(np.abs(L.T @ G @ L - G).max())
+    return float(_lorentz_residuals(L, G))
+
+
+def _lorentz_residuals(L: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """lorentz_residual of each matrix of a stack (..., n, n)."""
+    return np.abs(np.swapaxes(L, -1, -2) @ G @ L - G).max(axis=(-2, -1))
 
 
 def is_lorentz(L: np.ndarray) -> tuple[bool, float]:

@@ -98,37 +98,57 @@ def rapidity(v: float, c: float = 1.0) -> float:
 
 
 def rotation_embedding(D: np.ndarray) -> np.ndarray:
-    """4x4 block matrix acting as identity on time and D on space."""
+    """4x4 block matrix acting as identity on time and D on space; one per
+    matrix of a stack (..., 3, 3)."""
     D = np.asarray(D, dtype=float)
-    out = np.eye(4)
-    out[1:, 1:] = D
+    out = np.zeros(D.shape[:-2] + (4, 4))
+    out[..., 0, 0] = 1.0
+    out[..., 1:, 1:] = D
     return out
 
 
+_EX = np.array([1.0, 0.0, 0.0])
+
+
 def rotation_taking_x_axis(direction: np.ndarray) -> np.ndarray:
-    """Minimal rotation D with D e_x = direction/|direction|.
+    """Minimal rotation D with D e_x = direction/|direction|; one per
+    direction of a stack (..., 3).
 
     Rodrigues construction about e_x cross direction; the antipodal case
     uses the 180-degree rotation about e_y.
     """
     d = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(d)
-    if norm == 0.0:
-        return np.eye(3)
-    d = d / norm
-    ex = np.array([1.0, 0.0, 0.0])
-    c = float(ex @ d)
-    if c > 1.0 - 1e-14:
-        return np.eye(3)
-    if c < -1.0 + 1e-14:
-        return np.diag([-1.0, 1.0, -1.0])  # pi about e_y
-    axis = np.cross(ex, d)
-    s = np.linalg.norm(axis)
-    axis = axis / s
-    K = np.array([[0.0, -axis[2], axis[1]],
-                  [axis[2], 0.0, -axis[0]],
-                  [-axis[1], axis[0], 0.0]])
-    return np.eye(3) + s * K + (1.0 - c) * (K @ K)
+    norm = np.sqrt(np.vecdot(d, d))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = d / norm[..., None]
+        c = np.vecdot(_EX, d)
+        # e_x cross d is (0, -d_z, d_y).  np.cross puts 0 d_z - 0 d_y, a zero
+        # of either sign, in the first entry; no result depends on that sign,
+        # so the (1, 2) and (2, 1) entries of K stay 0.
+        axis = np.zeros_like(d)
+        axis[..., 1], axis[..., 2] = -d[..., 2], d[..., 1]
+        s = np.sqrt(np.vecdot(axis, axis))
+        axis = axis / s[..., None]
+    K = np.zeros(d.shape + (3,))
+    K[..., 0, 1], K[..., 0, 2] = -axis[..., 2], axis[..., 1]
+    K[..., 1, 0], K[..., 2, 0] = axis[..., 2], -axis[..., 1]
+    out = np.eye(3) + s[..., None, None] * K + (1.0 - c)[..., None, None] * (K @ K)
+    out = np.where((c < -1.0 + 1e-14)[..., None, None], np.diag([-1.0, 1.0, -1.0]), out)
+    return np.where(((norm == 0.0) | (c > 1.0 - 1e-14))[..., None, None], np.eye(3), out)
+
+
+def _boost_3d_rows(v: np.ndarray, c: float) -> np.ndarray:
+    """boost_3d of each velocity of a stack (..., 3), all below c."""
+    speed = np.sqrt(np.vecdot(v, v))
+    k = -1.0 / (c * c)
+    a = 1.0 / np.sqrt(1.0 + k * speed * speed)  # boost_matrix_1d(k, speed)
+    B = np.zeros(v.shape[:-1] + (4, 4))
+    B[..., 0, 0] = B[..., 1, 1] = a
+    B[..., 0, 1], B[..., 1, 0] = k * speed * a, -speed * a
+    B[..., 2, 2] = B[..., 3, 3] = 1.0
+    D = rotation_embedding(rotation_taking_x_axis(v))
+    return np.where((speed == 0.0)[..., None, None], np.eye(4),
+                    D @ B @ np.swapaxes(D, -1, -2))
 
 
 def boost_3d(velocity: np.ndarray, c: float = 1.0) -> np.ndarray:
@@ -143,10 +163,4 @@ def boost_3d(velocity: np.ndarray, c: float = 1.0) -> np.ndarray:
     speed = float(np.linalg.norm(v))
     if not speed < c:  # NaN included
         raise PreconditionError(f"speed {speed} is not below c = {c}")
-    if speed == 0.0:
-        return np.eye(4)
-    k = -1.0 / (c * c)
-    B = np.eye(4)
-    B[:2, :2] = boost_matrix_1d(k, speed)
-    D = rotation_embedding(rotation_taking_x_axis(v))
-    return D @ B @ D.T
+    return _boost_3d_rows(v, c)

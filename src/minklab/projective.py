@@ -6,6 +6,13 @@ hyperplane p.x + q = 0 (plain dot product: p is a covector).  The deformed
 boost family applies the usual gamma-factor numerators of a boost over the
 denominator 1 - (gamma-1) c t / R + gamma v.x/(R c); it is conjugate to the
 ordinary boost by the time-dependent squash (t, x) -> (t, x)/(1 - c t / R).
+
+Each formula is computed once, by a private `_*_rows` helper that takes
+stacks of events along leading axes and returns the images together with
+their denominators; `_regular` marks the rows clear of the singular
+hyperplane.  The public functions apply the helper to one event, with no
+leading axis, and raise SingularHyperplaneError where it is not regular;
+lorentz_boost_event, which has no singular hyperplane, takes stacks too.
 """
 
 from __future__ import annotations
@@ -39,6 +46,27 @@ class SingularHyperplaneError(ValueError):
     """Evaluation too close to the map's singular hyperplane."""
 
 
+def _regular(den: np.ndarray) -> np.ndarray:
+    """Rows whose denominator is not within EPS_SINGULAR of zero; a NaN
+    denominator counts as regular, so its NaN image reaches the residual."""
+    return ~(np.abs(den) <= EPS_SINGULAR)
+
+
+def _divisor(den: np.ndarray) -> np.ndarray:
+    """den with each zero, a row _regular marks singular, replaced by 1, so
+    that dividing by it raises no division warning."""
+    return den + (den == 0.0)
+
+
+def _refuse_singular(den: np.ndarray,
+                     message: str = f"denominator {{!r}} within {EPS_SINGULAR} of zero") -> None:
+    """Raise SingularHyperplaneError, with the first singular denominator in
+    the message, unless every row is regular."""
+    for d in den.tolist() if den.ndim else [float(den)]:
+        if abs(d) <= EPS_SINGULAR:
+            raise SingularHyperplaneError(message.format(d))
+
+
 @dataclass(frozen=True)
 class ProjectiveMap:
     """x -> (A x + a)/(p.x + q); proper projective iff p != 0."""
@@ -60,9 +88,6 @@ class ProjectiveMap:
     def proper(self) -> bool:
         return bool(np.any(self.p != 0.0))
 
-    def denominator(self, x: np.ndarray) -> float:
-        return float(self.p @ np.asarray(x, dtype=float) + self.q)
-
     @classmethod
     def worked_example(cls, n: int = 2) -> "ProjectiveMap":
         """f(x) = x / (1 - x^0), singular on the hyperplane x^0 = 1."""
@@ -71,36 +96,48 @@ class ProjectiveMap:
         return cls(np.eye(n), np.zeros(n), p, 1.0)
 
 
+def _proj_rows(A, a, p, q, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Images (A x + a)/(p.x + q) of the points x (..., n) and their
+    denominators; the map's parts broadcast against the points' leading axes.
+
+    A x is a matrix-vector product per point, the same gemv as A @ x; a
+    vecdot of A's rows would differ from it in the last bit.
+    """
+    den = np.vecdot(x, p) + q
+    return ((A @ x[..., None])[..., 0] + a) / _divisor(den)[..., None], den
+
+
 def proj_apply(m: ProjectiveMap, x) -> Event | np.ndarray:
     """Apply the map; straight segments in the domain stay straight."""
     xa = x.a if isinstance(x, Event) else np.asarray(x, dtype=float)
-    d = m.denominator(xa)
-    if abs(d) <= EPS_SINGULAR:
-        raise SingularHyperplaneError(f"denominator {d!r} within {EPS_SINGULAR} of zero")
-    out = (m.A @ xa + m.a) / d
+    out, den = _proj_rows(m.A, m.a, m.p, m.q, xa)
+    _refuse_singular(den)
     return Event(out) if isinstance(x, Event) else out
 
 
-def collinearity_residual(points) -> float:
+def collinearity_residual(points) -> float | np.ndarray:
     """Second singular value of the centred point cloud, relative.
 
     Zero (within 1e-10) iff the points are collinear; two points are
-    collinear by convention.  Duplicate points are rejected.
+    collinear by convention.  Duplicate points are rejected.  An array
+    (..., m, n) is a stack of clouds of m points, and gives an array of
+    their residuals.
     """
-    pts = np.vstack([p.a if isinstance(p, Event) else np.asarray(p, dtype=float)
-                     for p in points])
-    npts = pts.shape[0]
-    for i in range(npts):
-        for j in range(i + 1, npts):
-            if np.abs(pts[i] - pts[j]).max() == 0.0:
-                raise PreconditionError("duplicate points")
-    if npts < 3:
-        return 0.0
-    centred = pts - pts.mean(axis=0)
-    s = np.linalg.svd(centred, compute_uv=False)
-    if s[0] == 0.0:
-        return 0.0
-    return float(s[1] / s[0])
+    if isinstance(points, np.ndarray) and points.ndim > 2:
+        pts = points.astype(float, copy=False)
+    else:
+        pts = np.vstack([p.a if isinstance(p, Event) else np.asarray(p, dtype=float)
+                         for p in points])
+    same = np.abs(pts[..., :, None, :] - pts[..., None, :, :]).max(axis=-1) == 0.0
+    if np.any(same & ~np.eye(pts.shape[-2], dtype=bool)):
+        raise PreconditionError("duplicate points")
+    if pts.shape[-2] < 3:
+        res = np.zeros(pts.shape[:-2])
+    else:
+        s = np.linalg.svd(pts - pts.mean(axis=-2, keepdims=True), compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            res = np.where(s[..., 0] == 0.0, 0.0, s[..., 1] / s[..., 0])
+    return float(res) if res.ndim == 0 else res
 
 
 def parallelism_breaking_demo(sigma_values) -> dict:
@@ -122,7 +159,12 @@ def parallelism_breaking_demo(sigma_values) -> dict:
     directions = {}
     for s in sigmas:
         d = proj_apply(m, [0.5, s]) - proj_apply(m, [0.0, s])
-        directions[s] = d / np.linalg.norm(d)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(d)
+        if not np.isfinite(norm):  # |d|^2 overflows from |sigma| of about 1.3e154
+            d = d / np.abs(d).max()
+            norm = np.linalg.norm(d)
+        directions[s] = d / norm
     angles = {}
     for i, s1 in enumerate(sigmas):
         for s2 in sigmas[i + 1:]:
@@ -153,45 +195,65 @@ class FLBoost:
         return 1.0 / math.sqrt(1.0 - beta2)
 
 
-def _split(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _boost_rows(v: np.ndarray, t, x, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form boost by one velocity v (3,) below c of the events (t, x),
+    t of shape S and x of shape S + (3,)."""
     vv = float(v @ v)
+    gamma = 1.0 / math.sqrt(1.0 - vv / (c * c))
+    vx = np.vecdot(x, v)
     if vv == 0.0:
-        return np.zeros_like(x), x
-    par = (float(x @ v) / vv) * v
-    return par, x - par
+        xpar, xperp = np.zeros_like(x), x
+    else:
+        xpar = (vx / vv)[..., None] * v
+        xperp = x - xpar
+    return gamma * (t - vx / (c * c)), gamma * (xpar - v * t[..., None]) + xperp
 
 
 def lorentz_boost_event(velocity, t: float, x, c: float = 1.0) -> tuple[float, np.ndarray]:
-    """Ordinary boost in closed form on (t, x): the R -> infinity limit."""
+    """Ordinary boost in closed form on (t, x): the R -> infinity limit.
+
+    Also boosts a stack of events, t of shape S and x of shape S + (3,), and
+    then returns arrays.
+    """
     v = np.asarray(velocity, dtype=float).reshape(3)
-    xa = np.asarray(x, dtype=float).reshape(3)
-    beta2 = float(v @ v) / (c * c)
-    if beta2 >= 1.0:
+    if float(v @ v) / (c * c) >= 1.0:
         raise PreconditionError("boost speed must be below c")
-    gamma = 1.0 / math.sqrt(1.0 - beta2)
-    xpar, xperp = _split(xa, v)
-    tp = gamma * (t - float(v @ xa) / (c * c))
-    return tp, gamma * (xpar - v * t) + xperp
+    t = np.float64(t) if np.ndim(t) == 0 else np.asarray(t, dtype=float)
+    tp, xp = _boost_rows(v, t, np.asarray(x, dtype=float).reshape(t.shape + (3,)), c)
+    return (float(tp), xp) if tp.ndim == 0 else (tp, xp)
+
+
+def _fl_rows(b: FLBoost, t, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The deformed boost b of the events (t, x), shapes S and S + (3,), with
+    its denominators."""
+    g = b.gamma
+    den = 1.0 - (g - 1.0) * b.c * t / b.R + g * np.vecdot(b.velocity, x) / (b.R * b.c)
+    tp, xp = _boost_rows(b.velocity, t, x, b.c)
+    d = _divisor(den)
+    return tp / d, xp / d[..., None], den
 
 
 def fl_boost_apply(b: FLBoost, t: float, x) -> tuple[float, np.ndarray]:
     """Apply the deformed boost to an event (t, x)."""
-    xa = np.asarray(x, dtype=float).reshape(3)
-    g = b.gamma
-    denom = 1.0 - (g - 1.0) * b.c * t / b.R + g * float(b.velocity @ xa) / (b.R * b.c)
-    if abs(denom) <= EPS_SINGULAR:
-        raise SingularHyperplaneError(f"denominator {denom!r} within {EPS_SINGULAR} of zero")
-    tp, xp = lorentz_boost_event(b.velocity, t, xa, b.c)
-    return tp / denom, xp / denom
+    tp, xp, den = _fl_rows(b, np.float64(t), np.asarray(x, dtype=float).reshape(3))
+    _refuse_singular(den)
+    return float(tp), xp
+
+
+def _squash_rows(R: float, c: float, t, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The squash (t, x) -> (t, x)/(1 - c t / R) of the events, shapes S and
+    S + (k,), with its denominators; the squash at -R is its inverse."""
+    den = 1.0 - c * t / R
+    d = _divisor(den)
+    return t / d, x / d[..., None], den
 
 
 def deformation_phi(R: float, c: float, t: float, x) -> tuple[float, np.ndarray]:
     """(t, x) -> (t, x)/(1 - c t / R); singular at t = R/c."""
     xa = np.asarray(x, dtype=float)
-    d = 1.0 - c * t / R
-    if abs(d) <= EPS_SINGULAR:
-        raise SingularHyperplaneError(f"deformation denominator {d!r} too small")
-    return t / d, xa / d
+    tp, xp, den = _squash_rows(R, c, np.float64(t), xa.reshape(-1))
+    _refuse_singular(den, "deformation denominator {!r} too small")
+    return float(tp), xp.reshape(xa.shape)
 
 
 def deformation_phi_inverse(R: float, c: float, t: float, x) -> tuple[float, np.ndarray]:
@@ -203,6 +265,15 @@ def deformation_phi_inverse(R: float, c: float, t: float, x) -> tuple[float, np.
     return deformation_phi(-R, c, t, x)
 
 
+_SLABS = ("front", "beyond", "past")
+
+
+def _slab_rows(t: np.ndarray, R: float, c: float) -> np.ndarray:
+    """Index into _SLABS of each instant's slab; see time_slab."""
+    horizon = R / c
+    return np.where((0.0 <= t) & (t < horizon), 0, np.where(t > horizon, 1, 2))
+
+
 def time_slab(t: float, R: float, c: float) -> str:
     """Which of the three time slabs (t != +-R/c) the instant belongs to.
 
@@ -212,32 +283,40 @@ def time_slab(t: float, R: float, c: float) -> str:
     horizon = R / c
     if t == horizon or t == -horizon:
         raise SingularHyperplaneError("t sits on a singular hyperplane")
-    if 0.0 <= t < horizon:
-        return "front"
-    if t > horizon:
-        return "beyond"
-    return "past"
+    return _SLABS[int(_slab_rows(np.float64(t), R, c))]
+
+
+def _slab_table(t: np.ndarray, R: float, c: float, band: float) -> tuple[np.ndarray, np.ndarray]:
+    """Squash image of each instant t and the mask of the instants kept:
+    those outside `band` of both horizons +-R/c at which the squash is
+    regular."""
+    tp, _, den = _squash_rows(R, c, t, np.empty(t.shape + (0,)))
+    return tp, ~(np.abs(np.abs(t) - R / c) < band) & _regular(den)
+
+
+def _conjugation_rows(b: FLBoost, t, x) -> tuple[np.ndarray, np.ndarray]:
+    """Per event, the sup-norm difference of (c t, x) between the deformed
+    boost and squash . boost . squash-inverse, and the mask of events at
+    which every leg is regular."""
+    t1, x1, d1 = _fl_rows(b, t, x)
+    tm, xm, d2 = _squash_rows(-b.R, b.c, t, x)
+    tl, xl = _boost_rows(b.velocity, tm, xm, b.c)
+    t2, x2, d3 = _squash_rows(b.R, b.c, tl, xl)
+    res = np.maximum(np.abs(t1 - t2) * b.c, np.abs(x1 - x2).max(axis=-1))
+    return res, _regular(d1) & _regular(d2) & _regular(d3)
 
 
 def conjugation_check(b: FLBoost, samples) -> dict:
     """Max residual of (deformed boost) vs squash . boost . squash-inverse.
 
     Samples too close to a singular hyperplane on either path are skipped
-    and counted.  Residual is the sup-norm difference of (c t, x).
+    and counted.  Residual is the sup-norm difference of (c t, x); a NaN
+    residual in any used sample makes it NaN.
     """
-    worst = 0.0
-    skipped = 0
-    used = 0
-    for t, x in samples:
-        try:
-            t1, x1 = fl_boost_apply(b, t, x)
-            tm, xm = deformation_phi_inverse(b.R, b.c, t, x)
-            tl, xl = lorentz_boost_event(b.velocity, tm, xm, b.c)
-            t2, x2 = deformation_phi(b.R, b.c, tl, xl)
-        except SingularHyperplaneError:
-            skipped += 1
-            continue
-        used += 1
-        res = max(abs(t1 - t2) * b.c, float(np.abs(x1 - x2).max()))
-        worst = max(worst, res)
-    return {"max_residual": worst, "skipped": skipped, "used": used}
+    samples = list(samples)
+    t = np.array([t for t, _ in samples], dtype=float)
+    x = np.array([np.asarray(x, dtype=float).reshape(3) for _, x in samples]).reshape(-1, 3)
+    res, keep = _conjugation_rows(b, t, x)
+    used = int(np.count_nonzero(keep))
+    return {"max_residual": float(np.max(res[keep], initial=0.0)),
+            "skipped": len(samples) - used, "used": used}

@@ -316,6 +316,27 @@ def _associativity_sweep(rng: np.random.Generator, samples: int) -> float:
                    for v1, v2, v3 in rng.uniform(-0.9, 0.9, (samples, 3)).tolist()])
 
 
+def _boost3d_sweep(rng: np.random.Generator) -> tuple[float, float]:
+    """Worst Lorentz residual of boost_3d and worst entry of
+    E(D) B(v) E(D^T) - B(D v), E the rotation embedding, over 50 random
+    velocities; one below 0.95 c draws its rotation D right after it, and
+    a faster one draws none."""
+    V, normals = [], []
+    for _ in range(50):
+        v = rng.uniform(-0.6, 0.6, size=3)
+        if np.linalg.norm(v) < 0.95:
+            V.append(v)
+            normals.append(rng.standard_normal((3, 3)))  # random_rotation(4, rng)'s draw
+    V = np.array(V).reshape(-1, 3)
+    D = isometry._rotations(np.array(normals).reshape(-1, 3, 3))[:, 1:, 1:]
+    B = kinematics._boost_3d_rows(V, 1.0)
+    embed = kinematics.rotation_embedding
+    lhs = embed(D) @ B @ embed(np.swapaxes(D, 1, 2))
+    rhs = kinematics._boost_3d_rows((D @ V[:, :, None])[:, :, 0], 1.0)
+    return (_worst(isometry._lorentz_residuals(B, core.metric_matrix(4))),
+            _worst(lhs - rhs))
+
+
 def suite_kinematics(seed: int, config: Config) -> list[Check]:
     rng = np.random.default_rng(seed)
     checks = []
@@ -337,20 +358,7 @@ def suite_kinematics(seed: int, config: Config) -> list[Check]:
                        1e-12, "entrywise in rescaled time"))
     checks.append(_chk("boost1d.reciprocity", _reciprocity_sweep(rng, config.samples), 1e-12,
                        "opposite velocity inverts the matrix"))
-    # spatial boosts: isometry plus rotation equivariance
-    c = 1.0
-    worst_lor = 0.0
-    worst_eq = 0.0
-    for _ in range(50):
-        v = rng.uniform(-0.6, 0.6, size=3)
-        if np.linalg.norm(v) >= 0.95:
-            continue
-        B = kinematics.boost_3d(v, c)
-        worst_lor = max(worst_lor, isometry.lorentz_residual(B))
-        D = isometry.random_rotation(4, rng)[1:, 1:]
-        lhs = kinematics.rotation_embedding(D) @ B @ kinematics.rotation_embedding(D.T)
-        rhs = kinematics.boost_3d(D @ v, c)
-        worst_eq = max(worst_eq, float(np.abs(lhs - rhs).max()))
+    worst_lor, worst_eq = _boost3d_sweep(rng)
     checks.append(_chk("boost3d.isometry", worst_lor, 1e-10, ""))
     checks.append(_chk("boost3d.equivariance", worst_eq, 1e-12,
                        "conjugation by rotations rotates the velocity"))
@@ -364,6 +372,71 @@ def suite_kinematics(seed: int, config: Config) -> list[Check]:
 
 # ---------------------------------------------------------------- projective
 
+_SEGMENTS = 25
+
+
+def _lines_sweep(rng: np.random.Generator) -> tuple[float, int]:
+    """Worst collinearity residual of the images of five points on
+    _SEGMENTS random segments under random proper projective maps, and the
+    number of segments kept.  A segment with any point within EPS_SINGULAR
+    of its map's singular hyperplane is skipped whole."""
+    A = np.empty((_SEGMENTS, 3, 3))
+    a, p, base, direction = np.empty((4, _SEGMENTS, 3))
+    for i in range(_SEGMENTS):
+        A[i] = rng.standard_normal((3, 3)) + 2 * np.eye(3)
+        a[i] = rng.standard_normal(3)
+        p[i] = 0.2 * rng.standard_normal(3)
+        base[i] = rng.uniform(-0.5, 0.5, size=3)
+        direction[i] = rng.standard_normal(3)
+    s = np.linspace(-0.2, 0.2, 5)[:, None]
+    img, den = projective._proj_rows(A[:, None], a[:, None], p[:, None], 2.0,
+                                     base[:, None] + s * direction[:, None])
+    kept = img[projective._regular(den).all(axis=1)]
+    return _worst(projective.collinearity_residual(kept)), len(kept)
+
+
+def _fl_samples(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Events with t uniform in [0.5, 9] and x in [-3, 3]^3, each drawn t first."""
+    tx = rng.uniform([0.5, -3, -3, -3], [9, 3, 3, 3], (samples, 4))
+    return tx[:, 0], tx[:, 1:]
+
+
+def _inverse_sweep(b: projective.FLBoost, t: np.ndarray, x: np.ndarray) -> tuple[float, int]:
+    """Worst sup-norm round-trip error of the deformed boost followed by
+    its inverse, and the number of events at which both legs are regular."""
+    binv = projective.FLBoost(-b.velocity, b.c, b.R)
+    t1, x1, d1 = projective._fl_rows(b, t, x)
+    t2, x2, d2 = projective._fl_rows(binv, t1, x1)
+    keep = projective._regular(d1) & projective._regular(d2)
+    res = np.maximum(np.abs(t2 - t), np.abs(x2 - x).max(axis=1))
+    return _worst(res[keep]), int(np.count_nonzero(keep))
+
+
+def _large_scale_sweep(t: np.ndarray, x: np.ndarray) -> float:
+    """Worst sup-norm deviation of the deformed boost at invariant length
+    R = 1e6 from the ordinary boost, over its bound 10 (|x| + c|t|)/R."""
+    R = 1e6
+    b = projective.FLBoost(np.array([0.5, 0, 0]), c=1.0, R=R)
+    t1, x1, den = projective._fl_rows(b, t, x)
+    projective._refuse_singular(den)
+    t2, x2 = projective.lorentz_boost_event(b.velocity, t, x, 1.0)
+    bound = 10.0 * (np.sqrt(np.vecdot(x, x)) + np.abs(t)) / R
+    return _worst(np.maximum(np.abs(t1 - t2), np.abs(x1 - x2).max(axis=1)) / bound)
+
+
+def _slab_sweep(rng: np.random.Generator, samples: int) -> tuple[int, int]:
+    """Number of instants t uniform in [-20, 20] whose squash image at
+    R = 5, c = 1 is outside the tabulated image of their slab, and the
+    number kept: those more than 1e-9 from the horizons and regular under
+    the squash."""
+    R, c = 5.0, 1.0
+    t = rng.uniform(-20, 20, samples)
+    tp, keep = projective._slab_table(t, R, c, 1e-9)
+    outside = np.choose(projective._slab_rows(t, R, c),
+                        [~(tp >= 0), ~(tp < -R / c), ~((-R / c < tp) & (tp <= 0))])
+    return int(np.count_nonzero(keep & outside)), int(np.count_nonzero(keep))
+
+
 def suite_projective(seed: int, config: Config) -> list[Check]:
     rng = np.random.default_rng(seed)
     checks = []
@@ -371,80 +444,30 @@ def suite_projective(seed: int, config: Config) -> list[Check]:
     img = projective.proj_apply(worked, np.array([0.25, 0.5]))
     checks.append(_chk("proj.worked_map", float(np.abs(img - np.array([0.25, 0.5]) / 0.75).max()),
                        1e-14, "scales by 1/(1 - first coordinate)"))
-    worst = 0.0
-    for _ in range(25):
-        A = rng.standard_normal((3, 3)) + 2 * np.eye(3)
-        m = projective.ProjectiveMap(A, rng.standard_normal(3),
-                                     0.2 * rng.standard_normal(3), 2.0)
-        base = rng.uniform(-0.5, 0.5, size=3)
-        direction = rng.standard_normal(3)
-        pts = []
-        for s in np.linspace(-0.2, 0.2, 5):
-            try:
-                pts.append(projective.proj_apply(m, base + s * direction))
-            except projective.SingularHyperplaneError:
-                pts = []
-                break
-        if len(pts) >= 3:
-            worst = max(worst, projective.collinearity_residual(pts))
+    worst, used = _lines_sweep(rng)
     checks.append(_chk("proj.lines_to_lines", worst, 1e-10,
-                       "sampled segments stay collinear"))
+                       f"sampled segments stay collinear; {used} samples, "
+                       f"{_SEGMENTS - used} skipped"))
     demo = projective.parallelism_breaking_demo([0.0, 1.0, 2.0])
     ang = demo["pairwise_angles"]
     checks.append(_chk("proj.parallelism_broken",
                        sum(not a > 1e-6 for a in ang.values()), 1.0,
                        "image directions depend on the line offset"))
     b = projective.FLBoost(np.array([0.5, 0, 0]), c=1.0, R=10.0)
-    samples = [(float(rng.uniform(0.5, 9.0)), rng.uniform(-3, 3, size=3))
-               for _ in range(config.samples)]
-    conj = projective.conjugation_check(b, samples)
-    checks.append(_chk("fl.conjugation", conj["max_residual"], 1e-10,
-                       f"{conj['used']} samples, {conj['skipped']} skipped"))
-    # inverse composition
-    binv = projective.FLBoost(-b.velocity, b.c, b.R)
-    worst = 0.0
-    used = 0
-    for t, x in samples[:100]:
-        try:
-            t1, x1 = projective.fl_boost_apply(b, t, x)
-            t2, x2 = projective.fl_boost_apply(binv, t1, x1)
-        except projective.SingularHyperplaneError:
-            continue
-        used += 1
-        worst = max(worst, abs(t2 - t), float(np.abs(x2 - x).max()))
-    checks.append(_chk("fl.inverse", worst, 1e-10, f"{used} samples"))
-    # limit of large invariant length
-    R = 1e6
-    bR = projective.FLBoost(np.array([0.5, 0, 0]), c=1.0, R=R)
-    worst = 0.0
-    for t, x in samples[:100]:
-        t1, x1 = projective.fl_boost_apply(bR, t, x)
-        t2, x2 = projective.lorentz_boost_event(bR.velocity, t, x, 1.0)
-        bound = 10.0 * (float(np.linalg.norm(x)) + abs(t)) / R
-        dev = max(abs(t1 - t2), float(np.abs(x1 - x2).max()))
-        worst = max(worst, dev / bound)
-    checks.append(_chk("fl.large_scale_limit", worst, 1.0,
+    t, x = _fl_samples(rng, config.samples)
+    res, keep = projective._conjugation_rows(b, t, x)
+    used = int(np.count_nonzero(keep))
+    checks.append(_chk("fl.conjugation", _worst(res[keep]), 1e-10,
+                       f"{used} samples, {config.samples - used} skipped"))
+    n = min(100, config.samples)
+    worst, used = _inverse_sweep(b, t[:n], x[:n])
+    checks.append(_chk("fl.inverse", worst, 1e-10, f"{used} samples, {n - used} skipped"))
+    checks.append(_chk("fl.large_scale_limit", _large_scale_sweep(t[:n], x[:n]), 1.0,
                        "deviation over its bound 10 (|x| + c|t|)/R"))
-    # slab table
-    bad = 0
-    for _ in range(config.samples):
-        t = float(rng.uniform(-20, 20))
-        R, c = 5.0, 1.0
-        if abs(abs(t) - R / c) < 1e-9:
-            continue
-        slab = projective.time_slab(t, R, c)
-        try:
-            tp, _ = projective.deformation_phi(R, c, t, np.zeros(3))
-        except projective.SingularHyperplaneError:
-            continue
-        if slab == "front" and not tp >= 0:
-            bad += 1
-        if slab == "beyond" and not tp < -R / c:
-            bad += 1
-        if slab == "past" and not (-R / c < tp <= 0):
-            bad += 1
+    bad, used = _slab_sweep(rng, config.samples)
     checks.append(_chk("fl.slab_table", float(bad), 1.0,
-                       "squash maps the three slabs as tabulated"))
+                       f"squash maps the three slabs as tabulated; {used} samples, "
+                       f"{config.samples - used} skipped"))
     return checks
 
 

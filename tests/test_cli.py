@@ -169,7 +169,8 @@ class TestSuiteRuns:
         config.write_text("samples=800\n")  # stacked sweeps of 200 to 800 samples
         for args in (["--suite", "lattice", "--grid", "21x21"],
                      *(["--suite", name, "--config", str(config)]
-                       for name in ("isometry", "simultaneity", "kinematics", "core"))):
+                       for name in ("isometry", "simultaneity", "kinematics", "core",
+                                    "projective", "rigid"))):
             outs = []
             for name in ("a.json", "b.json"):
                 out = tmp_path / name
@@ -334,6 +335,36 @@ class TestDemos:
         doc = json.loads((tmp_path / "fl_slab.json").read_text())
         assert doc["R"] == 5
         assert all(row["slab"] in ("front", "beyond", "past") for row in doc["rows"])
+
+    @staticmethod
+    def fl_slab_reference(seed, R, samples):
+        """The demo's file from the per-draw loop that the stacked slab
+        table replaced."""
+        from minklab.projective import (SingularHyperplaneError, deformation_phi,
+                                        time_slab)
+        rng = np.random.default_rng(seed)
+        c = 1.0
+        rows = []
+        for _ in range(samples):
+            t = float(rng.uniform(-3 * R / c, 3 * R / c))
+            if abs(abs(t) - R / c) < 1e-6:
+                continue
+            slab = time_slab(t, R, c)
+            try:
+                tp, _ = deformation_phi(R, c, t, np.zeros(3))
+            except SingularHyperplaneError:
+                continue
+            rows.append({"t": t, "slab": slab, "t_image": tp})
+        return json.dumps({"R": R, "c": c, "rows": rows}, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
+    @pytest.mark.parametrize("R, samples", [(10.0, 200), (3e-6, 500), (0.37, 999)])
+    def test_fl_slab_matches_per_draw_reference(self, tmp_path, seed, R, samples):
+        rc = main(["demo", "fl-slab", "--out", str(tmp_path), "--seed", seed,
+                   "--R", repr(R), "--samples", str(samples)])
+        assert rc == 0
+        text = (tmp_path / "fl_slab.json").read_text()
+        assert text == self.fl_slab_reference(int(seed), R, samples)
 
     def test_image_lines(self, tmp_path):
         rc = main(["demo", "image-lines", "--out", str(tmp_path),

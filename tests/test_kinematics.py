@@ -318,12 +318,60 @@ def _per_sample_reciprocity(rng, samples):
     return worst
 
 
-def _boost3d_draws(rng):
-    """The draws of the suite's spatial-boost loop, which runs between the
-    reciprocity and associativity sweeps."""
+def rotation_reference(direction):
+    """The Rodrigues construction that rotation_taking_x_axis replaced."""
+    d = np.asarray(direction, dtype=float)
+    norm = np.linalg.norm(d)
+    if norm == 0.0:
+        return np.eye(3)
+    d = d / norm
+    ex = np.array([1.0, 0.0, 0.0])
+    c = float(ex @ d)
+    if c > 1.0 - 1e-14:
+        return np.eye(3)
+    if c < -1.0 + 1e-14:
+        return np.diag([-1.0, 1.0, -1.0])
+    axis = np.cross(ex, d)
+    s = np.linalg.norm(axis)
+    axis = axis / s
+    K = np.array([[0.0, -axis[2], axis[1]],
+                  [axis[2], 0.0, -axis[0]],
+                  [-axis[1], axis[0], 0.0]])
+    return np.eye(3) + s * K + (1.0 - c) * (K @ K)
+
+
+def embedding_reference(D):
+    out = np.eye(4)
+    out[1:, 1:] = D
+    return out
+
+
+def boost3d_reference(v, c=1.0):
+    """The boost_3d that the stacked form replaced."""
+    speed = float(np.linalg.norm(v))
+    if speed == 0.0:
+        return np.eye(4)
+    B = np.eye(4)
+    B[:2, :2] = boost_matrix_1d(-1.0 / (c * c), speed)
+    D = embedding_reference(rotation_reference(v))
+    return D @ B @ D.T
+
+
+def _per_sample_boost3d(rng):
+    """The suite's spatial-boost loop, which runs between the reciprocity
+    and associativity sweeps."""
+    G = metric_matrix(4)
+    worst_lor = worst_eq = 0.0
     for _ in range(50):
-        if np.linalg.norm(rng.uniform(-0.6, 0.6, size=3)) < 0.95:
-            random_rotation(4, rng)
+        v = rng.uniform(-0.6, 0.6, size=3)
+        if np.linalg.norm(v) >= 0.95:
+            continue
+        B = boost3d_reference(v)
+        worst_lor = max(worst_lor, float(np.abs(B.T @ G @ B - G).max()))
+        D = random_rotation(4, rng)[1:, 1:]
+        lhs = embedding_reference(D) @ B @ embedding_reference(D.T)
+        worst_eq = max(worst_eq, float(np.abs(lhs - boost3d_reference(D @ v)).max()))
+    return worst_lor, worst_eq
 
 
 def _per_sample_associativity(rng, samples):
@@ -351,8 +399,9 @@ def test_suite_sweeps_match_per_sample_reference(seed, samples):
             ("boost1d.reciprocity", _per_sample_reciprocity, suites._reciprocity_sweep),
             ("compose.associative", _per_sample_associativity, suites._associativity_sweep)]:
         if name == "compose.associative":
-            _boost3d_draws(ref)
-            _boost3d_draws(rng)
+            (want["boost3d.isometry"], want["boost3d.equivariance"]) = _per_sample_boost3d(ref)
+            (got["boost3d.isometry"], got["boost3d.equivariance"]) = suites._boost3d_sweep(rng)
+            assert rng.bit_generator.state == ref.bit_generator.state
         want[name], got[name] = reference(ref, samples), sweep(rng, samples)
         assert rng.bit_generator.state == ref.bit_generator.state
     assert _bits(*got.values()) == _bits(*want.values())
@@ -373,3 +422,42 @@ def test_nan_in_a_later_sample_fails_the_check(monkeypatch):
     report = suites.run_suite("kinematics", 0, suites.Config())
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert failed == {"rapidity.additive"}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_boost3d_sweep_draws_one_rotation_per_kept_velocity(seed):
+    # a faster velocity draws no rotation; the seeds include skipped draws
+    ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = _per_sample_boost3d(ref)
+    assert _bits(*suites._boost3d_sweep(rng)) == _bits(*want)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _directions(rng):
+    """Random directions plus the special ones: zero, the axes and their
+    negatives, directions in the coordinate planes with zeros of both signs,
+    and directions within 1e-14 of +-e_x."""
+    special = [np.zeros(3), [1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0],
+               [0, 0, 1.0], [0, 0, -1.0], [0.3, -0.0, 0.2], [-0.3, 0.4, -0.0],
+               [0.0, -0.0, -2.0], [-0.0, 0.5, 0.5], [1.0, 1e-8, 0], [-1.0, 0, 1e-8],
+               [1.0, 1e-7, -1e-7], [-2.5, -0.0, 0.0], [1e-300, 0, 0], [0.0, 1e-300, 0]]
+    return np.concatenate([np.array(special, dtype=float),
+                           rng.standard_normal((400, 3)),
+                           rng.uniform(-0.55, 0.55, (400, 3)) * (rng.random((400, 3)) < 0.7)])
+
+
+def test_rotation_and_boost_equal_the_formulas_they_replaced(rng):
+    dirs = _directions(rng)
+    stacked = rotation_taking_x_axis(dirs)
+    for d, got in zip(dirs, stacked):
+        want = rotation_reference(d).tobytes()
+        assert rotation_taking_x_axis(d).tobytes() == want
+        assert got.tobytes() == want
+    vel = dirs[np.sqrt(np.vecdot(dirs, dirs)) < 0.95]
+    stacked = kinematics._boost_3d_rows(vel, 1.0)
+    for v, got in zip(vel, stacked):
+        want = boost3d_reference(v).tobytes()
+        assert boost_3d(v).tobytes() == want
+        assert got.tobytes() == want
+    assert rotation_embedding(stacked[:5, 1:, 1:]).tobytes() == np.array(
+        [embedding_reference(D) for D in stacked[:5, 1:, 1:]]).tobytes()

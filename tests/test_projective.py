@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from minklab import projective, suites
 from minklab.core import Event, PreconditionError
 from minklab.projective import (EPS_SINGULAR, FLBoost, ProjectiveMap,
                                 SingularHyperplaneError, collinearity_residual,
@@ -72,6 +74,21 @@ class TestCollinearity:
     def test_duplicates_rejected(self):
         with pytest.raises(PreconditionError):
             collinearity_residual([np.zeros(2), np.zeros(2), np.ones(2)])
+        clouds = np.arange(24.0).reshape(2, 4, 3)
+        clouds[1, 3] = clouds[1, 0]
+        with pytest.raises(PreconditionError):
+            collinearity_residual(clouds)
+
+    def test_stack_of_clouds(self, rng):
+        clouds = rng.standard_normal((40, 5, 3))
+        clouds[::4] = clouds[::4, :1] + np.linspace(0, 1, 5)[:, None] * clouds[::4, 1:2]
+        clouds[1] = 0.5  # one point repeated: rejected alone, so offset it
+        clouds[1] += np.arange(5)[:, None] * np.array([1.0, 0.0, 0.0])
+        got = collinearity_residual(clouds)
+        assert got.shape == (40,)
+        assert got.tobytes() == np.array([collinearity_reference(c) for c in clouds]).tobytes()
+        assert collinearity_residual(clouds[:0]).shape == (0,)
+        assert collinearity_residual(np.zeros((3, 2, 2)) + np.arange(2.0)[:, None]).tolist() == [0.0] * 3
 
 
 class TestParallelismDemo:
@@ -339,3 +356,305 @@ class TestOneClosedForm:
             assert self.outcome(deformation_phi_inverse, R, c, t, x) == want
             refused += want[0] == "refused"
         assert refused > 100
+
+
+# The projective suite's sweeps, drawn and computed sample by sample with the
+# scalar formulas the stacked helpers replaced; the suite must report the
+# same residuals bit for bit and leave the generator in the same state after
+# each sweep.
+
+def proj_reference(m, x):
+    xa = np.asarray(x, dtype=float)
+    d = float(m.p @ xa + m.q)
+    if abs(d) <= EPS_SINGULAR:
+        raise SingularHyperplaneError(f"denominator {d!r} within {EPS_SINGULAR} of zero")
+    return (m.A @ xa + m.a) / d
+
+
+def collinearity_reference(points):
+    pts = np.vstack([np.asarray(p, dtype=float) for p in points])
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if np.abs(pts[i] - pts[j]).max() == 0.0:
+                raise PreconditionError("duplicate points")
+    if len(pts) < 3:
+        return 0.0
+    s = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+    return 0.0 if s[0] == 0.0 else float(s[1] / s[0])
+
+
+def boost_reference(velocity, t, x, c=1.0):
+    v = np.asarray(velocity, dtype=float).reshape(3)
+    xa = np.asarray(x, dtype=float).reshape(3)
+    vv = float(v @ v)
+    gamma = 1.0 / math.sqrt(1.0 - vv / (c * c))
+    xpar = np.zeros_like(xa) if vv == 0.0 else (float(xa @ v) / vv) * v
+    return gamma * (t - float(v @ xa) / (c * c)), gamma * (xpar - v * t) + (xa - xpar)
+
+
+def squash_reference(R, c, t, x):
+    d = 1.0 - c * t / R
+    if abs(d) <= EPS_SINGULAR:
+        raise SingularHyperplaneError(f"deformation denominator {d!r} too small")
+    return t / d, np.asarray(x, dtype=float) / d
+
+
+def slab_reference(t, R, c):
+    horizon = R / c
+    if t == horizon or t == -horizon:
+        raise SingularHyperplaneError("t sits on a singular hyperplane")
+    if 0.0 <= t < horizon:
+        return "front"
+    return "beyond" if t > horizon else "past"
+
+
+def _per_sample_lines(rng):
+    worst, used = 0.0, 0
+    for _ in range(25):
+        A = rng.standard_normal((3, 3)) + 2 * np.eye(3)
+        m = ProjectiveMap(A, rng.standard_normal(3), 0.2 * rng.standard_normal(3), 2.0)
+        base = rng.uniform(-0.5, 0.5, size=3)
+        direction = rng.standard_normal(3)
+        pts = []
+        for s in np.linspace(-0.2, 0.2, 5):
+            try:
+                pts.append(proj_reference(m, base + s * direction))
+            except SingularHyperplaneError:
+                pts = []
+                break
+        if len(pts) >= 3:
+            used += 1
+            worst = max(worst, collinearity_reference(pts))
+    return worst, used
+
+
+def _per_sample_fl_samples(rng, samples):
+    return [(float(rng.uniform(0.5, 9.0)), rng.uniform(-3, 3, size=3))
+            for _ in range(samples)]
+
+
+def _per_sample_conjugation(b, samples):
+    fl = TestOneClosedForm.fl_boost_reference
+    worst, used = 0.0, 0
+    for t, x in samples:
+        try:
+            t1, x1 = fl(b, t, x)
+            tm, xm = squash_reference(-b.R, b.c, t, x)
+            tl, xl = boost_reference(b.velocity, tm, xm, b.c)
+            t2, x2 = squash_reference(b.R, b.c, tl, xl)
+        except SingularHyperplaneError:
+            continue
+        used += 1
+        worst = max(worst, abs(t1 - t2) * b.c, float(np.abs(x1 - x2).max()))
+    return worst, used
+
+
+def _per_sample_inverse(b, samples):
+    fl = TestOneClosedForm.fl_boost_reference
+    binv = FLBoost(-b.velocity, b.c, b.R)
+    worst, used = 0.0, 0
+    for t, x in samples:
+        try:
+            t1, x1 = fl(b, t, x)
+            t2, x2 = fl(binv, t1, x1)
+        except SingularHyperplaneError:
+            continue
+        used += 1
+        worst = max(worst, abs(t2 - t), float(np.abs(x2 - x).max()))
+    return worst, used
+
+
+def _per_sample_large_scale(samples, R=1e6):
+    b = FLBoost(np.array([0.5, 0, 0]), c=1.0, R=R)
+    worst = 0.0
+    for t, x in samples:
+        t1, x1 = TestOneClosedForm.fl_boost_reference(b, t, x)
+        t2, x2 = boost_reference(b.velocity, t, x, 1.0)
+        bound = 10.0 * (float(np.linalg.norm(x)) + abs(t)) / R
+        worst = max(worst, max(abs(t1 - t2), float(np.abs(x1 - x2).max())) / bound)
+    return worst
+
+
+def _per_sample_slab(rng, samples, R=5.0, c=1.0):
+    bad, used = 0, 0
+    for _ in range(samples):
+        t = float(rng.uniform(-20, 20))
+        if abs(abs(t) - R / c) < 1e-9:
+            continue
+        slab = slab_reference(t, R, c)
+        try:
+            tp, _ = squash_reference(R, c, t, np.zeros(3))
+        except SingularHyperplaneError:
+            continue
+        used += 1
+        bad += ((slab == "front" and not tp >= 0) or (slab == "beyond" and not tp < -R / c)
+                or (slab == "past" and not (-R / c < tp <= 0)))
+    return bad, used
+
+
+def _bits(*values):
+    return [np.float64(x).tobytes() for x in values]
+
+
+@pytest.mark.parametrize("samples", [60, 200, 800])
+@pytest.mark.parametrize("seed", range(10))
+def test_suite_sweeps_match_per_sample_reference(seed, samples):
+    ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want_lines, got_lines = _per_sample_lines(ref), suites._lines_sweep(rng)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    events = _per_sample_fl_samples(ref, samples)
+    t, x = suites._fl_samples(rng, samples)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert t.tobytes() == np.array([e[0] for e in events]).tobytes()
+    assert x.tobytes() == np.array([e[1] for e in events]).tobytes()
+    b = FLBoost(np.array([0.5, 0, 0]), c=1.0, R=10.0)
+    n = min(100, samples)
+    want_conj = _per_sample_conjugation(b, events)
+    res, keep = projective._conjugation_rows(b, t, x)
+    got_conj = (suites._worst(res[keep]), int(np.count_nonzero(keep)))
+    want_inv, got_inv = _per_sample_inverse(b, events[:n]), suites._inverse_sweep(b, t[:n], x[:n])
+    want_lim, got_lim = _per_sample_large_scale(events[:n]), suites._large_scale_sweep(t[:n], x[:n])
+    want_slab, got_slab = _per_sample_slab(ref, samples), suites._slab_sweep(rng, samples)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert got_lines[1] == want_lines[1] and got_conj[1] == want_conj[1]
+    assert got_inv[1] == want_inv[1] and got_slab == want_slab
+    assert _bits(got_lines[0], got_conj[0], got_inv[0], got_lim) == _bits(
+        want_lines[0], want_conj[0], want_inv[0], want_lim)
+    report = suites.run_suite("projective", seed, suites.Config(samples=samples))
+    reported = {c["name"]: c for c in report["checks"]}
+    assert _bits(*(reported[name]["residual"] for name in (
+        "proj.lines_to_lines", "fl.conjugation", "fl.inverse", "fl.large_scale_limit",
+        "fl.slab_table"))) == _bits(want_lines[0], want_conj[0], want_inv[0], want_lim,
+                                    want_slab[0])
+    assert reported["proj.lines_to_lines"]["note"].endswith(
+        f"; {want_lines[1]} samples, {25 - want_lines[1]} skipped")
+    assert reported["fl.conjugation"]["note"] == (
+        f"{want_conj[1]} samples, {samples - want_conj[1]} skipped")
+    assert reported["fl.inverse"]["note"] == f"{want_inv[1]} samples, {n - want_inv[1]} skipped"
+    assert reported["fl.slab_table"]["note"].endswith(
+        f"; {want_slab[1]} samples, {samples - want_slab[1]} skipped")
+    assert report["passed"]
+
+
+def test_conjugation_check_matches_per_sample_reference(rng):
+    # mixed slabs, both velocities signs and events next to every singular
+    # hyperplane, through the public function
+    for R, v in [(10.0, [0.5, 0, 0]), (3.0, [-0.3, 0.4, 0.2]), (0.7, [0.0, 0.0, 0.0])]:
+        b = FLBoost(np.array(v), c=1.0, R=R)
+        samples = [(float(rng.uniform(-3 * R, 3 * R)), rng.uniform(-3, 3, 3))
+                   for _ in range(500)]
+        samples += [(-R, rng.uniform(-3, 3, 3)), (R, np.zeros(3)), (0.0, np.zeros(3))]
+        worst, used = _per_sample_conjugation(b, samples)
+        got = conjugation_check(b, samples)
+        assert (got["used"], got["skipped"]) == (used, len(samples) - used)
+        assert _bits(got["max_residual"]) == _bits(worst)
+    assert conjugation_check(b, []) == {"max_residual": 0.0, "skipped": 0, "used": 0}
+
+
+class TestSingularRows:
+    """Rows exactly on t = R/c, on t = -R/c and on the zero of the deformed
+    boost's denominator are masked and counted by the stacked helpers, and
+    the public one-event functions still raise there."""
+
+    R, c = 4.0, 2.0
+
+    def fl_zero(self):
+        b = FLBoost(np.array([0.6, 0.0, 0.0]), c=1.0, R=3.0)
+        t = b.R / (b.c * (b.gamma - 1.0))  # the x = 0 root of the denominator
+        assert projective._fl_rows(b, np.float64(t), np.zeros(3))[2] == 0.0
+        return b, t
+
+    def test_squash_horizons(self):
+        R, c = self.R, self.c
+        t = np.array([R / c, -R / c, 0.5, -7.0, R / c + 1e-12])
+        tp, keep = projective._slab_table(t, R, c, 1e-9)
+        assert keep.tolist() == [False, False, True, True, False]
+        assert not projective._regular(projective._squash_rows(R, c, t, np.zeros((5, 3)))[2])[0]
+        assert not projective._regular(projective._squash_rows(-R, c, t, np.zeros((5, 3)))[2])[1]
+        with pytest.raises(SingularHyperplaneError, match="deformation denominator 0.0 too small"):
+            deformation_phi(R, c, R / c, np.zeros(3))
+        with pytest.raises(SingularHyperplaneError, match="deformation denominator 0.0 too small"):
+            deformation_phi_inverse(R, c, -R / c, np.zeros(3))
+        for horizon in (R / c, -R / c):
+            with pytest.raises(SingularHyperplaneError, match="singular hyperplane"):
+                time_slab(horizon, R, c)
+        assert [time_slab(s, R, c) for s in (0.0, 1.0, 2.5, -0.0, -3.0)] == [
+            "front", "front", "beyond", "front", "past"]
+
+    def test_conjugation_masks_and_counts(self):
+        b, t0 = self.fl_zero()
+        t = np.array([1.0, -b.R / b.c, t0, 2.0])
+        x = np.zeros((4, 3))
+        res, keep = projective._conjugation_rows(b, t, x)
+        assert keep.tolist() == [True, False, False, True]
+        got = conjugation_check(b, list(zip(t.tolist(), x)))
+        assert (got["used"], got["skipped"]) == (2, 2)
+        assert got["max_residual"] == float(res[keep].max())
+        with pytest.raises(SingularHyperplaneError, match="denominator 0.0 within 1e-08 of zero"):
+            fl_boost_apply(b, t0, np.zeros(3))
+        with pytest.raises(SingularHyperplaneError):
+            deformation_phi_inverse(b.R, b.c, -b.R / b.c, np.zeros(3))
+
+    def test_inverse_sweep_counts(self):
+        b, t0 = self.fl_zero()
+        worst, used = suites._inverse_sweep(b, np.array([1.0, t0, 2.0]), np.zeros((3, 3)))
+        assert used == 2 and worst < 1e-10
+
+    def test_lines_skip_whole_segments(self):
+        m = ProjectiveMap.worked_example(2)
+        x = np.array([[[0.5, 0.0], [1.0, 0.5], [1.5, 1.0]], [[0.1, 0.0], [0.2, 0.1], [0.3, 0.2]]])
+        img, den = projective._proj_rows(m.A, m.a, m.p, m.q, x)
+        assert projective._regular(den).all(axis=1).tolist() == [False, True]
+        with pytest.raises(SingularHyperplaneError, match="denominator 0.0 within 1e-08 of zero"):
+            proj_apply(m, x[0, 1])
+        assert img[1].tobytes() == np.array([proj_apply(m, p) for p in x[1]]).tobytes()
+
+    def test_lines_sweep_skips_a_segment_with_one_singular_point(self, monkeypatch):
+        proj_rows = projective._proj_rows
+
+        def one_singular_point(A, a, p, q, x):
+            img, den = proj_rows(A, a, p, q, x)
+            den[3, 2] = 0.5 * EPS_SINGULAR
+            return img, den
+
+        want = _per_sample_lines(np.random.default_rng(5))
+        monkeypatch.setattr(projective, "_proj_rows", one_singular_point)
+        worst, used = suites._lines_sweep(np.random.default_rng(5))
+        assert (want[1], used) == (25, 24) and worst <= want[0]
+
+    def test_large_scale_sweep_refuses_a_singular_row(self):
+        b = FLBoost(np.array([0.5, 0, 0]), c=1.0, R=1e6)
+        t = b.R / (b.c * (b.gamma - 1.0))
+        with pytest.raises(SingularHyperplaneError):
+            suites._large_scale_sweep(np.array([1.0, t]), np.zeros((2, 3)))
+
+
+def test_nan_in_a_later_sample_fails_the_check(monkeypatch):
+    boost_rows = projective._boost_rows
+
+    def poisoned(v, t, x, c):
+        tp, xp = boost_rows(v, t, x, c)
+        if np.ndim(tp) and tp.size > 7:
+            tp = tp.copy()
+            tp[7] = math.nan
+        return tp, xp
+
+    monkeypatch.setattr(projective, "_boost_rows", poisoned)
+    report = suites.run_suite("projective", 0, suites.Config())
+    failed = {c["name"] for c in report["checks"] if not c["passed"]}
+    assert failed == {"fl.conjugation", "fl.inverse", "fl.large_scale_limit"}
+    assert all(math.isnan(c["residual"]) for c in report["checks"] if c["name"] in failed)
+    b = FLBoost(np.array([0.5, 0, 0]), c=1.0, R=10.0)
+    samples = [(1.0 + 0.1 * i, np.full(3, 0.1)) for i in range(10)]
+    assert math.isnan(conjugation_check(b, samples)["max_residual"])
+
+
+class TestParallelismDemoOverflow:
+    def test_huge_sigma_gives_a_unit_direction(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = parallelism_breaking_demo([0.0, 1e200, -1e300])["directions"]
+        assert got[1e200].tolist() == [1e-200, 1.0]
+        assert got[-1e300].tolist() == [1e-300, -1.0]
+        for d in got.values():
+            assert abs(np.linalg.norm(d) - 1.0) < 1e-15
