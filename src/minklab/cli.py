@@ -163,9 +163,9 @@ def _demo_fl_slab(args) -> list[tuple[str, str]]:
     rng = np.random.default_rng(args.seed)
     R, c = args.R, 1.0
     t = rng.uniform(-3 * R / c, 3 * R / c, args.samples)
-    tp, keep = projective._slab_table(t, R, c, 1e-6)
+    kept, tp = projective._slab_table(t, R, c, 1e-6)
     rows = [{"t": ti, "slab": projective.time_slab(ti, R, c), "t_image": tpi}
-            for ti, tpi in zip(t[keep].tolist(), tp[keep].tolist())]
+            for ti, tpi in zip(kept.tolist(), tp.tolist())]
     if not rows:  # an R below about 1e-6 puts every sample in the horizon band
         raise ValueError(f"every sample of t was skipped at the horizon or a "
                          f"singular hyperplane, R={R!r}")

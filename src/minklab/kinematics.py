@@ -60,10 +60,22 @@ def _check_domain(k: float, v: float) -> None:
             f"velocity {v} outside the branch domain (needs a finite v with 1 + k v^2 > 0)")
 
 
+def _a_rows(k: float, v):
+    """a(v) of each velocity of a stack, all in the branch domain of k."""
+    return 1.0 / np.sqrt(1.0 + k * v * v)
+
+
+def _boost_1d_rows(k: float, v) -> np.ndarray:
+    """boost_matrix_1d of each velocity of a stack of shape S, all in the
+    branch domain of k, as an array of shape (2, 2) + S."""
+    a = _a_rows(k, v)
+    return np.array([[a, k * v * a], [-v * a, a]], dtype=float)
+
+
 def a_of_v(k: float, v: float) -> float:
     """Diagonal entry a(v) = 1/sqrt(1 + k v^2); even in v, a(0) = 1."""
     _check_domain(k, v)
-    return 1.0 / math.sqrt(1.0 + k * v * v)
+    return float(_a_rows(k, v))
 
 
 def boost_matrix_1d(k: float, v: float) -> np.ndarray:
@@ -71,8 +83,8 @@ def boost_matrix_1d(k: float, v: float) -> np.ndarray:
 
     Unimodular with equal diagonal entries; A(-v) is the inverse of A(v).
     """
-    a = a_of_v(k, v)
-    return np.array([[a, k * v * a], [-v * a, a]])
+    _check_domain(k, v)
+    return _boost_1d_rows(k, v)
 
 
 def compose_velocities(k: float, v: float, vp: float) -> float:
@@ -140,11 +152,9 @@ def rotation_taking_x_axis(direction: np.ndarray) -> np.ndarray:
 def _boost_3d_rows(v: np.ndarray, c: float) -> np.ndarray:
     """boost_3d of each velocity of a stack (..., 3), all below c."""
     speed = np.sqrt(np.vecdot(v, v))
-    k = -1.0 / (c * c)
-    a = 1.0 / np.sqrt(1.0 + k * speed * speed)  # boost_matrix_1d(k, speed)
+    A = _boost_1d_rows(-1.0 / (c * c), speed)
     B = np.zeros(v.shape[:-1] + (4, 4))
-    B[..., 0, 0] = B[..., 1, 1] = a
-    B[..., 0, 1], B[..., 1, 0] = k * speed * a, -speed * a
+    B[..., :2, :2] = A.transpose(*range(2, A.ndim), 0, 1)  # the 2x2 axes last
     B[..., 2, 2] = B[..., 3, 3] = 1.0
     D = rotation_embedding(rotation_taking_x_axis(v))
     return np.where((speed == 0.0)[..., None, None], np.eye(4),

@@ -12,7 +12,7 @@ stacks of events along leading axes and returns the images together with
 their denominators; `_regular` marks the rows clear of the singular
 hyperplane.  The public functions apply the helper to one event, with no
 leading axis, and raise SingularHyperplaneError where it is not regular;
-lorentz_boost_event, which has no singular hyperplane, takes stacks too.
+lorentz_boost_event and the squash pair take stacks too.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def _refuse_singular(den: np.ndarray,
                      message: str = f"denominator {{!r}} within {EPS_SINGULAR} of zero") -> None:
     """Raise SingularHyperplaneError, with the first singular denominator in
     the message, unless every row is regular."""
-    for d in den.tolist() if den.ndim else [float(den)]:
+    for d in den.ravel().tolist() if den.ndim else [float(den)]:
         if abs(d) <= EPS_SINGULAR:
             raise SingularHyperplaneError(message.format(d))
 
@@ -115,29 +115,25 @@ def proj_apply(m: ProjectiveMap, x) -> Event | np.ndarray:
     return Event(out) if isinstance(x, Event) else out
 
 
-def collinearity_residual(points) -> float | np.ndarray:
+def collinearity_residual(points) -> float:
     """Second singular value of the centred point cloud, relative.
 
     Zero (within 1e-10) iff the points are collinear; two points are
-    collinear by convention.  Duplicate points are rejected.  An array
-    (..., m, n) is a stack of clouds of m points, and gives an array of
-    their residuals.
+    collinear by convention.  Duplicate points are rejected.
     """
-    if isinstance(points, np.ndarray) and points.ndim > 2:
-        pts = points.astype(float, copy=False)
-    else:
-        pts = np.vstack([p.a if isinstance(p, Event) else np.asarray(p, dtype=float)
-                         for p in points])
-    same = np.abs(pts[..., :, None, :] - pts[..., None, :, :]).max(axis=-1) == 0.0
-    if np.any(same & ~np.eye(pts.shape[-2], dtype=bool)):
+    pts = np.vstack([p.a if isinstance(p, Event) else np.asarray(p, dtype=float)
+                     for p in points])
+    # sorted, equal points are neighbours; differences of 0 in every
+    # coordinate mark a duplicate, as -0.0 and 0.0 do
+    srt = pts[np.lexsort(pts.T[::-1])]
+    if np.any(np.abs(srt[1:] - srt[:-1]).max(axis=1) == 0.0):
         raise PreconditionError("duplicate points")
-    if pts.shape[-2] < 3:
-        res = np.zeros(pts.shape[:-2])
-    else:
-        s = np.linalg.svd(pts - pts.mean(axis=-2, keepdims=True), compute_uv=False)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            res = np.where(s[..., 0] == 0.0, 0.0, s[..., 1] / s[..., 0])
-    return float(res) if res.ndim == 0 else res
+    if pts.shape[0] < 3:
+        return 0.0
+    s = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+    if s[0] == 0.0:
+        return 0.0
+    return float(s[1] / s[0])
 
 
 def parallelism_breaking_demo(sigma_values) -> dict:
@@ -191,15 +187,18 @@ class FLBoost:
 
     @property
     def gamma(self) -> float:
-        beta2 = float(self.velocity @ self.velocity) / (self.c * self.c)
-        return 1.0 / math.sqrt(1.0 - beta2)
+        return _gamma(self.velocity, self.c)
 
 
-def _boost_rows(v: np.ndarray, t, x, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form boost by one velocity v (3,) below c of the events (t, x),
-    t of shape S and x of shape S + (3,)."""
+def _gamma(v: np.ndarray, c: float) -> float:
+    """1/sqrt(1 - v.v/c^2) of a velocity v (3,) below c."""
+    return 1.0 / math.sqrt(1.0 - float(v @ v) / (c * c))
+
+
+def _boost_rows(v: np.ndarray, gamma: float, t, x, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form boost by one velocity v (3,) below c, with its gamma, of
+    the events (t, x), t of shape S and x of shape S + (3,)."""
     vv = float(v @ v)
-    gamma = 1.0 / math.sqrt(1.0 - vv / (c * c))
     vx = np.vecdot(x, v)
     if vv == 0.0:
         xpar, xperp = np.zeros_like(x), x
@@ -219,7 +218,8 @@ def lorentz_boost_event(velocity, t: float, x, c: float = 1.0) -> tuple[float, n
     if float(v @ v) / (c * c) >= 1.0:
         raise PreconditionError("boost speed must be below c")
     t = np.float64(t) if np.ndim(t) == 0 else np.asarray(t, dtype=float)
-    tp, xp = _boost_rows(v, t, np.asarray(x, dtype=float).reshape(t.shape + (3,)), c)
+    tp, xp = _boost_rows(v, _gamma(v, c), t,
+                         np.asarray(x, dtype=float).reshape(t.shape + (3,)), c)
     return (float(tp), xp) if tp.ndim == 0 else (tp, xp)
 
 
@@ -228,7 +228,7 @@ def _fl_rows(b: FLBoost, t, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     its denominators."""
     g = b.gamma
     den = 1.0 - (g - 1.0) * b.c * t / b.R + g * np.vecdot(b.velocity, x) / (b.R * b.c)
-    tp, xp = _boost_rows(b.velocity, t, x, b.c)
+    tp, xp = _boost_rows(b.velocity, g, t, x, b.c)
     d = _divisor(den)
     return tp / d, xp / d[..., None], den
 
@@ -240,29 +240,41 @@ def fl_boost_apply(b: FLBoost, t: float, x) -> tuple[float, np.ndarray]:
     return float(tp), xp
 
 
+def _squash_den(R: float, c: float, t):
+    """Denominator 1 - c t / R of the squash at each instant t."""
+    return 1.0 - c * t / R
+
+
 def _squash_rows(R: float, c: float, t, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The squash (t, x) -> (t, x)/(1 - c t / R) of the events, shapes S and
     S + (k,), with its denominators; the squash at -R is its inverse."""
-    den = 1.0 - c * t / R
+    den = _squash_den(R, c, t)
     d = _divisor(den)
     return t / d, x / d[..., None], den
 
 
 def deformation_phi(R: float, c: float, t: float, x) -> tuple[float, np.ndarray]:
-    """(t, x) -> (t, x)/(1 - c t / R); singular at t = R/c."""
-    xa = np.asarray(x, dtype=float)
-    tp, xp, den = _squash_rows(R, c, np.float64(t), xa.reshape(-1))
-    _refuse_singular(den, "deformation denominator {!r} too small")
-    return float(tp), xp.reshape(xa.shape)
+    """(t, x) -> (t, x)/(1 - c t / R); singular at t = R/c.
+
+    It is the inverse squash at -R; see deformation_phi_inverse.  Also
+    squashes a stack of events, t of shape S and x of shape S + (k,), and
+    then returns arrays.
+    """
+    return deformation_phi_inverse(-R, c, t, x)
 
 
 def deformation_phi_inverse(R: float, c: float, t: float, x) -> tuple[float, np.ndarray]:
     """Inverse squash (t, x) -> (t, x)/(1 + c t / R); singular at t = -R/c.
 
     It is the squash at -R: negating R is exact, so 1 - c t/(-R) equals
-    1 + c t/R bit for bit.
+    1 + c t/R bit for bit.  Also maps a stack of events, t of shape S and
+    x of shape S + (k,), and then returns arrays.
     """
-    return deformation_phi(-R, c, t, x)
+    t = np.float64(t) if np.ndim(t) == 0 else np.asarray(t, dtype=float)
+    xa = np.asarray(x, dtype=float)
+    tp, xp, den = _squash_rows(-R, c, t, xa.reshape(-1) if t.ndim == 0 else xa)
+    _refuse_singular(den, "deformation denominator {!r} too small")
+    return (float(tp), xp.reshape(xa.shape)) if t.ndim == 0 else (tp, xp)
 
 
 _SLABS = ("front", "beyond", "past")
@@ -287,11 +299,10 @@ def time_slab(t: float, R: float, c: float) -> str:
 
 
 def _slab_table(t: np.ndarray, R: float, c: float, band: float) -> tuple[np.ndarray, np.ndarray]:
-    """Squash image of each instant t and the mask of the instants kept:
-    those outside `band` of both horizons +-R/c at which the squash is
-    regular."""
-    tp, _, den = _squash_rows(R, c, t, np.empty(t.shape + (0,)))
-    return tp, ~(np.abs(np.abs(t) - R / c) < band) & _regular(den)
+    """The instants t kept, those outside `band` of both horizons +-R/c at
+    which the squash is regular, and their squash images."""
+    kept = t[~(np.abs(np.abs(t) - R / c) < band) & _regular(_squash_den(R, c, t))]
+    return kept, deformation_phi(R, c, kept, np.empty(kept.shape + (0,)))[0]
 
 
 def _conjugation_rows(b: FLBoost, t, x) -> tuple[np.ndarray, np.ndarray]:
@@ -300,7 +311,7 @@ def _conjugation_rows(b: FLBoost, t, x) -> tuple[np.ndarray, np.ndarray]:
     which every leg is regular."""
     t1, x1, d1 = _fl_rows(b, t, x)
     tm, xm, d2 = _squash_rows(-b.R, b.c, t, x)
-    tl, xl = _boost_rows(b.velocity, tm, xm, b.c)
+    tl, xl = _boost_rows(b.velocity, b.gamma, tm, xm, b.c)
     t2, x2, d3 = _squash_rows(b.R, b.c, tl, xl)
     res = np.maximum(np.abs(t1 - t2) * b.c, np.abs(x1 - x2).max(axis=-1))
     return res, _regular(d1) & _regular(d2) & _regular(d3)

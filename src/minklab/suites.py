@@ -392,7 +392,7 @@ def _lines_sweep(rng: np.random.Generator) -> tuple[float, int]:
     img, den = projective._proj_rows(A[:, None], a[:, None], p[:, None], 2.0,
                                      base[:, None] + s * direction[:, None])
     kept = img[projective._regular(den).all(axis=1)]
-    return _worst(projective.collinearity_residual(kept)), len(kept)
+    return _worst([projective.collinearity_residual(pts) for pts in kept]), len(kept)
 
 
 def _fl_samples(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np.ndarray]:
@@ -431,10 +431,10 @@ def _slab_sweep(rng: np.random.Generator, samples: int) -> tuple[int, int]:
     the squash."""
     R, c = 5.0, 1.0
     t = rng.uniform(-20, 20, samples)
-    tp, keep = projective._slab_table(t, R, c, 1e-9)
-    outside = np.choose(projective._slab_rows(t, R, c),
+    kept, tp = projective._slab_table(t, R, c, 1e-9)
+    outside = np.choose(projective._slab_rows(kept, R, c),
                         [~(tp >= 0), ~(tp < -R / c), ~((-R / c < tp) & (tp <= 0))])
-    return int(np.count_nonzero(keep & outside)), int(np.count_nonzero(keep))
+    return int(np.count_nonzero(outside)), len(kept)
 
 
 def suite_projective(seed: int, config: Config) -> list[Check]:

@@ -15,10 +15,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # expected_accel_curl is the closed-form reference that test_rigid compares
 # accel_curl against; it shares _jerk_bracket with expected_lie_accel, which
-# the rigid suite uses.  deformation_phi_inverse is the inverse squash of the
-# public squash pair: the stacked conjugation check takes it as the squash at
-# -R from projective._squash_rows, so only test_projective calls it.
-ALLOWED_UNREFERENCED = {"expected_accel_curl", "deformation_phi_inverse"}
+# the rigid suite uses.
+ALLOWED_UNREFERENCED = {"expected_accel_curl"}
 
 
 def _trees(*dirs):

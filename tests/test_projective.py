@@ -74,21 +74,31 @@ class TestCollinearity:
     def test_duplicates_rejected(self):
         with pytest.raises(PreconditionError):
             collinearity_residual([np.zeros(2), np.zeros(2), np.ones(2)])
-        clouds = np.arange(24.0).reshape(2, 4, 3)
-        clouds[1, 3] = clouds[1, 0]
-        with pytest.raises(PreconditionError):
-            collinearity_residual(clouds)
+        with pytest.raises(PreconditionError):  # -0.0 equals 0.0
+            collinearity_residual([np.array([0.0, 1.0]), np.ones(2), np.array([-0.0, 1.0])])
 
-    def test_stack_of_clouds(self, rng):
-        clouds = rng.standard_normal((40, 5, 3))
-        clouds[::4] = clouds[::4, :1] + np.linspace(0, 1, 5)[:, None] * clouds[::4, 1:2]
-        clouds[1] = 0.5  # one point repeated: rejected alone, so offset it
-        clouds[1] += np.arange(5)[:, None] * np.array([1.0, 0.0, 0.0])
-        got = collinearity_residual(clouds)
-        assert got.shape == (40,)
-        assert got.tobytes() == np.array([collinearity_reference(c) for c in clouds]).tobytes()
-        assert collinearity_residual(clouds[:0]).shape == (0,)
-        assert collinearity_residual(np.zeros((3, 2, 2)) + np.arange(2.0)[:, None]).tolist() == [0.0] * 3
+    def test_duplicate_test_matches_the_pairwise_reference(self, rng):
+        # the sorted neighbour test finds the duplicates the pairwise loop
+        # finds: repeated rows anywhere in the cloud and signed zeros, but not
+        # rows with an infinite or NaN coordinate, whose difference is NaN
+        def found_duplicate(fn, pts):
+            try:
+                fn(pts)
+            except PreconditionError:
+                return True
+            except np.linalg.LinAlgError:  # the SVD of a non-finite cloud
+                pass
+            return False
+
+        values = [0.0, -0.0, 1.0, 2.0, math.inf, math.nan]
+        found = 0
+        with np.errstate(invalid="ignore"):
+            for _ in range(400):
+                pts = rng.choice(values, size=(int(rng.integers(1, 7)), 2))
+                want = found_duplicate(collinearity_reference, pts)
+                assert found_duplicate(collinearity_residual, pts) == want
+                found += want
+        assert 50 < found < 350
 
 
 class TestParallelismDemo:
@@ -358,6 +368,16 @@ class TestOneClosedForm:
         assert refused > 100
 
 
+def test_squash_pair_takes_stacks(rng):
+    t, x = rng.uniform(-20, 20, (4, 5)), rng.uniform(-3, 3, (4, 5, 2))
+    for fn in (deformation_phi, deformation_phi_inverse):
+        tp, xp = fn(3.0, 1.5, t, x)
+        want = [fn(3.0, 1.5, ti, xi) for ti, xi in zip(t.ravel().tolist(), x.reshape(-1, 2))]
+        assert tp.shape == (4, 5) and xp.shape == (4, 5, 2)
+        assert tp.tobytes() == np.array([w[0] for w in want]).tobytes()
+        assert xp.tobytes() == np.array([w[1] for w in want]).tobytes()
+
+
 # The projective suite's sweeps, drawn and computed sample by sample with the
 # scalar formulas the stacked helpers replaced; the suite must report the
 # same residuals bit for bit and leave the generator in the same state after
@@ -567,14 +587,18 @@ class TestSingularRows:
     def test_squash_horizons(self):
         R, c = self.R, self.c
         t = np.array([R / c, -R / c, 0.5, -7.0, R / c + 1e-12])
-        tp, keep = projective._slab_table(t, R, c, 1e-9)
-        assert keep.tolist() == [False, False, True, True, False]
+        kept, tp = projective._slab_table(t, R, c, 1e-9)
+        assert kept.tolist() == [0.5, -7.0]
+        assert tp.tolist() == [deformation_phi(R, c, s, np.zeros(3))[0] for s in (0.5, -7.0)]
         assert not projective._regular(projective._squash_rows(R, c, t, np.zeros((5, 3)))[2])[0]
         assert not projective._regular(projective._squash_rows(-R, c, t, np.zeros((5, 3)))[2])[1]
         with pytest.raises(SingularHyperplaneError, match="deformation denominator 0.0 too small"):
             deformation_phi(R, c, R / c, np.zeros(3))
         with pytest.raises(SingularHyperplaneError, match="deformation denominator 0.0 too small"):
             deformation_phi_inverse(R, c, -R / c, np.zeros(3))
+        for fn, horizon in ((deformation_phi, R / c), (deformation_phi_inverse, -R / c)):
+            with pytest.raises(SingularHyperplaneError, match="deformation denominator 0.0 too small"):
+                fn(R, c, np.array([0.5, horizon, 1.0]), np.zeros((3, 2)))
         for horizon in (R / c, -R / c):
             with pytest.raises(SingularHyperplaneError, match="singular hyperplane"):
                 time_slab(horizon, R, c)
@@ -632,8 +656,8 @@ class TestSingularRows:
 def test_nan_in_a_later_sample_fails_the_check(monkeypatch):
     boost_rows = projective._boost_rows
 
-    def poisoned(v, t, x, c):
-        tp, xp = boost_rows(v, t, x, c)
+    def poisoned(v, gamma, t, x, c):
+        tp, xp = boost_rows(v, gamma, t, x, c)
         if np.ndim(tp) and tp.size > 7:
             tp = tp.copy()
             tp[7] = math.nan
