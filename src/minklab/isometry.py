@@ -346,13 +346,13 @@ _RELATIONS = ("ge", "gt", "lightlike-successor", "interval-sign")
 
 
 def _relation_row(relation: str, D: np.ndarray, tol: float) -> np.ndarray:
-    """The relation on every displacement row d of D.
+    """The relation on every displacement d along the last axis of D.
 
     The quadratic forms are taken with np.vecdot, which equals core.inner
     and d @ d bit for bit.  'interval-sign' gives the sign class of the
     interval: 0 null, 1 positive, 2 negative.
     """
-    d0 = D[:, 0]
+    d0 = D[..., 0]
     q = _inner_rows(D, D)
     e2 = np.vecdot(D, D)
     band = tol * np.fmax(e2, 1.0)  # fmax, like max(1.0, d @ d), ignores NaN
@@ -372,6 +372,10 @@ def _stack(points) -> np.ndarray:
     return np.stack([p.a for p in points])
 
 
+# ordered pairs per block of rows of the harness's relation tables
+HARNESS_BLOCK_PAIRS = 4096
+
+
 def relation_preservation_harness(events: Sequence[Event],
                                   mapping: Callable[[Event], Event],
                                   relation: str,
@@ -386,9 +390,12 @@ def relation_preservation_harness(events: Sequence[Event],
     DimensionMismatchError, a map that is not injective on the events raises
     PreconditionError.
 
-    The events and their images are stacked once and each relation table is
-    built one row at a time, row i being event i against every partner, so
-    for N events in dimension n the memory is O(N n), not O(N^2 n).
+    The events and their images are stacked once, and the injectivity test
+    and each relation table are built a block of rows at a time, row i
+    being event i against every partner.  A block holds at most
+    HARNESS_BLOCK_PAIRS pairs (one row if a row is longer), so for N events
+    in dimension n the temporary memory is O(max(HARNESS_BLOCK_PAIRS, N) n),
+    not O(N^2 n).
     """
     if relation not in _RELATIONS:
         raise ValueError(f"relation must be one of {_RELATIONS}")
@@ -396,20 +403,24 @@ def relation_preservation_harness(events: Sequence[Event],
     if len(events) < 2:
         return []
     P, Q = _stack(events), _stack(images)
-    for i in range(len(Q) - 1):
-        if (np.abs(Q[i] - Q[i + 1:]).max(axis=1) < 1e-12).any():
+    partner = np.arange(len(P))
+    rows = max(1, HARNESS_BLOCK_PAIRS // len(P))
+    blocks = [partner[lo:lo + rows, None] for lo in range(0, len(P), rows)]
+    for i in blocks:
+        same = np.abs(Q[i] - Q).max(axis=2) < 1e-12
+        if (same & (partner > i)).any():
             raise PreconditionError("mapping is not injective on the event set")
     violations = []
-    for i in range(len(P)):
+    for i in blocks:
         before = _relation_row(relation, P[i] - P, tol)
-        after = _relation_row(relation, Q[i] - Q, tol)
-        changed = before != after
-        changed[i] = False
-        for j in np.flatnonzero(changed).tolist():
-            # the oriented relations break forward when only the events relate
-            forward = relation == "interval-sign" or before[j]
-            violations.append((i, j, "forward" if forward else "inverse"))
-    return violations  # built in (i, j) order, hence sorted
+        changed = (before != _relation_row(relation, Q[i] - Q, tol)) & (partner != i)
+        rows_i, cols = np.nonzero(changed)  # in (i, j) order, hence sorted
+        # the oriented relations break forward when only the events relate
+        forward = (np.ones(len(cols), bool) if relation == "interval-sign"
+                   else before[rows_i, cols])
+        violations += [(a, b, "forward" if f else "inverse") for a, b, f in
+                       zip(i[rows_i, 0].tolist(), cols.tolist(), forward.tolist())]
+    return violations
 
 
 def unit_distance_harness(f: Callable[[np.ndarray], np.ndarray],

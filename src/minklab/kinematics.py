@@ -54,22 +54,23 @@ def classify_branch(k: float) -> BoostFamily:
     return BoostFamily(float(k))
 
 
-def _check_domain(k: float, v: float) -> None:
-    if not (math.isfinite(v) and 1.0 + k * v * v > 0.0):  # NaN k included
-        raise PreconditionError(
-            f"velocity {v} outside the branch domain (needs a finite v with 1 + k v^2 > 0)")
+def _check_domain(k, v) -> None:
+    """Refuse a v outside the branch domain of k; for stacks k and v
+    (broadcast), refuse the stack if any row is outside."""
+    # one comparison, elementwise on stacks: 0 v is NaN for an infinite v
+    # (a stack warns of it), and NaN, a NaN k included, compares false
+    ok = 1.0 + k * v * v > 0.0 * v
+    if ok is True or ok is not False and ok.all():  # numpy's booleans have all()
+        return
+    if ok is not False:  # name the first velocity outside
+        v = np.broadcast_to(v, ok.shape)[~ok][0]
+    raise PreconditionError(
+        f"velocity {v} outside the branch domain (needs a finite v with 1 + k v^2 > 0)")
 
 
 def _a_rows(k: float, v):
     """a(v) of each velocity of a stack, all in the branch domain of k."""
     return 1.0 / np.sqrt(1.0 + k * v * v)
-
-
-def _boost_1d_rows(k: float, v) -> np.ndarray:
-    """boost_matrix_1d of each velocity of a stack of shape S, all in the
-    branch domain of k, as an array of shape (2, 2) + S."""
-    a = _a_rows(k, v)
-    return np.array([[a, k * v * a], [-v * a, a]], dtype=float)
 
 
 def a_of_v(k: float, v: float) -> float:
@@ -78,17 +79,21 @@ def a_of_v(k: float, v: float) -> float:
     return float(_a_rows(k, v))
 
 
-def boost_matrix_1d(k: float, v: float) -> np.ndarray:
-    """2x2 action on (t, x): [[a, k v a], [-v a, a]].
+def boost_matrix_1d(k, v) -> np.ndarray:
+    """2x2 action on (t, x): [[a, k v a], [-v a, a]]; for stacks k and v
+    (broadcast to shape S), one matrix per row, shape S + (2, 2).
 
     Unimodular with equal diagonal entries; A(-v) is the inverse of A(v).
     """
     _check_domain(k, v)
-    return _boost_1d_rows(k, v)
+    a = _a_rows(k, v)
+    A = np.array([[a, k * v * a], [-v * a, a]], dtype=float)
+    return A if A.ndim == 2 else A.transpose(*range(2, A.ndim), 0, 1)  # 2x2 axes last
 
 
-def compose_velocities(k: float, v: float, vp: float) -> float:
-    """Composition law v'' = (v + v')/(1 - k v v').
+def compose_velocities(k, v, vp):
+    """Composition law v'' = (v + v')/(1 - k v v'); for stacks k, v and v'
+    (broadcast), one composed velocity per row.
 
     At the pole k v v' = 1 (reachable only for k > 0) the composed velocity
     is infinite: math.inf is returned rather than raising, since the
@@ -97,16 +102,24 @@ def compose_velocities(k: float, v: float, vp: float) -> float:
     _check_domain(k, v)
     _check_domain(k, vp)
     denom = 1.0 - k * v * vp
-    if denom == 0.0:
-        return math.inf
-    return (v + vp) / denom
+    if isinstance(denom, float):  # one velocity pair
+        return (v + vp) / denom if denom else math.inf
+    with np.errstate(divide="ignore"):
+        return np.where(denom == 0.0, math.inf, (v + vp) / denom)[()]
 
 
-def rapidity(v: float, c: float = 1.0) -> float:
-    """artanh(v/c); additive under composition on the k < 0 branch."""
-    if not abs(v) < c:  # NaN included
+def rapidity(v, c: float = 1.0):
+    """artanh(v/c); additive under composition on the k < 0 branch.  For a
+    stack of velocities, one rapidity per entry."""
+    inside = abs(v) < c  # NaN included
+    if not (inside is True or inside is not False and inside.all()):
         raise PreconditionError(f"|v| must be below the invariant speed {c}")
-    return math.atanh(v / c)
+    beta = v / c
+    if isinstance(beta, float):
+        return math.atanh(beta)
+    # libm's atanh per entry, as for one velocity: np.arctanh differs from
+    # it in the last bit on some
+    return np.array(list(map(math.atanh, beta.ravel().tolist()))).reshape(beta.shape)
 
 
 def rotation_embedding(D: np.ndarray) -> np.ndarray:
@@ -152,9 +165,8 @@ def rotation_taking_x_axis(direction: np.ndarray) -> np.ndarray:
 def _boost_3d_rows(v: np.ndarray, c: float) -> np.ndarray:
     """boost_3d of each velocity of a stack (..., 3), all below c."""
     speed = np.sqrt(np.vecdot(v, v))
-    A = _boost_1d_rows(-1.0 / (c * c), speed)
     B = np.zeros(v.shape[:-1] + (4, 4))
-    B[..., :2, :2] = A.transpose(*range(2, A.ndim), 0, 1)  # the 2x2 axes last
+    B[..., :2, :2] = boost_matrix_1d(-1.0 / (c * c), speed)
     B[..., 2, 2] = B[..., 3, 3] = 1.0
     D = rotation_embedding(rotation_taking_x_axis(v))
     return np.where((speed == 0.0)[..., None, None], np.eye(4),

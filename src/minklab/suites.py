@@ -101,11 +101,11 @@ def _chk(name: str, residual: float, tolerance: float, note: str = "") -> Check:
 
 
 # The sample sweeps below draw their random numbers in the order of a
-# per-sample loop, with one array call where that gives the same bits, and
-# then take all samples at once: the geometry as stacks, the scalar boost
-# family functions mapped over the draws.  A residual folds with one np.max,
-# so a NaN in any sample fails its check, and a sweep that kept no sample
-# reports NaN, so it fails too.
+# per-sample loop, with one array call where that gives the same bits (see
+# _uniform for ranges that depend on an earlier draw), and then take all
+# samples at once as stacks.  A residual folds with one np.max, so a NaN in
+# any sample fails its check, and a sweep that kept no sample reports NaN,
+# so it fails too.
 
 def _worst(residuals) -> float:
     a = np.abs(residuals)
@@ -271,22 +271,29 @@ def suite_isometry(seed: int, config: Config) -> list[Check]:
 
 # ---------------------------------------------------------------- kinematics
 
+def _uniform(low, high, u):
+    """rng.uniform(low, high) from its unit draw u = rng.random(), bit for
+    bit: numpy computes low + (high - low) u.  One rng.random((samples, m))
+    call draws the units of a per-sample loop of m uniform calls in loop
+    order, so the bounds of a row's later draws may depend on its earlier."""
+    return low + (high - low) * u
+
+
 def _rapidity_sweep(rng: np.random.Generator, samples: int) -> float:
     """Worst failure of rapidity additivity over random velocity pairs."""
-    return _worst([kinematics.rapidity(kinematics.compose_velocities(-1.0, v, vp))
-                   - (kinematics.rapidity(v) + kinematics.rapidity(vp))
-                   for v, vp in rng.uniform(-0.9, 0.9, (samples, 2)).tolist()])
+    v, vp = rng.uniform(-0.9, 0.9, (samples, 2)).T
+    rapidity = kinematics.rapidity
+    return _worst(rapidity(kinematics.compose_velocities(-1.0, v, vp))
+                  - (rapidity(v) + rapidity(vp)))
 
 
 def _hyperbolic_form_sweep(rng: np.random.Generator, samples: int) -> float:
     """Worst entry of S A S^-1 minus the hyperbolic boost, S = diag(c, 1),
     over random invariant speeds c and velocities below 0.9 c."""
-    draws = []
-    for _ in range(samples):
-        c = float(rng.uniform(0.5, 3.0))
-        draws.append((c, float(rng.uniform(-0.9 * c, 0.9 * c))))
-    A = np.array([kinematics.boost_matrix_1d(-1.0 / (c * c), v) for c, v in draws])
-    c, v = np.array(draws).T
+    u = rng.random((samples, 2))
+    c = _uniform(0.5, 3.0, u[:, 0])
+    v = _uniform(-0.9 * c, 0.9 * c, u[:, 1])
+    A = kinematics.boost_matrix_1d(-1.0 / (c * c), v)
     beta = v / c
     gam = 1.0 / np.sqrt(1 - beta * beta)
     S, hyper = np.zeros((2, samples, 2, 2))
@@ -298,22 +305,23 @@ def _hyperbolic_form_sweep(rng: np.random.Generator, samples: int) -> float:
 
 def _reciprocity_sweep(rng: np.random.Generator, samples: int) -> float:
     """Worst entry of A(v) A(-v) minus the identity over random branches k."""
-    draws = []
-    for _ in range(samples):
-        k = float(rng.uniform(-2.0, 2.0))
-        vmax = 0.9 / math.sqrt(-k) if k < 0 else 2.0
-        draws.append((k, float(rng.uniform(-vmax, vmax))))
-    A = np.array([kinematics.boost_matrix_1d(k, v) for k, v in draws])
-    A_rev = np.array([kinematics.boost_matrix_1d(k, -v) for k, v in draws])
+    u = rng.random((samples, 2))
+    k = _uniform(-2.0, 2.0, u[:, 0])
+    vmax = np.full(samples, 2.0)
+    hyperbolic = k < 0
+    vmax[hyperbolic] = 0.9 / np.sqrt(-k[hyperbolic])
+    v = _uniform(-vmax, vmax, u[:, 1])
+    A = kinematics.boost_matrix_1d(k, v)
+    A_rev = kinematics.boost_matrix_1d(k, -v)
     return _worst(A @ A_rev - np.eye(2))
 
 
 def _associativity_sweep(rng: np.random.Generator, samples: int) -> float:
     """Worst failure of associativity of Einstein composition."""
     compose = kinematics.compose_velocities
-    return _worst([compose(-1.0, compose(-1.0, v1, v2), v3)
-                   - compose(-1.0, v1, compose(-1.0, v2, v3))
-                   for v1, v2, v3 in rng.uniform(-0.9, 0.9, (samples, 3)).tolist()])
+    v1, v2, v3 = rng.uniform(-0.9, 0.9, (samples, 3)).T
+    return _worst(compose(-1.0, compose(-1.0, v1, v2), v3)
+                  - compose(-1.0, v1, compose(-1.0, v2, v3)))
 
 
 def _boost3d_sweep(rng: np.random.Generator) -> tuple[float, float]:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from minklab import isometry
 from minklab.core import (DimensionMismatchError, Event, MinkVector,
                           PreconditionError, inner, metric_matrix)
 from minklab.isometry import (AffineIsometry, ConformalProbeError, Dilation,
@@ -433,6 +434,105 @@ class TestRelationHarnessReference:
     def test_unknown_relation_rejected(self):
         with pytest.raises(ValueError, match="relation"):
             relation_preservation_harness([], lambda p: p, "before")
+
+
+def _row_loop_harness(events, mapping, relation, tol=1e-9):
+    """The harness as it was before its tables were built in blocks: the
+    injectivity test and both relation tables one row at a time."""
+    images = [mapping(p) for p in events]
+    if len(events) < 2:
+        return []
+    P, Q = isometry._stack(events), isometry._stack(images)
+    for i in range(len(Q) - 1):
+        if (np.abs(Q[i] - Q[i + 1:]).max(axis=1) < 1e-12).any():
+            raise PreconditionError("mapping is not injective on the event set")
+    violations = []
+    for i in range(len(P)):
+        before = isometry._relation_row(relation, P[i] - P, tol)
+        after = isometry._relation_row(relation, Q[i] - Q, tol)
+        changed = before != after
+        changed[i] = False
+        for j in np.flatnonzero(changed).tolist():
+            forward = relation == "interval-sign" or before[j]
+            violations.append((i, j, "forward" if forward else "inverse"))
+    return violations
+
+
+def _mixed_events(dim, count, seed):
+    """Random events with integer and near-null pairs among them."""
+    rng = np.random.default_rng([seed, dim, count])
+    out = rng.uniform(-4, 4, (count, dim))
+    out[::3] = np.unique(rng.integers(-3, 4, (count, dim)), axis=0)[:len(out[::3])]
+    for a in range(1, count, 4):  # a null partner of the event before it
+        d = rng.standard_normal(dim - 1)
+        out[a] = out[a - 1] + rng.uniform(0.2, 2) * np.concatenate(
+            [[1.0 + rng.uniform(-4e-9, 4e-9)], d / np.linalg.norm(d)])
+    return [Event(a) for a in out]
+
+
+def _maps(dim, seed):
+    rng = np.random.default_rng([seed, dim, 2])
+    L, shift = random_lorentz(dim, rng), rng.uniform(-1, 1, dim)
+    squeeze = np.linspace(0.5, 2.0, dim)
+    return {"poincare-dilation": lambda p: Event(1.5 * (L @ p.a) + shift),
+            "time-reversal": lambda p: Event(p.a * np.r_[-1.0, np.ones(dim - 1)]),
+            "anisotropic": lambda p: Event(p.a * squeeze + 0.25)}
+
+
+class TestBlockedRelationHarness:
+    """The blocked harness reports exactly what the row loop reported."""
+
+    @pytest.mark.parametrize("block_pairs", [None, 1, 20, 150])
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 70])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_matches_row_loop(self, monkeypatch, dim, count, block_pairs):
+        # at the module's block size 70 events make a block of 58 rows and
+        # one of 12; 1 pair per block gives one-row blocks, 20 gives 7
+        # events blocks of 2, 2, 2 and 1 rows, and 150 gives 70 events
+        # blocks of 2 rows
+        if block_pairs is not None:
+            monkeypatch.setattr(isometry, "HARNESS_BLOCK_PAIRS", block_pairs)
+        events = _mixed_events(dim, count, 0)
+        for fmap in _maps(dim, 0).values():
+            for relation in RELATIONS:
+                for tol in (1e-9, 0.0):
+                    want = _row_loop_harness(events, fmap, relation, tol)
+                    assert relation_preservation_harness(events, fmap, relation, tol) == want
+
+    @pytest.mark.parametrize("block_pairs", [None, 1])
+    @pytest.mark.parametrize("relation", RELATIONS)
+    def test_nan_images_match_row_loop(self, monkeypatch, relation, block_pairs):
+        if block_pairs is not None:
+            monkeypatch.setattr(isometry, "HARNESS_BLOCK_PAIRS", block_pairs)
+        events = _mixed_events(3, 30, 2)
+        poisoned = {id(events[k]) for k in (0, 11, 29)}
+        fmap = lambda p: Event(np.full(3, np.nan)) if id(p) in poisoned else p
+        want = _row_loop_harness(events, fmap, relation)
+        assert want
+        assert relation_preservation_harness(events, fmap, relation) == want
+
+    @pytest.mark.parametrize("block_pairs", [None, 1])
+    @pytest.mark.parametrize("pair", [(0, 1), (3, 68), (68, 69)])
+    def test_non_injective_map_rejected(self, monkeypatch, pair, block_pairs):
+        if block_pairs is not None:
+            monkeypatch.setattr(isometry, "HARNESS_BLOCK_PAIRS", block_pairs)
+        events = _mixed_events(4, 70, 3)
+        a, b = (events[k] for k in pair)
+        fmap = lambda p: a if p is b else p
+        for harness in (_row_loop_harness, relation_preservation_harness):
+            with pytest.raises(PreconditionError, match="injective"):
+                harness(events, fmap, "ge")
+
+    @pytest.mark.parametrize("which", ["events", "images"])
+    def test_mixed_dimensions_rejected(self, which):
+        events = _mixed_events(3, 5, 4) + [Event([1.0, 0.0, 0.0, 0.0])]
+        fmap = lambda p: p
+        if which == "images":
+            events = _mixed_events(3, 6, 4)
+            fmap = lambda p: Event(np.append(p.a, 1.0)) if p is events[4] else p
+        for harness in (_row_loop_harness, relation_preservation_harness):
+            with pytest.raises(DimensionMismatchError):
+                harness(events, fmap, "gt")
 
 
 class TestUnitDistanceHarness:

@@ -411,17 +411,48 @@ def test_suite_sweeps_match_per_sample_reference(seed, samples):
     assert report["passed"]
 
 
-def test_nan_in_a_later_sample_fails_the_check(monkeypatch):
+def _failed_with_a_nan_row(monkeypatch, sweep, function, call=1):
+    """The kinematics report's failed checks when row 6 of the stack that
+    the call-th call of `function` inside `sweep` returns is NaN."""
+    real_sweep, real_function = getattr(suites, sweep), getattr(kinematics, function)
     calls = []
 
-    def poisoned(v):
-        calls.append(v)
-        return math.nan if len(calls) == 7 else rapidity(v)
+    def poisoned(*args):
+        out = real_function(*args)
+        if calls:
+            calls[-1] += 1
+            if calls[-1] == call:
+                out[6] = math.nan
+        return out
 
-    monkeypatch.setattr(kinematics, "rapidity", poisoned)
+    def scoped(*args):
+        calls.append(0)
+        try:
+            return real_sweep(*args)
+        finally:
+            calls.pop()
+
+    monkeypatch.setattr(kinematics, function, poisoned)
+    monkeypatch.setattr(suites, sweep, scoped)
     report = suites.run_suite("kinematics", 0, suites.Config())
-    failed = {c["name"] for c in report["checks"] if not c["passed"]}
+    return {c["name"] for c in report["checks"] if not c["passed"]}
+
+
+def test_nan_in_a_later_sample_fails_the_check(monkeypatch):
+    failed = _failed_with_a_nan_row(monkeypatch, "_rapidity_sweep", "rapidity")
     assert failed == {"rapidity.additive"}
+
+
+# compose_velocities refuses a NaN velocity, so the associativity sweep's
+# poisoned call is its second, the outer composition of the left side
+@pytest.mark.parametrize("check, sweep, function, call", [
+    ("boost1d.hyperbolic_form", "_hyperbolic_form_sweep", "boost_matrix_1d", 1),
+    ("boost1d.reciprocity", "_reciprocity_sweep", "boost_matrix_1d", 1),
+    ("boost1d.reciprocity", "_reciprocity_sweep", "boost_matrix_1d", 2),
+    ("compose.associative", "_associativity_sweep", "compose_velocities", 2),
+    ("compose.associative", "_associativity_sweep", "compose_velocities", 4)])
+def test_nan_in_a_later_row_fails_its_check(monkeypatch, check, sweep, function, call):
+    assert _failed_with_a_nan_row(monkeypatch, sweep, function, call) == {check}
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -461,3 +492,62 @@ def test_rotation_and_boost_equal_the_formulas_they_replaced(rng):
         assert got.tobytes() == want
     assert rotation_embedding(stacked[:5, 1:, 1:]).tobytes() == np.array(
         [embedding_reference(D) for D in stacked[:5, 1:, 1:]]).tobytes()
+
+
+# The boost family on stacks: each row equals the single-velocity call bit
+# for bit, on every branch, and one bad row refuses the whole stack.
+
+def _branch_rows(rng):
+    """(k, v, v') rows on the three branches, each velocity in the domain of
+    its k, plus k > 0 rows at the pole k v v' = 1."""
+    k = np.repeat([-2.0, -1.0, -0.25, 0.0, 0.5, 1.0], 40)
+    vmax = np.full(k.size, 3.0)
+    vmax[k < 0] = 0.99 / np.sqrt(-k[k < 0])
+    v, vp = rng.uniform(-vmax, vmax, (2, k.size))
+    pole_k = np.array([1.0, 1.0, 4.0, 0.5])
+    pole_v = np.array([0.5, -2.0, 0.25, 1.0])
+    return (np.concatenate([k, pole_k]), np.concatenate([v, pole_v]),
+            np.concatenate([vp, 1.0 / (pole_k * pole_v)]))
+
+
+def test_stacked_boost_family_equals_single_calls(rng):
+    k, v, vp = _branch_rows(rng)
+    composed = compose_velocities(k, v, vp)
+    assert np.isinf(composed[-4:]).all() and (composed[-4:] > 0).all()
+    assert composed.tobytes() == np.array(
+        [compose_velocities(*row) for row in zip(k.tolist(), v.tolist(), vp.tolist())]).tobytes()
+    A = boost_matrix_1d(k, v)
+    assert A.shape == (k.size, 2, 2)
+    for row, (kr, vr) in enumerate(zip(k.tolist(), v.tolist())):
+        assert A[row].tobytes() == boost_matrix_1d(kr, vr).tobytes()
+    # k broadcast: one constant against a 2-D stack of velocities
+    grid = v[:240].reshape(6, 40) * 0.2
+    assert boost_matrix_1d(-1.0, grid).shape == (6, 40, 2, 2)
+    assert compose_velocities(-1.0, grid, grid[::-1]).tobytes() == np.array(
+        [compose_velocities(-1.0, a, b) for a, b in zip(grid.ravel().tolist(),
+                                                         grid[::-1].ravel().tolist())]).tobytes()
+    w = rng.uniform(-0.999, 0.999, (7, 30))
+    assert rapidity(w).tobytes() == np.array([rapidity(x) for x in w.ravel().tolist()]).tobytes()
+    assert rapidity(w * 2.0, 2.0).shape == (7, 30)
+    assert rapidity(np.array([])).shape == (0,)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("k_bad, v_bad", [(-1.0, 1.5), (-1.0, math.nan), (-1.0, math.inf),
+                                          (0.0, -math.inf), (1.0, math.inf), (math.nan, 0.5)])
+def test_one_bad_row_refuses_the_stack(rng, k_bad, v_bad):
+    # 0 v is NaN for an infinite row, and numpy warns of it
+    k, v = np.full(20, -1.0), rng.uniform(-0.9, 0.9, 20)
+    k[12], v[12] = k_bad, v_bad
+    for call in (lambda: boost_matrix_1d(k, v), lambda: compose_velocities(k, v, 0.5),
+                 lambda: compose_velocities(k, 0.5, v)):
+        with pytest.raises(PreconditionError, match="domain"):
+            call()
+
+
+@pytest.mark.parametrize("v_bad", [1.0, -1.5, math.nan, math.inf, -math.inf])
+def test_one_bad_row_refuses_the_rapidity_stack(rng, v_bad):
+    v = rng.uniform(-0.9, 0.9, 20)
+    v[12] = v_bad
+    with pytest.raises(PreconditionError, match="invariant speed"):
+        rapidity(v)
