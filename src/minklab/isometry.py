@@ -434,21 +434,23 @@ def unit_distance_harness(f: Callable[[np.ndarray], np.ndarray],
     a non-finite distance included.  A zero or non-finite direction raises
     PreconditionError.  This checks a necessary condition only.
     """
-    units = []
-    for d in directions:
-        u = np.asarray(d, dtype=float)
-        norm = np.linalg.norm(u)
-        if not 0.0 < norm < np.inf:
-            raise PreconditionError("directions must be nonzero and finite")
-        units.append(u / norm)
+    dirs = [np.asarray(d, dtype=float) for d in directions]
+    if not dirs:
+        return []
+    dirs = np.array(dirs)
+    # sqrt of the row-wise dot product is np.linalg.norm of each row, bit for bit
+    norms = np.sqrt(np.vecdot(dirs, dirs))
+    if not np.all((0.0 < norms) & (norms < np.inf)):
+        raise PreconditionError("directions must be nonzero and finite")
+    steps = delta * (dirs / norms[:, None])
     report = []
     for i, x in enumerate(points):
         x = np.asarray(x, dtype=float)
         fx = f(x)
-        for j, u in enumerate(units):
-            err = abs(float(np.linalg.norm(f(x + delta * u) - fx)) - delta)
-            if not err <= RESIDUAL_TOL * max(1.0, delta):
-                report.append((i, j, err))
+        d = np.array([f(y) for y in x + steps]) - fx
+        errs = np.abs(np.sqrt(np.vecdot(d, d)) - delta)
+        for j in np.flatnonzero(~(errs <= RESIDUAL_TOL * max(1.0, delta))).tolist():
+            report.append((i, j, float(errs[j])))
     return report
 
 

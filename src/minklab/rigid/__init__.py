@@ -5,7 +5,7 @@ chart, and the single-worldline construction of irrotational rigid motion."""
 from .curvature import christoffels_fd, riemann_lowered_fd, total_antisymmetrizer
 from .decomp import (DEFAULT_STEP, FIRST_DERIV_TOL, SECOND_DERIV_TOL,
                      KinematicDecomposition, accel_curl, accel_oneform,
-                     grad_lowered, is_rigid, killing_test,
+                     is_rigid, killing_test,
                      kinematic_decomposition, lie_derivative_2tensor,
                      lie_derivative_oneform,
                      reparameterization_invariance_check, spatial_metric)
@@ -28,7 +28,6 @@ __all__ = [
     "KinematicDecomposition",
     "WorldLineCurve",
     "spatial_metric",
-    "grad_lowered",
     "kinematic_decomposition",
     "is_rigid",
     "reparameterization_invariance_check",

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import PreconditionError, inner, metric_matrix, norm_g
-from .fields import VelocityField, _central, rescaled_field
+from ..core import PreconditionError, _inner_rows, inner, metric_matrix, norm_g
+from .fields import VelocityField, _central, _jet, rescaled_field
 
 __all__ = [
     "DEFAULT_STEP",
@@ -23,7 +23,6 @@ __all__ = [
     "SECOND_DERIV_TOL",
     "KinematicDecomposition",
     "spatial_metric",
-    "grad_lowered",
     "kinematic_decomposition",
     "is_rigid",
     "reparameterization_invariance_check",
@@ -87,33 +86,39 @@ class KinematicDecomposition:
         return float(np.abs(model - grad).max())
 
 
-def grad_lowered(field: VelocityField, event: np.ndarray, step: float) -> np.ndarray:
-    """D[a, b] = d_a u_b by central differences (derivative index first).
+def _split_rows(field: VelocityField, x: np.ndarray, step: float):
+    """(u, theta, omega, accel_flat) at rows x (..., n), from one
+    evaluation of the field on the rows and their stencils; the lowered
+    gradient D[..., a, b] = d_a u_b is split as in KinematicDecomposition.
 
-    `field` may be any event -> vector callable, normalised or not.
+    The 4x4 algebra runs as stacked matmuls, which give each row's
+    one-event products bit for bit (the rigid reference tests compare them).
     """
-    x = np.asarray(event, dtype=float)
-    return _central(field, x, step) @ metric_matrix(x.size)
+    c = field.c
+    u, du = _jet(field, x, step)
+    n = u.shape[-1]
+    G = metric_matrix(n)
+    D = du @ G
+    accel_flat = (u[..., None, :] @ D)[..., 0, :]  # u^a d_a u_b
+    ul = (G @ u[..., None])[..., 0]
+    P = np.eye(n) - u[..., :, None] * ul[..., None, :] / (c * c)  # mixed projector, vector slot
+    Pt = np.swapaxes(P, -1, -2)
+    Dt = np.swapaxes(D, -1, -2)
+    theta = Pt @ (0.5 * (D + Dt)) @ P
+    omega = Pt @ (0.5 * (D - Dt)) @ P
+    return u, theta, omega, accel_flat
 
 
 def kinematic_decomposition(field: VelocityField, event, step: float = DEFAULT_STEP) -> KinematicDecomposition:
-    """Expansion/shear, vorticity and acceleration of the field at an event."""
+    """Expansion/shear, vorticity and acceleration of the field at an event.
+
+    The field is evaluated once, on the event and its 2n stencil rows.
+    """
     if not 0 < step < math.inf:  # NaN included
         raise PreconditionError("step must be positive and finite")
     x = np.asarray(event, dtype=float)
-    c = field.c
-    u = field(x)
-    n = u.size
-    G = metric_matrix(n)
-    D = grad_lowered(field, x, step)
-    accel_flat = u @ D  # u^a d_a u_b
-    accel = G @ accel_flat
-    ul = G @ u
-    P = np.eye(n) - np.outer(u, ul) / (c * c)  # mixed projector, vector slot
-    sym = 0.5 * (D + D.T)
-    antisym = 0.5 * (D - D.T)
-    theta = P.T @ sym @ P
-    omega = P.T @ antisym @ P
+    u, theta, omega, accel_flat = _split_rows(field, x, step)
+    accel = metric_matrix(u.size) @ accel_flat
     return KinematicDecomposition(theta=theta, omega=omega, accel=accel,
                                   accel_flat=accel_flat, u=u, at=x, fd_step=step)
 
@@ -130,17 +135,17 @@ def reparameterization_invariance_check(field: VelocityField, scaling, probes,
                                         step: float = DEFAULT_STEP) -> dict:
     """Rigidity verdict before and after rescaling the generator.
 
-    Rescaling by a nowhere-zero function leaves the flow lines, and hence
-    the verdict, unchanged; the comparison is at verdict level.  The
-    rescaled generator is renormalised along its own direction before the
-    split.
+    Rescaling by a nowhere-zero function of rows (see rescaled_field)
+    leaves the flow lines, and hence the verdict, unchanged; the comparison
+    is at verdict level.  The rescaled generator is renormalised along its
+    own direction before the split.
     """
     base = is_rigid(field, probes, step)
     raw = rescaled_field(field, scaling)
 
     def normalised(x):
         K = raw(x)
-        return K * (field.c / np.sqrt(inner(K, K)))
+        return K * (field.c / np.sqrt(_inner_rows(K, K)))[..., None]
 
     scaled = is_rigid(VelocityField(normalised, field.domain, field.c), probes, step)
     return {
@@ -152,23 +157,27 @@ def reparameterization_invariance_check(field: VelocityField, scaling, probes,
 
 def lie_derivative_oneform(field: VelocityField, oneform, event,
                            step: float = DEFAULT_STEP) -> np.ndarray:
-    """(L_u alpha)_b = u^c d_c alpha_b + alpha_c d_b u^c by central differences."""
+    """(L_u alpha)_b = u^c d_c alpha_b + alpha_c d_b u^c by central differences.
+
+    `oneform` takes rows of events; it and the field are each evaluated
+    once, on the event and its stencil.
+    """
     x = np.asarray(event, dtype=float)
-    u = field(x)
-    alpha = np.asarray(oneform(x), dtype=float)
-    dalpha = _central(oneform, x, step)
-    du = _central(field, x, step)
+    u, du = _jet(field, x, step)
+    alpha, dalpha = _jet(oneform, x, step)
     return np.array([u @ dalpha[:, b] + alpha @ du[b, :] for b in range(x.size)])
 
 
 def lie_derivative_2tensor(field: VelocityField, tensor, event,
                            step: float = DEFAULT_STEP) -> np.ndarray:
-    """(L_u T)_ab = u^c d_c T_ab + T_cb d_a u^c + T_ac d_b u^c."""
+    """(L_u T)_ab = u^c d_c T_ab + T_cb d_a u^c + T_ac d_b u^c.
+
+    `tensor` takes rows of events; it and the field are each evaluated
+    once, on the event and its stencil.
+    """
     x = np.asarray(event, dtype=float)
-    u = field(x)
-    T = np.asarray(tensor(x), dtype=float)
-    dT = _central(tensor, x, step)
-    du = _central(field, x, step)
+    u, du = _jet(field, x, step)
+    T, dT = _jet(tensor, x, step)
     out = np.einsum("c,cab->ab", u, dT)
     out += np.einsum("cb,ac->ab", T, du)
     out += np.einsum("ac,bc->ab", T, du)
@@ -176,15 +185,18 @@ def lie_derivative_2tensor(field: VelocityField, tensor, event,
 
 
 def accel_oneform(field: VelocityField, event, step: float = DEFAULT_STEP) -> np.ndarray:
-    """Lowered acceleration (u^a d_a u)_b at an event."""
-    x = np.asarray(event, dtype=float)
-    u = field(x)
-    D = grad_lowered(field, x, step)
-    return u @ D
+    """Lowered acceleration (u^a d_a u)_b at rows of events."""
+    u, du = _jet(field, np.asarray(event, dtype=float), step)
+    D = du @ metric_matrix(u.shape[-1])
+    return (u[..., None, :] @ D)[..., 0, :]
 
 
 def accel_curl(field: VelocityField, event, step: float = DEFAULT_STEP) -> np.ndarray:
-    """Exterior derivative (d a-flat)_ab = d_a a_b - d_b a_a, nested differences."""
+    """Exterior derivative (d a-flat)_ab = d_a a_b - d_b a_a, nested differences.
+
+    One evaluation of the field covers the (2n)(2n + 1) rows of the nested
+    stencil.
+    """
     da = _central(lambda y: accel_oneform(field, y, step), np.asarray(event, dtype=float), step)
     return da - da.T
 

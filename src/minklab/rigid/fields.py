@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..core import PreconditionError, inner, metric_matrix, norm_g
+from ..core import PreconditionError, _inner_rows, _norm_g_rows, metric_matrix
 
 __all__ = [
     "VelocityField",
@@ -33,38 +33,86 @@ WEDGE_CHART_STEP = 1e-5
 
 @dataclass(frozen=True)
 class VelocityField:
-    """Event -> vector evaluator with u.u = c^2 enforced on evaluation.
+    """Evaluator of rows of events -> rows of vectors, with u.u = c^2
+    enforced on evaluation.
 
-    `domain` is checked before every evaluation and guards evaluators that
-    would otherwise return a wrong vector off their domain; an evaluator
-    that raises PreconditionError there itself passes `lambda x: True`.
-    `tag` records the provenance
-    (boost-killing | rotation-killing | worldline-induced | user).
+    The evaluator and the domain take events as rows, an array (..., n);
+    one event (n,) is the one-row case.  The evaluator returns one vector
+    per row, in the shape of its input; the domain returns one bool, or one
+    bool per row.  The domain is checked before every evaluation and guards
+    evaluators that would otherwise return a wrong vector off their domain;
+    an evaluator that raises PreconditionError there itself passes
+    `lambda x: True`.  A stack with any row off the domain or not
+    normalised is refused whole, naming its first such row.  `tag` records
+    the provenance (boost-killing | rotation-killing | worldline-induced |
+    user).
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
-    domain: Callable[[np.ndarray], bool]
+    domain: Callable[[np.ndarray], bool | np.ndarray]
     c: float = 1.0
     tag: str = "user"
 
     def __call__(self, event) -> np.ndarray:
         x = np.asarray(event, dtype=float)
-        if not self.domain(x):
-            raise PreconditionError(f"event {x.tolist()} outside the field domain")
-        u = np.asarray(self.evaluator(x), dtype=float)
-        c2 = self.c * self.c
-        q = inner(u, u)
-        if abs(q - c2) > NORMALIZATION_RTOL * c2:
+        inside = self.domain(x)
+        if not _every(inside):
             raise PreconditionError(
-                f"field not normalised at {x.tolist()}: u.u = {q!r}, expected {c2!r}")
+                f"event {_first_row(x, np.logical_not(inside)).tolist()} outside the field domain")
+        u = np.asarray(self.evaluator(x), dtype=float)
+        if u.shape != x.shape:
+            raise PreconditionError(
+                f"evaluator returned shape {u.shape} for events of shape {x.shape}")
+        c2 = self.c * self.c
+        q = _inner_rows(u, u)
+        off = abs(q - c2) > NORMALIZATION_RTOL * c2
+        if _some(off):
+            raise PreconditionError(
+                f"field not normalised at {_first_row(x, off).tolist()}: "
+                f"u.u = {float(np.ravel(q)[np.argmax(off)])!r}, expected {c2!r}")
         return u
 
     def lower(self, event) -> np.ndarray:
-        """Covector u-flat = G u at the event."""
+        """Covectors u-flat = G u at rows of events."""
         u = self(event)
-        G = metric_matrix(u.size)
-        return G @ u
+        return u @ metric_matrix(u.shape[-1])
 
+
+def _every(mask) -> bool:
+    """Whether one bool, or every entry of a bool array, holds.  One event
+    gives a single bool, which bool() reads without numpy's reduction."""
+    return bool(mask.all()) if isinstance(mask, np.ndarray) and mask.ndim else bool(mask)
+
+
+def _some(mask) -> bool:
+    """Whether one bool, or any entry of a bool array, holds."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) and mask.ndim else bool(mask)
+
+
+def _first_row(x: np.ndarray, mask) -> np.ndarray:
+    """The first row of events x (..., n) at which mask (one bool, or one
+    per row) holds."""
+    i = int(np.argmax(np.broadcast_to(mask, x.shape[:-1])))
+    return x.reshape(-1, x.shape[-1])[i]
+
+
+def _libm(fn, *args) -> np.ndarray:
+    """fn mapped over the entries of float arrays (or numpy scalars) of one
+    shape, as Python floats.
+
+    numpy's sinh, cosh, atan and power are not libm's and differ from it in
+    the last bit on some inputs, and math.hypot is not libm's hypot either;
+    mapped per entry, a stacked closed form keeps the bits of the
+    one-event formula.
+    """
+    out = list(map(fn, *[a.ravel().tolist() for a in args]))
+    return np.array(out, dtype=float).reshape(args[0].shape)
+
+
+# The closed-form fields read component i of every row as x.T[i]: a numpy
+# scalar for one event, whose arithmetic costs what the one-event formula
+# did, and for a stack an array over the rows in reversed axis order, which
+# u.T[i] = ... writes back in place (and a domain's .T undoes).
 
 def boost_killing_field() -> VelocityField:
     """Normalised generator of boosts, on the right wedge x > |ct|, at c = 1.
@@ -74,14 +122,14 @@ def boost_killing_field() -> VelocityField:
     """
 
     def ev(x: np.ndarray) -> np.ndarray:
-        x0 = norm_g(x[:2])  # the orbit label, sqrt(x^2 - (ct)^2)
-        u = np.zeros(x.size)
-        u[0] = x[1] / x0
-        u[1] = x[0] / x0
+        x0 = _norm_g_rows(x[..., :2]).T  # the orbit label, sqrt(x^2 - (ct)^2)
+        u = np.zeros(x.shape)
+        u.T[0] = x.T[1] / x0
+        u.T[1] = x.T[0] / x0
         return u
 
-    def dom(x: np.ndarray) -> bool:
-        return x[1] > abs(x[0])
+    def dom(x: np.ndarray) -> np.ndarray:
+        return (x.T[1] > abs(x.T[0])).T
 
     return VelocityField(ev, dom, 1.0, "boost-killing")
 
@@ -94,43 +142,69 @@ def rotation_killing_field(kappa: float, c: float = 1.0) -> VelocityField:
     """
 
     def ev(x: np.ndarray) -> np.ndarray:
-        rho2 = x[1] * x[1] + x[2] * x[2]
-        k2 = c * c - kappa * kappa * rho2
-        f = c / math.sqrt(k2)
-        return np.array([c * f, -kappa * x[2] * f, kappa * x[1] * f, 0.0])
+        px, py = x.T[1], x.T[2]
+        k2 = c * c - kappa * kappa * (px * px + py * py)
+        f = c / np.sqrt(k2)
+        u = np.zeros(x.shape)
+        u.T[0] = c * f
+        u.T[1] = -kappa * py * f
+        u.T[2] = kappa * px * f
+        return u
 
-    def dom(x: np.ndarray) -> bool:
-        return kappa * math.hypot(x[1], x[2]) < c
+    def dom(x: np.ndarray) -> np.ndarray:
+        inside = [kappa * math.hypot(px, py) < c for px, py in x[..., 1:3].reshape(-1, 2).tolist()]
+        return np.array(inside).reshape(x.shape[:-1])
 
     return VelocityField(ev, dom, c, "rotation-killing")
 
 
-def rescaled_field(field: VelocityField, scaling: Callable[[np.ndarray], float]) -> Callable:
+def rescaled_field(field: VelocityField, scaling: Callable[[np.ndarray], np.ndarray]) -> Callable:
     """Pointwise rescaling of the (un-normalised) generator.
 
-    Returns a raw evaluator, not a VelocityField: the result is
+    `scaling` takes rows of events and returns one factor, or one per row.
+    Returns a raw evaluator of rows, not a VelocityField: the result is
     deliberately unnormalised.  Rigidity is a property of the flow lines,
     so verdicts must not change under such rescalings.
     """
 
     def ev(x: np.ndarray) -> np.ndarray:
-        s = float(scaling(np.asarray(x, dtype=float)))
-        if s == 0.0:
+        s = np.asarray(scaling(np.asarray(x, dtype=float)), dtype=float)
+        if np.any(s == 0.0):
             raise PreconditionError("scaling must be nowhere zero")
-        return s * field(x)
+        return s[..., None] * field(x)
 
     return ev
 
 
-def _central(fn, x: np.ndarray, step: float) -> np.ndarray:
-    """out[a] = d_a fn(x) by central differences, for array-valued fn."""
-    rows = []
-    for a in range(x.size):
-        dx = np.zeros(x.size)
-        dx[a] = step
-        rows.append((np.asarray(fn(x + dx), dtype=float)
-                     - np.asarray(fn(x - dx), dtype=float)) / (2 * step))
-    return np.array(rows)
+def _stencil(x: np.ndarray, step: float) -> np.ndarray:
+    """Rows x + step e_a for every axis a, then x - step e_a: (..., 2n, n)
+    for rows x (..., n)."""
+    dx = step * np.eye(x.shape[-1])
+    return np.concatenate([x[..., None, :] + dx, x[..., None, :] - dx], axis=-2)
+
+
+def _central(fn, x, step: float) -> np.ndarray:
+    """out[..., a, ...] = d_a fn at rows x (..., n), by central differences.
+
+    fn takes rows and returns one value (of any shape) per row; it is
+    called once, on the whole stencil, so a nested difference is one call
+    on (2n)^2 rows per outer row.
+    """
+    x = np.asarray(x, dtype=float)
+    f = np.asarray(fn(_stencil(x, step)), dtype=float)
+    plus, minus = np.split(f, 2, axis=x.ndim - 1)
+    return (plus - minus) / (2 * step)
+
+
+def _jet(fn, x, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """(fn(x), _central(fn, x, step)) from one call of fn on rows x and
+    their stencils."""
+    x = np.asarray(x, dtype=float)
+    rows = np.concatenate([x[..., None, :], _stencil(x, step)], axis=-2)
+    f = np.asarray(fn(rows), dtype=float)
+    axis = x.ndim - 1
+    centre, plus, minus = np.split(f, [1, 1 + x.shape[-1]], axis=axis)
+    return np.squeeze(centre, axis), (plus - minus) / (2 * step)
 
 
 # Wedge chart -------------------------------------------------------------
@@ -169,8 +243,11 @@ def wedge_chart_metric(x0: float, lam: float) -> np.ndarray:
     """
 
     def embed(q):
-        l, r = q
-        return np.array([r * math.sinh(l), r * math.cosh(l)])
+        l, r = q[..., 0], q[..., 1]
+        out = np.empty(q.shape)
+        out[..., 0] = r * _libm(math.sinh, l)
+        out[..., 1] = r * _libm(math.cosh, l)
+        return out
 
     jac_t = _central(embed, np.array([lam, x0]), WEDGE_CHART_STEP)  # jac_t[j] = d_j embed
     return jac_t @ metric_matrix(2) @ jac_t.T

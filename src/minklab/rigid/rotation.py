@@ -10,10 +10,10 @@ import numpy as np
 
 from ..core import PreconditionError
 from .curvature import riemann_lowered_fd, total_antisymmetrizer
-from .decomp import (DEFAULT_STEP, SECOND_DERIV_TOL,
+from .decomp import (DEFAULT_STEP, SECOND_DERIV_TOL, _split_rows,
                      kinematic_decomposition, lie_derivative_2tensor,
                      spatial_metric)
-from .fields import VelocityField, rotation_killing_field
+from .fields import VelocityField, _libm, rotation_killing_field
 
 __all__ = [
     "comoving_coords",
@@ -48,14 +48,19 @@ def comoving_frame_vectors(event: np.ndarray) -> np.ndarray:
 
 
 def comoving_rotation_metric(kappa: float, c: float):
-    """Rest-space metric in the comoving chart: diag(1, 1, rho^2/(1 - (kappa rho/c)^2))."""
+    """Rest-space metric in the comoving chart: diag(1, 1, rho^2/(1 - (kappa rho/c)^2)),
+    as a callable of rows of chart points (z, rho, psi)."""
 
-    def metric(q: np.ndarray) -> np.ndarray:
-        rho = q[1]
-        f = 1.0 - (kappa * rho / c) ** 2
-        if f <= 0:
+    def metric(q: np.ndarray) -> np.ndarray:  # rows of chart points (..., 3)
+        rho = q[..., 1]
+        f = 1.0 - _libm(lambda v: v ** 2, kappa * rho / c)
+        if np.any(f <= 0):
             raise PreconditionError("radius outside the timelike region")
-        return np.diag([1.0, 1.0, rho * rho / f])
+        out = np.zeros(q.shape + (3,))
+        out[..., 0, 0] = 1.0
+        out[..., 1, 1] = 1.0
+        out[..., 2, 2] = rho * rho / f
+        return out
 
     return metric
 
@@ -75,8 +80,8 @@ def rotation_killing_checks(kappa: float, c: float, probes,
         x = np.asarray(p, dtype=float)
         dec = kinematic_decomposition(field, x, step)
 
-        def omega_at(y, _f=field, _s=step):
-            return kinematic_decomposition(_f, y, _s).omega
+        def omega_at(y, _f=field, _s=step):  # rows of events -> rows of omega
+            return _split_rows(_f, y, _s)[2]
 
         lie_omega = lie_derivative_2tensor(field, omega_at, x, step)
         frame = comoving_frame_vectors(x)

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..core import PreconditionError, inner, metric_matrix
+from ..core import PreconditionError, _inner_rows, inner, metric_matrix
 from .fields import VelocityField
 
 __all__ = [
@@ -36,25 +36,48 @@ CAUSTIC_GUARD = 1e-3
 class WorldLineCurve:
     """Curve tau -> event with derivative evaluators, tau in eigentime.
 
-    zdot.zdot = c^2 along the curve and zdot.zddot = 0 (differentiated
-    normalisation); both are validated on sampled parameters.
+    Each evaluator takes an array of parameters tau, of any shape S, and
+    returns one event or vector per entry, shape S + (n,); one parameter is
+    the zero-dimensional case.  zdot.zdot = c^2 along the curve and
+    zdot.zddot = 0 (differentiated normalisation); both are validated on
+    sampled parameters.
     """
 
-    z: Callable[[float], np.ndarray]
-    zdot: Callable[[float], np.ndarray]
-    zddot: Callable[[float], np.ndarray]
-    zdddot: Callable[[float], np.ndarray]
+    z: Callable[[np.ndarray], np.ndarray]
+    zdot: Callable[[np.ndarray], np.ndarray]
+    zddot: Callable[[np.ndarray], np.ndarray]
+    zdddot: Callable[[np.ndarray], np.ndarray]
     c: float = 1.0
 
     def validate(self, taus) -> None:
+        taus = np.asarray(taus, dtype=float)
         c2 = self.c * self.c
-        for t in taus:
-            v = self.zdot(t)
-            a = self.zddot(t)
-            if abs(inner(v, v) - c2) > 1e-10 * c2:
-                raise PreconditionError(f"zdot.zdot != c^2 at tau={t}")
-            if abs(inner(v, a)) > 1e-10 * max(c2, 1.0):
-                raise PreconditionError(f"zdot.zddot != 0 at tau={t}")
+        v = self.zdot(taus)
+        a = self.zddot(taus)
+        bad_norm = np.abs(_inner_rows(v, v) - c2) > 1e-10 * c2
+        bad_orth = np.abs(_inner_rows(v, a)) > 1e-10 * max(c2, 1.0)
+        bad = (bad_norm | bad_orth).ravel()
+        if bad.any():
+            i = int(np.argmax(bad))
+            what = "zdot.zdot != c^2" if bad_norm.ravel()[i] else "zdot.zddot != 0"
+            raise PreconditionError(f"{what} at tau={taus.ravel()[i]}")
+
+
+def _in_tx_plane(formula: Callable[[float], tuple[float, float]]) -> Callable:
+    """Curve evaluator from a closed form tau -> (ct, x): one vector
+    (ct, x, 0, 0) per entry of an array of tau.
+
+    The formula runs on each entry as a Python float, so every entry has
+    the bits of the one-parameter formula: libm's sinh, cosh and atan and
+    C pow, where numpy's own differ in the last bit on some inputs.
+    """
+
+    def ev(t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        rows = [(*formula(v), 0.0, 0.0) for v in t.ravel().tolist()]
+        return np.array(rows, dtype=float).reshape(t.shape + (4,))
+
+    return ev
 
 
 def hyperbolic_worldline(x0: float, c: float = 1.0) -> WorldLineCurve:
@@ -63,13 +86,10 @@ def hyperbolic_worldline(x0: float, c: float = 1.0) -> WorldLineCurve:
         raise PreconditionError("x0 must be positive and finite")
 
     def make(fn0, fn1, scale):
-        def ev(t):
-            out = np.zeros(4)
+        def formula(t):
             lam = c * t / x0
-            out[0] = scale * fn0(lam)
-            out[1] = scale * fn1(lam)
-            return out
-        return ev
+            return scale * fn0(lam), scale * fn1(lam)
+        return _in_tx_plane(formula)
 
     return WorldLineCurve(
         z=make(math.sinh, math.cosh, x0),
@@ -102,46 +122,36 @@ def wiggly_worldline(eps: float) -> WorldLineCurve:
         return u, chi_p, chi_pp
 
     def z(t):
-        out = np.zeros(4)
-        u = 1.0 + eps * t * t
         # integral of cosh(chi) = (u + 1/u)/2 and of sinh(chi) = (u - 1/u)/2
         poly = t + eps * t ** 3 / 3.0
         arct = math.atan(s * t) / s
-        out[0] = 0.5 * (poly + arct)
-        out[1] = 0.5 * (poly - arct)
-        return out
+        return 0.5 * (poly + arct), 0.5 * (poly - arct)
 
     def zdot(t):
-        out = np.zeros(4)
         u = 1.0 + eps * t * t
-        out[0] = 0.5 * (u + 1.0 / u)
-        out[1] = 0.5 * (u - 1.0 / u)
-        return out
+        return 0.5 * (u + 1.0 / u), 0.5 * (u - 1.0 / u)
 
     def zddot(t):
-        out = np.zeros(4)
         u, chi_p, _ = uexp(t)
         cosh = 0.5 * (u + 1.0 / u)
         sinh = 0.5 * (u - 1.0 / u)
-        out[0] = chi_p * sinh
-        out[1] = chi_p * cosh
-        return out
+        return chi_p * sinh, chi_p * cosh
 
     def zdddot(t):
-        out = np.zeros(4)
         u, chi_p, chi_pp = uexp(t)
         cosh = 0.5 * (u + 1.0 / u)
         sinh = 0.5 * (u - 1.0 / u)
-        out[0] = chi_pp * sinh + chi_p * chi_p * cosh
-        out[1] = chi_pp * cosh + chi_p * chi_p * sinh
-        return out
+        return (chi_pp * sinh + chi_p * chi_p * cosh,
+                chi_pp * cosh + chi_p * chi_p * sinh)
 
-    return WorldLineCurve(z=z, zdot=zdot, zddot=zddot, zdddot=zdddot)
+    return WorldLineCurve(z=_in_tx_plane(z), zdot=_in_tx_plane(zdot),
+                          zddot=_in_tx_plane(zddot), zdddot=_in_tx_plane(zdddot))
 
 
-def _brent(f: Callable[[float], float], a: float, fa: float, b: float, fb: float,
-           xtol: float, rtol: float, maxiter: int) -> float:
-    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+def _brent_steps(a: float, fa: float, b: float, fb: float,
+                 xtol: float, rtol: float, maxiter: int):
+    """Brent's method (Brent 1973, ch. 4) as a generator: it yields each
+    point at which it needs f, is sent f there, and returns the root.
 
     A statement-for-statement port of the C routine brentq.c, so for the
     same f, bracket and tolerances the root is bit-identical to that
@@ -190,58 +200,140 @@ def _brent(f: Callable[[float], float], a: float, fa: float, b: float, fb: float
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = checked(xcur, f(xcur))
+        fcur = checked(xcur, (yield xcur))
     raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations")
 
 
-def foliation_time(curve: WorldLineCurve, event, tau_window: tuple[float, float]) -> float:
-    """The parameter sigma(x) of the orthogonal hyperplane through x.
+def _brent_rows(f_rows: Callable[[list[int], list[float]], list[float]],
+                a, fa, b, fb, xtol: float, rtol: float, maxiter: int) -> list[float]:
+    """Roots of one Brent state per row, brackets and end values given per row.
+
+    Each round calls f_rows(rows, xs) once, with the rows still open and
+    the point each of them asks for, and sends every row its own value, so
+    each row makes the same steps and evaluations as a scalar Brent loop
+    on that row alone.
+    """
+    roots = [0.0] * len(a)
+    rows, states, xs = [], [], []
+    for i, args in enumerate(zip(a, fa, b, fb)):
+        steps = _brent_steps(*args, xtol, rtol, maxiter)
+        try:
+            xs.append(next(steps))
+        except StopIteration as done:
+            roots[i] = done.value
+            continue
+        rows.append(i)
+        states.append(steps)
+    while rows:
+        values = f_rows(rows, xs)
+        open_rows, open_states, xs = [], [], []
+        for i, steps, v in zip(rows, states, values):
+            try:
+                xs.append(steps.send(v))
+            except StopIteration as done:
+                roots[i] = done.value
+                continue
+            open_rows.append(i)
+            open_states.append(steps)
+        rows, states = open_rows, open_states
+    return roots
+
+
+def _brent(f: Callable[[float], float], a: float, fa: float, b: float, fb: float,
+           xtol: float, rtol: float, maxiter: int) -> float:
+    """Root of f in [a, b] by Brent's method: the one-row case of _brent_rows."""
+    return _brent_rows(lambda rows, xs: [f(xs[0])], [a], [fa], [b], [fb],
+                       xtol, rtol, maxiter)[0]
+
+
+def _hyperplane_offset(curve: WorldLineCurve, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """zdot(tau).(x - z(tau)) along rows: the function whose root is sigma(x)."""
+    return _inner_rows(curve.zdot(tau), x - curve.z(tau))
+
+
+def _foliation_rows(curve: WorldLineCurve, x: np.ndarray,
+                    tau_window: tuple[float, float]) -> np.ndarray:
+    """sigma at each row of x (m, n), as one stacked solve.
+
+    Every row starts from the window and grows its own bracket; then one
+    Brent state per row runs.  f is evaluated once per round for all the
+    rows still growing or still open, and each row's steps, and so its
+    root, are those of a solve of that row alone.
+    """
+    m = len(x)
+    every = list(range(m))
+
+    def f(rows, taus):
+        xr = x if rows == every else x[rows]
+        return _hyperplane_offset(curve, xr, np.asarray(taus, dtype=float)).tolist()
+
+    lo, hi = [float(tau_window[0])] * m, [float(tau_window[1])] * m
+    flo, fhi = [0.0] * m, [0.0] * m
+    rows, grow = every, 0
+    while True:
+        try:  # far out f may overflow to inf or NaN, which brackets nothing
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = f(rows + rows, [lo[i] for i in rows] + [hi[i] for i in rows])
+        except OverflowError:  # the window outgrew the curve's closed form
+            raise PreconditionError("could not bracket the hyperplane parameter") from None
+        for i, v_lo, v_hi in zip(rows, values, values[len(rows):]):
+            flo[i], fhi[i] = v_lo, v_hi
+        # each row's window grows until f changes sign strictly across it
+        rows = [i for i in rows if not (flo[i] < 0 < fhi[i] or fhi[i] < 0 < flo[i])]
+        if not rows:
+            break
+        if grow == 60:
+            raise PreconditionError("could not bracket the hyperplane parameter")
+        grow += 1
+        for i in rows:
+            span = hi[i] - lo[i]
+            lo[i], hi[i] = lo[i] - 0.5 * span, hi[i] + 0.5 * span
+    tau = np.array(_brent_rows(f, lo, flo, hi, fhi, xtol=1e-14, rtol=8.9e-16, maxiter=200))
+    for n in foliation_gap(curve, tau, x).tolist():
+        if n <= CAUSTIC_GUARD:
+            raise PreconditionError(
+                f"event within the caustic guard (N = {n!r} <= {CAUSTIC_GUARD})")
+    return tau
+
+
+def foliation_time(curve: WorldLineCurve, event, tau_window: tuple[float, float]):
+    """The parameter sigma(x) of the orthogonal hyperplane through x, at
+    rows of events (..., n); a float for one event.
 
     Solves zdot(tau).(x - z(tau)) = 0 by bracketed root finding; the
     derivative of that function is -c^2 N with N the caustic factor, so the
     root is unique inside the tube.  The window grows until f changes sign
     strictly across it: far out, cancellation can round f to exactly 0.0,
-    and that zero is no root.  Raises near caustics (N <= CAUSTIC_GUARD).
+    and that zero is no root.  Raises near caustics (N <= CAUSTIC_GUARD),
+    for a stack if any row is.
     """
     x = np.asarray(event, dtype=float)
-
-    def f(tau: float) -> float:
-        return inner(curve.zdot(tau), x - curve.z(tau))
-
-    lo, hi = tau_window
-    flo, fhi = f(lo), f(hi)
-    grow = 0
-    while not (flo < 0 < fhi or fhi < 0 < flo):
-        span = hi - lo
-        lo, hi = lo - 0.5 * span, hi + 0.5 * span
-        flo, fhi = f(lo), f(hi)
-        grow += 1
-        if grow > 60:
-            raise PreconditionError("could not bracket the hyperplane parameter")
-    tau = _brent(f, lo, flo, hi, fhi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    n = foliation_gap(curve, tau, x)
-    if n <= CAUSTIC_GUARD:
-        raise PreconditionError(
-            f"event within the caustic guard (N = {n!r} <= {CAUSTIC_GUARD})")
-    return float(tau)
+    tau = _foliation_rows(curve, x.reshape(-1, x.shape[-1]), tau_window)
+    return float(tau[0]) if x.ndim == 1 else tau.reshape(x.shape[:-1])
 
 
-def foliation_gap(curve: WorldLineCurve, tau: float, event) -> float:
-    """Caustic factor N = 1 - zddot.(x - z)/c^2 at the given parameter.
+def foliation_gap(curve: WorldLineCurve, tau, event):
+    """Caustic factor N = 1 - zddot.(x - z)/c^2 at the given parameters,
+    along rows of parameters (...) and events (..., n).
 
     Vanishing N marks crossing hyperplanes, a spatial distance c^2/accel
     away from the curve.
     """
     x = np.asarray(event, dtype=float)
-    return 1.0 - inner(curve.zddot(tau), x - curve.z(tau)) / (curve.c * curve.c)
+    tau = np.asarray(tau, dtype=float)
+    return 1.0 - _inner_rows(curve.zddot(tau), x - curve.z(tau)) / (curve.c * curve.c)
 
 
 def herglotz_field(curve: WorldLineCurve,
                    tau_window: tuple[float, float] = (-1.0, 1.0)) -> VelocityField:
-    """The irrotational rigid field u = zdot(sigma(x)) induced by the curve."""
+    """The irrotational rigid field u = zdot(sigma(x)) induced by the curve.
+
+    The rows of one call are solved together (see foliation_time).
+    """
 
     def ev(x: np.ndarray) -> np.ndarray:
-        return curve.zdot(foliation_time(curve, x, tau_window))
+        tau = _foliation_rows(curve, x.reshape(-1, x.shape[-1]), tau_window)
+        return curve.zdot(tau.reshape(x.shape[:-1]))
 
     # foliation_time raises PreconditionError outside the tube itself
     return VelocityField(ev, lambda x: True, curve.c, "worldline-induced")

@@ -662,7 +662,7 @@ def suite_rigid(seed: int, config: Config) -> list[Check]:
     checks.append(_chk("curvature.identity", curv["max_residual"], 1e-4,
                        "comoving curvature balances the squared vorticity"))
     rep = rigid.reparameterization_invariance_check(
-        bf, lambda x: 1.0 + 0.1 * math.sin(x[1]), probes, step)
+        bf, lambda x: 1.0 + 0.1 * np.sin(x[..., 1]), probes, step)
     checks.append(_chk("rigid.reparam_invariant", not rep["verdict_unchanged"], 1.0, ""))
     return checks
 

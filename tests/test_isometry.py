@@ -579,6 +579,56 @@ class TestUnitDistanceHarness:
         assert len(overflow) == 12 and not any(math.isfinite(err) for _, _, err in overflow)
 
 
+def _pair_loop_unit_distance(f, delta, points, directions):
+    """The per-pair loop that unit_distance_harness replaced: one map call
+    and one np.linalg.norm per (point, direction) pair."""
+    units = []
+    for d in directions:
+        u = np.asarray(d, dtype=float)
+        norm = np.linalg.norm(u)
+        if not 0.0 < norm < np.inf:
+            raise PreconditionError("directions must be nonzero and finite")
+        units.append(u / norm)
+    report = []
+    for i, x in enumerate(points):
+        x = np.asarray(x, dtype=float)
+        fx = f(x)
+        for j, u in enumerate(units):
+            err = abs(float(np.linalg.norm(f(x + delta * u) - fx)) - delta)
+            if not err <= isometry.RESIDUAL_TOL * max(1.0, delta):
+                report.append((i, j, err))
+    return report
+
+
+class TestUnitDistanceHarnessReference:
+    def test_row_norms_are_linalg_norms(self, rng):
+        for n in (2, 3, 4, 7):
+            d = rng.standard_normal((500, n)) * 10.0 ** rng.uniform(-150, 150, (500, 1))
+            want = np.array([np.linalg.norm(row) for row in d])
+            assert np.sqrt(np.vecdot(d, d)).tobytes() == want.tobytes()
+
+    def test_matches_the_pair_loop(self, rng):
+        Q = random_rotation(4, rng)[1:, 1:]
+        t = rng.standard_normal(3)
+        maps = [lambda x: Q @ x + t, lambda x: 2.0 * x, lambda x: x * np.nan,
+                lambda x: Q @ x + 1e-9 * np.sin(x), lambda x: x * 1e307,
+                lambda x: x + 1e-10 * x @ x]
+        compared = reported = 0
+        for _ in range(40):
+            pts = [rng.uniform(-3, 3, 3) for _ in range(int(rng.integers(0, 6)))]
+            dirs = [rng.standard_normal(3) * 10.0 ** rng.uniform(-3, 3)
+                    for _ in range(int(rng.integers(1, 7)))]
+            delta = float(rng.choice([1.0, 0.5, 3.0, 1e-4]))
+            for f in maps:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = _pair_loop_unit_distance(f, delta, pts, dirs)
+                    got = unit_distance_harness(f, delta, pts, dirs)
+                assert repr(got) == repr(want)
+                compared += 1
+                reported += bool(want)
+        assert reported > compared // 4
+
+
 FLAGS = [(True, True), (True, False), (False, True), (False, False)]
 
 

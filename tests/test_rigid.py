@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from minklab.core import PreconditionError, inner
-from minklab.rigid import worldline
+from minklab.rigid import fields, worldline
 from minklab.rigid import (KinematicDecomposition, VelocityField,
                            accel_curl, accel_oneform, boost_killing_field,
                            boost_killing_flow, expected_accel_curl,
                            expected_lie_accel, field_csv, foliation_gap,
-                           foliation_time, grad_lowered, herglotz_field,
+                           foliation_time, herglotz_field,
                            hyperbolic_worldline, is_rigid, killing_test,
                            kinematic_decomposition, lie_derivative_oneform,
                            projected_curvature_check,
@@ -18,9 +18,15 @@ from minklab.rigid import (KinematicDecomposition, VelocityField,
                            rotation_killing_field, spatial_metric,
                            trajectory_csv, wedge_chart_metric, wiggly_worldline)
 
+import rigid_reference
 from conftest import constant_field, radial_expanding_field, straight_worldline
 
 STEP = 1e-3
+
+
+def grad_lowered(field, x, step):
+    """D[a, b] = d_a u_b by central differences, for any callable of rows."""
+    return fields._central(field, x, step) @ np.diag([1.0, -1.0, -1.0, -1.0])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
@@ -154,7 +160,7 @@ class TestRigidityVerdicts:
     def test_reparameterization_invariance(self):
         f = boost_killing_field()
         probes = [np.array([0.0, 1.0, 0.0, 0.0]), np.array([0.2, 1.4, 0.3, 0.0])]
-        for scaling in (lambda x: 2.0, lambda x: 1.0 + 0.1 * math.sin(x[1])):
+        for scaling in (lambda x: 2.0, lambda x: 1.0 + 0.1 * np.sin(x[..., 1])):
             got = reparameterization_invariance_check(f, scaling, probes, STEP)
             assert got["verdict_unchanged"]
 
@@ -162,7 +168,7 @@ class TestRigidityVerdicts:
         f = radial_expanding_field(0.1)
         probes = [np.array([0.0, 0.5, 0.2, 0.1])]
         got = reparameterization_invariance_check(
-            f, lambda x: 1.0 + 0.2 * x[1], probes, STEP)
+            f, lambda x: 1.0 + 0.2 * x[..., 1], probes, STEP)
         assert got["verdict_unchanged"]
         assert got["scaled_max_theta"] > 1e-3
 
@@ -185,8 +191,17 @@ class TestLieIdentities:
 
     def test_generators_satisfy_killing_equation(self):
         x = np.array([0.1, 0.6, 0.2, 0.0])
-        boost_gen = lambda y: np.array([y[1], y[0], 0.0, 0.0])
-        rot_gen = lambda y: np.array([1.0, -0.9 * y[2], 0.9 * y[1], 0.0])
+
+        def boost_gen(y):
+            out = np.zeros(y.shape)
+            out[..., 0], out[..., 1] = y[..., 1], y[..., 0]
+            return out
+
+        def rot_gen(y):
+            out = np.zeros(y.shape)
+            out[..., 0], out[..., 1], out[..., 2] = 1.0, -0.9 * y[..., 2], 0.9 * y[..., 1]
+            return out
+
         assert self.killing_residual(boost_gen, x) < 1e-12
         assert self.killing_residual(rot_gen, x) < 1e-12
         # the normalised velocity of the same flow is not itself a
@@ -194,7 +209,7 @@ class TestLieIdentities:
         assert self.killing_residual(boost_killing_field(), x) > 1e-3
 
     def test_expanding_field_generator_is_not_killing(self):
-        gen = lambda y: np.concatenate([[1.0], 0.1 * y[1:]])
+        gen = lambda y: np.concatenate([np.ones(y.shape[:-1] + (1,)), 0.1 * y[..., 1:]], axis=-1)
         assert self.killing_residual(gen, np.array([0.0, 0.5, 0.2, 0.1])) > 1e-2
 
 
@@ -291,9 +306,11 @@ class TestProjectedCurvature:
         g = wedge_chart_metric(1.3, 0.4)
         from minklab.rigid import riemann_lowered_fd
 
-        def chart_metric(q):
-            lam, x0 = q
-            return np.diag([x0 * x0, 1.0])  # spatial part only, 2-d chart
+        def chart_metric(q):  # spatial part only, 2-d chart, rows of (lam, x0)
+            out = np.zeros(q.shape + (2,))
+            out[..., 0, 0] = q[..., 1] * q[..., 1]
+            out[..., 1, 1] = 1.0
+            return out
 
         R = riemann_lowered_fd(chart_metric, np.array([0.2, 1.3]))
         assert np.abs(R).max() < 1e-6
@@ -384,32 +401,29 @@ class TestWorldlineInduced:
             kinematic_decomposition(herglotz_field(wl), near, STEP)
 
     def test_one_root_solve_per_field_value(self, monkeypatch):
-        solves = []
+        # the event and its 8 central-difference neighbours are solved
+        # together, as 9 rows of one stacked solve
+        solved = []
 
-        def counted(*args, **kwargs):
-            solves.append(args)
-            return foliation_time(*args, **kwargs)
+        def counted(curve, x, tau_window):
+            solved.append(len(x))
+            return real(curve, x, tau_window)
 
-        monkeypatch.setattr(worldline, "foliation_time", counted)
+        real = worldline._foliation_rows
+        monkeypatch.setattr(worldline, "_foliation_rows", counted)
         f = herglotz_field(hyperbolic_worldline(1.0), (-1.5, 1.5))
         kinematic_decomposition(f, np.array([0.1, 1.2, 0.3, -0.2]), STEP)
-        assert len(solves) == 9  # the event and its 8 central-difference neighbours
+        assert solved == [9]
 
-    def test_no_repeated_field_evaluation_per_solve(self, rng):
-        # the bracket's end values are handed to the Brent loop, not recomputed
-        wl = hyperbolic_worldline(1.0)
-        taus = []
-        counted = worldline.WorldLineCurve(wl.z, lambda t: taus.append(t) or wl.zdot(t),
-                                           wl.zddot, wl.zdddot, wl.c)
-        calls = 0
-        for _ in range(200):
-            x = np.array([rng.uniform(-0.5, 0.5), rng.uniform(0.7, 2.0),
-                          rng.uniform(-1, 1), rng.uniform(-1, 1)])
-            taus.clear()
-            foliation_time(counted, x, (-1.5, 1.5))
-            assert len(set(taus)) == len(taus)
-            calls += len(taus)
-        assert calls / 200 < 10  # 11 per solve when both ends were evaluated twice
+    def test_no_repeated_field_evaluation_per_solve(self, rng, monkeypatch):
+        # the bracket's end values are handed to the Brent loop, not
+        # recomputed: no row is evaluated twice at one tau
+        x = np.array([[rng.uniform(-0.5, 0.5), rng.uniform(0.7, 2.0),
+                       rng.uniform(-1, 1), rng.uniform(-1, 1)] for _ in range(200)])
+        taus = rigid_reference.record_offsets(monkeypatch, x)
+        foliation_time(hyperbolic_worldline(1.0), x, (-1.5, 1.5))
+        assert all(len(set(t)) == len(t) for t in taus)
+        assert sum(map(len, taus)) / 200 < 10  # 11 per row when both ends were evaluated twice
 
     def test_event_outside_tube_raises(self):
         # two roots in the window, both ends negative: the grown bracket must

@@ -1,0 +1,308 @@
+"""The rigid modules evaluate rows: fields, curves, finite-difference
+stencils and the Herglotz root solve take stacks, and one event is the
+one-row case.  These tests compare them, byte for byte, with the per-event
+references in rigid_reference: the per-axis central-difference loop, the
+scalar closed forms and the per-event root solve."""
+
+import math
+
+import numpy as np
+import pytest
+
+import rigid_reference as ref
+from minklab.core import PreconditionError
+from minklab.rigid import (VelocityField, accel_curl, accel_oneform,
+                           boost_killing_field, christoffels_fd,
+                           foliation_time, herglotz_field, hyperbolic_worldline,
+                           kinematic_decomposition, lie_derivative_oneform,
+                           projected_curvature_check, riemann_lowered_fd,
+                           rotation_killing_checks, rotation_killing_field,
+                           wiggly_worldline)
+from minklab.rigid import decomp, fields, worldline
+from minklab.rigid.curvature import METRIC_STEP
+from minklab.rigid.rotation import comoving_coords, comoving_rotation_metric
+
+from conftest import constant_field, per_event_constant_field
+
+STEPS = (1e-5, 2e-4, 1e-3)
+HYPERBOLIC_WINDOW = (-1.5, 1.5)
+WIGGLY_WINDOW = (-0.5, 1.5)
+
+
+def same(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def wedge_events(rng, k):
+    x = rng.uniform(0.6, 2.0, k)
+    return np.column_stack([rng.uniform(-0.4, 0.4, k) * x, x,
+                            rng.uniform(-1, 1, k), rng.uniform(-1, 1, k)])
+
+
+def disk_events(rng, k, rho_max=0.7):
+    rho, phi = rng.uniform(0.05, rho_max, k), rng.uniform(0, 2 * math.pi, k)
+    return np.column_stack([rng.uniform(-1, 1, k), rho * np.cos(phi),
+                            rho * np.sin(phi), rng.uniform(-1, 1, k)])
+
+
+def tube_events(rng, k):
+    """Events inside the hyperbolic worldline's tube, as perfbench draws them."""
+    x = rng.uniform(0.9, 1.6, k)
+    return np.column_stack([rng.uniform(-0.3, 0.3, k) * x, x,
+                            rng.uniform(-0.5, 0.5, k), rng.uniform(-0.5, 0.5, k)])
+
+
+def wiggly_events(rng, k):
+    wl = wiggly_worldline(0.5)
+    return wl.z(rng.uniform(0.2, 1.0, k)) + rng.uniform(-0.1, 0.1, (k, 4)) * [0, 1, 1, 1]
+
+
+# the fields under test with their per-event references
+def cases():
+    rot = ref.rotation_ev(1.0, 1.0)
+    hyp, wig = ref.hyperbolic_curve(1.0), ref.wiggly_curve(0.5)
+    return {
+        "boost": (boost_killing_field(), ref.boost_ev, wedge_events),
+        "rotation": (rotation_killing_field(1.0), rot, disk_events),
+        "herglotz-hyperbolic": (herglotz_field(hyperbolic_worldline(1.0), HYPERBOLIC_WINDOW),
+                                ref.herglotz_ev(hyp, HYPERBOLIC_WINDOW), tube_events),
+        "herglotz-wiggly": (herglotz_field(wiggly_worldline(0.5), WIGGLY_WINDOW),
+                            ref.herglotz_ev(wig, WIGGLY_WINDOW), wiggly_events),
+    }
+
+
+CASES = cases()
+
+
+class TestRowWiseFieldsAndCurves:
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_field_rows_match_per_event_formula(self, name, shape, rng):
+        field, ev, draw = CASES[name]
+        x = draw(rng, max(1, math.prod(shape))).reshape(shape + (4,))
+        want = np.array([ev(row) for row in x.reshape(-1, 4)]).reshape(x.shape)
+        assert same(field(x), want)
+
+    def test_domains_per_row(self, rng):
+        x = np.concatenate([wedge_events(rng, 50), disk_events(rng, 50, 1.3),
+                            rng.uniform(-2, 2, (100, 4))])
+        for field, dom in ((boost_killing_field(), ref.boost_dom),
+                           (rotation_killing_field(1.0), ref.rotation_dom(1.0, 1.0)),
+                           (rotation_killing_field(0.8, 1.5), ref.rotation_dom(0.8, 1.5))):
+            got = field.domain(x)
+            assert got.shape == (200,) and 0 < got.sum() < 200
+            assert got.tolist() == [bool(dom(row)) for row in x]
+            assert bool(field.domain(x[0])) == bool(dom(x[0]))
+
+    @pytest.mark.parametrize("shape", [(), (9,), (2, 3)])
+    @pytest.mark.parametrize("curve, scalar", [
+        (hyperbolic_worldline(1.0), ref.hyperbolic_curve(1.0)),
+        (hyperbolic_worldline(0.7, c=2.0), ref.hyperbolic_curve(0.7, c=2.0)),
+        (wiggly_worldline(0.5), ref.wiggly_curve(0.5)),
+    ], ids=["hyperbolic", "hyperbolic-c2", "wiggly"])
+    def test_curves_match_scalar_closed_forms(self, curve, scalar, shape, rng):
+        tau = rng.uniform(-3, 3, shape) * 10.0 ** rng.uniform(-3, 0.5, shape)
+        for name in ("z", "zdot", "zddot", "zdddot"):
+            want = np.array([getattr(scalar, name)(t) for t in np.ravel(tau).tolist()])
+            assert same(getattr(curve, name)(tau), want.reshape(np.shape(tau) + (4,)))
+
+    def test_per_event_evaluator_refused_on_a_stack(self):
+        field = per_event_constant_field()
+        assert same(field(np.zeros(4)), [1.0, 0.0, 0.0, 0.0])
+        with pytest.raises(PreconditionError, match=r"returned shape \(4,\) for events of shape \(9, 4\)"):
+            field(np.zeros((9, 4)))
+        with pytest.raises(PreconditionError, match="shape"):
+            kinematic_decomposition(field, np.zeros(4), 1e-3)
+        assert kinematic_decomposition(constant_field(), np.zeros(4), 1e-3).theta_norm == 0.0
+
+    def test_domain_gives_one_bool_or_one_per_row(self, rng):
+        x = rng.uniform(-1, 1, (6, 4))
+        ev = constant_field().evaluator
+        assert same(VelocityField(ev, lambda y: True)(x), ev(x))
+        assert same(VelocityField(ev, lambda y: np.ones(y.shape[:-1], bool))(x), ev(x))
+        with pytest.raises(PreconditionError, match="outside the field domain"):
+            VelocityField(ev, lambda y: False)(x)
+        per_row = VelocityField(ev, lambda y: y[..., 0] < x[3, 0])
+        with pytest.raises(PreconditionError) as exc:
+            per_row(x)
+        first = int(np.argmax(~(x[:, 0] < x[3, 0])))
+        assert str(exc.value) == f"event {x[first].tolist()} outside the field domain"
+
+    def test_normalisation_names_the_first_bad_row(self, rng):
+        x = rng.uniform(-1, 1, (5, 4))
+
+        def ev(y):
+            u = np.zeros(y.shape)
+            u[..., 0] = np.where(y[..., 1] > x[2, 1], 1.0, 2.0)
+            return u
+
+        field = VelocityField(ev, lambda y: True)
+        first = int(np.argmax(~(x[:, 1] > x[2, 1])))
+        with pytest.raises(PreconditionError) as exc:
+            field(x)
+        assert str(exc.value) == (f"field not normalised at {x[first].tolist()}: "
+                                  f"u.u = 4.0, expected 1.0")
+
+
+class TestCentralDifferences:
+    """fields._central evaluates its function once on the whole stencil;
+    the per-axis loop evaluates one event at a time."""
+
+    @pytest.mark.parametrize("step", STEPS)
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_vector_valued(self, name, step, rng):
+        field, ev, draw = CASES[name]
+        for x in draw(rng, 3):
+            calls = []
+            counted = lambda y: calls.append(y.shape) or field(y)
+            assert same(fields._central(counted, x, step), ref.central_loop(ev, x, step))
+            assert calls == [(8, 4)]
+            value, derivative = fields._jet(field, x, step)
+            assert same(value, ev(x)) and same(derivative, ref.central_loop(ev, x, step))
+
+    @pytest.mark.parametrize("step", STEPS)
+    def test_matrix_valued(self, step, rng):
+        field, ev = rotation_killing_field(1.0), ref.rotation_ev(1.0, 1.0)
+        metric, metric_ref = comoving_rotation_metric(1.0, 1.0), ref.comoving_metric(1.0, 1.0)
+        for x in disk_events(rng, 3):
+            omega = lambda y: decomp._split_rows(field, y, step)[2]
+            omega_ref = lambda y: ref.decomposition(ev, y, step)[1]
+            assert same(fields._central(omega, x, step), ref.central_loop(omega_ref, x, step))
+            q = comoving_coords(x, 1.0, 1.0)
+            assert same(fields._central(metric, q, step), ref.central_loop(metric_ref, q, step))
+
+    @pytest.mark.parametrize("step", STEPS)
+    def test_nested(self, step, rng):
+        field = boost_killing_field()
+        for x in wedge_events(rng, 3):
+            calls = []
+            counted = lambda y: calls.append(y.shape) or field(y)
+            got = fields._central(lambda y: fields._central(counted, y, step), x, step)
+            want = ref.central_loop(lambda y: ref.central_loop(ref.boost_ev, y, step), x, step)
+            assert same(got, want) and calls == [(8, 8, 4)]
+        metric, metric_ref = comoving_rotation_metric(1.0, 1.0), ref.comoving_metric(1.0, 1.0)
+        for x in disk_events(rng, 3):
+            q = comoving_coords(x, 1.0, 1.0)
+            assert same(christoffels_fd(metric, q), ref.christoffels(metric_ref, q, METRIC_STEP))
+            assert same(riemann_lowered_fd(metric, q), ref.riemann(metric_ref, q, METRIC_STEP))
+
+    @pytest.mark.parametrize("step", STEPS)
+    @pytest.mark.parametrize("name", ["boost", "herglotz-hyperbolic", "herglotz-wiggly"])
+    def test_nested_acceleration(self, name, step, rng):
+        field, ev, draw = CASES[name]
+        x = draw(rng, 1)[0]
+        da = ref.central_loop(lambda y: ref.accel_oneform(ev, y, step), x, step)
+        assert same(accel_curl(field, x, step), da - da.T)
+        lie = ref.lie_derivative_oneform(ev, lambda y: ref.accel_oneform(ev, y, step), x, step)
+        assert same(lie_derivative_oneform(field, lambda y: accel_oneform(field, y, step), x, step), lie)
+
+    def test_stencil_rows(self, rng):
+        # x + step e_a and x - step e_a with the loop's float operations,
+        # signed zeros included
+        x = np.array([-0.0, 0.0, 1.5, -2.25])
+        for step in STEPS:
+            rows = fields._stencil(x, step)
+            for a in range(4):
+                dx = np.zeros(4)
+                dx[a] = step
+                assert same(rows[a], x + dx) and same(rows[4 + a], x - dx)
+
+
+class TestDecompositionsMatchTheLoop:
+    @pytest.mark.parametrize("step", STEPS)
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_kinematic_decomposition(self, name, step, rng):
+        field, ev, draw = CASES[name]
+        for x in draw(rng, 2):
+            got = kinematic_decomposition(field, x, step)
+            theta, omega, accel, accel_flat, u = ref.decomposition(ev, x, step, field.c)
+            for a, b in ((got.theta, theta), (got.omega, omega), (got.accel, accel),
+                         (got.accel_flat, accel_flat), (got.u, u)):
+                assert same(a, b)
+
+    @pytest.mark.parametrize("step", STEPS)
+    def test_rotation_checks(self, step, rng):
+        probes = list(disk_events(rng, 2, 0.6))
+        got = rotation_killing_checks(1.0, 1.0, probes, step)
+        ev = ref.rotation_ev(1.0, 1.0)
+        for row, x in zip(got["rows"], probes):
+            theta, omega, *_ = ref.decomposition(ev, x, step)
+            lie = ref.lie_derivative_2tensor(ev, lambda y: ref.decomposition(ev, y, step)[1], x, step)
+            assert row["theta_norm"] == float(np.abs(theta).max())
+            assert row["omega_norm"] == float(np.abs(omega).max())
+            assert row["lie_omega_norm"] == float(np.abs(lie).max())
+
+    @pytest.mark.parametrize("step", STEPS)
+    def test_projected_curvature(self, step, rng):
+        probes = [np.array([0.0, rho, 0.0, 0.0]) for rho in rng.uniform(0.1, 0.7, 2)]
+        got = projected_curvature_check(1.0, 1.0, probes, step)
+        metric = ref.comoving_metric(1.0, 1.0)
+        for row, x in zip(got["rows"], probes):
+            riem = ref.riemann(metric, comoving_coords(x, 1.0, 1.0), METRIC_STEP)
+            assert row["riemann_norm"] == float(np.abs(riem).max())
+
+    def test_wedge_chart_metric(self, rng):
+        from minklab.rigid import wedge_chart_metric
+        for x0, lam in zip(rng.uniform(0.05, 6.0, 200), rng.uniform(-4.0, 4.0, 200)):
+            assert same(wedge_chart_metric(x0, lam),
+                        ref.wedge_chart_metric(x0, lam, fields.WEDGE_CHART_STEP))
+
+
+class TestStackedRootSolve:
+    @pytest.mark.parametrize("curve, scalar, window, draw", [
+        (hyperbolic_worldline(1.0), ref.hyperbolic_curve(1.0), HYPERBOLIC_WINDOW, tube_events),
+        (hyperbolic_worldline(1.0), ref.hyperbolic_curve(1.0), (0.01, 0.02), tube_events),
+        (wiggly_worldline(0.5), ref.wiggly_curve(0.5), WIGGLY_WINDOW, wiggly_events),
+        (wiggly_worldline(0.5), ref.wiggly_curve(0.5), (-0.001, 0.001), wiggly_events),
+    ], ids=["hyperbolic", "hyperbolic-grown", "wiggly", "wiggly-grown"])
+    def test_rows_take_the_steps_of_their_own_solve(self, curve, scalar, window, draw,
+                                                   rng, monkeypatch):
+        x = draw(rng, 60)
+        want, want_taus = [], []
+        for row in x:
+            evaluations = []
+            want.append(ref.foliation_time(scalar, row, window, evaluations))
+            want_taus.append(evaluations)
+        got_taus = ref.record_offsets(monkeypatch, x)
+        got = foliation_time(curve, x, window)
+        assert same(got, want)
+        # each row is evaluated at the same taus, in the same order, as alone
+        assert got_taus == [[float(t) for t in taus] for taus in want_taus]
+        assert len({len(taus) for taus in want_taus}) > 1  # rows finish at different rounds
+
+    def test_brent_rows_match_scalar_brent(self):
+        targets = [0.3, -0.7, 1e-9, 0.999, 0.0, -0.25]
+        fns = [(lambda t, a=a: math.tanh(4 * (t - a)) + 1e-3 * (t - a)) for a in targets]
+        counts = [[] for _ in targets]
+
+        def f_rows(rows, xs):
+            for i, x in zip(rows, xs):
+                counts[i].append(x)
+            return [fns[i](x) for i, x in zip(rows, xs)]
+
+        lo, hi = [-1.0] * len(fns), [1.0] * len(fns)
+        roots = worldline._brent_rows(f_rows, lo, [f(-1.0) for f in fns], hi,
+                                      [f(1.0) for f in fns], 1e-14, 8.9e-16, 200)
+        for f, root, seen in zip(fns, roots, counts):
+            alone = []
+            scalar = worldline._brent(lambda t: alone.append(t) or f(t), -1.0, f(-1.0),
+                                      1.0, f(1.0), 1e-14, 8.9e-16, 200)
+            assert root == scalar and seen == alone
+        assert len({len(seen) for seen in counts}) > 1
+
+    def test_a_row_in_the_caustic_guard_refuses_the_stack(self, rng):
+        wl = hyperbolic_worldline(1.0)
+        x = tube_events(rng, 5)
+        foliation_time(wl, x, HYPERBOLIC_WINDOW)
+        near = np.insert(x, 3, [0.0, 1e-4, 0.0, 0.0], axis=0)
+        with pytest.raises(PreconditionError, match="caustic guard"):
+            foliation_time(wl, near, HYPERBOLIC_WINDOW)
+        with pytest.raises(PreconditionError, match="caustic guard"):
+            herglotz_field(wl, HYPERBOLIC_WINDOW)(near)
+
+    def test_a_window_past_the_closed_form_is_a_precondition_error(self):
+        # outside the wedge the hyperplanes never pass through the event:
+        # the window grows until math.sinh overflows
+        with pytest.raises(PreconditionError, match="could not bracket"):
+            foliation_time(hyperbolic_worldline(1.0), np.array([1e-3, 1e-4, 0.0, 0.0]), (-1, 1))
