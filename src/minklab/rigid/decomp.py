@@ -86,20 +86,27 @@ class KinematicDecomposition:
         return float(np.abs(model - grad).max())
 
 
-def _split_rows(field: VelocityField, x: np.ndarray, step: float):
-    """(u, theta, omega, accel_flat) at rows x (..., n), from one
-    evaluation of the field on the rows and their stencils; the lowered
-    gradient D[..., a, b] = d_a u_b is split as in KinematicDecomposition.
+def _gradient_rows(field: VelocityField, x: np.ndarray, step: float):
+    """(u, D, accel_flat) at rows x (..., n): the lowered gradient
+    D[..., a, b] = d_a u_b and u^a d_a u_b, from one evaluation of the
+    field on the rows and their stencils.
 
-    The 4x4 algebra runs as stacked matmuls, which give each row's
-    one-event products bit for bit (the rigid reference tests compare them).
+    The 4x4 algebra here and in _split_rows runs as stacked matmuls, which
+    give each row's one-event products bit for bit (the rigid reference
+    tests compare them).
     """
-    c = field.c
     u, du = _jet(field, x, step)
+    D = du @ metric_matrix(u.shape[-1])
+    return u, D, (u[..., None, :] @ D)[..., 0, :]
+
+
+def _split_rows(field: VelocityField, x: np.ndarray, step: float):
+    """(u, theta, omega, accel_flat) at rows x (..., n): the lowered
+    gradient split as in KinematicDecomposition."""
+    c = field.c
+    u, D, accel_flat = _gradient_rows(field, x, step)
     n = u.shape[-1]
     G = metric_matrix(n)
-    D = du @ G
-    accel_flat = (u[..., None, :] @ D)[..., 0, :]  # u^a d_a u_b
     ul = (G @ u[..., None])[..., 0]
     P = np.eye(n) - u[..., :, None] * ul[..., None, :] / (c * c)  # mixed projector, vector slot
     Pt = np.swapaxes(P, -1, -2)
@@ -186,9 +193,7 @@ def lie_derivative_2tensor(field: VelocityField, tensor, event,
 
 def accel_oneform(field: VelocityField, event, step: float = DEFAULT_STEP) -> np.ndarray:
     """Lowered acceleration (u^a d_a u)_b at rows of events."""
-    u, du = _jet(field, np.asarray(event, dtype=float), step)
-    D = du @ metric_matrix(u.shape[-1])
-    return (u[..., None, :] @ D)[..., 0, :]
+    return _gradient_rows(field, np.asarray(event, dtype=float), step)[2]
 
 
 def accel_curl(field: VelocityField, event, step: float = DEFAULT_STEP) -> np.ndarray:

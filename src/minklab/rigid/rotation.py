@@ -51,7 +51,7 @@ def comoving_rotation_metric(kappa: float, c: float):
     """Rest-space metric in the comoving chart: diag(1, 1, rho^2/(1 - (kappa rho/c)^2)),
     as a callable of rows of chart points (z, rho, psi)."""
 
-    def metric(q: np.ndarray) -> np.ndarray:  # rows of chart points (..., 3)
+    def metric(q: np.ndarray) -> np.ndarray:
         rho = q[..., 1]
         f = 1.0 - _libm(lambda v: v ** 2, kappa * rho / c)
         if np.any(f <= 0):
