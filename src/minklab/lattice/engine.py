@@ -12,14 +12,15 @@ that no slice relates form the open time interval
 (max_s t_s - r_s(x), min_s t_s + r_s(x)).  All arithmetic is exact int64.
 For a set spanning k of the T slices the cost is
 O(k |spatial| (1 + L) + T |spatial|), with L the summed length of the
-spatial axes before the last, and the temporary memory is O(k |spatial|):
-there is no pairwise table.  A set on more than 4 slices is first bounded
-by its first and last slices alone: when they leave no interval open, the
-complement is empty at a cost of O(|spatial| (1 + L)), before the middle
-slices and the T |spatial| output build.  Otherwise the middle slices fold
-into the same min and max, which gives the same bits in any order.
-`completion` and `join` skip that try for their outer complement, which
-contains their non-empty input and so cannot come out empty.  The
+spatial axes before the last, and the temporary memory is O(k |spatial|)
+plus one block of an axis step (see `_sq_distance`): there is no pairwise
+table.  A set on more than 4 slices is first bounded by its first and last
+slices alone: when they leave no interval open, the complement is empty at
+a cost of O(|spatial| (1 + L)), before the middle slices and the
+T |spatial| output build.  Otherwise the middle slices fold into the same
+min and max, which gives the same bits in any order.  `completion`, `join`
+and the orthomodularity check skip that try for their outer complement,
+which contains their non-empty input and so cannot come out empty.  The
 finite-speed (galilei) relation has a closed form.
 `oracle.complement_mask_bruteforce` is the double-loop reference the tests
 compare this against.
@@ -44,6 +45,12 @@ __all__ = [
 ]
 
 
+# int64 cells a block of an axis step may hold: the (x', x, ...) sum stays
+# cache-sized.  Where one x alone needs more, a block is one x, whose sum
+# holds as many cells as the lines it reads.
+_STEP_CELLS = 1 << 14
+
+
 def _sq_distance(members: np.ndarray) -> np.ndarray:
     """Squared distance from each spatial cell to its slice's nearest member.
 
@@ -51,7 +58,8 @@ def _sq_distance(members: np.ndarray) -> np.ndarray:
     result is int64 of the same shape.  The last axis is scanned both ways
     for the nearest member on the same line; every other spatial axis then
     takes the exact 1-D step g(x) <- min over x' of (x - x')^2 + g(x'),
-    one x' at a time over whole arrays of lines.
+    a block of x at a time over whole arrays of lines: one broadcast
+    (x', x, ...) sum, reduced over x'.
     """
     n = members.shape[-1]
     idx = np.arange(n)
@@ -61,11 +69,15 @@ def _sq_distance(members: np.ndarray) -> np.ndarray:
     gap = np.minimum(idx - left, right - idx)
     d2 = gap * gap
     for axis in range(1, members.ndim - 1):
-        g = np.moveaxis(d2, axis, 0)
-        x = np.arange(len(g)).reshape((-1,) + (1,) * (g.ndim - 1))
-        out = g.copy()
-        for xp in range(len(g)):
-            np.minimum(out, g[xp] + (x - xp) ** 2, out=out)
+        # x' leads, so the min reduces over the outermost, contiguous axis
+        g = np.ascontiguousarray(np.moveaxis(d2, axis, 0))
+        pos = np.arange(len(g))
+        shift = ((pos[:, None] - pos) ** 2).reshape(pos.shape * 2 + (1,) * (g.ndim - 1))
+        block = max(1, _STEP_CELLS // g.size)
+        out = np.empty_like(g)
+        for lo in range(0, len(g), block):
+            np.minimum.reduce(g[:, None] + shift[:, lo:lo + block], axis=0,
+                              out=out[lo:lo + block])
         d2 = np.moveaxis(out, 0, axis)
     return d2
 
@@ -133,11 +145,23 @@ def complement(region: Region, mode: str) -> Region:
     return Region(region.grid, _complement_mask(region, mode_code(mode)))
 
 
+def _outer_complement(region: Region, mode: str) -> Region:
+    """Complement without the extreme-slice try, for a region whose
+    complement contains a known non-empty set (the complement of a
+    complement contains the original set), where the try would be waste.
+    The bits are the same either way."""
+    return Region(region.grid, _complement_mask(region, mode_code(mode), ends_first=False))
+
+
+def _completion_pair(region: Region, mode: str) -> tuple[Region, Region]:
+    """The region's complement and its completion, the complement's complement."""
+    once = complement(region, mode)
+    return once, _outer_complement(once, mode)
+
+
 def completion(region: Region, mode: str) -> Region:
     """Double complement: the smallest complete superset of the region."""
-    inner = complement(region, mode)
-    # the outer complement contains the region, so trying for an empty one is waste
-    return Region(region.grid, _complement_mask(inner, mode_code(mode), ends_first=False))
+    return _completion_pair(region, mode)[1]
 
 
 def is_complete(region: Region, mode: str) -> bool:
@@ -152,9 +176,7 @@ def meet(s1: Region, s2: Region, mode: str) -> Region:
 
 def join(s1: Region, s2: Region, mode: str) -> Region:
     """Least upper bound of complete regions: (s1' intersect s2')'."""
-    both = complement(s1, mode) & complement(s2, mode)
-    # the outer complement contains s1 and s2, so trying for an empty one is waste
-    return Region(s1.grid, _complement_mask(both, mode_code(mode), ends_first=False))
+    return _outer_complement(complement(s1, mode) & complement(s2, mode), mode)
 
 
 def _cone_offsets(grid: IntegerGrid, p) -> tuple[np.ndarray, np.ndarray]:
@@ -202,19 +224,36 @@ def de_morgan_check(pairs, mode: str) -> list[tuple[int, str]]:
     return violations
 
 
+def _complement_of_complete(region: Region, mode: str) -> Region:
+    """The region's complement, once its completion has shown it complete."""
+    once, twice = _completion_pair(region, mode)
+    if twice != region:
+        raise ValueError("orthomodularity check needs complete inputs")
+    return once
+
+
+def _orthomodular(a: Region, a_complement: Region, b: Region, mode: str) -> dict:
+    """The law for complete a <= b, given a's complement.
+
+    With b complete, a join b' = (a' meet b'')' = (a' meet b)', whose outer
+    complement contains a and so skips the try for an empty one.
+    """
+    joined = _outer_complement(a_complement & b, mode)
+    rhs = meet(b, joined, mode)
+    return {"holds": rhs == a, "witness": rhs - a, "join": joined}
+
+
 def orthomodularity_check(a: Region, b: Region, mode: str) -> dict:
     """Test a = b meet (a join b') for complete a <= b.
 
-    Returns holds plus the witness region b meet (a join b') minus a, which
-    is nonempty exactly when the law fails.
+    Returns holds, the witness region b meet (a join b') minus a, which is
+    nonempty exactly when the law fails, and the join a join b'.
     """
     if not a <= b:
         raise ValueError("orthomodularity check needs a <= b")
-    if not (is_complete(a, mode) and is_complete(b, mode)):
-        raise ValueError("orthomodularity check needs complete inputs")
-    rhs = meet(b, join(a, complement(b, mode), mode), mode)
-    witness = rhs - a
-    return {"holds": rhs == a, "witness": witness}
+    a_complement = _complement_of_complete(a, mode)
+    _complement_of_complete(b, mode)
+    return _orthomodular(a, a_complement, b, mode)
 
 
 def galilei_chron_complement(region: Region) -> Region:

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import (_cone_offsets, complement, completion, diamond,
-                     is_complete, join, meet, orthomodularity_check)
+from .engine import (_complement_of_complete, _completion_pair, _cone_offsets,
+                     _orthomodular, complement, completion, diamond, is_complete,
+                     join, meet, orthomodularity_check)
 from .grid import CAUSAL, CHRONOLOGICAL, GALILEI, IntegerGrid, Region
 
 __all__ = [
@@ -104,30 +105,35 @@ def fig2_counterexample(grid: IntegerGrid) -> dict:
     a = diamond(grid, a_lo, a_hi, closed=True)
     if not a <= b:
         raise RuntimeError("construction error: small diamond not inside the wedge")
+    # b = bprime', so the check's a join b' = (a' meet b)' is a join bprime
     check = orthomodularity_check(a, b, CAUSAL)
-    j = join(a, bprime, CAUSAL)
 
     # Non-timelike mode on the analogous closed shapes.  Edge-aligned, the
     # violation survives discretisation (the continuum argument needs points
     # arbitrarily close to the lightlike edge, which a grid lacks), so that
     # verdict is reported as an experiment; the curated configuration with a
-    # two-cell spacelike gap recovers the continuum behaviour.
+    # two-cell spacelike gap recovers the continuum behaviour.  Both test
+    # against the wedge b2, shown complete once.
     big_closed = diamond(grid, lo_t, hi_t, closed=True)
     b2 = complement(big_closed, CHRONOLOGICAL)
+    _complement_of_complete(b2, CHRONOLOGICAL)
     a_edge = completion(a, CHRONOLOGICAL)
-    edge_aligned = (orthomodularity_check(a_edge, b2, CHRONOLOGICAL)["holds"]
-                    if a_edge <= b2 else None)
+    edge_aligned = None
+    if a_edge <= b2:
+        edge_aligned = _orthomodular(a_edge, _complement_of_complete(a_edge, CHRONOLOGICAL),
+                                     b2, CHRONOLOGICAL)["holds"]
     gap = 2
     a_gap = diamond(grid, (a_lo[0], a_lo[1] - gap), (a_hi[0], a_hi[1] - gap),
                     closed=True)
+    gap_complement, gap_completion = _completion_pair(a_gap, CHRONOLOGICAL)
     chron_holds = None
-    if completion(a_gap, CHRONOLOGICAL) == a_gap and a_gap <= b2:
-        chron_holds = orthomodularity_check(a_gap, b2, CHRONOLOGICAL)["holds"]
+    if gap_completion == a_gap and a_gap <= b2:
+        chron_holds = _orthomodular(a_gap, gap_complement, b2, CHRONOLOGICAL)["holds"]
     return {
         "a": a,
         "b": b,
         "bprime": bprime,
-        "join_a_bprime": j,
+        "join_a_bprime": check["join"],
         "witness": check["witness"],
         "holds": check["holds"],
         "chron_analogue_holds": chron_holds,
@@ -148,7 +154,8 @@ def covering_counterexample(grid: IntegerGrid, p, q, mode: str = CAUSAL) -> dict
 
     For timelike-separated points the join is the closed diamond, which
     therefore does not cover the atom {p}.  The intermediate element is
-    found by completing {p, x} over diamond members x.
+    found by completing {p, x} over diamond members x.  Returns the join
+    too, under "join".
     """
     atom = Region.from_points(grid, [p])
     other = Region.from_points(grid, [q])
@@ -158,15 +165,15 @@ def covering_counterexample(grid: IntegerGrid, p, q, mode: str = CAUSAL) -> dict
         # corners where both cone boundaries meet sit inside the complement
         # of {p, q} in this mode, so the join excludes them
         closed = closed - _equator(grid, p, q)
+    found = {"join_is_expected_diamond": joined == closed, "join": joined,
+             "intermediate": None, "via_point": None}
     for x in closed.points():
         if x == tuple(p) or x == tuple(q):
             continue
         k = completion(atom | Region.from_points(grid, [x]), mode)
         if atom <= k and k <= joined and k != atom and k != joined:
-            return {"join_is_expected_diamond": joined == closed,
-                    "intermediate": k, "via_point": x}
-    return {"join_is_expected_diamond": joined == closed, "intermediate": None,
-            "via_point": None}
+            return {**found, "intermediate": k, "via_point": x}
+    return found
 
 
 def _covering_span(grid: IntegerGrid, p) -> int:
@@ -180,26 +187,26 @@ def _covering_span(grid: IntegerGrid, p) -> int:
     return max(0, min(4, t_hi - p[0], 2 * side - 2))
 
 
-def _modular_sides(atom, k, other, mode):
+def _modular_sides(atom, k, other, joined, mode):
     """a = {p} <= b = k, c = {q}: a join (b meet c) against b meet (a join c)."""
-    return (atom, k, other, join(atom, meet(k, other, mode), mode),
-            meet(k, join(atom, other, mode), mode))
+    return (atom, k, other, join(atom, meet(k, other, mode), mode), meet(k, joined, mode))
 
 
-def _distributive_sides(atom, k, other, mode):
+def _distributive_sides(atom, k, other, joined, mode):
     """a = k, b = {p}, c = {q}: a meet (b join c) against (a meet b) join (a meet c)."""
-    return (k, atom, other, meet(k, join(atom, other, mode), mode),
+    return (k, atom, other, meet(k, joined, mode),
             join(meet(k, atom, mode), meet(k, other, mode), mode))
 
 
-def _pentagon(grid: IntegerGrid, p, q, k, mode: str, sides) -> dict | None:
-    """Law sides, `sides({p}, k, {q}, mode) -> (a, b, c, lhs, rhs)`, on the
-    pentagon of the covering witness k; None when there is no witness or the
-    two sides agree."""
+def _pentagon(grid: IntegerGrid, p, q, covering: dict, mode: str, sides) -> dict | None:
+    """Law sides, `sides({p}, k, {q}, {p} join {q}, mode) -> (a, b, c, lhs,
+    rhs)`, on the pentagon of the covering witness k, with the covering
+    search's join; None when there is no witness or the two sides agree."""
+    k = covering["intermediate"]
     if k is None:
         return None
     a, b, c, lhs, rhs = sides(Region.from_points(grid, [p]), k,
-                              Region.from_points(grid, [q]), mode)
+                              Region.from_points(grid, [q]), covering["join"], mode)
     return None if lhs == rhs else {"a": a, "b": b, "c": c, "lhs": lhs, "rhs": rhs}
 
 
@@ -220,10 +227,10 @@ def lattice_property_suite(grid: IntegerGrid, mode: str, seed: int,
     covering = modularity = distributivity = None
     if mode != GALILEI:
         q = (p[0] + _covering_span(grid, p),) + p[1:]
+        # one witness and one join {p} join {q} span both pentagons
         covering = covering_counterexample(grid, p, q, mode)
-        k = covering["intermediate"]  # one witness spans both pentagons
-        modularity = _pentagon(grid, p, q, k, mode, _modular_sides)
-        distributivity = _pentagon(grid, p, q, k, mode, _distributive_sides)
+        modularity = _pentagon(grid, p, q, covering, mode, _modular_sides)
+        distributivity = _pentagon(grid, p, q, covering, mode, _distributive_sides)
     return {
         "failures": failures,
         "atom_complete": atom_complete,

@@ -593,7 +593,7 @@ def suite_lattice(seed: int, config: Config) -> list[Check]:
                 else lat.IntegerGrid.centered(41, 41))
     try:
         fig = lat.fig2_counterexample(fig_grid)
-    except RuntimeError as exc:  # a wrong complement can break the construction
+    except (RuntimeError, ValueError) as exc:  # a wrong complement can break the construction
         for name in ("fig2.witness_nonempty", "fig2.chron_analogue"):
             checks.append(_chk(name, 1.0, 1.0, str(exc)))
     else:

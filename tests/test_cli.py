@@ -286,6 +286,28 @@ class TestVerdictRule:
         assert failed == [("fig2.witness_nonempty", note), ("fig2.chron_analogue", note)]
         assert report["counts"] == {"failed": 2, "total": 10}
 
+    @pytest.mark.parametrize("suite", ["lattice", "all"])
+    @pytest.mark.parametrize("wrong", ["drop the last cell", "add cell 0"])
+    def test_wrong_complement_fails_fig2_checks(self, tmp_path, monkeypatch, wrong, suite):
+        # the construction's completeness check refuses the wrong complements
+        real = engine._complement_mask
+
+        def mutated(region, code, **kwargs):
+            out = real(region, code, **kwargs)
+            if wrong == "add cell 0":
+                out[0] = True
+            elif out.any():
+                out[np.flatnonzero(out)[-1]] = False
+            return out
+
+        monkeypatch.setattr(engine, "_complement_mask", mutated)
+        out = tmp_path / "r.json"
+        assert main(["--suite", suite, "--out", str(out)]) == 1
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        for name in ("fig2.witness_nonempty", "fig2.chron_analogue"):
+            assert not checks[name]["passed"]
+            assert checks[name]["note"] == "orthomodularity check needs complete inputs"
+
 
 def run_child(args):
     """Run this interpreter on `args`, importing the same minklab as this

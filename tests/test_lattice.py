@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from minklab.lattice import (CAUSAL, CHRONOLOGICAL, GALILEI, MODES,
                              lattice_property_suite, law_sweep, meet,
                              orthomodularity_check, random_region,
                              region_from_json, region_to_json, region_to_pbm)
-from minklab.lattice import laws
+from minklab.lattice import engine, laws
 from minklab.lattice.oracle import complement_mask_bruteforce
 
 
@@ -173,6 +174,25 @@ class TestOracleEquivalence:
         for mode in MODES:
             assert_matches_oracle(grid, mask, mode)
 
+    # with the block budget at its minimum, every axis step of a 2+1 or 3+1
+    # distance pass takes one x per block
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", [n for n in ORACLE_GRIDS if not n.startswith("1+1")])
+    def test_region_families_in_blocks_of_one(self, name, mode, rng, monkeypatch):
+        monkeypatch.setattr(engine, "_STEP_CELLS", 1)
+        self.test_region_families(name, mode, rng)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_extents_in_blocks(self, data):
+        grid = draw_grid(data)
+        mask = data.draw(hnp.arrays(bool, grid.size), label="mask")
+        # the minimum, then a budget whose last block may be short
+        for cells in (1, data.draw(st.integers(2, 2 * grid.size), label="cells")):
+            with mock.patch.object(engine, "_STEP_CELLS", cells):
+                for mode in MODES:
+                    assert_matches_oracle(grid, mask, mode)
+
 
 class TestComplement:
     def test_empty_gives_full(self, grid):
@@ -314,6 +334,19 @@ class TestMeetJoinDeMorgan:
         assert join(s, sc, CAUSAL) == Region.full(grid)
 
 
+def count_complements(monkeypatch):
+    """Record every engine complement from now on; returns the growing list."""
+    calls = []
+    real = engine._complement_mask
+
+    def counted(region, code, **kwargs):
+        calls.append(code)
+        return real(region, code, **kwargs)
+
+    monkeypatch.setattr(engine, "_complement_mask", counted)
+    return calls
+
+
 class TestOrthomodularity:
     def test_trivial_equal_case(self, grid, rng):
         a = completion(random_region(grid, rng), CAUSAL)
@@ -359,6 +392,36 @@ class TestOrthomodularity:
         with pytest.raises(ValueError):
             orthomodularity_check(ragged, Region.full(grid), CAUSAL)
 
+    @pytest.mark.parametrize("size", [41, 61, 81])
+    def test_fig2_joins_equal_engine_joins(self, size):
+        fig = fig2_counterexample(IntegerGrid.centered(size, size))
+        a, b, bprime = fig["a"], fig["b"], fig["bprime"]
+        assert fig["join_a_bprime"] == join(a, bprime, CAUSAL)
+        check = orthomodularity_check(a, b, CAUSAL)
+        assert check["join"] == join(a, complement(b, CAUSAL), CAUSAL)
+        assert (check["holds"], check["witness"]) == (fig["holds"], fig["witness"])
+
+    @pytest.mark.parametrize("mode", [CAUSAL, CHRONOLOGICAL])
+    @pytest.mark.parametrize("shape", [(41, 41), (13, 13, 13), (9, 9, 9, 9)])
+    def test_check_join_on_structured_pairs(self, shape, mode, rng):
+        grid = IntegerGrid.centered(*shape)
+        done = [completion(s, mode) for s in structured_regions(grid, rng, per_kind=3)]
+        for a, c in zip(done, done[1:]):
+            b = join(a, c, mode)  # complete, and a <= b
+            joined = join(a, complement(b, mode), mode)
+            check = orthomodularity_check(a, b, mode)
+            assert check["join"] == joined
+            assert check["witness"] == (b & joined) - a
+            assert check["holds"] == ((b & joined) == a)
+
+    def test_complement_counts(self, grid41, monkeypatch):
+        calls = count_complements(monkeypatch)
+        fig = fig2_counterexample(grid41)
+        assert len(calls) <= 17
+        calls.clear()
+        orthomodularity_check(fig["a"], fig["b"], CAUSAL)
+        assert len(calls) == 5
+
 
 def oracle_join(grid, a, b, mode):
     """(a' meet b')' from the brute-force complement."""
@@ -403,6 +466,24 @@ class TestPropertySuite:
         dia = diamond(grid, (0, 0), (4, 0), closed=True)
         assert atom <= k and k <= dia and k != atom and k != dia
         assert is_complete(k, CAUSAL)
+
+    @pytest.mark.parametrize("mode", [CAUSAL, CHRONOLOGICAL])
+    @pytest.mark.parametrize("size", [41, 61, 81])
+    def test_pentagon_sides_equal_their_compositions(self, size, mode):
+        grid = IntegerGrid.centered(size, size)
+        rep = lattice_property_suite(grid, mode, seed=0, n_regions=1)
+        mod, dis = rep["modularity"], rep["distributivity"]
+        atom, k, other = mod["a"], mod["b"], mod["c"]
+        assert rep["covering"]["join"] == join(atom, other, mode)
+        assert mod["lhs"] == join(atom, meet(k, other, mode), mode)
+        assert mod["rhs"] == meet(k, join(atom, other, mode), mode)
+        assert dis["lhs"] == meet(k, join(atom, other, mode), mode)
+        assert dis["rhs"] == join(meet(k, atom, mode), meet(k, other, mode), mode)
+
+    def test_property_suite_complement_count(self, grid41, monkeypatch):
+        calls = count_complements(monkeypatch)
+        lattice_property_suite(grid41, CAUSAL, 0, n_regions=2)
+        assert len(calls) <= 21
 
     def test_one_covering_search_per_suite(self, grid, monkeypatch):
         # the covering witness spans both pentagons, so it is built once
