@@ -7,7 +7,9 @@ every grid dimension, gives the exact squared spatial distance d2 from
 every spatial cell to the slice's nearest member.  A cell x at time t is
 related to that slice iff d2 <= (t - t_s)^2 (causal) or d2 < (t - t_s)^2
 (chronological, where a member is also related to itself), i.e. iff
-|t - t_s| reaches an integer radius r(x) read off d2.  So the cells at x
+|t - t_s| reaches an integer radius r(x) read off d2; with one spatial
+axis the pass's scan gives the distance itself, the gap g, and r is g
+(causal) or g + 1 (chronological) with no square root.  So the cells at x
 that no slice relates form the open time interval
 (max_s t_s - r_s(x), min_s t_s + r_s(x)).  All arithmetic is exact int64.
 For a set spanning k of the T slices the cost is
@@ -21,7 +23,8 @@ T |spatial| output build.  Otherwise the middle slices fold into the same
 min and max, which gives the same bits in any order.  `completion`, `join`
 and the orthomodularity check skip that try for their outer complement,
 which contains their non-empty input and so cannot come out empty.  The
-finite-speed (galilei) relation has a closed form.
+finite-speed (galilei) relation has a closed form.  Result masks are
+computed fresh and adopted by their regions (`Region._adopt`), not copied.
 `oracle.complement_mask_bruteforce` is the double-loop reference the tests
 compare this against.
 """
@@ -51,34 +54,45 @@ __all__ = [
 _STEP_CELLS = 1 << 14
 
 
-def _sq_distance(members: np.ndarray) -> np.ndarray:
-    """Squared distance from each spatial cell to its slice's nearest member.
-
-    `members` is (k, *spatial) bool with a member in every slice; the
-    result is int64 of the same shape.  The last axis is scanned both ways
-    for the nearest member on the same line; every other spatial axis then
-    takes the exact 1-D step g(x) <- min over x' of (x - x')^2 + g(x'),
-    a block of x at a time over whole arrays of lines: one broadcast
-    (x', x, ...) sum, reduced over x'.
-    """
+def _line_gap(members: np.ndarray) -> np.ndarray:
+    """Distance along the last axis from each cell to the nearest member on
+    its line, as int64 of `members`' shape; a line without a member reads
+    more than the summed spatial extent."""
     n = members.shape[-1]
     idx = np.arange(n)
     far = n + sum(members.shape[1:])  # a memberless line loses every min below
     left = np.maximum.accumulate(np.where(members, idx, -far), axis=-1)
     right = np.minimum.accumulate(np.where(members, idx, far)[..., ::-1], axis=-1)[..., ::-1]
-    gap = np.minimum(idx - left, right - idx)
-    d2 = gap * gap
+    return np.minimum(idx - left, right - idx)
+
+
+def _sq_distance(members: np.ndarray) -> np.ndarray:
+    """Squared distance from each spatial cell to its slice's nearest member.
+
+    `members` is (k, *spatial) bool with a member in every slice; the
+    result is int64 of the same shape.  The last axis is scanned both ways
+    for the nearest member on the same line (`_line_gap`); every other
+    spatial axis then takes the exact 1-D step
+    g(x) <- min over x' of (x - x')^2 + g(x'), a block of x at a time over
+    whole arrays of lines: one broadcast (x', x, ...) sum, reduced over x'.
+    """
+    d2 = _line_gap(members)
+    d2 *= d2
     for axis in range(1, members.ndim - 1):
         # x' leads, so the min reduces over the outermost, contiguous axis
-        g = np.ascontiguousarray(np.moveaxis(d2, axis, 0))
+        g = np.ascontiguousarray(d2.swapaxes(0, axis))
         pos = np.arange(len(g))
         shift = ((pos[:, None] - pos) ** 2).reshape(pos.shape * 2 + (1,) * (g.ndim - 1))
-        block = max(1, _STEP_CELLS // g.size)
-        out = np.empty_like(g)
-        for lo in range(0, len(g), block):
-            np.minimum.reduce(g[:, None] + shift[:, lo:lo + block], axis=0,
-                              out=out[lo:lo + block])
-        d2 = np.moveaxis(out, 0, axis)
+        block = _STEP_CELLS // g.size
+        if block >= len(g):  # the whole sum fits in one block
+            out = np.minimum.reduce(g[:, None] + shift, axis=0)
+        else:
+            block = max(1, block)
+            out = np.empty_like(g)
+            for lo in range(0, len(g), block):
+                np.minimum.reduce(g[:, None] + shift[:, lo:lo + block], axis=0,
+                                  out=out[lo:lo + block])
+        d2 = out.swapaxes(0, axis)
     return d2
 
 
@@ -87,17 +101,26 @@ def _sq_distance(members: np.ndarray) -> np.ndarray:
 _ONE_PASS_SLICES = 4
 
 
-def _slice_bounds(cube: np.ndarray, slices: np.ndarray,
+def _slice_bounds(members: np.ndarray, times: np.ndarray,
                   code: int) -> tuple[np.ndarray, np.ndarray]:
     """Per spatial cell, the earliest future time (`future`) and the latest
-    past time (`past`) that the given occupied slices of `cube` relate."""
-    d2 = _sq_distance(cube[slices]).reshape(slices.size, -1)
-    # smallest |t - t_s| with (t - t_s)^2 >= d2 (causal) or > d2 (chronological);
-    # root is floor(sqrt(d2)) or one more where the float sqrt rounded up
-    root = np.sqrt(d2).astype(np.int64)
-    sq = root * root
-    reach = root + (sq < d2 if code == 0 else sq <= d2)
-    return (slices[:, None] + reach).min(axis=0), (slices[:, None] - reach).max(axis=0)
+    past time (`past`) that the occupied slices `members`, at the time
+    indices `times`, relate."""
+    if members.ndim == 2:
+        # one spatial axis: the gap is the distance itself, so the smallest
+        # |t - t_s| reaching it is the gap (causal) or one more (chronological)
+        reach = _line_gap(members)
+        if code == 1:
+            reach += 1
+    else:
+        d2 = _sq_distance(members).reshape(times.size, -1)
+        # smallest |t - t_s| with (t - t_s)^2 >= d2 (causal) or > d2 (chronological);
+        # root is floor(sqrt(d2)) or one more where the float sqrt rounded up
+        root = np.sqrt(d2).astype(np.int64)
+        sq = root * root
+        reach = root + (sq < d2 if code == 0 else sq <= d2)
+    times = times[:, None]
+    return np.minimum.reduce(times + reach, axis=0), np.maximum.reduce(times - reach, axis=0)
 
 
 def _complement_mask(region: Region, code: int, *, ends_first: bool = True) -> np.ndarray:
@@ -110,7 +133,7 @@ def _complement_mask(region: Region, code: int, *, ends_first: bool = True) -> n
     """
     grid = region.grid
     cells = region.mask.reshape(grid.shape[0], -1)
-    occupied = np.flatnonzero(cells.any(axis=1))
+    occupied = np.logical_or.reduce(cells, axis=1).nonzero()[0]
     if occupied.size == 0:
         return np.ones(grid.size, dtype=bool)
     if code == 2:  # every time difference relates: only one slice can be left
@@ -120,15 +143,19 @@ def _complement_mask(region: Region, code: int, *, ends_first: bool = True) -> n
         return out.reshape(-1)
     cube = region.mask.reshape(grid.shape)
     if ends_first and occupied.size > _ONE_PASS_SLICES:
-        future, past = _slice_bounds(cube, occupied[[0, -1]], code)
-        if (future - past <= 1).all():  # no time lies strictly between
+        first, last = occupied[0], occupied[-1]
+        # basic slices: views of the two extreme slices and their times
+        future, past = _slice_bounds(cube[first:last + 1:last - first],
+                                     occupied[::occupied.size - 1], code)
+        if np.maximum.reduce(future - past) <= 1:  # no time lies strictly between
             return np.zeros(grid.size, dtype=bool)
         # min and max are associative, so the middle slices fold in bit-exactly
-        mid_future, mid_past = _slice_bounds(cube, occupied[1:-1], code)
-        future = np.minimum(future, mid_future)
-        past = np.maximum(past, mid_past)
+        middle = occupied[1:-1]
+        mid_future, mid_past = _slice_bounds(cube[middle], middle, code)
+        np.minimum(future, mid_future, out=future)
+        np.maximum(past, mid_past, out=past)
     else:
-        future, past = _slice_bounds(cube, occupied, code)
+        future, past = _slice_bounds(cube[occupied], occupied, code)
     t = np.arange(grid.shape[0])[:, None]
     out = (t > past) & (t < future)
     if code == 1:
@@ -142,7 +169,7 @@ def complement(region: Region, mode: str) -> Region:
     The result is grid-relative: true complements are unbounded, so regions
     near the grid boundary (see Region.near_boundary) see a truncated one.
     """
-    return Region(region.grid, _complement_mask(region, mode_code(mode)))
+    return Region._adopt(region.grid, _complement_mask(region, mode_code(mode)))
 
 
 def _outer_complement(region: Region, mode: str) -> Region:
@@ -150,7 +177,8 @@ def _outer_complement(region: Region, mode: str) -> Region:
     complement contains a known non-empty set (the complement of a
     complement contains the original set), where the try would be waste.
     The bits are the same either way."""
-    return Region(region.grid, _complement_mask(region, mode_code(mode), ends_first=False))
+    return Region._adopt(region.grid,
+                          _complement_mask(region, mode_code(mode), ends_first=False))
 
 
 def _completion_pair(region: Region, mode: str) -> tuple[Region, Region]:
@@ -198,9 +226,9 @@ def diamond(grid: IntegerGrid, p, q, closed: bool = True) -> Region:
     tq, iq = _cone_offsets(grid, q)
     if closed:  # in the future cone of one endpoint and the past cone of the other
         between = ((tp >= 0) & (tq <= 0)) | ((tq >= 0) & (tp <= 0))
-        return Region(grid, (ip >= 0) & (iq >= 0) & between)
+        return Region._adopt(grid, (ip >= 0) & (iq >= 0) & between)
     between = ((tp > 0) & (tq < 0)) | ((tq > 0) & (tp < 0))
-    return Region(grid, (ip > 0) & (iq > 0) & between)
+    return Region._adopt(grid, (ip > 0) & (iq > 0) & between)
 
 
 def de_morgan_check(pairs, mode: str) -> list[tuple[int, str]]:

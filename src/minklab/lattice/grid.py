@@ -116,21 +116,32 @@ class Region:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "mask", m)
 
+    @classmethod
+    def _adopt(cls, grid: IntegerGrid, mask: np.ndarray) -> "Region":
+        """Region that takes over `mask`, a flat bool array of grid.size
+        cells that the package has just computed and that nothing else
+        holds: it is frozen in place, not copied."""
+        mask.setflags(write=False)
+        region = object.__new__(cls)
+        object.__setattr__(region, "grid", grid)
+        object.__setattr__(region, "mask", mask)
+        return region
+
     # constructors -------------------------------------------------------
     @classmethod
     def empty(cls, grid: IntegerGrid) -> "Region":
-        return cls(grid, np.zeros(grid.size, dtype=bool))
+        return cls._adopt(grid, np.zeros(grid.size, dtype=bool))
 
     @classmethod
     def full(cls, grid: IntegerGrid) -> "Region":
-        return cls(grid, np.ones(grid.size, dtype=bool))
+        return cls._adopt(grid, np.ones(grid.size, dtype=bool))
 
     @classmethod
     def from_points(cls, grid: IntegerGrid, points: Iterable[Sequence[int]]) -> "Region":
         m = np.zeros(grid.size, dtype=bool)
         for p in points:
             m[grid.index_of(p)] = True
-        return cls(grid, m)
+        return cls._adopt(grid, m)
 
     # set algebra (exact) --------------------------------------------------
     def _check_same_grid(self, other: "Region") -> None:
@@ -139,15 +150,15 @@ class Region:
 
     def __and__(self, other: "Region") -> "Region":
         self._check_same_grid(other)
-        return Region(self.grid, self.mask & other.mask)
+        return Region._adopt(self.grid, self.mask & other.mask)
 
     def __or__(self, other: "Region") -> "Region":
         self._check_same_grid(other)
-        return Region(self.grid, self.mask | other.mask)
+        return Region._adopt(self.grid, self.mask | other.mask)
 
     def __sub__(self, other: "Region") -> "Region":
         self._check_same_grid(other)
-        return Region(self.grid, self.mask & ~other.mask)
+        return Region._adopt(self.grid, self.mask & ~other.mask)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Region):

@@ -187,27 +187,27 @@ def _covering_span(grid: IntegerGrid, p) -> int:
     return max(0, min(4, t_hi - p[0], 2 * side - 2))
 
 
-def _modular_sides(atom, k, other, joined, mode):
-    """a = {p} <= b = k, c = {q}: a join (b meet c) against b meet (a join c)."""
-    return (atom, k, other, join(atom, meet(k, other, mode), mode), meet(k, joined, mode))
+def _pentagons(grid: IntegerGrid, p, q, covering: dict, mode: str):
+    """Modularity and distributivity law sides on the pentagon {p} <= k, {q}
+    of the covering witness k, with the covering search's join {p} join {q}.
 
-
-def _distributive_sides(atom, k, other, joined, mode):
-    """a = k, b = {p}, c = {q}: a meet (b join c) against (a meet b) join (a meet c)."""
-    return (k, atom, other, meet(k, joined, mode),
-            join(meet(k, atom, mode), meet(k, other, mode), mode))
-
-
-def _pentagon(grid: IntegerGrid, p, q, covering: dict, mode: str, sides) -> dict | None:
-    """Law sides, `sides({p}, k, {q}, {p} join {q}, mode) -> (a, b, c, lhs,
-    rhs)`, on the pentagon of the covering witness k, with the covering
-    search's join; None when there is no witness or the two sides agree."""
+    Modularity takes a = {p}, b = k, c = {q}: a join (b meet c) against
+    b meet (a join c).  Distributivity takes a = k, b = {p}, c = {q}:
+    a meet (b join c) against (a meet b) join (a meet c).  As {p} <= k,
+    k meet {p} is {p}, so each law's one side is the other's other side,
+    and the join is built once.  Returns (modularity, distributivity),
+    each None when there is no witness or its two sides agree.
+    """
     k = covering["intermediate"]
     if k is None:
-        return None
-    a, b, c, lhs, rhs = sides(Region.from_points(grid, [p]), k,
-                              Region.from_points(grid, [q]), covering["join"], mode)
-    return None if lhs == rhs else {"a": a, "b": b, "c": c, "lhs": lhs, "rhs": rhs}
+        return None, None
+    atom, other = Region.from_points(grid, [p]), Region.from_points(grid, [q])
+    low = join(atom, meet(k, other, mode), mode)
+    high = meet(k, covering["join"], mode)
+    if low == high:
+        return None, None
+    return ({"a": atom, "b": k, "c": other, "lhs": low, "rhs": high},
+            {"a": k, "b": atom, "c": other, "lhs": high, "rhs": low})
 
 
 def lattice_property_suite(grid: IntegerGrid, mode: str, seed: int,
@@ -229,8 +229,7 @@ def lattice_property_suite(grid: IntegerGrid, mode: str, seed: int,
         q = (p[0] + _covering_span(grid, p),) + p[1:]
         # one witness and one join {p} join {q} span both pentagons
         covering = covering_counterexample(grid, p, q, mode)
-        modularity = _pentagon(grid, p, q, covering, mode, _modular_sides)
-        distributivity = _pentagon(grid, p, q, covering, mode, _distributive_sides)
+        modularity, distributivity = _pentagons(grid, p, q, covering, mode)
     return {
         "failures": failures,
         "atom_complete": atom_complete,

@@ -72,6 +72,41 @@ class TestGridAndRegion:
         assert IntegerGrid.centered(2 ** 31, 2 ** 31).size == 2 ** 62
 
 
+class TestMaskOwnership:
+    """Package results own frozen masks; Region() copies its caller's array."""
+
+    def test_results_are_read_only_and_share_no_memory(self, grid, rng):
+        a = completion(Region(grid, rng.random(grid.size) < 0.01), CAUSAL)
+        b = completion(Region.from_points(grid, [(0, 0), (3, 1)]), CAUSAL)
+        dense = Region(grid, rng.random(grid.size) < 0.3)  # empty complement
+        inputs = (a, b, dense)
+        results = [complement(s, mode) for s in (a, b, dense, Region.empty(grid))
+                   for mode in MODES]
+        results += [completion(a, CAUSAL), join(a, b, CAUSAL), meet(a, b, CAUSAL),
+                    a & b, a | b, a - b, diamond(grid, (-3, 0), (3, 0)),
+                    diamond(grid, (-3, 0), (3, 0), closed=False)]
+        # where a result equals one input, it is still a fresh mask
+        nothing = Region.empty(grid)
+        results += [meet(a, a | b, CAUSAL), a & a, a | nothing, nothing | a, a - nothing]
+        for res in results:
+            assert not res.mask.flags.writeable
+            with pytest.raises(ValueError):
+                res.mask[0] = True
+            assert not any(np.shares_memory(res.mask, s.mask) for s in inputs)
+        assert not any(np.shares_memory(r.mask, s.mask)
+                       for i, r in enumerate(results) for s in results[i + 1:])
+
+    def test_constructor_copies_the_callers_array(self, grid):
+        arr = np.zeros(grid.size, dtype=bool)
+        arr[5] = True
+        region = Region(grid, arr)
+        arr[:] = True
+        assert region.points() == [tuple(grid.coords[5])]
+        assert arr.flags.writeable  # the caller's array is left as it was
+        again = Region(grid, region.mask)
+        assert again == region and not np.shares_memory(again.mask, region.mask)
+
+
 def assert_matches_oracle(grid, mask, mode):
     """complement(), and in 1+1 and 2+1 also completion(), equal the oracle's.
 
@@ -182,6 +217,13 @@ class TestOracleEquivalence:
         monkeypatch.setattr(engine, "_STEP_CELLS", 1)
         self.test_region_families(name, mode, rng)
 
+    # with a budget above every grid's full sum, every axis step is one block
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", [n for n in ORACLE_GRIDS if not n.startswith("1+1")])
+    def test_region_families_in_one_block(self, name, mode, rng, monkeypatch):
+        monkeypatch.setattr(engine, "_STEP_CELLS", 1 << 40)
+        self.test_region_families(name, mode, rng)
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_random_extents_in_blocks(self, data):
@@ -192,6 +234,32 @@ class TestOracleEquivalence:
             with mock.patch.object(engine, "_STEP_CELLS", cells):
                 for mode in MODES:
                     assert_matches_oracle(grid, mask, mode)
+
+
+class TestOneSpatialAxisReach:
+    """A 1+1 complement reads its reach off the line gap; the same mask on a
+    (T, 1, X) or (T, X, 1) grid takes the general d2/sqrt step, on grids too
+    large for the oracle."""
+
+    @pytest.mark.parametrize("mode", [CAUSAL, CHRONOLOGICAL])
+    @pytest.mark.parametrize("extents", [[(-20, 20), (-20, 20)], [(-42, 42), (-42, 42)],
+                                         [(-13, 47), (-18, 2)]],
+                             ids=["41x41", "85x85", "61x21 off-centre"])
+    def test_matches_the_general_step(self, extents, mode, rng):
+        grid = IntegerGrid(extents)
+        time_axis, space_axis = extents
+        general = [IntegerGrid([time_axis, (0, 0), space_axis]),
+                   IntegerGrid([time_axis, space_axis, (0, 0)])]
+        structured = structured_regions(grid, rng, per_kind=4)
+        masks = [rng.random(grid.size) < d for d in (0.01, 0.05, 0.1, 0.4)]
+        masks += [rng.random(grid.size) < 0.004 for _ in range(4)]
+        masks += [s.mask for s in structured]
+        # complements span many slices, so they take the extreme-slice try
+        masks += [complement(s, mode).mask for s in structured]
+        for mask in masks:
+            got = complement(Region(grid, mask), mode).mask
+            for wide in general:
+                np.testing.assert_array_equal(complement(Region(wide, mask), mode).mask, got)
 
 
 class TestComplement:
@@ -483,7 +551,7 @@ class TestPropertySuite:
     def test_property_suite_complement_count(self, grid41, monkeypatch):
         calls = count_complements(monkeypatch)
         lattice_property_suite(grid41, CAUSAL, 0, n_regions=2)
-        assert len(calls) <= 21
+        assert len(calls) <= 18
 
     def test_one_covering_search_per_suite(self, grid, monkeypatch):
         # the covering witness spans both pentagons, so it is built once
