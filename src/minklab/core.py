@@ -36,9 +36,9 @@ __all__ = [
 ]
 
 
-# tolerance of the float predicates: lightlike classification and degenerate
-# hyperplanes (relative to the Euclidean norm squared), hyperplane and
-# world-line membership, and world-line equality
+# tolerance of the float predicates: lightlike classification (relative to
+# the Euclidean norm squared), hyperplane and world-line membership, and
+# world-line equality
 PREDICATE_TOL = 1e-10
 
 
@@ -239,12 +239,6 @@ class Hyperplane:
         if float(self.normal.a @ self.normal.a) == 0.0:
             raise ValueError("normal must be nonzero")
         _check_dims(self.normal, self.base)
-
-    @property
-    def degenerate(self) -> bool:
-        """True iff the normal is lightlike (g restricted to the plane is degenerate)."""
-        n = self.normal.a
-        return abs(inner(n, n)) <= PREDICATE_TOL * float(n @ n)
 
     def contains(self, p: Event) -> bool:
         d = p - self.base

@@ -5,7 +5,7 @@ the relation-preservation and unit-distance rigidity statements."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,7 +33,8 @@ __all__ = [
 ]
 
 # tolerance of the Cartan-Dieudonne reduction to the identity, of null probe
-# images in conformal_factor and of unit distances in unit_distance_harness
+# images in conformal_factor, of unit distances in unit_distance_harness and
+# of the null band of the causal relations in relation_preservation_harness
 RESIDUAL_TOL = 1e-9
 # random_lorentz draws its rapidity uniformly from [-MAX_RAPIDITY, MAX_RAPIDITY]
 MAX_RAPIDITY = 2.0
@@ -41,13 +42,12 @@ MAX_RAPIDITY = 2.0
 LORENTZ_TOL = 1e-10
 
 
-def lorentz_residual(L: np.ndarray, g: np.ndarray | None = None) -> float:
+def lorentz_residual(L: np.ndarray) -> float:
     """max |(L^T G L - G)_ij| — how far L is from preserving the form G."""
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError("L must be a square matrix")
-    G = metric_matrix(L.shape[0]) if g is None else np.asarray(g, dtype=float)
-    return float(_lorentz_residuals(L, G))
+    return float(_lorentz_residuals(L, metric_matrix(L.shape[0])))
 
 
 def _lorentz_residuals(L: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -63,10 +63,10 @@ def is_lorentz(L: np.ndarray) -> tuple[bool, float]:
 
 @dataclass(frozen=True)
 class AffineIsometry:
-    """Affine map p -> o + L(p - o) + a with L form-preserving.
+    """Affine map p -> L p + a with L form-preserving.
 
-    The linear part is validated on construction; `proper` and
-    `orthochronous` expose the two component flags.
+    The linear part is validated on construction, and `@` composes two
+    maps.
     """
 
     linear: np.ndarray
@@ -88,34 +88,11 @@ class AffineIsometry:
     def dim(self) -> int:
         return self.linear.shape[0]
 
-    @cached_property
-    def proper(self) -> bool:
-        return np.linalg.det(self.linear) > 0
-
-    @cached_property
-    def orthochronous(self) -> bool:
-        return self.linear[0, 0] > 0
-
-    def apply(self, p):
-        if isinstance(p, Event):
-            return Event(self.linear @ p.a + self.translation)
-        if isinstance(p, MinkVector):
-            return MinkVector(self.linear @ p.a)
-        return np.asarray(self.linear) @ np.asarray(p, dtype=float) + self.translation
-
     def __matmul__(self, other: "AffineIsometry") -> "AffineIsometry":
         if not isinstance(other, AffineIsometry):
             return NotImplemented
         return AffineIsometry(self.linear @ other.linear,
                               self.linear @ other.translation + self.translation)
-
-    def inverse(self) -> "AffineIsometry":
-        Linv = np.linalg.inv(self.linear)
-        return AffineIsometry(Linv, -(Linv @ self.translation))
-
-    @classmethod
-    def identity(cls, dim: int) -> "AffineIsometry":
-        return cls(np.eye(dim))
 
 
 @lru_cache(maxsize=None)
@@ -182,21 +159,10 @@ class Reflection:
         object.__setattr__(out, "matrix", matrix)
         return out
 
-    def apply(self, x):
-        return reflect(self.axis, x)
 
-
-def compose_reflections(reflections: Sequence[Reflection] | np.ndarray,
-                        dim: int) -> np.ndarray:
-    """Product of reflection matrices, in the given order.
-
-    `reflections` is a sequence of Reflection, or an array (..., m, dim, dim)
-    of reflection matrices whose every stack of m is composed in order.
-    """
-    if isinstance(reflections, np.ndarray):
-        mats = reflections
-    else:
-        mats = np.array([r.matrix for r in reflections], dtype=float).reshape(-1, dim, dim)
+def compose_reflections(mats: np.ndarray, dim: int) -> np.ndarray:
+    """Product of reflection matrices, in the given order: each stack of m
+    in the array (..., m, dim, dim) is composed in order."""
     out = np.eye(dim)
     for j in range(mats.shape[-3]):
         out = out @ mats[..., j, :, :]
@@ -345,7 +311,7 @@ def conformal_factor(f: np.ndarray) -> dict:
 _RELATIONS = ("ge", "gt", "lightlike-successor", "interval-sign")
 
 
-def _relation_row(relation: str, D: np.ndarray, tol: float) -> np.ndarray:
+def _relation_row(relation: str, D: np.ndarray) -> np.ndarray:
     """The relation on every displacement d along the last axis of D.
 
     The quadratic forms are taken with np.vecdot, which equals core.inner
@@ -355,7 +321,7 @@ def _relation_row(relation: str, D: np.ndarray, tol: float) -> np.ndarray:
     d0 = D[..., 0]
     q = _inner_rows(D, D)
     e2 = np.vecdot(D, D)
-    band = tol * np.fmax(e2, 1.0)  # fmax, like max(1.0, d @ d), ignores NaN
+    band = RESIDUAL_TOL * np.fmax(e2, 1.0)  # fmax, like max(1.0, d @ d), ignores NaN
     if relation == "ge":
         return (q >= -band) & ((d0 > 0) | (e2 == 0.0))
     if relation == "gt":
@@ -378,8 +344,7 @@ HARNESS_BLOCK_PAIRS = 4096
 
 def relation_preservation_harness(events: Sequence[Event],
                                   mapping: Callable[[Event], Event],
-                                  relation: str,
-                                  tol: float = 1e-9) -> list[tuple[int, int, str]]:
+                                  relation: str) -> list[tuple[int, int, str]]:
     """Ordered pairs on which the bijection breaks the chosen causal relation.
 
     `relation` is one of 'ge', 'gt', 'lightlike-successor' (the oriented cone
@@ -412,8 +377,8 @@ def relation_preservation_harness(events: Sequence[Event],
             raise PreconditionError("mapping is not injective on the event set")
     violations = []
     for i in blocks:
-        before = _relation_row(relation, P[i] - P, tol)
-        changed = (before != _relation_row(relation, Q[i] - Q, tol)) & (partner != i)
+        before = _relation_row(relation, P[i] - P)
+        changed = (before != _relation_row(relation, Q[i] - Q)) & (partner != i)
         rows_i, cols = np.nonzero(changed)  # in (i, j) order, hence sorted
         # the oriented relations break forward when only the events relate
         forward = (np.ones(len(cols), bool) if relation == "interval-sign"

@@ -167,7 +167,7 @@ def complement(region: Region, mode: str) -> Region:
     """Largest region separated (per mode) from every cell of the input.
 
     The result is grid-relative: true complements are unbounded, so regions
-    near the grid boundary (see Region.near_boundary) see a truncated one.
+    near the grid boundary see a truncated one.
     """
     return Region._adopt(region.grid, _complement_mask(region, mode_code(mode)))
 

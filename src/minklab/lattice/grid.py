@@ -184,22 +184,5 @@ class Region:
     def points(self) -> list[tuple[int, ...]]:
         return [tuple(int(x) for x in row) for row in self.grid.coords[self.mask]]
 
-    def near_boundary(self) -> bool:
-        """Whether any member cell is closer to a grid face than a quarter
-        of the largest axis span.
-
-        Complements are grid-relative, so regions hugging the boundary see a
-        truncated complement.
-        """
-        if self.is_empty:
-            return False
-        margin = max(hi - lo for lo, hi in self.grid.extents) // 4
-        coords = self.grid.coords[self.mask]
-        for axis, (lo, hi) in enumerate(self.grid.extents):
-            edge = np.minimum(coords[:, axis] - lo, hi - coords[:, axis])
-            if bool((edge < margin).any()):
-                return True
-        return False
-
     def __repr__(self) -> str:
         return f"Region(count={self.count}, grid={self.grid!r})"

@@ -58,16 +58,27 @@ def region_to_json(region: Region) -> str:
 
 
 def region_from_json(text: str) -> Region:
+    """The region of a JSON document.  ValueError unless `dim` matches the
+    extents, every row key lies in the grid, and every run has a positive
+    length and lies in its row."""
     doc = json.loads(text)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
     grid = IntegerGrid([tuple(e) for e in doc["extents"]])
+    if doc.get("dim") != grid.dim:
+        raise ValueError(f"dim {doc.get('dim')!r} does not match {grid.dim} extents")
     nd = np.zeros(grid.shape, dtype=bool)
-    last_lo = grid.extents[-1][0]
+    lead_extents = grid.extents[:-1]
+    last_lo, last_hi = grid.extents[-1]
     for row in doc["rows"]:
         lead, runs = row[0], row[1:]
-        idx = tuple(c - lo for c, (lo, _) in zip(lead, grid.extents[:-1]))
+        if len(lead) != len(lead_extents) or not all(
+                lo <= c <= hi for c, (lo, hi) in zip(lead, lead_extents)):
+            raise ValueError(f"row key {lead!r} outside the grid")
+        idx = tuple(c - lo for c, (lo, _) in zip(lead, lead_extents))
         for start, length in runs:
+            if not (length > 0 and last_lo <= start and start + length - 1 <= last_hi):
+                raise ValueError(f"run {[start, length]!r} in row {lead!r} outside the grid")
             nd[idx][start - last_lo:start - last_lo + length] = True
     return Region(grid, nd.reshape(-1))
 

@@ -32,11 +32,9 @@ __all__ = [
 ]
 
 
-def random_region(grid: IntegerGrid, rng: np.random.Generator,
-                  density: float | None = None) -> Region:
-    """Random mask with the given (or randomly drawn) fill density."""
-    if density is None:
-        density = float(rng.uniform(0.01, 0.4))
+def random_region(grid: IntegerGrid, rng: np.random.Generator) -> Region:
+    """Random mask whose fill density is drawn from [0.01, 0.4)."""
+    density = float(rng.uniform(0.01, 0.4))
     return Region(grid, rng.random(grid.size) < density)
 
 

@@ -84,10 +84,6 @@ class ProjectiveMap:
         object.__setattr__(self, "p", np.asarray(p, dtype=float).reshape(n))
         object.__setattr__(self, "q", float(q))
 
-    @property
-    def proper(self) -> bool:
-        return bool(np.any(self.p != 0.0))
-
     @classmethod
     def worked_example(cls, n: int = 2) -> "ProjectiveMap":
         """f(x) = x / (1 - x^0), singular on the hyperplane x^0 = 1."""

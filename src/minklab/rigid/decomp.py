@@ -46,7 +46,7 @@ def spatial_metric(u: np.ndarray, c: float = 1.0) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     G = metric_matrix(u.size)
     q = inner(u, u)
-    if abs(q - c * c) > 1e-8 * c * c:
+    if not abs(q - c * c) <= 1e-8 * c * c:  # NaN included
         raise PreconditionError("u must be normalised to u.u = c^2")
     ul = G @ u
     return np.outer(ul, ul) / (c * c) - G
@@ -79,11 +79,6 @@ class KinematicDecomposition:
     @property
     def accel_norm_g(self) -> float:
         return norm_g(self.accel)
-
-    def reconstruction_residual(self, grad: np.ndarray, c: float) -> float:
-        ul = metric_matrix(self.u.size) @ self.u
-        model = self.theta + self.omega + np.outer(ul, self.accel_flat) / (c * c)
-        return float(np.abs(model - grad).max())
 
 
 def _gradient_rows(field: VelocityField, x: np.ndarray, step: float):
@@ -131,10 +126,12 @@ def kinematic_decomposition(field: VelocityField, event, step: float = DEFAULT_S
 
 
 def is_rigid(field: VelocityField, probes, step: float = DEFAULT_STEP) -> dict:
-    """Rigidity verdict: the flow is rigid iff theta vanishes at all probes."""
-    worst = 0.0
-    for p in probes:
-        worst = max(worst, kinematic_decomposition(field, p, step).theta_norm)
+    """Rigidity verdict: the flow is rigid iff theta vanishes at all probes.
+
+    np.max, unlike Python's max, keeps a NaN, so a NaN theta is not rigid.
+    """
+    worst = float(np.max([kinematic_decomposition(field, p, step).theta_norm
+                          for p in probes], initial=0.0))
     return {"rigid": worst < FIRST_DERIV_TOL, "max_theta": worst}
 
 
@@ -210,7 +207,7 @@ def killing_test(field: VelocityField, probes, step: float = DEFAULT_STEP) -> di
     """A rigid flow is an isometry flow iff its acceleration one-form is
     closed (exact on the simply connected domains used here)."""
     rigid = is_rigid(field, probes, step)
-    worst = max(float(np.abs(accel_curl(field, p, step)).max()) for p in probes)
+    worst = float(np.max([np.abs(accel_curl(field, p, step)).max() for p in probes]))
     return {
         "is_killing": bool(rigid["rigid"] and worst < SECOND_DERIV_TOL),
         "rigid": rigid["rigid"],

@@ -65,8 +65,9 @@ class VelocityField:
                 f"evaluator returned shape {u.shape} for events of shape {x.shape}")
         c2 = self.c * self.c
         q = _inner_rows(u, u)
-        off = abs(q - c2) > NORMALIZATION_RTOL * c2
-        if _some(off):
+        normalised = abs(q - c2) <= NORMALIZATION_RTOL * c2  # False for NaN
+        if not _every(normalised):
+            off = np.logical_not(normalised)
             raise PreconditionError(
                 f"field not normalised at {_first_row(x, off).tolist()}: "
                 f"u.u = {float(np.ravel(q)[np.argmax(off)])!r}, expected {c2!r}")
@@ -82,11 +83,6 @@ def _every(mask) -> bool:
     """Whether one bool, or every entry of a bool array, holds.  One event
     gives a single bool, which bool() reads without numpy's reduction."""
     return bool(mask.all()) if isinstance(mask, np.ndarray) and mask.ndim else bool(mask)
-
-
-def _some(mask) -> bool:
-    """Whether one bool, or any entry of a bool array, holds."""
-    return bool(mask.any()) if isinstance(mask, np.ndarray) and mask.ndim else bool(mask)
 
 
 def _first_row(x: np.ndarray, mask) -> np.ndarray:

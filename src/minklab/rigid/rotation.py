@@ -75,14 +75,14 @@ def rotation_killing_checks(kappa: float, c: float, probes,
     """
     field = rotation_killing_field(kappa, c)
     hfun = comoving_rotation_metric(kappa, c)
+
+    def omega_at(y):  # rows of events -> rows of omega
+        return _split_rows(field, y, step)[2]
+
     rows = []
     for p in probes:
         x = np.asarray(p, dtype=float)
         dec = kinematic_decomposition(field, x, step)
-
-        def omega_at(y, _f=field, _s=step):  # rows of events -> rows of omega
-            return _split_rows(_f, y, _s)[2]
-
         lie_omega = lie_derivative_2tensor(field, omega_at, x, step)
         frame = comoving_frame_vectors(x)
         h_frame = frame.T @ spatial_metric(field(x), c) @ frame
@@ -96,12 +96,13 @@ def rotation_killing_checks(kappa: float, c: float, probes,
             "h_psi_psi": float(h_frame[2, 2]),
             "h_split_residual": float(np.abs(h_frame - h_expected).max()),
         })
+    # np.max and np.min keep a NaN, which Python's max and min may drop
     return {
         "rows": rows,
-        "max_theta": max(r["theta_norm"] for r in rows),
-        "min_omega": min(r["omega_norm"] for r in rows),
-        "max_lie_omega": max(r["lie_omega_norm"] for r in rows),
-        "max_h_split_residual": max(r["h_split_residual"] for r in rows),
+        "max_theta": float(np.max([r["theta_norm"] for r in rows])),
+        "min_omega": float(np.min([r["omega_norm"] for r in rows])),
+        "max_lie_omega": float(np.max([r["lie_omega_norm"] for r in rows])),
+        "max_h_split_residual": float(np.max([r["h_split_residual"] for r in rows])),
     }
 
 
@@ -138,5 +139,5 @@ def projected_curvature_check(kappa: float, c: float, probes,
             "riemann_norm": float(np.abs(riem).max()),
             "omega_norm": float(np.abs(om).max()),
         })
-    worst = max(r["residual"] for r in rows)
+    worst = float(np.max([r["residual"] for r in rows]))
     return {"rows": rows, "max_residual": worst, "passes": worst < SECOND_DERIV_TOL}

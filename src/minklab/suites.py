@@ -56,8 +56,9 @@ class Config:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "Config":
-        """Parse key=value strings; unknown keys, non-positive values and an
-        fd_step outside FD_STEP_RANGE are errors."""
+        """Parse key=value strings; unknown keys, non-positive values, fewer
+        than 4 samples or 2 regions and an fd_step outside FD_STEP_RANGE are
+        errors."""
         unknown = sorted(set(mapping) - {"grid", "fd_step", "samples", "regions"})
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
@@ -70,6 +71,11 @@ class Config:
                 if not value > 0:
                     raise ValueError(f"{key} must be positive, got {mapping[key]!r}")
                 kwargs[key] = value
+        # the simultaneity sweeps take samples // 4 samples, and De Morgan's
+        # laws are checked on pairs of regions: neither may be left empty
+        for key, least in (("samples", 4), ("regions", 2)):
+            if kwargs.get(key, least) < least:
+                raise ValueError(f"{key} must be at least {least}, got {mapping[key]!r}")
         lo, hi = FD_STEP_RANGE
         if not lo <= kwargs.get("fd_step", lo) <= hi:
             raise ValueError(f"fd_step must lie in [{lo:g}, {hi:g}], where every rigid "
@@ -621,10 +627,8 @@ def suite_rigid(seed: int, config: Config) -> list[Check]:
     probes = [np.array([0.0, x0, 0.0, 0.0]) for x0 in (0.5, 1.0, 2.0)]
     ver = rigid.is_rigid(bf, probes, step)
     checks.append(_chk("boost.rigid", ver["max_theta"], 1e-5, ""))
-    worst = 0.0
-    for p in probes:
-        dec = rigid.kinematic_decomposition(bf, p, 2e-4)
-        worst = max(worst, abs(dec.accel_norm_g - 1.0 / p[1]))
+    worst = _worst([rigid.kinematic_decomposition(bf, p, 2e-4).accel_norm_g - 1.0 / p[1]
+                    for p in probes])
     checks.append(_chk("boost.acceleration", worst, 1e-6,
                        "modulus c^2 over the orbit label"))
     rot_probes = [np.array([0.0, 0.3, 0.1, 0.0]), np.array([0.1, 0.2, -0.4, 0.2])]
@@ -649,7 +653,7 @@ def suite_rigid(seed: int, config: Config) -> list[Check]:
                        1e-12, "constant-acceleration curve"))
     kt = rigid.killing_test(hf, [p], step)
     checks.append(_chk("worldline.constant_accel_killing",
-                       max(kt["max_theta"], kt["closedness_residual"]), 1e-5, ""))
+                       _worst([kt["max_theta"], kt["closedness_residual"]]), 1e-5, ""))
     wig = rigid.wiggly_worldline(0.5)
     wf = rigid.herglotz_field(wig, (-0.5, 1.5))
     pw = wig.z(0.8)

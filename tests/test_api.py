@@ -4,8 +4,11 @@ and every function reads every parameter it takes.
 A module-level public function or class that nothing in `src/minklab` or
 `perfbench/` refers to (by name or as an attribute) is a test-only wrapper:
 its behaviour belongs in the tests, not in the package.  Imports and
-`__all__` strings are not references.  A parameter that its function never
-reads is a knob that changes nothing.
+`__all__` strings are not references.  The same holds for the members of
+a public class: a public method, property or classmethod that nothing in
+`src/minklab` or `perfbench/` reads as an attribute is test-only too;
+dunder methods are exempt, since Python calls them through operators.  A
+parameter that its function never reads is a knob that changes nothing.
 """
 
 import ast
@@ -42,6 +45,27 @@ def unreferenced_public_names() -> set[str]:
 
 def test_every_public_name_is_used():
     assert unreferenced_public_names() == ALLOWED_UNREFERENCED
+
+
+def unreferenced_public_members() -> set[str]:
+    """`Class.member` for each public method, property and classmethod of a
+    public class in src/minklab that src/minklab and perfbench/ never read
+    as an attribute."""
+    members, read = set(), set()
+    for d, tree in _trees("src/minklab", "perfbench"):
+        if d == "src/minklab":
+            members |= {(cls.name, f.name) for cls in tree.body
+                        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+                        for f in cls.body
+                        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not f.name.startswith("_")}
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return {f"{cls}.{name}" for cls, name in members if name not in read}
+
+
+def test_every_public_member_is_read():
+    assert unreferenced_public_members() == set()
 
 
 def unread_parameters() -> set[str]:

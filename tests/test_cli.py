@@ -80,6 +80,21 @@ class TestBadInput:
         path.write_text(line + "\n")
         assert main(["--suite", "core", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("line", ["samples=1", "samples=3", "regions=1"])
+    def test_value_below_minimum(self, tmp_path, capsys, line):
+        # samples < 4 leaves the simultaneity sweeps empty, and one region
+        # makes no De Morgan pair
+        path = tmp_path / "cfg"
+        path.write_text(line + "\n")
+        assert main(["--suite", "all", "--config", str(path),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert f"{line.split('=')[0]} must be at least" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_least_accepted_values(self):
+        config = Config.from_mapping({"samples": "4", "regions": "2"})
+        assert (config.samples, config.regions) == (4, 2)
+
     @pytest.mark.parametrize("line", ["fd_step=4e-3", "fd_step=1e-6"])
     def test_fd_step_outside_convergent_range(self, tmp_path, capsys, line):
         path = tmp_path / "cfg"

@@ -341,13 +341,6 @@ def test_norm_invariant_under_integer_reflection_property(t, x, y, z):
 
 
 class TestHyperplane:
-    def test_degenerate_iff_null_normal(self):
-        from minklab.core import Hyperplane
-        base = Event([0, 0, 0, 0])
-        assert Hyperplane(MinkVector([1, 1, 0, 0]), base).degenerate
-        assert not Hyperplane(MinkVector([1, 0, 0, 0]), base).degenerate
-        assert not Hyperplane(MinkVector([0, 1, 0, 0]), base).degenerate
-
     def test_zero_normal_rejected(self):
         from minklab.core import Hyperplane
         with pytest.raises(ValueError):

@@ -49,12 +49,6 @@ class TestGridAndRegion:
         assert (a - b).points() == [(0, 0)]
         assert a <= (a | b)
 
-    def test_near_boundary(self, grid):
-        inner_r = Region.from_points(grid, [(0, 0)])
-        edge_r = Region.from_points(grid, [(10, 0)])
-        assert not inner_r.near_boundary()
-        assert edge_r.near_boundary()
-
     def test_grid_mismatch_rejected(self, grid):
         other = IntegerGrid.centered(13, 13)
         with pytest.raises(ValueError):
@@ -320,7 +314,7 @@ class TestCompletionLaws:
     def test_smallest_complete_superset(self, grid, rng):
         # any complete K between S and S'' must be S'' itself
         for _ in range(10):
-            s = random_region(grid, rng, density=0.05)
+            s = Region(grid, rng.random(grid.size) < 0.05)
             scc = completion(s, CAUSAL)
             grew = scc - s
             if grew.is_empty:
@@ -679,6 +673,31 @@ class TestExport:
         assert [[0], [-1, 3]] in doc["rows"]  # run of three cells at t=0
         assert [[2], [5, 1]] in doc["rows"]
 
+    @pytest.mark.parametrize("rows,dim", [
+        ([[[0], [-4, 2]]], 2),
+        ([[[0], [1, 9]]], 2),
+        ([[[0], [2, 2]]], 2),
+        ([[[-4], [0, 1]]], 2),
+        ([[[7], [0, 1]]], 2),
+        ([[[0, 0], [0, 1]]], 2),
+        ([[[0], [0, -1]]], 2),
+        ([[[0], [0, 0]]], 2),
+        ([[[0], [0, 1]]], 3),
+    ], ids=["run-before-row", "run-past-row", "run-one-past-row", "row-key-below",
+            "row-key-above", "row-key-too-long", "negative-length", "zero-length",
+            "dim-disagrees"])
+    def test_json_out_of_range_rejected(self, rows, dim):
+        doc = {"schema_version": 1, "dim": dim, "extents": [[-2, 2], [-2, 2]], "rows": rows}
+        with pytest.raises(ValueError):
+            region_from_json(json.dumps(doc))
+
+    def test_json_edges_accepted(self):
+        grid = IntegerGrid.centered(5, 5)
+        rows = [[[-2], [-2, 5]], [[2], [2, 1]]]  # a whole first row, the last cell
+        doc = {"schema_version": 1, "dim": 2, "extents": [[-2, 2], [-2, 2]], "rows": rows}
+        want = Region(grid, (grid.coords[:, 0] == -2) | (grid.coords == [2, 2]).all(axis=1))
+        assert region_from_json(json.dumps(doc)) == want
+
     def test_pbm_shape(self, grid):
         s = Region.from_points(grid, [(0, 0)])
         pbm = region_to_pbm(s).splitlines()
@@ -692,7 +711,7 @@ class TestExport:
             region_to_pbm(Region.empty(grid3d))
 
     def test_json_round_trip_3d(self, grid3d, rng):
-        s = random_region(grid3d, rng, density=0.1)
+        s = Region(grid3d, rng.random(grid3d.size) < 0.1)
         assert region_from_json(region_to_json(s)) == Region(grid3d, s.mask)
 
     @settings(max_examples=80, deadline=None)

@@ -20,7 +20,6 @@ class TestProjApply:
         A = rng.standard_normal((3, 3))
         a = rng.standard_normal(3)
         m = ProjectiveMap(A, a, np.zeros(3), 1.0)
-        assert not m.proper
         x = rng.standard_normal(3)
         assert np.allclose(proj_apply(m, x), A @ x + a, atol=1e-14)
 

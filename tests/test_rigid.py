@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from minklab import rigid
 from minklab.core import PreconditionError, inner
-from minklab.rigid import fields, worldline
+from minklab.rigid import decomp, fields, rotation, worldline
 from minklab.rigid import (KinematicDecomposition, VelocityField,
                            accel_curl, accel_oneform, boost_killing_field,
                            boost_killing_flow, expected_accel_curl,
@@ -17,6 +19,7 @@ from minklab.rigid import (KinematicDecomposition, VelocityField,
                            rindler_from_event, rotation_killing_checks,
                            rotation_killing_field, spatial_metric,
                            trajectory_csv, wedge_chart_metric, wiggly_worldline)
+from minklab.suites import Config, suite_rigid
 
 import rigid_reference
 from conftest import constant_field, radial_expanding_field, straight_worldline
@@ -71,6 +74,10 @@ class TestSpatialMetric:
         with pytest.raises(PreconditionError):
             spatial_metric(np.array([2.0, 0.0, 0.0, 0.0]), 1.0)
 
+    def test_nan_velocity_rejected(self):
+        with pytest.raises(PreconditionError):
+            spatial_metric(np.full(4, np.nan))
+
 
 class TestDecomposition:
     def test_constant_field_trivial(self):
@@ -101,7 +108,9 @@ class TestDecomposition:
         x = np.array([0.1, 0.4, -0.2, 0.3])
         d = kinematic_decomposition(f, x, STEP)
         grad = grad_lowered(f, x, STEP)
-        assert d.reconstruction_residual(grad, 1.0) < 1e-5
+        ul = np.diag([1.0, -1.0, -1.0, -1.0]) @ d.u
+        model = d.theta + d.omega + np.outer(ul, d.accel_flat)  # c = 1
+        assert np.abs(model - grad).max() < 1e-5
 
     def test_horizontality(self):
         f = rotation_killing_field(0.8, 1.0)
@@ -171,6 +180,82 @@ class TestRigidityVerdicts:
             f, lambda x: 1.0 + 0.2 * x[..., 1], probes, STEP)
         assert got["verdict_unchanged"]
         assert got["scaled_max_theta"] > 1e-3
+
+
+def _nan_on_call(monkeypatch, module, name, k, poison):
+    """Make the k-th call (from 0) of module.name return poison(its result)."""
+    real, calls = getattr(module, name), []
+
+    def patched(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(None)
+        return poison(out) if len(calls) == k + 1 else out
+
+    monkeypatch.setattr(module, name, patched)
+
+
+def _nan_like(a):
+    return np.full_like(a, np.nan)
+
+
+def _nan_part(part):
+    """Poison of a KinematicDecomposition: one of its tensors set to NaN."""
+    return lambda dec: dataclasses.replace(dec, **{part: _nan_like(getattr(dec, part))})
+
+
+BOOST_PROBES = [np.array([0.0, x0, 0.0, 0.0]) for x0 in (0.5, 1.0, 2.0)]
+ROTATION_PROBES = [np.array([0.0, 0.3, 0.0, 0.0]), np.array([0.2, 0.2, 0.4, -0.1]),
+                   np.array([-0.1, 0.0, 0.55, 0.3])]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2], ids=["first", "middle", "last"])
+class TestNanFailsTheVerdict:
+    """A NaN at any probe fails the verdict it enters: the folds keep it
+    where Python's max and min would drop it."""
+
+    def test_is_rigid(self, monkeypatch, k):
+        _nan_on_call(monkeypatch, decomp, "kinematic_decomposition", k, _nan_part("theta"))
+        got = is_rigid(boost_killing_field(), BOOST_PROBES, STEP)
+        assert not got["rigid"] and math.isnan(got["max_theta"])
+
+    def test_killing_test(self, monkeypatch, k):
+        _nan_on_call(monkeypatch, decomp, "accel_curl", k, _nan_like)
+        got = killing_test(boost_killing_field(), BOOST_PROBES, STEP)
+        assert got["rigid"] and not got["is_killing"]
+        assert math.isnan(got["closedness_residual"])
+
+    @pytest.mark.parametrize("name,poison,key", [
+        ("kinematic_decomposition", _nan_part("theta"), "max_theta"),
+        ("kinematic_decomposition", _nan_part("omega"), "min_omega"),
+        ("lie_derivative_2tensor", _nan_like, "max_lie_omega"),
+        ("spatial_metric", _nan_like, "max_h_split_residual"),
+    ], ids=["theta", "omega", "lie_omega", "h_split"])
+    def test_rotation_killing_checks(self, monkeypatch, k, name, poison, key):
+        _nan_on_call(monkeypatch, rotation, name, k, poison)
+        got = rotation_killing_checks(1.0, 1.0, ROTATION_PROBES, STEP)
+        assert math.isnan(got[key])
+
+    def test_projected_curvature_check(self, monkeypatch, k):
+        _nan_on_call(monkeypatch, rotation, "riemann_lowered_fd", k, _nan_like)
+        probes = [np.array([0.0, rho, 0.0, 0.0]) for rho in (0.1, 0.4, 0.7)]
+        got = projected_curvature_check(1.0, 1.0, probes, STEP)
+        assert not got["passes"] and math.isnan(got["max_residual"])
+
+    def test_suite_boost_acceleration(self, monkeypatch, k):
+        # the suite's acceleration loop calls the package's binding
+        _nan_on_call(monkeypatch, rigid, "kinematic_decomposition", k, _nan_part("accel"))
+        checks = {c.name: c for c in suite_rigid(0, Config())}
+        assert not checks["boost.acceleration"].passed
+        assert math.isnan(checks["boost.acceleration"].residual)
+
+
+def test_suite_constant_accel_killing_nan_fails(monkeypatch):
+    # killing_test gets one probe; its NaN closedness residual must not be
+    # dropped beside a finite theta
+    monkeypatch.setattr(decomp, "accel_curl", lambda *args: np.full((4, 4), np.nan))
+    checks = {c.name: c for c in suite_rigid(0, Config())}
+    assert not checks["worldline.constant_accel_killing"].passed
+    assert math.isnan(checks["worldline.constant_accel_killing"].residual)
 
 
 class TestLieIdentities:
@@ -431,9 +516,14 @@ class TestWorldlineInduced:
         with pytest.raises(PreconditionError):
             foliation_time(wiggly_worldline(0.5), (0, 50, 0, 0), (-1, 1))
 
-    def test_validate(self):
-        wiggly_worldline(0.3).validate(np.linspace(-1, 1, 9))
-        hyperbolic_worldline(2.0).validate(np.linspace(-1, 1, 9))
+    @pytest.mark.parametrize("curve", [wiggly_worldline(0.3), hyperbolic_worldline(2.0)],
+                             ids=["wiggly", "hyperbolic"])
+    def test_curve_is_normalised(self, curve):
+        # zdot.zdot = c^2 and, differentiated, zdot.zddot = 0
+        for tau in np.linspace(-1, 1, 9):
+            v, a = curve.zdot(tau), curve.zddot(tau)
+            assert abs(inner(v, v) - curve.c ** 2) <= 1e-10 * curve.c ** 2
+            assert abs(inner(v, a)) <= 1e-10 * max(curve.c ** 2, 1.0)
 
 
 def foliation_function(curve, x):

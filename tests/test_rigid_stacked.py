@@ -144,6 +144,22 @@ class TestRowWiseFieldsAndCurves:
         assert str(exc.value) == (f"field not normalised at {x[first].tolist()}: "
                                   f"u.u = 4.0, expected 1.0")
 
+    @pytest.mark.parametrize("bad", [0, 3])
+    def test_nan_row_refused_and_named(self, rng, bad):
+        x = rng.uniform(-1, 1, (5, 4))
+
+        def ev(y):
+            u = np.zeros(y.shape)
+            u[..., 0] = np.where(np.all(y == x[bad], axis=-1), np.nan, 1.0)
+            return u
+
+        field = VelocityField(ev, lambda y: True)
+        want = f"field not normalised at {x[bad].tolist()}: u.u = nan, expected 1.0"
+        for events in (x, x[bad]):  # the stack and the one event
+            with pytest.raises(PreconditionError) as exc:
+                field(events)
+            assert str(exc.value) == want
+
 
 class TestCentralDifferences:
     """fields._central evaluates its function once on the whole stencil;

@@ -1,11 +1,9 @@
-import json
 import math
 
 import numpy as np
 import pytest
 
 from minklab import simultaneity, suites
-from minklab.cli import main
 from minklab.core import Event, MinkVector, PreconditionError, inner, norm_g
 from minklab.simultaneity import (WorldLine, line_cone_intersect,
                                   mutual_simultaneity, radar_echo_points,
@@ -394,13 +392,11 @@ def test_nan_in_a_later_sample_fails_the_check(monkeypatch, helper, checks):
     assert failed == set(checks)
 
 
-def test_sweeps_that_keep_no_sample_fail(tmp_path):
+def test_sweeps_that_keep_no_sample_fail():
     # samples // 4 == 0 lines: an empty sweep is NaN, not a pass at 0.0
-    config = tmp_path / "cfg"
-    config.write_text("samples=3\n")
-    out = tmp_path / "r.json"
-    assert main(["--suite", "simultaneity", "--config", str(config), "--out", str(out)]) == 1
-    report = json.loads(out.read_text())
+    # (the command line refuses samples < 4 before any suite runs)
+    report = run_suite("simultaneity", 0, Config(samples=3))
+    assert not report["passed"]
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert failed == {"radar.orthogonal", "radar.product_identity", "mutual.orthogonality"}
     assert all(math.isnan(c["residual"]) for c in report["checks"] if c["name"] in failed)
