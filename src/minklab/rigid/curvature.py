@@ -7,6 +7,7 @@ unit sphere then has R_[th ph th ph] = +sin^2."""
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Callable
 
 import numpy as np
@@ -58,13 +59,13 @@ def riemann_lowered_fd(metric: Callable[[np.ndarray], np.ndarray], q: np.ndarray
 
 
 def total_antisymmetrizer(t: np.ndarray) -> np.ndarray:
-    """Projection of a rank-4 tensor onto its totally antisymmetric part."""
-    from itertools import permutations
-
+    """Projection of rank-4 tensors, the last four axes of t, onto their
+    totally antisymmetric parts."""
+    lead = tuple(range(t.ndim - 4))
     out = np.zeros_like(t)
     for perm in permutations(range(4)):
         s = _perm_sign(perm)
-        out += s * np.transpose(t, perm)
+        out += s * np.transpose(t, lead + tuple(len(lead) + a for a in perm))
     return out / 24.0
 
 

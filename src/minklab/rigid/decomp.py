@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import PreconditionError, _inner_rows, inner, metric_matrix, norm_g
+from ..core import PreconditionError, _inner_rows, metric_matrix, norm_g
 from .fields import VelocityField, _central, _jet, rescaled_field
 
 __all__ = [
@@ -39,17 +39,17 @@ SECOND_DERIV_TOL = 1e-4
 
 
 def spatial_metric(u: np.ndarray, c: float = 1.0) -> np.ndarray:
-    """Projected rest-space metric h = c^-2 u-flat (x) u-flat - g.
+    """Projected rest-space metric h = c^-2 u-flat (x) u-flat - g at rows
+    of velocities u (..., n).
 
     Annihilates u and is positive semidefinite of rank n-1.
     """
     u = np.asarray(u, dtype=float)
-    G = metric_matrix(u.size)
-    q = inner(u, u)
-    if not abs(q - c * c) <= 1e-8 * c * c:  # NaN included
+    G = metric_matrix(u.shape[-1])
+    if not np.all(abs(_inner_rows(u, u) - c * c) <= 1e-8 * c * c):  # NaN included
         raise PreconditionError("u must be normalised to u.u = c^2")
-    ul = G @ u
-    return np.outer(ul, ul) / (c * c) - G
+    ul = (G @ u[..., None])[..., 0]
+    return ul[..., :, None] * ul[..., None, :] / (c * c) - G
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,6 @@ class KinematicDecomposition:
     theta: np.ndarray
     omega: np.ndarray
     accel: np.ndarray
-    accel_flat: np.ndarray
-    u: np.ndarray
-    at: np.ndarray
-    fd_step: float
 
     @property
     def theta_norm(self) -> float:
@@ -98,6 +94,8 @@ def _gradient_rows(field: VelocityField, x: np.ndarray, step: float):
 def _split_rows(field: VelocityField, x: np.ndarray, step: float):
     """(u, theta, omega, accel_flat) at rows x (..., n): the lowered
     gradient split as in KinematicDecomposition."""
+    if not 0 < step < math.inf:  # NaN included
+        raise PreconditionError("step must be positive and finite")
     c = field.c
     u, D, accel_flat = _gradient_rows(field, x, step)
     n = u.shape[-1]
@@ -111,27 +109,38 @@ def _split_rows(field: VelocityField, x: np.ndarray, step: float):
     return u, theta, omega, accel_flat
 
 
+def _probe_rows(probes) -> np.ndarray:
+    """The probe events of a verdict as rows (k, n), k >= 1.
+
+    The verdicts evaluate every probe in one stacked call per derivative
+    order and fold the rows with one max (or min), which keeps a NaN.
+    """
+    try:
+        x = np.asarray(probes, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged or non-numeric
+        raise PreconditionError(f"probes must be a list of events: {exc}") from None
+    if x.ndim != 2 or 0 in x.shape:
+        raise PreconditionError(f"probes must be a non-empty list of events, got shape {x.shape}")
+    return x
+
+
 def kinematic_decomposition(field: VelocityField, event, step: float = DEFAULT_STEP) -> KinematicDecomposition:
     """Expansion/shear, vorticity and acceleration of the field at an event.
 
     The field is evaluated once, on the event and its 2n stencil rows.
     """
-    if not 0 < step < math.inf:  # NaN included
-        raise PreconditionError("step must be positive and finite")
-    x = np.asarray(event, dtype=float)
-    u, theta, omega, accel_flat = _split_rows(field, x, step)
-    accel = metric_matrix(u.size) @ accel_flat
-    return KinematicDecomposition(theta=theta, omega=omega, accel=accel,
-                                  accel_flat=accel_flat, u=u, at=x, fd_step=step)
+    u, theta, omega, accel_flat = _split_rows(field, np.asarray(event, dtype=float), step)
+    return KinematicDecomposition(theta=theta, omega=omega,
+                                  accel=metric_matrix(u.size) @ accel_flat)
 
 
 def is_rigid(field: VelocityField, probes, step: float = DEFAULT_STEP) -> dict:
     """Rigidity verdict: the flow is rigid iff theta vanishes at all probes.
 
-    np.max, unlike Python's max, keeps a NaN, so a NaN theta is not rigid.
+    theta comes from one split of the field over all probes' stencils; a
+    NaN theta is not rigid.
     """
-    worst = float(np.max([kinematic_decomposition(field, p, step).theta_norm
-                          for p in probes], initial=0.0))
+    worst = float(np.abs(_split_rows(field, _probe_rows(probes), step)[1]).max())
     return {"rigid": worst < FIRST_DERIV_TOL, "max_theta": worst}
 
 
@@ -144,14 +153,15 @@ def reparameterization_invariance_check(field: VelocityField, scaling, probes,
     is at verdict level.  The rescaled generator is renormalised along its
     own direction before the split.
     """
-    base = is_rigid(field, probes, step)
+    rows = _probe_rows(probes)
+    base = is_rigid(field, rows, step)
     raw = rescaled_field(field, scaling)
 
     def normalised(x):
         K = raw(x)
         return K * (field.c / np.sqrt(_inner_rows(K, K)))[..., None]
 
-    scaled = is_rigid(VelocityField(normalised, field.domain, field.c), probes, step)
+    scaled = is_rigid(VelocityField(normalised, field.domain, field.c), rows, step)
     return {
         "verdict_unchanged": base["rigid"] == scaled["rigid"],
         "base": base,
@@ -174,17 +184,18 @@ def lie_derivative_oneform(field: VelocityField, oneform, event,
 
 def lie_derivative_2tensor(field: VelocityField, tensor, event,
                            step: float = DEFAULT_STEP) -> np.ndarray:
-    """(L_u T)_ab = u^c d_c T_ab + T_cb d_a u^c + T_ac d_b u^c.
+    """(L_u T)_ab = u^c d_c T_ab + T_cb d_a u^c + T_ac d_b u^c at rows of
+    events (..., n).
 
     `tensor` takes rows of events; it and the field are each evaluated
-    once, on the event and its stencil.
+    once, on the events and their stencils.
     """
     x = np.asarray(event, dtype=float)
     u, du = _jet(field, x, step)
     T, dT = _jet(tensor, x, step)
-    out = np.einsum("c,cab->ab", u, dT)
-    out += np.einsum("cb,ac->ab", T, du)
-    out += np.einsum("ac,bc->ab", T, du)
+    out = np.einsum("...c,...cab->...ab", u, dT)
+    out += np.einsum("...cb,...ac->...ab", T, du)
+    out += np.einsum("...ac,...bc->...ab", T, du)
     return out
 
 
@@ -194,20 +205,22 @@ def accel_oneform(field: VelocityField, event, step: float = DEFAULT_STEP) -> np
 
 
 def accel_curl(field: VelocityField, event, step: float = DEFAULT_STEP) -> np.ndarray:
-    """Exterior derivative (d a-flat)_ab = d_a a_b - d_b a_a, nested differences.
+    """Exterior derivative (d a-flat)_ab = d_a a_b - d_b a_a at rows of
+    events, nested differences.
 
     One evaluation of the field covers the (2n)(2n + 1) rows of the nested
-    stencil.
+    stencil of every event.
     """
     da = _central(lambda y: accel_oneform(field, y, step), np.asarray(event, dtype=float), step)
-    return da - da.T
+    return da - np.swapaxes(da, -1, -2)
 
 
 def killing_test(field: VelocityField, probes, step: float = DEFAULT_STEP) -> dict:
     """A rigid flow is an isometry flow iff its acceleration one-form is
     closed (exact on the simply connected domains used here)."""
-    rigid = is_rigid(field, probes, step)
-    worst = float(np.max([np.abs(accel_curl(field, p, step)).max() for p in probes]))
+    x = _probe_rows(probes)
+    rigid = is_rigid(field, x, step)
+    worst = float(np.abs(accel_curl(field, x, step)).max())
     return {
         "is_killing": bool(rigid["rigid"] and worst < SECOND_DERIV_TOL),
         "rigid": rigid["rigid"],

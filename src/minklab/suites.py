@@ -214,14 +214,13 @@ def suite_isometry(seed: int, config: Config) -> list[Check]:
     refl = isometry.reflect(v, np.array([2.0, 3.0]))
     checks.append(_chk("reflect.worked", float(np.abs(refl - [-2.0, 3.0]).max()),
                        1e-14, "time axis flip"))
-    worst = 0.0
+    worst = []
     trials = max(20, config.samples // 4)
     for dim in (2, 3, 4):
         L = isometry.random_lorentz(dim, rng, trials, orthochronous=False, proper=False)
         _, factors, _ = isometry._reflection_sweep(L)  # raises past 2 dim - 1 factors
-        worst = max(worst, float(np.abs(
-            isometry.compose_reflections(factors, dim) - L).max()))
-    checks.append(_chk("cartan_dieudonne.reconstruction", worst, 1e-9,
+        worst.append(_worst(isometry.compose_reflections(factors, dim) - L))
+    checks.append(_chk("cartan_dieudonne.reconstruction", _worst(worst), 1e-9,
                        f"{3 * trials} random matrices, dims 2-4"))
     d = isometry.Dilation(2.0, core.Event([0, 0, 0, 0]))
     pt = core.Event([1, 1, 0, 0])
@@ -538,8 +537,8 @@ def suite_simultaneity(seed: int, config: Config) -> list[Check]:
     l1 = simultaneity.WorldLine(core.Event([0.0, 0.0]), core.MinkVector([1.0, 0.0]))
     l2 = simultaneity.WorldLine(core.Event([0.0, 1.0]), core.MinkVector([1.0, 0.5]))
     q, qp = simultaneity.mutual_simultaneity(l1, l2)
-    res = max(float(np.abs(q.a - [-2.0, 0.0]).max()), float(np.abs(qp.a - [-2.0, 0.0]).max()))
-    checks.append(_chk("mutual.intersection_case", res, 1e-10,
+    checks.append(_chk("mutual.intersection_case",
+                       _worst(np.array([q.a, qp.a]) - [-2.0, 0.0]), 1e-10,
                        "intersecting observers agree at the crossing"))
     worst = _mutual_sweep(rng, config.samples // 4)
     checks.append(_chk("mutual.orthogonality", worst, 1e-10, "skew pairs"))

@@ -8,6 +8,7 @@ tests compare the stacked code with them byte for byte.  Every callable
 here takes one event (or one tau) and returns one value.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -197,6 +198,27 @@ def lie_derivative_2tensor(ev, tensor, x, step):
     return out
 
 
+def spatial_metric(u, c):
+    G = metric_matrix(u.size)
+    if not abs(inner(u, u) - c * c) <= 1e-8 * c * c:
+        raise PreconditionError("u must be normalised to u.u = c^2")
+    ul = G @ u
+    return np.outer(ul, ul) / (c * c) - G
+
+
+def comoving_coords(x, kappa, c):
+    rho = math.hypot(x[1], x[2])
+    psi = math.atan2(x[2], x[1]) - kappa * x[0] / c
+    return np.array([x[3], rho, psi])
+
+
+def comoving_frame(x):
+    rho = math.hypot(x[1], x[2])
+    cphi, sphi = x[1] / rho, x[2] / rho
+    return np.column_stack([[0.0, 0.0, 0.0, 1.0], [0.0, cphi, sphi, 0.0],
+                            [0.0, -rho * sphi, rho * cphi, 0.0]])
+
+
 def comoving_metric(kappa, c):
     def metric(q):
         rho = q[1]
@@ -224,6 +246,36 @@ def riemann(metric, q, step):
                + np.einsum("msb,sac->mabc", gamma, gamma)
                - np.einsum("msc,sab->mabc", gamma, gamma))
     return np.einsum("mn,nabc->mabc", metric(q), riem_up)
+
+
+def total_antisymmetrizer(t):
+    out = np.zeros_like(t)
+    for perm in itertools.permutations(range(4)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        out += (-1.0) ** inversions * np.transpose(t, perm)
+    return out / 24.0
+
+
+def rotation_probe(kappa, c, x, step):
+    """(theta, omega, L_u omega, projected-metric split residual) of the
+    rotation checks at one probe."""
+    ev = rotation_ev(kappa, c)
+    theta, omega, *_ = decomposition(ev, x, step, c)
+    lie = lie_derivative_2tensor(ev, lambda y: decomposition(ev, y, step, c)[1], x, step)
+    frame = comoving_frame(x)
+    h_frame = frame.T @ spatial_metric(ev(x), c) @ frame
+    split = h_frame - comoving_metric(kappa, c)(comoving_coords(x, kappa, c))
+    return (float(np.abs(theta).max()), float(np.abs(omega).max()),
+            float(np.abs(lie).max()), float(np.abs(split).max()))
+
+
+def curvature_residual(kappa, c, x, step, metric_step):
+    """Residual of the projected-curvature identity at one probe."""
+    riem = riemann(comoving_metric(kappa, c), comoving_coords(x, kappa, c), metric_step)
+    frame = comoving_frame(x)
+    om = frame.T @ decomposition(rotation_ev(kappa, c), x, step, c)[1] @ frame
+    ww = np.einsum("ij,kl->ijkl", om, om)
+    return float(np.abs(riem + 3.0 * (ww - total_antisymmetrizer(ww))).max())
 
 
 def wedge_chart_metric(x0, lam, step):

@@ -5,10 +5,11 @@ A module-level public function or class that nothing in `src/minklab` or
 `perfbench/` refers to (by name or as an attribute) is a test-only wrapper:
 its behaviour belongs in the tests, not in the package.  Imports and
 `__all__` strings are not references.  The same holds for the members of
-a public class: a public method, property or classmethod that nothing in
-`src/minklab` or `perfbench/` reads as an attribute is test-only too;
-dunder methods are exempt, since Python calls them through operators.  A
-parameter that its function never reads is a knob that changes nothing.
+a public class: a public method, property, classmethod or dataclass field
+that nothing in `src/minklab` or `perfbench/` reads as an attribute is
+test-only too; dunder methods are exempt, since Python calls them through
+operators.  A parameter that its function never reads is a knob that
+changes nothing.
 """
 
 import ast
@@ -47,18 +48,27 @@ def test_every_public_name_is_used():
     assert unreferenced_public_names() == ALLOWED_UNREFERENCED
 
 
+def _member_name(stmt) -> str | None:
+    """The name a class-body statement defines as a member: a method,
+    property or classmethod, or an annotated (dataclass) field."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return stmt.name
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return stmt.target.id
+    return None
+
+
 def unreferenced_public_members() -> set[str]:
-    """`Class.member` for each public method, property and classmethod of a
-    public class in src/minklab that src/minklab and perfbench/ never read
-    as an attribute."""
+    """`Class.member` for each public method, property, classmethod and
+    dataclass field of a public class in src/minklab that src/minklab and
+    perfbench/ never read as an attribute."""
     members, read = set(), set()
     for d, tree in _trees("src/minklab", "perfbench"):
         if d == "src/minklab":
-            members |= {(cls.name, f.name) for cls in tree.body
+            members |= {(cls.name, name) for cls in tree.body
                         if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
-                        for f in cls.body
-                        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and not f.name.startswith("_")}
+                        for name in map(_member_name, cls.body)
+                        if name is not None and not name.startswith("_")}
         read |= {node.attr for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     return {f"{cls}.{name}" for cls, name in members if name not in read}

@@ -14,6 +14,7 @@ from minklab.isometry import (AffineIsometry, ConformalProbeError, Dilation,
                               reflection_matrix,
                               relation_preservation_harness,
                               unit_distance_harness)
+from minklab.suites import Config, run_suite
 
 
 class TestIsLorentz:
@@ -738,3 +739,20 @@ class TestAffineIsometry:
 
         for rel in ("ge", "gt", "lightlike-successor"):
             assert relation_preservation_harness(events, fmap, rel) == []
+
+
+@pytest.mark.parametrize("k", [0, 1, 2], ids=["dim2", "dim3", "dim4"])
+def test_nan_in_any_dimension_fails_the_reconstruction(monkeypatch, k):
+    # the suite folds its three dimensions' reconstruction residuals with
+    # one np.max, so a NaN in any of them fails the check
+    original, calls = isometry.compose_reflections, []
+
+    def poisoned(*args):
+        out = original(*args)
+        calls.append(None)
+        return out * np.nan if len(calls) == k + 1 else out
+
+    monkeypatch.setattr(isometry, "compose_reflections", poisoned)
+    checks = {c["name"]: c for c in run_suite("isometry", 0, Config())["checks"]}
+    assert not checks["cartan_dieudonne.reconstruction"]["passed"]
+    assert math.isnan(checks["cartan_dieudonne.reconstruction"]["residual"])

@@ -9,7 +9,8 @@ from minklab.core import PreconditionError, inner
 from minklab.rigid import decomp, fields, rotation, worldline
 from minklab.rigid import (KinematicDecomposition, VelocityField,
                            accel_curl, accel_oneform, boost_killing_field,
-                           boost_killing_flow, expected_accel_curl,
+                           boost_killing_flow, comoving_frame_vectors,
+                           expected_accel_curl,
                            expected_lie_accel, field_csv, foliation_gap,
                            foliation_time, herglotz_field,
                            hyperbolic_worldline, is_rigid, killing_test,
@@ -18,7 +19,8 @@ from minklab.rigid import (KinematicDecomposition, VelocityField,
                            reparameterization_invariance_check,
                            rindler_from_event, rotation_killing_checks,
                            rotation_killing_field, spatial_metric,
-                           trajectory_csv, wedge_chart_metric, wiggly_worldline)
+                           total_antisymmetrizer, trajectory_csv,
+                           wedge_chart_metric, wiggly_worldline)
 from minklab.suites import Config, suite_rigid
 
 import rigid_reference
@@ -107,17 +109,19 @@ class TestDecomposition:
         f = rotation_killing_field(0.8, 1.0)
         x = np.array([0.1, 0.4, -0.2, 0.3])
         d = kinematic_decomposition(f, x, STEP)
+        u, _, _, accel_flat = decomp._split_rows(f, x, STEP)
         grad = grad_lowered(f, x, STEP)
-        ul = np.diag([1.0, -1.0, -1.0, -1.0]) @ d.u
-        model = d.theta + d.omega + np.outer(ul, d.accel_flat)  # c = 1
+        ul = np.diag([1.0, -1.0, -1.0, -1.0]) @ u
+        model = d.theta + d.omega + np.outer(ul, accel_flat)  # c = 1
         assert np.abs(model - grad).max() < 1e-5
 
     def test_horizontality(self):
         f = rotation_killing_field(0.8, 1.0)
         x = np.array([0.1, 0.4, -0.2, 0.3])
         d = kinematic_decomposition(f, x, STEP)
-        assert np.abs(d.theta @ d.u).max() < 1e-9
-        assert np.abs(d.omega @ d.u).max() < 1e-9
+        u = f(x)
+        assert np.abs(d.theta @ u).max() < 1e-9
+        assert np.abs(d.omega @ u).max() < 1e-9
 
     def test_convergence_second_order(self):
         # halving the step divides the error by about four
@@ -194,13 +198,17 @@ def _nan_on_call(monkeypatch, module, name, k, poison):
     monkeypatch.setattr(module, name, patched)
 
 
-def _nan_like(a):
-    return np.full_like(a, np.nan)
+def _nan_at_probe(monkeypatch, module, name, k, part=None):
+    """Make module.name set row k, the k-th probe's, of its stacked result
+    (of output `part`, for a tuple) to NaN."""
+    real = getattr(module, name)
 
+    def patched(*args, **kwargs):
+        out = real(*args, **kwargs)
+        (out if part is None else out[part])[k] = np.nan
+        return out
 
-def _nan_part(part):
-    """Poison of a KinematicDecomposition: one of its tensors set to NaN."""
-    return lambda dec: dataclasses.replace(dec, **{part: _nan_like(getattr(dec, part))})
+    monkeypatch.setattr(module, name, patched)
 
 
 BOOST_PROBES = [np.array([0.0, x0, 0.0, 0.0]) for x0 in (0.5, 1.0, 2.0)]
@@ -210,40 +218,42 @@ ROTATION_PROBES = [np.array([0.0, 0.3, 0.0, 0.0]), np.array([0.2, 0.2, 0.4, -0.1
 
 @pytest.mark.parametrize("k", [0, 1, 2], ids=["first", "middle", "last"])
 class TestNanFailsTheVerdict:
-    """A NaN at any probe fails the verdict it enters: the folds keep it
-    where Python's max and min would drop it."""
+    """A NaN at any probe's row of the one stacked evaluation fails the
+    verdict it enters: the folds keep it where Python's max and min would
+    drop it."""
 
     def test_is_rigid(self, monkeypatch, k):
-        _nan_on_call(monkeypatch, decomp, "kinematic_decomposition", k, _nan_part("theta"))
+        _nan_at_probe(monkeypatch, decomp, "_split_rows", k, part=1)
         got = is_rigid(boost_killing_field(), BOOST_PROBES, STEP)
         assert not got["rigid"] and math.isnan(got["max_theta"])
 
     def test_killing_test(self, monkeypatch, k):
-        _nan_on_call(monkeypatch, decomp, "accel_curl", k, _nan_like)
+        _nan_at_probe(monkeypatch, decomp, "accel_curl", k)
         got = killing_test(boost_killing_field(), BOOST_PROBES, STEP)
         assert got["rigid"] and not got["is_killing"]
         assert math.isnan(got["closedness_residual"])
 
-    @pytest.mark.parametrize("name,poison,key", [
-        ("kinematic_decomposition", _nan_part("theta"), "max_theta"),
-        ("kinematic_decomposition", _nan_part("omega"), "min_omega"),
-        ("lie_derivative_2tensor", _nan_like, "max_lie_omega"),
-        ("spatial_metric", _nan_like, "max_h_split_residual"),
+    @pytest.mark.parametrize("name,part,key", [
+        ("_split_rows", 1, "max_theta"),
+        ("_split_rows", 2, "min_omega"),
+        ("lie_derivative_2tensor", None, "max_lie_omega"),
+        ("spatial_metric", None, "max_h_split_residual"),
     ], ids=["theta", "omega", "lie_omega", "h_split"])
-    def test_rotation_killing_checks(self, monkeypatch, k, name, poison, key):
-        _nan_on_call(monkeypatch, rotation, name, k, poison)
+    def test_rotation_killing_checks(self, monkeypatch, k, name, part, key):
+        _nan_at_probe(monkeypatch, rotation, name, k, part)
         got = rotation_killing_checks(1.0, 1.0, ROTATION_PROBES, STEP)
         assert math.isnan(got[key])
 
     def test_projected_curvature_check(self, monkeypatch, k):
-        _nan_on_call(monkeypatch, rotation, "riemann_lowered_fd", k, _nan_like)
+        _nan_at_probe(monkeypatch, rotation, "riemann_lowered_fd", k)
         probes = [np.array([0.0, rho, 0.0, 0.0]) for rho in (0.1, 0.4, 0.7)]
         got = projected_curvature_check(1.0, 1.0, probes, STEP)
         assert not got["passes"] and math.isnan(got["max_residual"])
 
     def test_suite_boost_acceleration(self, monkeypatch, k):
         # the suite's acceleration loop calls the package's binding
-        _nan_on_call(monkeypatch, rigid, "kinematic_decomposition", k, _nan_part("accel"))
+        _nan_on_call(monkeypatch, rigid, "kinematic_decomposition", k,
+                     lambda dec: dataclasses.replace(dec, accel=np.full(4, np.nan)))
         checks = {c.name: c for c in suite_rigid(0, Config())}
         assert not checks["boost.acceleration"].passed
         assert math.isnan(checks["boost.acceleration"].residual)
@@ -356,16 +366,20 @@ class TestRotationChecks:
         assert got["max_lie_omega"] < 1e-5
         assert got["max_h_split_residual"] < 1e-10
 
+    @staticmethod
+    def h_psi_psi(rho):
+        """The projected metric's psi-psi entry in the comoving frame."""
+        x = np.array([0.0, rho, 0.0, 0.0])
+        frame = comoving_frame_vectors(x)
+        return (frame.T @ spatial_metric(rotation_killing_field(1.0, 1.0)(x), 1.0) @ frame)[2, 2]
+
     def test_h_psi_psi_factor(self):
         rho = 0.5
-        got = rotation_killing_checks(1.0, 1.0, [np.array([0.0, rho, 0.0, 0.0])])
-        assert got["rows"][0]["h_psi_psi"] == pytest.approx(rho * rho / 0.75,
-                                                            abs=1e-12)
+        assert self.h_psi_psi(rho) == pytest.approx(rho * rho / 0.75, abs=1e-12)
 
     def test_small_radius_is_flat_cylindrical(self):
         rho = 1e-3
-        got = rotation_killing_checks(1.0, 1.0, [np.array([0.0, rho, 0.0, 0.0])])
-        assert got["rows"][0]["h_psi_psi"] == pytest.approx(rho * rho, rel=1e-5)
+        assert self.h_psi_psi(rho) == pytest.approx(rho * rho, rel=1e-5)
 
     def test_probe_outside_region_rejected(self):
         with pytest.raises(PreconditionError):
@@ -382,9 +396,13 @@ class TestProjectedCurvature:
         assert got["max_residual"] < 1e-4
 
     def test_total_antisymmetrisation_drops(self):
-        probes = [np.array([0.0, 0.4, 0.0, 0.0])]
-        got = projected_curvature_check(1.0, 1.0, probes, STEP)
-        assert got["rows"][0]["alt_norm"] < 1e-20
+        # Alt of omega (x) omega over the three comoving directions
+        x = np.array([0.0, 0.4, 0.0, 0.0])
+        frame = comoving_frame_vectors(x)
+        omega = kinematic_decomposition(rotation_killing_field(1.0, 1.0), x, STEP).omega
+        om = frame.T @ omega @ frame
+        assert np.abs(om).max() > 0.1
+        assert np.abs(total_antisymmetrizer(np.einsum("ij,kl->ijkl", om, om))).max() < 1e-20
 
     def test_irrotational_flat(self):
         # the boost flow has zero vorticity and a flat comoving geometry
@@ -636,7 +654,7 @@ class TestOneForm:
         zero = np.zeros((4, 4))
         for _ in range(2000):
             a = rng.standard_normal(4) * 10.0 ** rng.uniform(-6, 3)
-            dec = KinematicDecomposition(zero, zero, a, a, a, a, 1e-3)
+            dec = KinematicDecomposition(zero, zero, a)
             want = float(np.sqrt(abs(a[0] * a[0] - a[1:] @ a[1:])))
             assert np.float64(dec.accel_norm_g).tobytes() == np.float64(want).tobytes()
 

@@ -13,14 +13,17 @@ import rigid_reference as ref
 from minklab.core import PreconditionError
 from minklab.rigid import (VelocityField, accel_curl, accel_oneform,
                            boost_killing_field, christoffels_fd,
-                           foliation_time, herglotz_field, hyperbolic_worldline,
-                           kinematic_decomposition, lie_derivative_oneform,
-                           projected_curvature_check, riemann_lowered_fd,
-                           rotation_killing_checks, rotation_killing_field,
-                           wiggly_worldline)
-from minklab.rigid import decomp, fields, worldline
+                           comoving_coords, comoving_frame_vectors,
+                           comoving_rotation_metric, foliation_time,
+                           herglotz_field, hyperbolic_worldline, is_rigid,
+                           killing_test, kinematic_decomposition,
+                           lie_derivative_oneform, projected_curvature_check,
+                           reparameterization_invariance_check,
+                           riemann_lowered_fd, rotation_killing_checks,
+                           rotation_killing_field, spatial_metric,
+                           total_antisymmetrizer, wiggly_worldline)
+from minklab.rigid import decomp, fields, rotation, worldline
 from minklab.rigid.curvature import METRIC_STEP
-from minklab.rigid.rotation import comoving_coords, comoving_rotation_metric
 
 from conftest import constant_field, per_event_constant_field
 
@@ -232,31 +235,41 @@ class TestDecompositionsMatchTheLoop:
         field, ev, draw = CASES[name]
         for x in draw(rng, 2):
             got = kinematic_decomposition(field, x, step)
-            theta, omega, accel, accel_flat, u = ref.decomposition(ev, x, step, field.c)
-            for a, b in ((got.theta, theta), (got.omega, omega), (got.accel, accel),
-                         (got.accel_flat, accel_flat), (got.u, u)):
+            u, _, _, accel_flat = decomp._split_rows(field, x, step)
+            want = ref.decomposition(ev, x, step, field.c)
+            for a, b in zip((got.theta, got.omega, got.accel, accel_flat, u), want):
                 assert same(a, b)
 
     @pytest.mark.parametrize("step", STEPS)
     def test_rotation_checks(self, step, rng):
-        probes = list(disk_events(rng, 2, 0.6))
+        probes = list(disk_events(rng, 3, 0.6))
         got = rotation_killing_checks(1.0, 1.0, probes, step)
-        ev = ref.rotation_ev(1.0, 1.0)
-        for row, x in zip(got["rows"], probes):
-            theta, omega, *_ = ref.decomposition(ev, x, step)
-            lie = ref.lie_derivative_2tensor(ev, lambda y: ref.decomposition(ev, y, step)[1], x, step)
-            assert row["theta_norm"] == float(np.abs(theta).max())
-            assert row["omega_norm"] == float(np.abs(omega).max())
-            assert row["lie_omega_norm"] == float(np.abs(lie).max())
+        theta, omega, lie, split = zip(*[ref.rotation_probe(1.0, 1.0, x, step) for x in probes])
+        assert got == {"max_theta": max(theta), "min_omega": min(omega),
+                       "max_lie_omega": max(lie), "max_h_split_residual": max(split)}
 
     @pytest.mark.parametrize("step", STEPS)
     def test_projected_curvature(self, step, rng):
-        probes = [np.array([0.0, rho, 0.0, 0.0]) for rho in rng.uniform(0.1, 0.7, 2)]
+        probes = list(disk_events(rng, 3, 0.7))
         got = projected_curvature_check(1.0, 1.0, probes, step)
-        metric = ref.comoving_metric(1.0, 1.0)
-        for row, x in zip(got["rows"], probes):
-            riem = ref.riemann(metric, comoving_coords(x, 1.0, 1.0), METRIC_STEP)
-            assert row["riemann_norm"] == float(np.abs(riem).max())
+        worst = max(ref.curvature_residual(1.0, 1.0, x, step, METRIC_STEP) for x in probes)
+        assert got == {"max_residual": worst, "passes": worst < decomp.SECOND_DERIV_TOL}
+
+    @pytest.mark.parametrize("shape", [(), (1,), (5,), (2, 3)])
+    def test_comoving_chart_rows(self, shape, rng):
+        x = disk_events(rng, max(1, math.prod(shape)), 0.9).reshape(shape + (4,))
+        rows = x.reshape(-1, 4)
+        for got, one in ((comoving_coords(x, 0.8, 1.3), lambda y: ref.comoving_coords(y, 0.8, 1.3)),
+                         (comoving_frame_vectors(x), ref.comoving_frame),
+                         (spatial_metric(rotation_killing_field(0.8, 1.3)(x), 1.3),
+                          lambda y: ref.spatial_metric(ref.rotation_ev(0.8, 1.3)(y), 1.3))):
+            want = np.array([one(y) for y in rows])
+            assert same(got, want.reshape(x.shape[:-1] + want.shape[1:]))
+
+    def test_antisymmetrizer_rows(self, rng):
+        t = rng.standard_normal((2, 3, 4, 4, 4, 4))
+        want = np.array([ref.total_antisymmetrizer(s) for s in t.reshape(-1, 4, 4, 4, 4)])
+        assert same(total_antisymmetrizer(t), want.reshape(t.shape))
 
     def test_wedge_chart_metric(self, rng):
         from minklab.rigid import wedge_chart_metric
@@ -322,3 +335,108 @@ class TestStackedRootSolve:
         # the window grows until math.sinh overflows
         with pytest.raises(PreconditionError, match="could not bracket"):
             foliation_time(hyperbolic_worldline(1.0), np.array([1e-3, 1e-4, 0.0, 0.0]), (-1, 1))
+
+
+# the five verdicts, each as (verdict of a probe list and a step, probe draw)
+def _reparameterization(field):
+    return lambda probes, step: reparameterization_invariance_check(
+        field, lambda x: 1.0 + 0.1 * np.sin(x[..., 1]), probes, step)
+
+
+VERDICTS = {
+    "is_rigid-boost": (lambda p, s: is_rigid(CASES["boost"][0], p, s), wedge_events),
+    "is_rigid-herglotz-wiggly": (lambda p, s: is_rigid(CASES["herglotz-wiggly"][0], p, s),
+                                 wiggly_events),
+    "killing_test-boost": (lambda p, s: killing_test(CASES["boost"][0], p, s), wedge_events),
+    "killing_test-herglotz-hyperbolic": (
+        lambda p, s: killing_test(CASES["herglotz-hyperbolic"][0], p, s), tube_events),
+    "killing_test-herglotz-wiggly": (
+        lambda p, s: killing_test(CASES["herglotz-wiggly"][0], p, s), wiggly_events),
+    "reparameterization-boost": (_reparameterization(CASES["boost"][0]), wedge_events),
+    "rotation_killing_checks": (lambda p, s: rotation_killing_checks(1.0, 1.0, p, s),
+                                lambda rng, k: disk_events(rng, k, 0.6)),
+    "projected_curvature_check": (lambda p, s: projected_curvature_check(1.0, 1.0, p, s),
+                                  lambda rng, k: disk_events(rng, k, 0.7)),
+}
+
+
+def _fold(verdicts):
+    """The verdict of a probe list from the verdicts of its probes alone:
+    the worst number, and every probe's pass."""
+    out = {}
+    for key, first in verdicts[0].items():
+        values = [v[key] for v in verdicts]
+        if isinstance(first, dict):
+            out[key] = _fold(values)
+        elif isinstance(first, bool):
+            out[key] = all(values)
+        else:
+            assert all(math.isfinite(v) for v in values)
+            out[key] = (min if key == "min_omega" else max)(values)
+    return out
+
+
+class TestVerdictsFoldTheirProbes:
+    """Each verdict evaluates all its probes as one stack; its numbers are
+    the folds of the one-probe verdicts, bit for bit."""
+
+    @pytest.mark.parametrize("step", STEPS)
+    @pytest.mark.parametrize("name", list(VERDICTS))
+    def test_stack_is_the_fold_of_one_probe_verdicts(self, name, step, rng):
+        verdict, draw = VERDICTS[name]
+        for k in range(1, 6):
+            probes = list(draw(rng, k))
+            got = verdict(probes, step)
+            want = _fold([verdict([x], step) for x in probes])
+            if "verdict_unchanged" in got:  # the rigid verdicts agree, not each probe's
+                want["verdict_unchanged"] = (
+                    got["base"]["rigid"] == (got["scaled_max_theta"] < decomp.FIRST_DERIV_TOL))
+            assert got == want
+
+    @pytest.mark.parametrize("name", ["is_rigid-boost", "killing_test-boost",
+                                      "reparameterization-boost", "rotation_killing_checks",
+                                      "projected_curvature_check"])
+    @pytest.mark.parametrize("probes", [[], np.empty((0, 4)), np.zeros(4),
+                                        [np.zeros(4), np.zeros(3)], [["a", "b", "c", "d"]]],
+                             ids=["empty", "empty-array", "one-event", "ragged", "not-numbers"])
+    def test_no_probes_is_a_precondition_error(self, name, probes):
+        verdict, _ = VERDICTS[name]
+        with pytest.raises(PreconditionError, match="probes must be"):
+            verdict(probes, 1e-3)
+
+
+def _counting_field(field, calls):
+    return VelocityField(lambda x: calls.append(x.shape) or field.evaluator(x),
+                         field.domain, field.c, field.tag)
+
+
+class TestOneCallPerDerivativeOrder:
+    """The numbers of field evaluations and root solves of a verdict do not
+    grow with its probe count."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_field_calls(self, k, rng, monkeypatch):
+        calls = []
+        field = _counting_field(boost_killing_field(), calls)
+        is_rigid(field, wedge_events(rng, k), 1e-3)
+        assert calls == [(k, 9, 4)]
+        real = rotation.rotation_killing_field
+        monkeypatch.setattr(rotation, "rotation_killing_field",
+                            lambda *args: _counting_field(real(*args), calls))
+        for verdict, want in ((rotation_killing_checks, 3), (projected_curvature_check, 1)):
+            calls.clear()
+            verdict(1.0, 1.0, disk_events(rng, k, 0.6), 1e-3)
+            assert len(calls) == want and all(shape[0] == k for shape in calls)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_herglotz_killing_test_solves_twice(self, k, rng, monkeypatch):
+        solved = []
+        real = worldline._foliation_rows
+
+        def counted(curve, x, tau_window):
+            solved.append(len(x))
+            return real(curve, x, tau_window)
+
+        monkeypatch.setattr(worldline, "_foliation_rows", counted)
+        killing_test(CASES["herglotz-hyperbolic"][0], tube_events(rng, k), 1e-3)
+        assert solved == [9 * k, 72 * k]

@@ -402,3 +402,20 @@ def test_sweeps_that_keep_no_sample_fail():
     assert all(math.isnan(c["residual"]) for c in report["checks"] if c["name"] in failed)
     notes = {c["name"]: c["note"] for c in run_suite("simultaneity", 0, Config())["checks"]}
     assert {c["name"]: c["note"] for c in report["checks"]} == notes
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["q", "q_prime"])
+def test_nan_in_the_intersection_case_fails_the_check(monkeypatch, which):
+    # the worked intersecting pair folds both events with one np.max, so a
+    # NaN in either fails mutual.intersection_case
+    original = simultaneity.mutual_simultaneity
+
+    def poisoned(*args):
+        pair = list(original(*args))
+        pair[which] = Event(np.full(2, np.nan))
+        return tuple(pair)
+
+    monkeypatch.setattr(simultaneity, "mutual_simultaneity", poisoned)
+    checks = {c["name"]: c for c in run_suite("simultaneity", 0, Config())["checks"]}
+    assert not checks["mutual.intersection_case"]["passed"]
+    assert math.isnan(checks["mutual.intersection_case"]["residual"])
