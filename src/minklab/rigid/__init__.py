@@ -4,10 +4,8 @@ chart, and the single-worldline construction of irrotational rigid motion."""
 
 from .curvature import christoffels_fd, riemann_lowered_fd, total_antisymmetrizer
 from .decomp import (DEFAULT_STEP, FIRST_DERIV_TOL, SECOND_DERIV_TOL,
-                     KinematicDecomposition, accel_curl, accel_oneform,
-                     is_rigid, killing_test,
-                     kinematic_decomposition, lie_derivative_2tensor,
-                     lie_derivative_oneform,
+                     KinematicDecomposition, is_rigid, killing_test,
+                     kinematic_decomposition, lie_accel,
                      reparameterization_invariance_check, spatial_metric)
 from .export import field_csv, trajectory_csv
 from .fields import (VelocityField, boost_killing_field, boost_killing_flow,
@@ -31,11 +29,8 @@ __all__ = [
     "kinematic_decomposition",
     "is_rigid",
     "reparameterization_invariance_check",
-    "lie_derivative_oneform",
-    "lie_derivative_2tensor",
-    "accel_oneform",
-    "accel_curl",
     "killing_test",
+    "lie_accel",
     "boost_killing_field",
     "rotation_killing_field",
     "rescaled_field",

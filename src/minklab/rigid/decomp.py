@@ -1,10 +1,16 @@
 """Finite-difference kinematics of velocity fields: projected metric,
-expansion/shear and vorticity split, rigidity and Killing tests.
+expansion/shear and vorticity split, rigidity and Killing tests, and the
+Lie transport of the acceleration one-form.
 
 All derivatives are second-order central differences with a configurable
-step, so identities checked here carry O(step^2) error.  The verdicts use
-FIRST_DERIV_TOL (1e-5) for first-derivative and SECOND_DERIV_TOL (1e-4) for
-nested second-derivative residuals, both sized for steps near 1e-3.
+step, so identities checked here carry O(step^2) error.  The split (u,
+theta, omega, accel-flat) at rows comes from one evaluation of the field on
+the rows and their stencils (_split_rows); every second-order quantity (the
+curl of accel-flat, L_u omega, L_u accel-flat) comes from one nested jet of
+that split (_split_jet), one evaluation of the field on (2n + 1)^2 rows per
+row.  The verdicts use FIRST_DERIV_TOL (1e-5) for first-derivative and
+SECOND_DERIV_TOL (1e-4) for nested second-derivative residuals, both sized
+for steps near 1e-3.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import PreconditionError, _inner_rows, metric_matrix, norm_g
-from .fields import VelocityField, _central, _jet, rescaled_field
+from .fields import VelocityField, _jet, rescaled_field
 
 __all__ = [
     "DEFAULT_STEP",
@@ -26,11 +32,8 @@ __all__ = [
     "kinematic_decomposition",
     "is_rigid",
     "reparameterization_invariance_check",
-    "lie_derivative_oneform",
-    "lie_derivative_2tensor",
-    "accel_oneform",
-    "accel_curl",
     "killing_test",
+    "lie_accel",
 ]
 
 DEFAULT_STEP = 1e-3
@@ -77,29 +80,24 @@ class KinematicDecomposition:
         return norm_g(self.accel)
 
 
-def _gradient_rows(field: VelocityField, x: np.ndarray, step: float):
-    """(u, D, accel_flat) at rows x (..., n): the lowered gradient
-    D[..., a, b] = d_a u_b and u^a d_a u_b, from one evaluation of the
-    field on the rows and their stencils.
-
-    The 4x4 algebra here and in _split_rows runs as stacked matmuls, which
-    give each row's one-event products bit for bit (the rigid reference
-    tests compare them).
-    """
-    u, du = _jet(field, x, step)
-    D = du @ metric_matrix(u.shape[-1])
-    return u, D, (u[..., None, :] @ D)[..., 0, :]
-
-
 def _split_rows(field: VelocityField, x: np.ndarray, step: float):
     """(u, theta, omega, accel_flat) at rows x (..., n): the lowered
-    gradient split as in KinematicDecomposition."""
+    gradient D[..., a, b] = d_a u_b split as in KinematicDecomposition,
+    with accel_flat = u^a d_a u_b, from one evaluation of the field on the
+    rows and their stencils.
+
+    The 4x4 algebra runs as stacked matmuls, which give each row's
+    one-event products bit for bit (the rigid reference tests compare
+    them).
+    """
     if not 0 < step < math.inf:  # NaN included
         raise PreconditionError("step must be positive and finite")
     c = field.c
-    u, D, accel_flat = _gradient_rows(field, x, step)
+    u, du = _jet(field, x, step)
     n = u.shape[-1]
     G = metric_matrix(n)
+    D = du @ G
+    accel_flat = (u[..., None, :] @ D)[..., 0, :]
     ul = (G @ u[..., None])[..., 0]
     P = np.eye(n) - u[..., :, None] * ul[..., None, :] / (c * c)  # mixed projector, vector slot
     Pt = np.swapaxes(P, -1, -2)
@@ -107,6 +105,33 @@ def _split_rows(field: VelocityField, x: np.ndarray, step: float):
     theta = Pt @ (0.5 * (D + Dt)) @ P
     omega = Pt @ (0.5 * (D - Dt)) @ P
     return u, theta, omega, accel_flat
+
+
+def _split_jet(field: VelocityField, x, step: float):
+    """((u, theta, omega, accel_flat), their derivatives) at rows x (..., n):
+    the split of _split_rows and its central differences d_a, the
+    derivative axis a after the row axes, from one evaluation of the field
+    on the (2n + 1)^2 rows of each row's nested stencil."""
+    return _jet(lambda y: _split_rows(field, y, step), x, step)
+
+
+def _lie_rows(u, du, T, dT) -> np.ndarray:
+    """L_u T at rows, for a one-form T (..., n) or a 2-tensor T (..., n, n),
+    from u, T and their derivatives du[..., a, c] = d_a u^c and
+    dT[..., a, ...] = d_a T:
+
+        (L_u T)_b  = u^c d_c T_b + T_c d_b u^c,
+        (L_u T)_ab = u^c d_c T_ab + T_cb d_a u^c + T_ac d_b u^c.
+
+    The one-form's vecdot is the 1-D @ of the one-event formula row by row,
+    which keeps its bits.
+    """
+    if T.ndim == u.ndim:
+        return np.vecdot(u[..., :, None], dT, axis=-2) + np.vecdot(T[..., None, :], du, axis=-1)
+    out = np.einsum("...c,...cab->...ab", u, dT)
+    out += np.einsum("...cb,...ac->...ab", T, du)
+    out += np.einsum("...ac,...bc->...ab", T, du)
+    return out
 
 
 def _probe_rows(probes) -> np.ndarray:
@@ -140,7 +165,12 @@ def is_rigid(field: VelocityField, probes, step: float = DEFAULT_STEP) -> dict:
     theta comes from one split of the field over all probes' stencils; a
     NaN theta is not rigid.
     """
-    worst = float(np.abs(_split_rows(field, _probe_rows(probes), step)[1]).max())
+    return _rigidity(_split_rows(field, _probe_rows(probes), step)[1])
+
+
+def _rigidity(theta: np.ndarray) -> dict:
+    """The rigidity verdict of theta at rows; a NaN theta is not rigid."""
+    worst = float(np.abs(theta).max())
     return {"rigid": worst < FIRST_DERIV_TOL, "max_theta": worst}
 
 
@@ -169,61 +199,26 @@ def reparameterization_invariance_check(field: VelocityField, scaling, probes,
     }
 
 
-def lie_derivative_oneform(field: VelocityField, oneform, event,
-                           step: float = DEFAULT_STEP) -> np.ndarray:
-    """(L_u alpha)_b = u^c d_c alpha_b + alpha_c d_b u^c by central differences.
-
-    `oneform` takes rows of events; it and the field are each evaluated
-    once, on the event and its stencil.
-    """
-    x = np.asarray(event, dtype=float)
-    u, du = _jet(field, x, step)
-    alpha, dalpha = _jet(oneform, x, step)
-    return np.array([u @ dalpha[:, b] + alpha @ du[b, :] for b in range(x.size)])
-
-
-def lie_derivative_2tensor(field: VelocityField, tensor, event,
-                           step: float = DEFAULT_STEP) -> np.ndarray:
-    """(L_u T)_ab = u^c d_c T_ab + T_cb d_a u^c + T_ac d_b u^c at rows of
-    events (..., n).
-
-    `tensor` takes rows of events; it and the field are each evaluated
-    once, on the events and their stencils.
-    """
-    x = np.asarray(event, dtype=float)
-    u, du = _jet(field, x, step)
-    T, dT = _jet(tensor, x, step)
-    out = np.einsum("...c,...cab->...ab", u, dT)
-    out += np.einsum("...cb,...ac->...ab", T, du)
-    out += np.einsum("...ac,...bc->...ab", T, du)
-    return out
-
-
-def accel_oneform(field: VelocityField, event, step: float = DEFAULT_STEP) -> np.ndarray:
-    """Lowered acceleration (u^a d_a u)_b at rows of events."""
-    return _gradient_rows(field, np.asarray(event, dtype=float), step)[2]
-
-
-def accel_curl(field: VelocityField, event, step: float = DEFAULT_STEP) -> np.ndarray:
-    """Exterior derivative (d a-flat)_ab = d_a a_b - d_b a_a at rows of
-    events, nested differences.
-
-    One evaluation of the field covers the (2n)(2n + 1) rows of the nested
-    stencil of every event.
-    """
-    da = _central(lambda y: accel_oneform(field, y, step), np.asarray(event, dtype=float), step)
-    return da - np.swapaxes(da, -1, -2)
-
-
 def killing_test(field: VelocityField, probes, step: float = DEFAULT_STEP) -> dict:
     """A rigid flow is an isometry flow iff its acceleration one-form is
-    closed (exact on the simply connected domains used here)."""
-    x = _probe_rows(probes)
-    rigid = is_rigid(field, x, step)
-    worst = float(np.abs(accel_curl(field, x, step)).max())
-    return {
-        "is_killing": bool(rigid["rigid"] and worst < SECOND_DERIV_TOL),
-        "rigid": rigid["rigid"],
-        "max_theta": rigid["max_theta"],
-        "closedness_residual": worst,
-    }
+    closed (exact on the simply connected domains used here).
+
+    theta and the exterior derivative (d a-flat)_ab = d_a a_b - d_b a_a
+    come from one nested jet of the split over all probes.
+    """
+    (_, theta, _, _), (_, _, _, da) = _split_jet(field, _probe_rows(probes), step)
+    rigid = _rigidity(theta)
+    worst = float(np.abs(da - np.swapaxes(da, -1, -2)).max())
+    return {"is_killing": bool(rigid["rigid"] and worst < SECOND_DERIV_TOL), **rigid,
+            "closedness_residual": worst}
+
+
+def lie_accel(field: VelocityField, event, step: float = DEFAULT_STEP) -> np.ndarray:
+    """L_u a-flat at rows of events (..., n), by nested central differences:
+    the finite-difference counterpart of worldline.expected_lie_accel.
+
+    One evaluation of the field covers the (2n + 1)^2 rows of every
+    event's nested stencil.
+    """
+    (u, _, _, a), (du, _, _, da) = _split_jet(field, event, step)
+    return _lie_rows(u, du, a, da)

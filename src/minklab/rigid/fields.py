@@ -73,11 +73,6 @@ class VelocityField:
                 f"u.u = {float(np.ravel(q)[np.argmax(off)])!r}, expected {c2!r}")
         return u
 
-    def lower(self, event) -> np.ndarray:
-        """Covectors u-flat = G u at rows of events."""
-        u = self(event)
-        return u @ metric_matrix(u.shape[-1])
-
 
 def _every(mask) -> bool:
     """Whether one bool, or every entry of a bool array, holds.  One event
@@ -179,28 +174,28 @@ def _stencil(x: np.ndarray, step: float) -> np.ndarray:
     return np.concatenate([x[..., None, :] + dx, x[..., None, :] - dx], axis=-2)
 
 
-def _central(fn, x, step: float) -> np.ndarray:
-    """out[..., a, ...] = d_a fn at rows x (..., n), by central differences.
+def _jet(fn, x, step: float):
+    """(fn(x), d fn(x)) at rows x (..., n), the derivative by central
+    differences, out[1][..., a, ...] = d_a fn.
 
-    fn takes rows and returns one value (of any shape) per row; it is
-    called once, on the whole stencil, so a nested difference is one call
-    on (2n)^2 rows per outer row.
+    fn takes rows and returns one value (of any shape) per row, or a tuple
+    of such arrays, for which both results are tuples with one entry per
+    part.  fn is called once, on the rows and their 2n stencil rows, so a
+    nested jet is one call on (2n + 1)^2 rows per outer row.
     """
     x = np.asarray(x, dtype=float)
-    f = np.asarray(fn(_stencil(x, step)), dtype=float)
-    plus, minus = np.split(f, 2, axis=x.ndim - 1)
-    return (plus - minus) / (2 * step)
-
-
-def _jet(fn, x, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """(fn(x), _central(fn, x, step)) from one call of fn on rows x and
-    their stencils."""
-    x = np.asarray(x, dtype=float)
     rows = np.concatenate([x[..., None, :], _stencil(x, step)], axis=-2)
-    f = np.asarray(fn(rows), dtype=float)
     axis = x.ndim - 1
-    centre, plus, minus = np.split(f, [1, 1 + x.shape[-1]], axis=axis)
-    return np.squeeze(centre, axis), (plus - minus) / (2 * step)
+
+    def split(f):
+        centre, plus, minus = np.split(np.asarray(f, dtype=float), [1, 1 + x.shape[-1]], axis=axis)
+        return np.squeeze(centre, axis), (plus - minus) / (2 * step)
+
+    f = fn(rows)
+    if isinstance(f, tuple):
+        centres, derivatives = zip(*map(split, f))
+        return centres, derivatives
+    return split(f)
 
 
 # Wedge chart -------------------------------------------------------------
@@ -245,5 +240,5 @@ def wedge_chart_metric(x0: float, lam: float) -> np.ndarray:
         out[..., 1] = r * _libm(math.cosh, l)
         return out
 
-    jac_t = _central(embed, np.array([lam, x0]), WEDGE_CHART_STEP)  # jac_t[j] = d_j embed
+    jac_t = _jet(embed, np.array([lam, x0]), WEDGE_CHART_STEP)[1]  # jac_t[j] = d_j embed
     return jac_t @ metric_matrix(2) @ jac_t.T

@@ -10,8 +10,8 @@ import numpy as np
 
 from ..core import PreconditionError
 from .curvature import riemann_lowered_fd, total_antisymmetrizer
-from .decomp import (DEFAULT_STEP, SECOND_DERIV_TOL, _probe_rows, _split_rows,
-                     lie_derivative_2tensor, spatial_metric)
+from .decomp import (DEFAULT_STEP, SECOND_DERIV_TOL, _lie_rows, _probe_rows, _split_jet,
+                     _split_rows, spatial_metric)
 from .fields import _libm, rotation_killing_field
 
 __all__ = [
@@ -72,13 +72,13 @@ def rotation_killing_checks(kappa: float, c: float, probes,
 
     Checks theta = 0, omega != 0, vanishing transport L_u omega, and the
     comoving split: the projected metric in the comoving frame must be
-    diag(1, 1, rho^2/(1-(kappa rho/c)^2)).  Each quantity is computed on
-    all probes at once and folded with np.max or np.min, which keep a NaN.
+    diag(1, 1, rho^2/(1-(kappa rho/c)^2)).  Every quantity comes from one
+    nested jet of the split over all probes, one evaluation of the field,
+    and is folded with np.max or np.min, which keep a NaN.
     """
-    field = rotation_killing_field(kappa, c)
     x = _probe_rows(probes)
-    u, theta, omega, _ = _split_rows(field, x, step)
-    lie_omega = lie_derivative_2tensor(field, lambda y: _split_rows(field, y, step)[2], x, step)
+    (u, theta, omega, _), (du, _, domega, _) = _split_jet(rotation_killing_field(kappa, c), x, step)
+    lie_omega = _lie_rows(u, du, omega, domega)
     frame = comoving_frame_vectors(x)
     h_frame = np.swapaxes(frame, -1, -2) @ spatial_metric(u, c) @ frame
     h_expected = comoving_rotation_metric(kappa, c)(comoving_coords(x, kappa, c))

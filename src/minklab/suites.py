@@ -619,17 +619,17 @@ def suite_lattice(seed: int, config: Config) -> list[Check]:
 # ---------------------------------------------------------------------- rigid
 
 def suite_rigid(seed: int, config: Config) -> list[Check]:
-    rng = np.random.default_rng(seed)
+    del seed  # the rigid checks draw nothing
     checks = []
     step = config.fd_step
     bf = rigid.boost_killing_field()
-    probes = [np.array([0.0, x0, 0.0, 0.0]) for x0 in (0.5, 1.0, 2.0)]
-    ver = rigid.is_rigid(bf, probes, step)
-    checks.append(_chk("boost.rigid", ver["max_theta"], 1e-5, ""))
-    worst = _worst([rigid.kinematic_decomposition(bf, p, 2e-4).accel_norm_g - 1.0 / p[1]
-                    for p in probes])
-    checks.append(_chk("boost.acceleration", worst, 1e-6,
-                       "modulus c^2 over the orbit label"))
+    probes = np.array([[0.0, x0, 0.0, 0.0] for x0 in (0.5, 1.0, 2.0)])
+    rep = rigid.reparameterization_invariance_check(
+        bf, lambda x: 1.0 + 0.1 * np.sin(x[..., 1]), probes, step)
+    checks.append(_chk("boost.rigid", rep["base"]["max_theta"], 1e-5, ""))
+    accel_flat = rigid.decomp._split_rows(bf, probes, 2e-4)[3]
+    worst = _worst(core._norm_g_rows(accel_flat) - 1.0 / probes[:, 1])
+    checks.append(_chk("boost.acceleration", worst, 1e-6, "modulus c^2 over the orbit label"))
     rot_probes = [np.array([0.0, 0.3, 0.1, 0.0]), np.array([0.1, 0.2, -0.4, 0.2])]
     rchk = rigid.rotation_killing_checks(1.0, 1.0, rot_probes, step)
     checks.append(_chk("rotation.rigid", rchk["max_theta"], 1e-5, ""))
@@ -656,7 +656,7 @@ def suite_rigid(seed: int, config: Config) -> list[Check]:
     wig = rigid.wiggly_worldline(0.5)
     wf = rigid.herglotz_field(wig, (-0.5, 1.5))
     pw = wig.z(0.8)
-    lie_fd = rigid.lie_derivative_oneform(wf, lambda y: rigid.accel_oneform(wf, y, step), pw, step)
+    lie_fd = rigid.lie_accel(wf, pw, step)
     lie_closed = rigid.expected_lie_accel(wig, pw, (-0.5, 1.5))
     checks.append(_chk("worldline.jerk_formula", float(np.abs(lie_fd - lie_closed).max()),
                        1e-4, "variable acceleration transports the pull"))
@@ -664,8 +664,6 @@ def suite_rigid(seed: int, config: Config) -> list[Check]:
         np.array([0.0, rho, 0.0, 0.0]) for rho in (0.1, 0.4, 0.7)], step)
     checks.append(_chk("curvature.identity", curv["max_residual"], 1e-4,
                        "comoving curvature balances the squared vorticity"))
-    rep = rigid.reparameterization_invariance_check(
-        bf, lambda x: 1.0 + 0.1 * np.sin(x[..., 1]), probes, step)
     checks.append(_chk("rigid.reparam_invariant", not rep["verdict_unchanged"], 1.0, ""))
     return checks
 

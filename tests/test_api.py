@@ -8,7 +8,8 @@ its behaviour belongs in the tests, not in the package.  Imports and
 a public class: a public method, property, classmethod or dataclass field
 that nothing in `src/minklab` or `perfbench/` reads as an attribute is
 test-only too; dunder methods are exempt, since Python calls them through
-operators.  A parameter that its function never reads is a knob that
+operators.  An attribute read on a string constant or on a `str(...)` call
+reads a `str` method, not a member.  A parameter that its function never reads is a knob that
 changes nothing.
 """
 
@@ -18,8 +19,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # expected_accel_curl is the closed-form reference that test_rigid compares
-# accel_curl against; it shares _jerk_bracket with expected_lie_accel, which
-# the rigid suite uses.
+# the curl of the split's nested jet against; it shares _jerk_bracket with
+# expected_lie_accel, which the rigid suite compares lie_accel against.
 ALLOWED_UNREFERENCED = {"expected_accel_curl"}
 
 
@@ -70,8 +71,17 @@ def unreferenced_public_members() -> set[str]:
                         for name in map(_member_name, cls.body)
                         if name is not None and not name.startswith("_")}
         read |= {node.attr for node in ast.walk(tree)
-                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                 and not _is_string(node.value)}
     return {f"{cls}.{name}" for cls, name in members if name not in read}
+
+
+def _is_string(node) -> bool:
+    """Whether an expression is a string constant or a `str(...)` call."""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, str)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "str")
 
 
 def test_every_public_member_is_read():

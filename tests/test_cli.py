@@ -266,8 +266,15 @@ class TestVerdictRule:
     def test_killing_closedness_at_printed_tolerance(self, monkeypatch):
         # a closedness residual of 5e-5 passes killing_test's own 1e-4 bound,
         # but the report prints 1e-5 and must fail at it
-        monkeypatch.setattr(decomp, "accel_curl",
-                            lambda field, event, step: np.full((4, 4), 5e-5))
+        real = decomp._split_jet
+
+        def closedness_5e_5(field, x, step):
+            centres, (du, dtheta, domega, da) = real(field, x, step)
+            da = np.zeros_like(da)
+            da[..., 0, 1] = 5e-5  # d_0 a_1, so the curl is +-5e-5 off the diagonal
+            return centres, (du, dtheta, domega, da)
+
+        monkeypatch.setattr(decomp, "_split_jet", closedness_5e_5)
         report = run_suite("rigid", 0, Config())
         check, = (c for c in report["checks"]
                   if c["name"] == "worldline.constant_accel_killing")

@@ -1,20 +1,18 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from minklab import rigid
 from minklab.core import PreconditionError, inner
 from minklab.rigid import decomp, fields, rotation, worldline
 from minklab.rigid import (KinematicDecomposition, VelocityField,
-                           accel_curl, accel_oneform, boost_killing_field,
+                           boost_killing_field,
                            boost_killing_flow, comoving_frame_vectors,
                            expected_accel_curl,
                            expected_lie_accel, field_csv, foliation_gap,
                            foliation_time, herglotz_field,
                            hyperbolic_worldline, is_rigid, killing_test,
-                           kinematic_decomposition, lie_derivative_oneform,
+                           kinematic_decomposition, lie_accel,
                            projected_curvature_check,
                            reparameterization_invariance_check,
                            rindler_from_event, rotation_killing_checks,
@@ -31,7 +29,7 @@ STEP = 1e-3
 
 def grad_lowered(field, x, step):
     """D[a, b] = d_a u_b by central differences, for any callable of rows."""
-    return fields._central(field, x, step) @ np.diag([1.0, -1.0, -1.0, -1.0])
+    return fields._jet(field, x, step)[1] @ np.diag([1.0, -1.0, -1.0, -1.0])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
@@ -186,26 +184,17 @@ class TestRigidityVerdicts:
         assert got["scaled_max_theta"] > 1e-3
 
 
-def _nan_on_call(monkeypatch, module, name, k, poison):
-    """Make the k-th call (from 0) of module.name return poison(its result)."""
-    real, calls = getattr(module, name), []
-
-    def patched(*args, **kwargs):
-        out = real(*args, **kwargs)
-        calls.append(None)
-        return poison(out) if len(calls) == k + 1 else out
-
-    monkeypatch.setattr(module, name, patched)
-
-
-def _nan_at_probe(monkeypatch, module, name, k, part=None):
+def _nan_at_probe(monkeypatch, module, name, k, *part):
     """Make module.name set row k, the k-th probe's, of its stacked result
-    (of output `part`, for a tuple) to NaN."""
+    (of output out[part[0]][part[1]]..., for nested tuples) to NaN."""
     real = getattr(module, name)
 
     def patched(*args, **kwargs):
         out = real(*args, **kwargs)
-        (out if part is None else out[part])[k] = np.nan
+        target = out
+        for i in part:
+            target = target[i]
+        target[k] = np.nan
         return out
 
     monkeypatch.setattr(module, name, patched)
@@ -223,24 +212,24 @@ class TestNanFailsTheVerdict:
     drop it."""
 
     def test_is_rigid(self, monkeypatch, k):
-        _nan_at_probe(monkeypatch, decomp, "_split_rows", k, part=1)
+        _nan_at_probe(monkeypatch, decomp, "_split_rows", k, 1)
         got = is_rigid(boost_killing_field(), BOOST_PROBES, STEP)
         assert not got["rigid"] and math.isnan(got["max_theta"])
 
     def test_killing_test(self, monkeypatch, k):
-        _nan_at_probe(monkeypatch, decomp, "accel_curl", k)
+        _nan_at_probe(monkeypatch, decomp, "_split_jet", k, 1, 3)  # d accel_flat
         got = killing_test(boost_killing_field(), BOOST_PROBES, STEP)
         assert got["rigid"] and not got["is_killing"]
         assert math.isnan(got["closedness_residual"])
 
     @pytest.mark.parametrize("name,part,key", [
-        ("_split_rows", 1, "max_theta"),
-        ("_split_rows", 2, "min_omega"),
-        ("lie_derivative_2tensor", None, "max_lie_omega"),
-        ("spatial_metric", None, "max_h_split_residual"),
+        ("_split_jet", (0, 1), "max_theta"),
+        ("_split_jet", (0, 2), "min_omega"),
+        ("_split_jet", (1, 2), "max_lie_omega"),  # d omega
+        ("spatial_metric", (), "max_h_split_residual"),
     ], ids=["theta", "omega", "lie_omega", "h_split"])
     def test_rotation_killing_checks(self, monkeypatch, k, name, part, key):
-        _nan_at_probe(monkeypatch, rotation, name, k, part)
+        _nan_at_probe(monkeypatch, rotation, name, k, *part)
         got = rotation_killing_checks(1.0, 1.0, ROTATION_PROBES, STEP)
         assert math.isnan(got[key])
 
@@ -251,9 +240,16 @@ class TestNanFailsTheVerdict:
         assert not got["passes"] and math.isnan(got["max_residual"])
 
     def test_suite_boost_acceleration(self, monkeypatch, k):
-        # the suite's acceleration loop calls the package's binding
-        _nan_on_call(monkeypatch, rigid, "kinematic_decomposition", k,
-                     lambda dec: dataclasses.replace(dec, accel=np.full(4, np.nan)))
+        # the suite splits its three boost probes at step 2e-4 in one call
+        real = decomp._split_rows
+
+        def poisoned(field, x, step):
+            out = real(field, x, step)
+            if step == 2e-4:
+                out[3][k] = np.nan
+            return out
+
+        monkeypatch.setattr(decomp, "_split_rows", poisoned)
         checks = {c.name: c for c in suite_rigid(0, Config())}
         assert not checks["boost.acceleration"].passed
         assert math.isnan(checks["boost.acceleration"].residual)
@@ -262,7 +258,7 @@ class TestNanFailsTheVerdict:
 def test_suite_constant_accel_killing_nan_fails(monkeypatch):
     # killing_test gets one probe; its NaN closedness residual must not be
     # dropped beside a finite theta
-    monkeypatch.setattr(decomp, "accel_curl", lambda *args: np.full((4, 4), np.nan))
+    _nan_at_probe(monkeypatch, decomp, "_split_jet", 0, 1, 3)  # d accel_flat
     checks = {c.name: c for c in suite_rigid(0, Config())}
     assert not checks["worldline.constant_accel_killing"].passed
     assert math.isnan(checks["worldline.constant_accel_killing"].residual)
@@ -272,10 +268,12 @@ class TestLieIdentities:
     def test_lie_u_of_velocity_oneform_is_accel(self):
         # transport of the lowered velocity along itself gives the
         # lowered acceleration
+        G = np.diag([1.0, -1.0, -1.0, -1.0])
         for f in (boost_killing_field(), rotation_killing_field(0.9, 1.0)):
             x = np.array([0.1, 0.6, 0.2, 0.0])
-            lie = lie_derivative_oneform(f, lambda y: f.lower(y), x, STEP)
-            a_fd = accel_oneform(f, x, STEP)
+            u, du = fields._jet(f, x, STEP)
+            lie = decomp._lie_rows(u, du, u @ G, du @ G)
+            a_fd = decomp._split_rows(f, x, STEP)[3]
             assert np.abs(lie - a_fd).max() < 1e-5
 
     @staticmethod
@@ -455,7 +453,8 @@ class TestWorldlineInduced:
         wl = wiggly_worldline(0.5)
         f = herglotz_field(wl, (-0.5, 1.5))
         p = wl.z(0.8) + np.array([0.0, 0.05, 0.1, -0.08])
-        fd = accel_curl(f, p, STEP)
+        da = decomp._split_jet(f, p, STEP)[1][3]  # da[a, b] = d_a accel_b
+        fd = da - da.T
         assert np.abs(fd - expected_accel_curl(wl, p, (-0.5, 1.5))).max() < 1e-4
 
     def test_wiggly_lie_accel_on_and_off_worldline(self):
@@ -463,8 +462,7 @@ class TestWorldlineInduced:
         f = herglotz_field(wl, (-0.5, 1.5))
         for offset in (np.zeros(4), np.array([0.0, 0.05, 0.1, -0.08])):
             p = wl.z(0.8) + offset
-            fd = lie_derivative_oneform(
-                f, lambda y: accel_oneform(f, y, STEP), p, STEP)
+            fd = lie_accel(f, p, STEP)
             assert np.abs(fd - expected_lie_accel(wl, p, (-0.5, 1.5))).max() < 1e-4
 
     def test_on_worldline_jerk_term_only(self):
@@ -600,7 +598,7 @@ class TestBrent:
 
 class TestOneForm:
     """The rigid modules take the bilinear form from core and the central
-    difference from fields._central.  The references are the inline
+    difference from fields._jet.  The references are the inline
     formulas they replaced, compared bit for bit, refusals included."""
 
     @staticmethod

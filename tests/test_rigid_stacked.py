@@ -11,19 +11,20 @@ import pytest
 
 import rigid_reference as ref
 from minklab.core import PreconditionError
-from minklab.rigid import (VelocityField, accel_curl, accel_oneform,
+from minklab.rigid import (VelocityField,
                            boost_killing_field, christoffels_fd,
                            comoving_coords, comoving_frame_vectors,
                            comoving_rotation_metric, foliation_time,
                            herglotz_field, hyperbolic_worldline, is_rigid,
                            killing_test, kinematic_decomposition,
-                           lie_derivative_oneform, projected_curvature_check,
+                           lie_accel, projected_curvature_check,
                            reparameterization_invariance_check,
                            riemann_lowered_fd, rotation_killing_checks,
                            rotation_killing_field, spatial_metric,
                            total_antisymmetrizer, wiggly_worldline)
 from minklab.rigid import decomp, fields, rotation, worldline
 from minklab.rigid.curvature import METRIC_STEP
+from minklab.suites import Config, suite_rigid
 
 from conftest import constant_field, per_event_constant_field
 
@@ -165,8 +166,8 @@ class TestRowWiseFieldsAndCurves:
 
 
 class TestCentralDifferences:
-    """fields._central evaluates its function once on the whole stencil;
-    the per-axis loop evaluates one event at a time."""
+    """fields._jet evaluates its function once on the rows and their whole
+    stencil; the per-axis loop evaluates one event at a time."""
 
     @pytest.mark.parametrize("step", STEPS)
     @pytest.mark.parametrize("name", list(CASES))
@@ -175,10 +176,9 @@ class TestCentralDifferences:
         for x in draw(rng, 3):
             calls = []
             counted = lambda y: calls.append(y.shape) or field(y)
-            assert same(fields._central(counted, x, step), ref.central_loop(ev, x, step))
-            assert calls == [(8, 4)]
-            value, derivative = fields._jet(field, x, step)
+            value, derivative = fields._jet(counted, x, step)
             assert same(value, ev(x)) and same(derivative, ref.central_loop(ev, x, step))
+            assert calls == [(9, 4)]
 
     @pytest.mark.parametrize("step", STEPS)
     def test_matrix_valued(self, step, rng):
@@ -187,9 +187,23 @@ class TestCentralDifferences:
         for x in disk_events(rng, 3):
             omega = lambda y: decomp._split_rows(field, y, step)[2]
             omega_ref = lambda y: ref.decomposition(ev, y, step)[1]
-            assert same(fields._central(omega, x, step), ref.central_loop(omega_ref, x, step))
+            assert same(fields._jet(omega, x, step)[1], ref.central_loop(omega_ref, x, step))
             q = comoving_coords(x, 1.0, 1.0)
-            assert same(fields._central(metric, q, step), ref.central_loop(metric_ref, q, step))
+            assert same(fields._jet(metric, q, step)[1], ref.central_loop(metric_ref, q, step))
+
+    @pytest.mark.parametrize("step", STEPS)
+    def test_tuple_valued(self, step, rng):
+        # a tuple of parts gives each part's jet, from one call
+        field = rotation_killing_field(1.0)
+        x = disk_events(rng, 3)
+        calls = []
+        parts = lambda y: calls.append(y.shape) or (field(y), decomp._split_rows(field, y, step)[2])
+        (u, omega), (du, domega) = fields._jet(parts, x, step)
+        assert calls == [(3, 9, 4)]
+        for got, want in zip((u, du, omega, domega),
+                             (*fields._jet(field, x, step),
+                              *fields._jet(lambda y: decomp._split_rows(field, y, step)[2], x, step))):
+            assert same(got, want)
 
     @pytest.mark.parametrize("step", STEPS)
     def test_nested(self, step, rng):
@@ -197,9 +211,9 @@ class TestCentralDifferences:
         for x in wedge_events(rng, 3):
             calls = []
             counted = lambda y: calls.append(y.shape) or field(y)
-            got = fields._central(lambda y: fields._central(counted, y, step), x, step)
+            got = fields._jet(lambda y: fields._jet(counted, y, step)[1], x, step)[1]
             want = ref.central_loop(lambda y: ref.central_loop(ref.boost_ev, y, step), x, step)
-            assert same(got, want) and calls == [(8, 8, 4)]
+            assert same(got, want) and calls == [(9, 9, 4)]
         metric, metric_ref = comoving_rotation_metric(1.0, 1.0), ref.comoving_metric(1.0, 1.0)
         for x in disk_events(rng, 3):
             q = comoving_coords(x, 1.0, 1.0)
@@ -212,9 +226,26 @@ class TestCentralDifferences:
         field, ev, draw = CASES[name]
         x = draw(rng, 1)[0]
         da = ref.central_loop(lambda y: ref.accel_oneform(ev, y, step), x, step)
-        assert same(accel_curl(field, x, step), da - da.T)
+        got = decomp._split_jet(field, x, step)[1][3]
+        assert same(got - got.T, da - da.T)
+        assert killing_test(field, [x], step)["closedness_residual"] == float(np.abs(da - da.T).max())
         lie = ref.lie_derivative_oneform(ev, lambda y: ref.accel_oneform(ev, y, step), x, step)
-        assert same(lie_derivative_oneform(field, lambda y: accel_oneform(field, y, step), x, step), lie)
+        assert same(lie_accel(field, x, step), lie)
+        rows = draw(rng, 3)
+        assert same(lie_accel(field, rows, step), [lie_accel(field, y, step) for y in rows])
+
+    @pytest.mark.parametrize("step", STEPS)
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_split_jet(self, name, step, rng):
+        # the split and its derivatives from one nested jet, against the
+        # per-event decomposition and the per-axis loop around it
+        field, ev, draw = CASES[name]
+        x = draw(rng, 1)[0]
+        centres, derivatives = decomp._split_jet(field, x, step)
+        for part, i in enumerate((4, 0, 1, 3)):  # u, theta, omega, accel_flat
+            one = lambda y: ref.decomposition(ev, y, step, field.c)[i]
+            assert same(centres[part], one(x))
+            assert same(derivatives[part], ref.central_loop(one, x, step))
 
     def test_stencil_rows(self, rng):
         # x + step e_a and x - step e_a with the loop's float operations,
@@ -410,6 +441,19 @@ def _counting_field(field, calls):
                          field.domain, field.c, field.tag)
 
 
+def _count_solves(monkeypatch) -> list[int]:
+    """The row counts of the Herglotz root solves made from now on."""
+    solved = []
+    real = worldline._foliation_rows
+
+    def counted(curve, x, tau_window):
+        solved.append(len(x))
+        return real(curve, x, tau_window)
+
+    monkeypatch.setattr(worldline, "_foliation_rows", counted)
+    return solved
+
+
 class TestOneCallPerDerivativeOrder:
     """The numbers of field evaluations and root solves of a verdict do not
     grow with its probe count."""
@@ -423,20 +467,30 @@ class TestOneCallPerDerivativeOrder:
         real = rotation.rotation_killing_field
         monkeypatch.setattr(rotation, "rotation_killing_field",
                             lambda *args: _counting_field(real(*args), calls))
-        for verdict, want in ((rotation_killing_checks, 3), (projected_curvature_check, 1)):
+        for verdict, shape in ((rotation_killing_checks, (k, 9, 9, 4)),
+                               (projected_curvature_check, (k, 9, 4))):
             calls.clear()
             verdict(1.0, 1.0, disk_events(rng, k, 0.6), 1e-3)
-            assert len(calls) == want and all(shape[0] == k for shape in calls)
+            assert calls == [shape]
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_herglotz_killing_test_solves_twice(self, k, rng, monkeypatch):
-        solved = []
-        real = worldline._foliation_rows
-
-        def counted(curve, x, tau_window):
-            solved.append(len(x))
-            return real(curve, x, tau_window)
-
-        monkeypatch.setattr(worldline, "_foliation_rows", counted)
+    def test_herglotz_verdicts_solve_once(self, k, rng, monkeypatch):
+        solved = _count_solves(monkeypatch)
         killing_test(CASES["herglotz-hyperbolic"][0], tube_events(rng, k), 1e-3)
-        assert solved == [9 * k, 72 * k]
+        assert solved == [81 * k]
+        solved.clear()
+        lie_accel(CASES["herglotz-wiggly"][0], wiggly_events(rng, k), 1e-3)
+        assert solved == [81 * k]
+
+
+def test_rigid_suite_evaluations(monkeypatch):
+    # one field evaluation per verdict and derivative order: 10 calls and 4
+    # root solves, the two second-order Herglotz checks one solve of 81 rows
+    calls = []
+    real = VelocityField.__call__
+    monkeypatch.setattr(VelocityField, "__call__",
+                        lambda self, x: calls.append(np.shape(x)) or real(self, x))
+    solved = _count_solves(monkeypatch)
+    suite_rigid(0, Config())
+    assert solved == [1, 81, 81, 1]
+    assert len(calls) == 10
