@@ -9,7 +9,7 @@ from .decomp import (DEFAULT_STEP, FIRST_DERIV_TOL, SECOND_DERIV_TOL,
                      reparameterization_invariance_check, spatial_metric)
 from .export import field_csv, trajectory_csv
 from .fields import (VelocityField, boost_killing_field, boost_killing_flow,
-                     rescaled_field, rindler_from_event, rotation_killing_field,
+                     rindler_from_event, rotation_killing_field,
                      wedge_chart_metric)
 from .rotation import (comoving_coords, comoving_frame_vectors,
                        comoving_rotation_metric, projected_curvature_check,
@@ -33,7 +33,6 @@ __all__ = [
     "lie_accel",
     "boost_killing_field",
     "rotation_killing_field",
-    "rescaled_field",
     "boost_killing_flow",
     "rindler_from_event",
     "wedge_chart_metric",

@@ -15,13 +15,12 @@ for steps near 1e-3.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..core import PreconditionError, _inner_rows, metric_matrix, norm_g
-from .fields import VelocityField, _jet, rescaled_field
+from .fields import VelocityField, _jet
 
 __all__ = [
     "DEFAULT_STEP",
@@ -81,19 +80,21 @@ class KinematicDecomposition:
 
 
 def _split_rows(field: VelocityField, x: np.ndarray, step: float):
-    """(u, theta, omega, accel_flat) at rows x (..., n): the lowered
-    gradient D[..., a, b] = d_a u_b split as in KinematicDecomposition,
-    with accel_flat = u^a d_a u_b, from one evaluation of the field on the
-    rows and their stencils.
+    """(u, theta, omega, accel_flat) at rows x (..., n), from one
+    evaluation of the field on the rows and their stencils (see _split)."""
+    return _split(*_jet(field, x, step), field.c)
+
+
+def _split(u: np.ndarray, du: np.ndarray, c: float):
+    """(u, theta, omega, accel_flat) from velocities u (..., n) and their
+    derivatives du[..., a, b] = d_a u^b: the lowered gradient
+    D[..., a, b] = d_a u_b split as in KinematicDecomposition, with
+    accel_flat = u^a d_a u_b.
 
     The 4x4 algebra runs as stacked matmuls, which give each row's
     one-event products bit for bit (the rigid reference tests compare
     them).
     """
-    if not 0 < step < math.inf:  # NaN included
-        raise PreconditionError("step must be positive and finite")
-    c = field.c
-    u, du = _jet(field, x, step)
     n = u.shape[-1]
     G = metric_matrix(n)
     D = du @ G
@@ -178,20 +179,26 @@ def reparameterization_invariance_check(field: VelocityField, scaling, probes,
                                         step: float = DEFAULT_STEP) -> dict:
     """Rigidity verdict before and after rescaling the generator.
 
-    Rescaling by a nowhere-zero function of rows (see rescaled_field)
-    leaves the flow lines, and hence the verdict, unchanged; the comparison
-    is at verdict level.  The rescaled generator is renormalised along its
-    own direction before the split.
+    Rescaling by a nowhere-zero function of rows (`scaling` takes rows of
+    events and returns one factor, or one per row) leaves the flow lines,
+    and hence the verdict, unchanged; the comparison is at verdict level.
+    The field is evaluated once, on the probes and their stencils, and the
+    rescaled generator at the same rows is renormalised along its own
+    direction before its split.
     """
-    rows = _probe_rows(probes)
-    base = is_rigid(field, rows, step)
-    raw = rescaled_field(field, scaling)
+    c = field.c
 
-    def normalised(x):
-        K = raw(x)
-        return K * (field.c / np.sqrt(_inner_rows(K, K)))[..., None]
+    def both(x):
+        u = field(x)
+        s = np.asarray(scaling(x), dtype=float)
+        if np.any(s == 0.0):
+            raise PreconditionError("scaling must be nowhere zero")
+        K = s[..., None] * u
+        return u, K * (c / np.sqrt(_inner_rows(K, K)))[..., None]
 
-    scaled = is_rigid(VelocityField(normalised, field.domain, field.c), rows, step)
+    (u, v), (du, dv) = _jet(both, _probe_rows(probes), step)
+    base = _rigidity(_split(u, du, c)[1])
+    scaled = _rigidity(_split(v, dv, c)[1])
     return {
         "verdict_unchanged": base["rigid"] == scaled["rigid"],
         "base": base,
@@ -204,9 +211,14 @@ def killing_test(field: VelocityField, probes, step: float = DEFAULT_STEP) -> di
     closed (exact on the simply connected domains used here).
 
     theta and the exterior derivative (d a-flat)_ab = d_a a_b - d_b a_a
-    come from one nested jet of the split over all probes.
+    come from one nested jet of the split over all probes (see _killing).
     """
-    (_, theta, _, _), (_, _, _, da) = _split_jet(field, _probe_rows(probes), step)
+    return _killing(_split_jet(field, _probe_rows(probes), step))
+
+
+def _killing(jet) -> dict:
+    """killing_test's verdict from a nested jet of the split (_split_jet)."""
+    (_, theta, _, _), (_, _, _, da) = jet
     rigid = _rigidity(theta)
     worst = float(np.abs(da - np.swapaxes(da, -1, -2)).max())
     return {"is_killing": bool(rigid["rigid"] and worst < SECOND_DERIV_TOL), **rigid,

@@ -20,7 +20,6 @@ __all__ = [
     "VelocityField",
     "boost_killing_field",
     "rotation_killing_field",
-    "rescaled_field",
     "boost_killing_flow",
     "rindler_from_event",
     "wedge_chart_metric",
@@ -87,19 +86,6 @@ def _first_row(x: np.ndarray, mask) -> np.ndarray:
     return x.reshape(-1, x.shape[-1])[i]
 
 
-def _libm(fn, *args) -> np.ndarray:
-    """fn mapped over the entries of float arrays (or numpy scalars) of one
-    shape, as Python floats.
-
-    numpy's sinh, cosh, atan and power are not libm's and differ from it in
-    the last bit on some inputs, and math.hypot is not libm's hypot either;
-    mapped per entry, a stacked closed form keeps the bits of the
-    one-event formula.
-    """
-    out = list(map(fn, *[a.ravel().tolist() for a in args]))
-    return np.array(out, dtype=float).reshape(args[0].shape)
-
-
 # The closed-form fields read component i of every row as x.T[i]: a numpy
 # scalar for one event, whose arithmetic costs what the one-event formula
 # did, and for a stack an array over the rows in reversed axis order, which
@@ -143,28 +129,9 @@ def rotation_killing_field(kappa: float, c: float = 1.0) -> VelocityField:
         return u
 
     def dom(x: np.ndarray) -> np.ndarray:
-        inside = [kappa * math.hypot(px, py) < c for px, py in x[..., 1:3].reshape(-1, 2).tolist()]
-        return np.array(inside).reshape(x.shape[:-1])
+        return kappa * np.hypot(x[..., 1], x[..., 2]) < c
 
     return VelocityField(ev, dom, c, "rotation-killing")
-
-
-def rescaled_field(field: VelocityField, scaling: Callable[[np.ndarray], np.ndarray]) -> Callable:
-    """Pointwise rescaling of the (un-normalised) generator.
-
-    `scaling` takes rows of events and returns one factor, or one per row.
-    Returns a raw evaluator of rows, not a VelocityField: the result is
-    deliberately unnormalised.  Rigidity is a property of the flow lines,
-    so verdicts must not change under such rescalings.
-    """
-
-    def ev(x: np.ndarray) -> np.ndarray:
-        s = np.asarray(scaling(np.asarray(x, dtype=float)), dtype=float)
-        if np.any(s == 0.0):
-            raise PreconditionError("scaling must be nowhere zero")
-        return s[..., None] * field(x)
-
-    return ev
 
 
 def _stencil(x: np.ndarray, step: float) -> np.ndarray:
@@ -183,6 +150,8 @@ def _jet(fn, x, step: float):
     part.  fn is called once, on the rows and their 2n stencil rows, so a
     nested jet is one call on (2n + 1)^2 rows per outer row.
     """
+    if not 0 < step < math.inf:  # NaN included
+        raise PreconditionError("step must be positive and finite")
     x = np.asarray(x, dtype=float)
     rows = np.concatenate([x[..., None, :], _stencil(x, step)], axis=-2)
     axis = x.ndim - 1
@@ -236,8 +205,8 @@ def wedge_chart_metric(x0: float, lam: float) -> np.ndarray:
     def embed(q):
         l, r = q[..., 0], q[..., 1]
         out = np.empty(q.shape)
-        out[..., 0] = r * _libm(math.sinh, l)
-        out[..., 1] = r * _libm(math.cosh, l)
+        out[..., 0] = r * np.sinh(l)
+        out[..., 1] = r * np.cosh(l)
         return out
 
     jac_t = _jet(embed, np.array([lam, x0]), WEDGE_CHART_STEP)[1]  # jac_t[j] = d_j embed

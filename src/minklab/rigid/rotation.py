@@ -4,15 +4,13 @@ curvature to the vorticity."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..core import PreconditionError
 from .curvature import riemann_lowered_fd, total_antisymmetrizer
 from .decomp import (DEFAULT_STEP, SECOND_DERIV_TOL, _lie_rows, _probe_rows, _split_jet,
                      _split_rows, spatial_metric)
-from .fields import _libm, rotation_killing_field
+from .fields import rotation_killing_field
 
 __all__ = [
     "comoving_coords",
@@ -27,8 +25,8 @@ def comoving_coords(event: np.ndarray, kappa: float, c: float) -> np.ndarray:
     """(z, rho, psi) at rows of events, with psi the angle comoving at rate
     kappa."""
     x = np.asarray(event, dtype=float)
-    rho = _libm(math.hypot, x[..., 1], x[..., 2])
-    psi = _libm(math.atan2, x[..., 2], x[..., 1]) - kappa * x[..., 0] / c
+    rho = np.hypot(x[..., 1], x[..., 2])
+    psi = np.arctan2(x[..., 2], x[..., 1]) - kappa * x[..., 0] / c
     return np.stack([x[..., 3], rho, psi], axis=-1)
 
 
@@ -37,7 +35,7 @@ def comoving_frame_vectors(event: np.ndarray) -> np.ndarray:
     spacetime, one (n, 3) matrix per row of events; differences of lifts
     point along the flow, which horizontal tensors do not see."""
     x = np.asarray(event, dtype=float)
-    rho = _libm(math.hypot, x[..., 1], x[..., 2])
+    rho = np.hypot(x[..., 1], x[..., 2])
     if np.any(rho == 0.0):
         raise PreconditionError("comoving frame is singular on the axis")
     cphi, sphi = x[..., 1] / rho, x[..., 2] / rho
@@ -54,7 +52,7 @@ def comoving_rotation_metric(kappa: float, c: float):
 
     def metric(q: np.ndarray) -> np.ndarray:
         rho = q[..., 1]
-        f = 1.0 - _libm(lambda v: v ** 2, kappa * rho / c)
+        f = 1.0 - (kappa * rho / c) ** 2
         if np.any(f <= 0):
             raise PreconditionError("radius outside the timelike region")
         out = np.zeros(q.shape + (3,))

@@ -648,16 +648,18 @@ def suite_rigid(seed: int, config: Config) -> list[Check]:
     hw = rigid.hyperbolic_worldline(1.0)
     hf = rigid.herglotz_field(hw, (-1.5, 1.5))
     p = np.array([0.1, 1.2, 0.3, -0.2])
-    checks.append(_chk("worldline.reproduces_boost", float(np.abs(hf(p) - bf(p)).max()),
+    # hf(p) is the centre row of the Killing test's nested jet over p
+    jet = rigid.decomp._split_jet(hf, p[None], step)
+    checks.append(_chk("worldline.reproduces_boost", float(np.abs(jet[0][0][0] - bf(p)).max()),
                        1e-12, "constant-acceleration curve"))
-    kt = rigid.killing_test(hf, [p], step)
+    kt = rigid.decomp._killing(jet)
     checks.append(_chk("worldline.constant_accel_killing",
                        _worst([kt["max_theta"], kt["closedness_residual"]]), 1e-5, ""))
     wig = rigid.wiggly_worldline(0.5)
     wf = rigid.herglotz_field(wig, (-0.5, 1.5))
-    pw = wig.z(0.8)
+    pw = wig.z(0.8)  # on the curve, so sigma(pw) = 0.8
     lie_fd = rigid.lie_accel(wf, pw, step)
-    lie_closed = rigid.expected_lie_accel(wig, pw, (-0.5, 1.5))
+    lie_closed = rigid.worldline._lie_accel_at(wig, pw, 0.8)
     checks.append(_chk("worldline.jerk_formula", float(np.abs(lie_fd - lie_closed).max()),
                        1e-4, "variable acceleration transports the pull"))
     curv = rigid.projected_curvature_check(1.0, 1.0, [

@@ -5,7 +5,10 @@ took rows: the per-axis central-difference loop, the scalar closed forms
 of the fields and curves, the per-event Herglotz root solve, and the
 decomposition, Lie-derivative and curvature algebra on one event.  The
 tests compare the stacked code with them byte for byte.  Every callable
-here takes one event (or one tau) and returns one value.
+here takes one event (or one tau) and returns one value.  The closed forms
+call numpy's ufuncs (np.sinh, np.cosh, np.arctan, np.hypot, np.arctan2)
+on one number, which give the bits they give on a whole array; a square
+is a product, as numpy's array power computes it.
 """
 
 import itertools
@@ -53,7 +56,7 @@ def rotation_ev(kappa, c):
 
 
 def rotation_dom(kappa, c):
-    return lambda x: kappa * math.hypot(x[1], x[2]) < c
+    return lambda x: kappa * np.hypot(x[1], x[2]) < c
 
 
 class ScalarCurve:
@@ -73,9 +76,9 @@ def hyperbolic_curve(x0, c=1.0):
             return out
         return ev
 
-    return ScalarCurve(make(math.sinh, math.cosh, x0), make(math.cosh, math.sinh, c),
-                       make(math.sinh, math.cosh, c * c / x0),
-                       make(math.cosh, math.sinh, c ** 3 / (x0 * x0)), c)
+    return ScalarCurve(make(np.sinh, np.cosh, x0), make(np.cosh, np.sinh, c),
+                       make(np.sinh, np.cosh, c * c / x0),
+                       make(np.cosh, np.sinh, c ** 3 / (x0 * x0)), c)
 
 
 def wiggly_curve(eps):
@@ -83,41 +86,33 @@ def wiggly_curve(eps):
 
     def uexp(t):
         u = 1.0 + eps * t * t
-        up = 2.0 * eps * t
-        upp = 2.0 * eps
-        chi_p = up / u
-        chi_pp = upp / u - (up / u) ** 2
-        return u, chi_p, chi_pp
+        chi_p = 2.0 * eps * t / u
+        chi_pp = 2.0 * eps / u - chi_p * chi_p
+        return 0.5 * (u + 1.0 / u), 0.5 * (u - 1.0 / u), chi_p, chi_pp
 
     def z(t):
         out = np.zeros(4)
-        poly = t + eps * t ** 3 / 3.0
-        arct = math.atan(s * t) / s
+        poly = t + eps * (t * t * t) / 3.0
+        arct = np.arctan(s * t) / s
         out[0] = 0.5 * (poly + arct)
         out[1] = 0.5 * (poly - arct)
         return out
 
     def zdot(t):
         out = np.zeros(4)
-        u = 1.0 + eps * t * t
-        out[0] = 0.5 * (u + 1.0 / u)
-        out[1] = 0.5 * (u - 1.0 / u)
+        out[0], out[1], _, _ = uexp(t)
         return out
 
     def zddot(t):
         out = np.zeros(4)
-        u, chi_p, _ = uexp(t)
-        cosh = 0.5 * (u + 1.0 / u)
-        sinh = 0.5 * (u - 1.0 / u)
+        cosh, sinh, chi_p, _ = uexp(t)
         out[0] = chi_p * sinh
         out[1] = chi_p * cosh
         return out
 
     def zdddot(t):
         out = np.zeros(4)
-        u, chi_p, chi_pp = uexp(t)
-        cosh = 0.5 * (u + 1.0 / u)
-        sinh = 0.5 * (u - 1.0 / u)
+        cosh, sinh, chi_p, chi_pp = uexp(t)
         out[0] = chi_pp * sinh + chi_p * chi_p * cosh
         out[1] = chi_pp * cosh + chi_p * chi_p * sinh
         return out
@@ -125,28 +120,49 @@ def wiggly_curve(eps):
     return ScalarCurve(z, zdot, zddot, zdddot)
 
 
-def foliation_time(curve, x, tau_window, evaluations=None):
-    """The per-event Herglotz root solve: one scalar f per call, its
-    bracket grown on its own.  `evaluations`, a list, collects every tau
-    at which f was evaluated."""
+def foliation_time(curve, x, tau_window, evaluations=None, bisections=None):
+    """The per-event Herglotz root solve: the bracket grown on its own
+    until f changes sign strictly, then Newton steps tau += f/(c^2 N) from
+    its midpoint, a bisection where the step would leave the bracket or
+    N <= 0, until a step of at most 1e-14 + 8.9e-16 |tau| has been taken.
+    `evaluations`, a list, collects every tau at which f was evaluated, and
+    `bisections` every tau the solve bisected from."""
+    c2 = curve.c * curve.c
 
-    def f(tau):
+    def f_and_n(tau):
         if evaluations is not None:
             evaluations.append(tau)
-        return inner(curve.zdot(tau), x - curve.z(tau))
+        rel = x - curve.z(tau)
+        return inner(curve.zdot(tau), rel), 1.0 - inner(curve.zddot(tau), rel) / c2
 
     lo, hi = tau_window
-    flo, fhi = f(lo), f(hi)
+    flo, fhi = f_and_n(lo)[0], f_and_n(hi)[0]
     grow = 0
     while not (flo < 0 < fhi or fhi < 0 < flo):
         span = hi - lo
         lo, hi = lo - 0.5 * span, hi + 0.5 * span
-        flo, fhi = f(lo), f(hi)
+        flo, fhi = f_and_n(lo)[0], f_and_n(hi)[0]
         grow += 1
         if grow > 60:
             raise PreconditionError("could not bracket the hyperplane parameter")
-    tau = worldline._brent(f, lo, flo, hi, fhi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    n = 1.0 - inner(curve.zddot(tau), x - curve.z(tau)) / (curve.c * curve.c)
+    tau = 0.5 * (lo + hi)
+    for _ in range(200):
+        f, n = f_and_n(tau)
+        if (f < 0) == (flo < 0):
+            lo = tau
+        else:
+            hi = tau
+        new = tau + f / (c2 * n)
+        if not (n > 0 and lo <= new <= hi):
+            new = 0.5 * (lo + hi)
+            if bisections is not None:
+                bisections.append(tau)
+        tau, step = new, new - tau
+        if abs(step) <= 1e-14 + 8.9e-16 * abs(tau):
+            break
+    else:
+        raise PreconditionError("the hyperplane parameter did not converge")
+    n = 1.0 - inner(curve.zddot(tau), x - curve.z(tau)) / c2
     if n <= CAUSTIC_GUARD:
         raise PreconditionError("event within the caustic guard")
     return float(tau)
@@ -207,13 +223,13 @@ def spatial_metric(u, c):
 
 
 def comoving_coords(x, kappa, c):
-    rho = math.hypot(x[1], x[2])
-    psi = math.atan2(x[2], x[1]) - kappa * x[0] / c
+    rho = np.hypot(x[1], x[2])
+    psi = np.arctan2(x[2], x[1]) - kappa * x[0] / c
     return np.array([x[3], rho, psi])
 
 
 def comoving_frame(x):
-    rho = math.hypot(x[1], x[2])
+    rho = np.hypot(x[1], x[2])
     cphi, sphi = x[1] / rho, x[2] / rho
     return np.column_stack([[0.0, 0.0, 0.0, 1.0], [0.0, cphi, sphi, 0.0],
                             [0.0, -rho * sphi, rho * cphi, 0.0]])
@@ -222,7 +238,8 @@ def comoving_frame(x):
 def comoving_metric(kappa, c):
     def metric(q):
         rho = q[1]
-        f = 1.0 - (kappa * rho / c) ** 2
+        r = kappa * rho / c
+        f = 1.0 - r * r
         if f <= 0:
             raise PreconditionError("radius outside the timelike region")
         return np.diag([1.0, 1.0, rho * rho / f])
@@ -281,11 +298,10 @@ def curvature_residual(kappa, c, x, step, metric_step):
 def wedge_chart_metric(x0, lam, step):
     def embed(q):
         l, r = q
-        return np.array([r * math.sinh(l), r * math.cosh(l)])
+        return np.array([r * np.sinh(l), r * np.cosh(l)])
 
     jac_t = central_loop(embed, np.array([lam, x0]), step)
     return jac_t @ metric_matrix(2) @ jac_t.T
-
 
 
 def record_offsets(monkeypatch, events):
@@ -293,12 +309,12 @@ def record_offsets(monkeypatch, events):
     evaluates its root function; the rows must be distinct."""
     index = {row.tobytes(): i for i, row in enumerate(events)}
     taus = [[] for _ in events]
-    real = worldline._hyperplane_offset
+    real = worldline._offset_and_gap
 
     def counted(curve, x, tau):
         for row, t in zip(x, np.ravel(tau).tolist()):
             taus[index[row.tobytes()]].append(t)
         return real(curve, x, tau)
 
-    monkeypatch.setattr(worldline, "_hyperplane_offset", counted)
+    monkeypatch.setattr(worldline, "_offset_and_gap", counted)
     return taus

@@ -5,7 +5,7 @@ import pytest
 
 from minklab.core import PreconditionError, inner
 from minklab.rigid import decomp, fields, rotation, worldline
-from minklab.rigid import (KinematicDecomposition, VelocityField,
+from minklab.rigid import (KinematicDecomposition, VelocityField, WorldLineCurve,
                            boost_killing_field,
                            boost_killing_flow, comoving_frame_vectors,
                            expected_accel_curl,
@@ -517,14 +517,16 @@ class TestWorldlineInduced:
         assert solved == [9]
 
     def test_no_repeated_field_evaluation_per_solve(self, rng, monkeypatch):
-        # the bracket's end values are handed to the Brent loop, not
-        # recomputed: no row is evaluated twice at one tau
+        # the bracket's end values are kept, not recomputed, and the
+        # Newton steps move: no row is evaluated twice at one tau
         x = np.array([[rng.uniform(-0.5, 0.5), rng.uniform(0.7, 2.0),
                        rng.uniform(-1, 1), rng.uniform(-1, 1)] for _ in range(200)])
         taus = rigid_reference.record_offsets(monkeypatch, x)
         foliation_time(hyperbolic_worldline(1.0), x, (-1.5, 1.5))
         assert all(len(set(t)) == len(t) for t in taus)
-        assert sum(map(len, taus)) / 200 < 10  # 11 per row when both ends were evaluated twice
+        # the 2 ends and 3 to 5 Newton points a row; 2 more if the ends were
+        # evaluated again
+        assert sum(map(len, taus)) / 200 < 7
 
     def test_event_outside_tube_raises(self):
         # two roots in the window, both ends negative: the grown bracket must
@@ -547,16 +549,23 @@ def foliation_function(curve, x):
     return lambda tau: inner(curve.zdot(tau), x - curve.z(tau))
 
 
-class TestBrent:
-    """The in-package Brent loop against scipy.optimize.brentq, bit for bit."""
+# the solve's stopping tolerances, which scipy's brentq takes as its own
+XTOL, RTOL = 1e-14, 8.9e-16
+# worst |sigma - artanh(ct/x)| of the Brent root finder this solve replaced,
+# a port of brentq.c, on the 400 wedge events of test_hyperbolic_closed_form
+BRENT_WORST_ERROR = 5.551115123125783e-15
 
-    TOLS = dict(xtol=1e-14, rtol=8.9e-16, maxiter=200)  # as in foliation_time
+
+class TestRootSolve:
+    """The bracketed Newton solve against scipy.optimize.brentq, the
+    hyperbolic curve's closed form and its refusals."""
 
     @pytest.mark.parametrize("curve", [hyperbolic_worldline(1.0),
                                        hyperbolic_worldline(1.0, c=2.0),
                                        wiggly_worldline(0.5)],
                              ids=["hyperbolic-c1", "hyperbolic-c2", "wiggly"])
     def test_matches_brentq(self, curve, rng):
+        # both stop within XTOL + RTOL |tau| of the root
         brentq = pytest.importorskip("scipy.optimize").brentq
         used = 0
         for _ in range(1000):
@@ -571,29 +580,46 @@ class TestBrent:
             if f(lo) * f(hi) > 0:
                 continue
             used += 1
-            root = worldline._brent(f, lo, f(lo), hi, f(hi), **self.TOLS)
-            assert root == brentq(f, lo, hi, **self.TOLS)
+            want = brentq(f, lo, hi, xtol=XTOL, rtol=RTOL, maxiter=200)
+            assert abs(foliation_time(curve, x, (lo, hi)) - want) <= XTOL + RTOL * abs(want)
         assert used >= 900
 
-    def test_root_at_bracket_end(self):
-        brentq = pytest.importorskip("scipy.optimize").brentq
-        wl = hyperbolic_worldline(1.0)
-        f = foliation_function(wl, wl.z(0.0) + np.array([0.0, 0.5, 0.1, 0.0]))
-        assert f(0.0) == 0.0
-        for lo, hi in ((0.0, 1.0), (-1.0, 0.0)):
-            root = worldline._brent(f, lo, f(lo), hi, f(hi), **self.TOLS)
-            assert root == brentq(f, lo, hi, **self.TOLS) == 0.0
+    def test_hyperbolic_closed_form(self, rng):
+        # sigma = x0 artanh(ct/x) on the wedge; the solve is no further
+        # from it than the Brent port was on the same events
+        x = rng.uniform(0.05, 2.5, 400)
+        events = np.column_stack([rng.uniform(-0.95, 0.95, 400) * x, x,
+                                  rng.uniform(-1, 1, 400), rng.uniform(-1, 1, 400)])
+        want = np.array([math.atanh(ct / r) for ct, r, _, _ in events.tolist()])
+        for got in (foliation_time(hyperbolic_worldline(1.0), events, (-1.5, 1.5)),
+                    [foliation_time(hyperbolic_worldline(1.0), e, (-1.5, 1.5)) for e in events]):
+            assert np.abs(np.asarray(got) - want).max() <= BRENT_WORST_ERROR
 
-    @pytest.mark.parametrize("f", [
-        lambda t: t * t + 1.0,  # no sign change
-        lambda t: math.nan if t == 0.0 else -t,  # the first secant step lands on 0
-    ], ids=["same-sign", "nan"])
-    def test_rejects_like_brentq(self, f):
-        brentq = pytest.importorskip("scipy.optimize").brentq
-        with pytest.raises(ValueError):
-            brentq(f, -1.0, 1.0, **self.TOLS)
-        with pytest.raises(ValueError):
-            worldline._brent(f, -1.0, f(-1.0), 1.0, f(1.0), **self.TOLS)
+    @pytest.mark.parametrize("window", [(0.0, 1.0), (-1.0, 0.0), (-1.0, 1.0)])
+    def test_root_at_bracket_end(self, window):
+        # a window with f = 0 at an end grows past it (the growth wants a
+        # strict sign change) and the solve comes back to that root; in
+        # (-1, 1) the root is the first Newton point, where f = 0 ends it
+        wl = hyperbolic_worldline(1.0)
+        x = wl.z(0.0) + np.array([0.0, 0.5, 0.1, 0.0])
+        assert foliation_function(wl, x)(0.0) == 0.0
+        assert foliation_time(wl, x, window) == 0.0
+
+    def test_nan_offset_is_a_precondition_error(self):
+        # the window brackets the root, but the curve is NaN at the first
+        # Newton point, the bracket's midpoint
+        wl = hyperbolic_worldline(1.0)
+
+        def z(t):
+            out = wl.z(t)
+            out[np.asarray(t) == 0.0] = np.nan
+            return out
+
+        curve = WorldLineCurve(z, wl.zdot, wl.zddot, wl.zdddot)
+        x = np.array([0.1, 1.2, 0.3, -0.2])
+        assert foliation_time(wl, x, (-1.0, 1.0)) > 0
+        with pytest.raises(PreconditionError, match="offset is NaN at tau = 0.0"):
+            foliation_time(curve, x, (-1.0, 1.0))
 
 
 class TestOneForm:
@@ -661,7 +687,7 @@ class TestOneForm:
         step = 1e-5
 
         def embed(q):
-            return np.array([q[1] * math.sinh(q[0]), q[1] * math.cosh(q[0])])
+            return np.array([q[1] * np.sinh(q[0]), q[1] * np.cosh(q[0])])
 
         for _ in range(2000):
             x0, lam = float(rng.uniform(0.05, 6.0)), float(rng.uniform(-4.0, 4.0))
