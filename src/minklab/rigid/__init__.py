@@ -4,7 +4,7 @@ chart, and the single-worldline construction of irrotational rigid motion."""
 
 from .curvature import christoffels_fd, riemann_lowered_fd, total_antisymmetrizer
 from .decomp import (DEFAULT_STEP, FIRST_DERIV_TOL, SECOND_DERIV_TOL,
-                     KinematicDecomposition, is_rigid, killing_test,
+                     KinematicDecomposition, killing_test,
                      kinematic_decomposition, lie_accel,
                      reparameterization_invariance_check, spatial_metric)
 from .export import field_csv, trajectory_csv
@@ -14,7 +14,7 @@ from .fields import (VelocityField, boost_killing_field, boost_killing_flow,
 from .rotation import (comoving_coords, comoving_frame_vectors,
                        comoving_rotation_metric, projected_curvature_check,
                        rotation_killing_checks)
-from .worldline import (WorldLineCurve, expected_accel_curl, expected_lie_accel,
+from .worldline import (WorldLineCurve, expected_accel_curl,
                         foliation_gap, foliation_time, herglotz_field,
                         hyperbolic_worldline, wiggly_worldline)
 
@@ -27,7 +27,6 @@ __all__ = [
     "WorldLineCurve",
     "spatial_metric",
     "kinematic_decomposition",
-    "is_rigid",
     "reparameterization_invariance_check",
     "killing_test",
     "lie_accel",
@@ -42,7 +41,6 @@ __all__ = [
     "foliation_gap",
     "herglotz_field",
     "expected_accel_curl",
-    "expected_lie_accel",
     "comoving_coords",
     "comoving_frame_vectors",
     "comoving_rotation_metric",

@@ -29,7 +29,6 @@ __all__ = [
     "KinematicDecomposition",
     "spatial_metric",
     "kinematic_decomposition",
-    "is_rigid",
     "reparameterization_invariance_check",
     "killing_test",
     "lie_accel",
@@ -160,15 +159,6 @@ def kinematic_decomposition(field: VelocityField, event, step: float = DEFAULT_S
                                   accel=metric_matrix(u.size) @ accel_flat)
 
 
-def is_rigid(field: VelocityField, probes, step: float = DEFAULT_STEP) -> dict:
-    """Rigidity verdict: the flow is rigid iff theta vanishes at all probes.
-
-    theta comes from one split of the field over all probes' stencils; a
-    NaN theta is not rigid.
-    """
-    return _rigidity(_split_rows(field, _probe_rows(probes), step)[1])
-
-
 def _rigidity(theta: np.ndarray) -> dict:
     """The rigidity verdict of theta at rows; a NaN theta is not rigid."""
     worst = float(np.abs(theta).max())
@@ -180,19 +170,23 @@ def reparameterization_invariance_check(field: VelocityField, scaling, probes,
     """Rigidity verdict before and after rescaling the generator.
 
     Rescaling by a nowhere-zero function of rows (`scaling` takes rows of
-    events and returns one factor, or one per row) leaves the flow lines,
-    and hence the verdict, unchanged; the comparison is at verdict level.
-    The field is evaluated once, on the probes and their stencils, and the
-    rescaled generator at the same rows is renormalised along its own
-    direction before its split.
+    events and returns one finite, nonzero factor, or one per row) leaves
+    the flow lines, and hence the verdict, unchanged; the comparison is at
+    verdict level.  Each verdict is rigid iff theta vanishes at all probes
+    (a NaN theta is not rigid).  The field is evaluated once, on the probes
+    and their stencils, and the rescaled generator at the same rows is
+    renormalised along its own direction before its split.
     """
     c = field.c
 
     def both(x):
         u = field(x)
         s = np.asarray(scaling(x), dtype=float)
-        if np.any(s == 0.0):
-            raise PreconditionError("scaling must be nowhere zero")
+        if s.shape not in ((), x.shape[:-1]):
+            raise PreconditionError(
+                f"scaling returned shape {s.shape} for events of shape {x.shape}")
+        if not np.all(np.isfinite(s) & (s != 0.0)):
+            raise PreconditionError("scaling must be finite and nowhere zero")
         K = s[..., None] * u
         return u, K * (c / np.sqrt(_inner_rows(K, K)))[..., None]
 
@@ -211,23 +205,20 @@ def killing_test(field: VelocityField, probes, step: float = DEFAULT_STEP) -> di
     closed (exact on the simply connected domains used here).
 
     theta and the exterior derivative (d a-flat)_ab = d_a a_b - d_b a_a
-    come from one nested jet of the split over all probes (see _killing).
+    come from one nested jet of the split over all probes.  Besides the
+    verdict, "velocity" holds the field at the probes, one row each: the
+    centre rows of that jet.
     """
-    return _killing(_split_jet(field, _probe_rows(probes), step))
-
-
-def _killing(jet) -> dict:
-    """killing_test's verdict from a nested jet of the split (_split_jet)."""
-    (_, theta, _, _), (_, _, _, da) = jet
+    (u, theta, _, _), (_, _, _, da) = _split_jet(field, _probe_rows(probes), step)
     rigid = _rigidity(theta)
     worst = float(np.abs(da - np.swapaxes(da, -1, -2)).max())
     return {"is_killing": bool(rigid["rigid"] and worst < SECOND_DERIV_TOL), **rigid,
-            "closedness_residual": worst}
+            "closedness_residual": worst, "velocity": u}
 
 
 def lie_accel(field: VelocityField, event, step: float = DEFAULT_STEP) -> np.ndarray:
     """L_u a-flat at rows of events (..., n), by nested central differences:
-    the finite-difference counterpart of worldline.expected_lie_accel.
+    the finite-difference counterpart of worldline._lie_accel_at.
 
     One evaluation of the field covers the (2n + 1)^2 rows of every
     event's nested stencil.

@@ -26,7 +26,6 @@ __all__ = [
     "foliation_gap",
     "herglotz_field",
     "expected_accel_curl",
-    "expected_lie_accel",
 ]
 
 CAUSTIC_GUARD = 1e-3
@@ -164,6 +163,8 @@ def _foliation_rows(curve: WorldLineCurve, x: np.ndarray,
         tau = np.empty(len(x))
         rows, xo, t, neg = np.arange(len(x)), x, 0.5 * (lo + hi), flo < 0
         for _ in range(200):
+            if not len(rows):
+                break
             f, n = _offset_and_gap(curve, xo, t)
             if np.isnan(f).any():
                 raise PreconditionError(
@@ -177,10 +178,8 @@ def _foliation_rows(curve: WorldLineCurve, x: np.ndarray,
             if not going.all():
                 tau[rows[~going]] = new[~going]
                 rows, xo, neg, lo, hi, new = (a[going] for a in (rows, xo, neg, lo, hi, new))
-                if not len(rows):
-                    break
             t = new
-        else:
+        if len(rows):
             raise PreconditionError("the hyperplane parameter did not converge")
     for n in foliation_gap(curve, tau, x).tolist():
         if n <= CAUSTIC_GUARD:
@@ -262,18 +261,13 @@ def expected_accel_curl(curve: WorldLineCurve, event,
     return (np.outer(zdl, bracket) - np.outer(bracket, zdl)) / (n * n * c * c)
 
 
-def expected_lie_accel(curve: WorldLineCurve, event,
-                       tau_window: tuple[float, float] = (-1.0, 1.0)) -> np.ndarray:
-    """Closed-form L_u a-flat of the induced field.
+def _lie_accel_at(curve: WorldLineCurve, event, tau: float) -> np.ndarray:
+    """Closed-form L_u a-flat of the induced field at an event whose
+    sigma(x) = tau is known.
 
     Equals {Proj jerk-flat + zddot-flat (Proj jerk).(x-z)/(N c^2)}/N^2; on
     the worldline itself (x = z, N = 1) only the projected-jerk term
     survives.
     """
-    return _lie_accel_at(curve, event, foliation_time(curve, event, tau_window))
-
-
-def _lie_accel_at(curve: WorldLineCurve, event, tau: float) -> np.ndarray:
-    """expected_lie_accel at an event whose sigma(x) = tau is known."""
     bracket, n, _ = _jerk_bracket(curve, event, tau)
     return bracket / (n * n)

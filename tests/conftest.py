@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from minklab.rigid import VelocityField, WorldLineCurve
+from minklab.rigid import VelocityField, WorldLineCurve, decomp, foliation_time, worldline
 
 
 @pytest.fixture
@@ -67,3 +67,18 @@ def straight_worldline() -> WorldLineCurve:
 
     return WorldLineCurve(z=along_e0(lambda t: t), zdot=along_e0(lambda t: 1.0),
                           zddot=along_e0(lambda t: 0.0), zdddot=along_e0(lambda t: 0.0))
+
+
+# Test-only verdicts and closed forms, composed from the rigid modules'
+# private parts ---------------------------------------------------------
+
+def is_rigid(field: VelocityField, probes, step: float) -> dict:
+    """The rigidity verdict of a field at probes: theta from one split over
+    all probes' stencils, as reparameterization_invariance_check judges."""
+    return decomp._rigidity(decomp._split_rows(field, decomp._probe_rows(probes), step)[1])
+
+
+def expected_lie_accel(curve: WorldLineCurve, event, tau_window) -> np.ndarray:
+    """Closed-form L_u a-flat of a curve's induced field at an event, at its
+    solved sigma(x)."""
+    return worldline._lie_accel_at(curve, event, foliation_time(curve, event, tau_window))

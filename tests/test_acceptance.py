@@ -22,7 +22,7 @@ from minklab.projective import (FLBoost,
                                 conjugation_check, deformation_phi,
                                 fl_boost_apply, lorentz_boost_event, time_slab)
 from minklab.rigid import (boost_killing_field,
-                           expected_lie_accel, herglotz_field,
+                           herglotz_field,
                            hyperbolic_worldline, killing_test,
                            kinematic_decomposition, lie_accel,
                            projected_curvature_check,
@@ -30,7 +30,7 @@ from minklab.rigid import (boost_killing_field,
 from minklab.simultaneity import (WorldLine, mutual_simultaneity,
                                   radar_echo_points)
 
-from conftest import radial_expanding_field
+from conftest import expected_lie_accel, radial_expanding_field
 
 SEED = 20260810
 

@@ -18,16 +18,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# expected_accel_curl and expected_lie_accel are the closed-form references
-# that test_rigid compares the curl of the split's nested jet and lie_accel
-# against; the rigid suite takes the latter's closed form at its probe's
-# known sigma (worldline._lie_accel_at), without a root solve.  is_rigid and
-# killing_test are the verdicts of a field at probes; the rigid suite takes
-# the same verdicts from evaluations it shares with another check
-# (reparameterization_invariance_check's one jet, and the Killing jet whose
-# centre row is the Herglotz field at the probe), through decomp._rigidity
-# and decomp._killing.
-ALLOWED_UNREFERENCED = {"expected_accel_curl", "expected_lie_accel", "is_rigid", "killing_test"}
+# expected_accel_curl is the closed-form reference that test_rigid compares
+# the curl of the split's nested jet against; it shares _jerk_bracket with
+# worldline._lie_accel_at, the closed form the rigid suite compares
+# lie_accel against.
+ALLOWED_UNREFERENCED = {"expected_accel_curl"}
 
 
 def _trees(*dirs):

@@ -9,9 +9,9 @@ from minklab.rigid import (KinematicDecomposition, VelocityField, WorldLineCurve
                            boost_killing_field,
                            boost_killing_flow, comoving_frame_vectors,
                            expected_accel_curl,
-                           expected_lie_accel, field_csv, foliation_gap,
+                           field_csv, foliation_gap,
                            foliation_time, herglotz_field,
-                           hyperbolic_worldline, is_rigid, killing_test,
+                           hyperbolic_worldline, killing_test,
                            kinematic_decomposition, lie_accel,
                            projected_curvature_check,
                            reparameterization_invariance_check,
@@ -22,7 +22,8 @@ from minklab.rigid import (KinematicDecomposition, VelocityField, WorldLineCurve
 from minklab.suites import Config, suite_rigid
 
 import rigid_reference
-from conftest import constant_field, radial_expanding_field, straight_worldline
+from conftest import (constant_field, expected_lie_accel, is_rigid, radial_expanding_field,
+                      straight_worldline)
 
 STEP = 1e-3
 
@@ -174,6 +175,21 @@ class TestRigidityVerdicts:
         for scaling in (lambda x: 2.0, lambda x: 1.0 + 0.1 * np.sin(x[..., 1])):
             got = reparameterization_invariance_check(f, scaling, probes, STEP)
             assert got["verdict_unchanged"]
+
+    @pytest.mark.parametrize("scaling,match", [
+        (lambda x: 0.0, "nowhere zero"),
+        (lambda x: np.where(x[..., 1] > 1.0, 0.0, 1.0), "nowhere zero"),
+        (lambda x: math.nan, "finite"),
+        (lambda x: np.where(x[..., 1] > 1.0, math.inf, 1.0), "finite"),
+        (lambda x: -math.inf, "finite"),
+        (lambda x: np.ones(x.shape), "shape"),
+        (lambda x: np.ones(x.shape[-2:-1]), "shape"),
+    ], ids=["zero", "zero-at-a-row", "nan", "inf-at-a-row", "minus-inf", "per-entry",
+            "per-stencil-row"])
+    def test_a_bad_scaling_is_a_precondition_error(self, scaling, match):
+        probes = [np.array([0.0, 1.0, 0.0, 0.0]), np.array([0.2, 1.4, 0.3, 0.0])]
+        with pytest.raises(PreconditionError, match=match):
+            reparameterization_invariance_check(boost_killing_field(), scaling, probes, STEP)
 
     def test_non_rigid_stays_non_rigid_under_scaling(self):
         f = radial_expanding_field(0.1)

@@ -16,7 +16,7 @@ from minklab.rigid import (VelocityField,
                            boost_killing_field, christoffels_fd,
                            comoving_coords, comoving_frame_vectors,
                            comoving_rotation_metric, foliation_gap, foliation_time,
-                           herglotz_field, hyperbolic_worldline, is_rigid,
+                           herglotz_field, hyperbolic_worldline,
                            killing_test, kinematic_decomposition,
                            lie_accel, projected_curvature_check,
                            reparameterization_invariance_check,
@@ -27,7 +27,7 @@ from minklab.rigid import decomp, fields, rotation, worldline
 from minklab.rigid.curvature import METRIC_STEP
 from minklab.suites import Config, suite_rigid
 
-from conftest import constant_field, per_event_constant_field
+from conftest import constant_field, is_rigid, per_event_constant_field
 
 STEPS = (1e-5, 2e-4, 1e-3)
 HYPERBOLIC_WINDOW = (-1.5, 1.5)
@@ -388,6 +388,14 @@ class TestStackedRootSolve:
         with pytest.raises(PreconditionError, match="caustic guard"):
             herglotz_field(wl, HYPERBOLIC_WINDOW)(near)
 
+    def test_no_rows_solve_to_no_rows(self):
+        for name in ("herglotz-hyperbolic", "herglotz-wiggly"):
+            assert CASES[name][0](np.empty((0, 4))).shape == (0, 4)
+        got = foliation_time(hyperbolic_worldline(1.0), np.empty((0, 4)), HYPERBOLIC_WINDOW)
+        assert got.shape == (0,)
+        assert foliation_time(hyperbolic_worldline(1.0), np.empty((2, 0, 4)),
+                              HYPERBOLIC_WINDOW).shape == (2, 0)
+
     def test_a_window_past_the_closed_form_is_a_precondition_error(self):
         # outside the wedge the hyperplanes never pass through the event:
         # the window grows past where np.sinh overflows to inf, whose f
@@ -448,7 +456,11 @@ class TestVerdictsFoldTheirProbes:
         for k in range(1, 6):
             probes = list(draw(rng, k))
             got = verdict(probes, step)
-            want = _fold([verdict([x], step) for x in probes])
+            ones = [verdict([x], step) for x in probes]
+            if "velocity" in got:  # killing_test's field at the probes, a row each
+                assert np.array_equal(got.pop("velocity"),
+                                      np.concatenate([v.pop("velocity") for v in ones]))
+            want = _fold(ones)
             if "verdict_unchanged" in got:  # the rigid verdicts agree, not each probe's
                 want["verdict_unchanged"] = (
                     got["base"]["rigid"] == (got["scaled_max_theta"] < decomp.FIRST_DERIV_TOL))
@@ -504,6 +516,16 @@ class TestOneCallPerDerivativeOrder:
             assert calls == [shape]
 
     @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_killing_velocity_is_the_field_at_the_probes(self, k, rng):
+        # the centre rows of the Killing test's one solve, bit for bit
+        for name, draw in (("boost", wedge_events), ("herglotz-hyperbolic", tube_events),
+                           ("herglotz-wiggly", wiggly_events)):
+            field = CASES[name][0]
+            probes = draw(rng, k)
+            got = killing_test(field, probes, 1e-3)["velocity"]
+            assert np.array_equal(got, field(probes))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_herglotz_verdicts_solve_once(self, k, rng, monkeypatch):
         solved = _count_solves(monkeypatch)
         killing_test(CASES["herglotz-hyperbolic"][0], tube_events(rng, k), 1e-3)
@@ -516,7 +538,7 @@ class TestOneCallPerDerivativeOrder:
 def test_rigid_suite_evaluations(monkeypatch):
     # one field evaluation per verdict and derivative order: 7 calls, and
     # the two second-order Herglotz checks one root solve of 81 rows each;
-    # hf(p) is the Killing jet's centre row and the closed form of the jerk
+    # hf(p) is the Killing test's "velocity" and the closed form of the jerk
     # check is taken at the known sigma, so neither solves a row again
     calls = []
     real = VelocityField.__call__
