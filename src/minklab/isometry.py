@@ -231,7 +231,9 @@ def _reflection_sweep(L: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     # phi_m ... phi_1 L = 1, hence L = phi_1 ... phi_m (reflections are involutive)
     used = axes.any(axis=2)  # a reflection axis is never zero
     if used.all(axis=1).any():  # 2n factors, one past the bound
-        raise RuntimeError("factor count exceeded 2n-1")  # cannot happen
+        # reached, like the residual check above, by inputs near the identity
+        # that pass the 1e-8 precondition (eye(n) + 1e-10 * noise, n = 2..4)
+        raise RuntimeError("factor count exceeded 2n-1")
     return axes, mats, used
 
 

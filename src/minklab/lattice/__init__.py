@@ -4,8 +4,9 @@ Regions are bitsets over a finite integer grid; complements, completions,
 meets and joins are computed with exact integer interval arithmetic.  A
 complement is read off per-slice light-cone distances: the exact squared
 spatial distance to each occupied time slice's nearest member, compared
-with the squared time difference.  `oracle.complement_mask_bruteforce` is
-the double-loop reference it is tested against.
+with the squared time difference.  `oracle.complement_mask_bruteforce`,
+the relation's definition applied member by member, is the reference it is
+tested against.
 """
 
 from .engine import (complement, completion, de_morgan_check, diamond,

@@ -25,8 +25,8 @@ and the orthomodularity check skip that try for their outer complement,
 which contains their non-empty input and so cannot come out empty.  The
 finite-speed (galilei) relation has a closed form.  Result masks are
 computed fresh and adopted by their regions (`Region._adopt`), not copied.
-`oracle.complement_mask_bruteforce` is the double-loop reference the tests
-compare this against.
+`oracle.complement_mask_bruteforce`, the relation's definition applied
+member by member, is the reference the tests compare this against.
 """
 
 from __future__ import annotations

@@ -1,8 +1,11 @@
 """Brute-force oracle for the grid-lattice engine.
 
-`complement_mask_bruteforce` is the plain double loop over (cell, member)
-pairs with exact Python integers.  It is far too slow for production sweeps
-and is kept as the reference that `engine.complement` is tested against.
+`complement_mask_bruteforce` applies the relation's definition directly:
+a cell is in S' iff no member of S relates to it.  It takes the members one
+at a time, in mask order, and tests each against the cells that no earlier
+member relates, with exact int64 differences (`IntegerGrid` refuses any
+grid whose squared interval would overflow int64).  It shares no code with
+`engine`, and is the reference that `engine.complement` is tested against.
 """
 
 from __future__ import annotations
@@ -11,28 +14,22 @@ import numpy as np
 
 
 def complement_mask_bruteforce(coords: np.ndarray, mask: np.ndarray, mode: int) -> np.ndarray:
-    """Unoptimised oracle: literal O(grid * set) double loop with exact ints."""
-    pts = [tuple(int(c) for c in row) for row in coords]
-    sel = [p for p, inside in zip(pts, mask) if inside]
-    out = np.zeros(len(pts), dtype=bool)
-    for i, p in enumerate(pts):
-        ok = True
-        for s in sel:
-            d0 = p[0] - s[0]
-            sp2 = 0
-            for a in range(1, len(p)):
-                d = p[a] - s[a]
-                sp2 += d * d
-            interval = d0 * d0 - sp2
-            same = p == s
-            if mode == 0:
-                related = interval >= 0
-            elif mode == 1:
-                related = interval > 0 or same
-            else:
-                related = d0 != 0 or same
-            if related:
-                ok = False
-                break
-        out[i] = ok
+    """Cells that no member relates to; mode 0 causal, 1 chronological, 2 galilei."""
+    coords = np.asarray(coords, dtype=np.int64)
+    sign = np.full(coords.shape[1], -1, dtype=np.int64)
+    sign[0] = 1  # (d * d) @ sign is the squared interval dt^2 - |dx|^2
+    left = np.arange(len(coords))
+    for m in np.flatnonzero(mask):
+        d = coords[left] - coords[m]
+        if mode == 0:
+            related = (d * d) @ sign >= 0
+        elif mode == 1:
+            related = ((d * d) @ sign > 0) | (left == m)
+        else:
+            related = (d[:, 0] != 0) | (left == m)
+        left = left[~related]
+        if not len(left):
+            break
+    out = np.zeros(len(coords), dtype=bool)
+    out[left] = True
     return out

@@ -128,6 +128,18 @@ class TestCartanDieudonne:
         with pytest.raises(PreconditionError), np.errstate(invalid="ignore"):
             cartan_dieudonne(L)
 
+    @pytest.mark.xfail(strict=True, raises=RuntimeError,
+                       reason="ROADMAP item 2: near-identity inputs pass the precondition, "
+                              "then the sweep raises RuntimeError")
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_near_identity_decomposes_or_is_refused(self, n):
+        for eps in (1e-10, 3e-10, 1e-9):
+            L = np.eye(n) + eps * np.random.default_rng(0).standard_normal((n, n))
+            try:
+                cartan_dieudonne(L)
+            except PreconditionError:
+                pass
+
 
 def _null_rotation(a):
     """exp(a X) for the 2+1 null rotation X = l (G e1)^T - e1 (G l)^T about

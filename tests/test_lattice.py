@@ -102,18 +102,28 @@ class TestMaskOwnership:
 
 
 def assert_matches_oracle(grid, mask, mode):
-    """complement(), and in 1+1 and 2+1 also completion(), equal the oracle's.
+    """complement() and completion() equal the oracle's.
 
     completion() takes its outer complement without the extreme-slice try,
-    so it is checked on its own; the double oracle is too slow in 3+1.
+    so it is checked on its own.
     """
     code = MODES.index(mode)
     got = complement(Region(grid, mask), mode).mask
     expect = complement_mask_bruteforce(grid.coords, mask, code)
     np.testing.assert_array_equal(got, expect)
-    if grid.dim < 4:
-        np.testing.assert_array_equal(completion(Region(grid, mask), mode).mask,
-                                      complement_mask_bruteforce(grid.coords, expect, code))
+    np.testing.assert_array_equal(completion(Region(grid, mask), mode).mask,
+                                  complement_mask_bruteforce(grid.coords, expect, code))
+
+
+def oracle_complement(region, mode):
+    """The brute-force oracle's complement, as a region."""
+    code = MODES.index(mode)
+    return Region(region.grid, complement_mask_bruteforce(region.grid.coords, region.mask, code))
+
+
+# the closed forms below pin the oracle as well as the engine
+engine_and_oracle = pytest.mark.parametrize("complement_of", [complement, oracle_complement],
+                                            ids=["engine", "oracle"])
 
 
 class TestKernels:
@@ -257,18 +267,22 @@ class TestOneSpatialAxisReach:
 
 
 class TestComplement:
-    def test_empty_gives_full(self, grid):
-        for mode in (CAUSAL, CHRONOLOGICAL):
-            assert complement(Region.empty(grid), mode) == Region.full(grid)
+    @engine_and_oracle
+    @pytest.mark.parametrize("mode", MODES)
+    def test_empty_gives_full_and_full_gives_empty(self, grid, mode, complement_of):
+        assert complement_of(Region.empty(grid), mode) == Region.full(grid)
+        assert complement_of(Region.full(grid), mode).is_empty
 
-    def test_single_point_causal(self, grid):
-        got = complement(Region.from_points(grid, [(0, 0)]), CAUSAL)
+    @engine_and_oracle
+    def test_single_point_causal(self, grid, complement_of):
+        got = complement_of(Region.from_points(grid, [(0, 0)]), CAUSAL)
         # strictly spacelike events only
         expect = Region(grid, grid.coords[:, 0] ** 2 - grid.coords[:, 1] ** 2 < 0)
         assert got == expect
 
-    def test_single_point_chronological(self, grid):
-        got = complement(Region.from_points(grid, [(0, 0)]), CHRONOLOGICAL)
+    @engine_and_oracle
+    def test_single_point_chronological(self, grid, complement_of):
+        got = complement_of(Region.from_points(grid, [(0, 0)]), CHRONOLOGICAL)
         interval = grid.coords[:, 0] ** 2 - grid.coords[:, 1] ** 2
         on_point = (grid.coords == 0).all(axis=1)
         expect = Region(grid, (interval <= 0) & ~on_point)
@@ -616,9 +630,12 @@ def structured_regions(grid, rng, per_kind=10):
 
 
 class TestGalilei:
-    def test_point_complement_is_slice_minus_point(self, grid):
+    @pytest.mark.parametrize("galilei_complement",
+                             [galilei_chron_complement, lambda s: oracle_complement(s, GALILEI)],
+                             ids=["engine", "oracle"])
+    def test_point_complement_is_slice_minus_point(self, grid, galilei_complement):
         p = Region.from_points(grid, [(0, 3)])
-        got = galilei_chron_complement(p)
+        got = galilei_complement(p)
         slice0 = Region(grid, grid.coords[:, 0] == 0)
         assert got == slice0 - p
 
