@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -274,16 +274,12 @@ class ConformalProbeError(ValueError):
         super().__init__(f"{len(probes)} null probe(s) not mapped to null vectors")
 
 
-def _null_probes(n: int) -> list[np.ndarray]:
-    probes = []
+def _null_probes(n: int) -> np.ndarray:
+    """The null probes e0 +- ea, then sqrt(2) e0 + ea + eb (a < b), as rows."""
     e = np.eye(n)
-    for a in range(1, n):
-        probes.append(e[0] + e[a])
-        probes.append(e[0] - e[a])
-    for a in range(1, n):
-        for b in range(a + 1, n):
-            probes.append(np.sqrt(2.0) * e[0] + e[a] + e[b])
-    return probes
+    a, b = np.triu_indices(n - 1, 1)
+    return np.concatenate([np.stack([e[0] + e[1:], e[0] - e[1:]], axis=1).reshape(-1, n),
+                           np.sqrt(2.0) * e[0] + e[1 + a] + e[1 + b]])
 
 
 def conformal_factor(f: np.ndarray) -> dict:
@@ -296,13 +292,12 @@ def conformal_factor(f: np.ndarray) -> dict:
     """
     f = np.asarray(f, dtype=float)
     n = f.shape[0]
-    violated = []
-    for p in _null_probes(n):
-        fp = f @ p
-        if not abs(inner(fp, fp)) <= RESIDUAL_TOL * max(1.0, float(fp @ fp)):
-            violated.append(p)
-    if violated:
-        raise ConformalProbeError(violated)
+    probes = _null_probes(n)
+    images = probes @ f.T
+    null = np.abs(_inner_rows(images, images)) <= RESIDUAL_TOL * np.fmax(
+        np.vecdot(images, images), 1.0)  # fmax, like max(1.0, fp @ fp), ignores NaN
+    if not null.all():
+        raise ConformalProbeError(list(probes[~null]))
     G = metric_matrix(n)
     h = f.T @ G @ f
     alpha = float(h[0, 0])
@@ -333,92 +328,74 @@ def _relation_row(relation: str, D: np.ndarray) -> np.ndarray:
     return np.where(np.abs(q) <= band, 0, np.where(q > 0, 1, 2))
 
 
-def _stack(points) -> np.ndarray:
-    dims = sorted({p.a.size for p in points})
-    if len(dims) > 1:
-        raise DimensionMismatchError(f"dimension mismatch: {dims[0]} vs {dims[-1]}")
-    return np.stack([p.a for p in points])
-
-
-# ordered pairs per block of rows of the harness's relation tables
-HARNESS_BLOCK_PAIRS = 4096
-
-
-def relation_preservation_harness(events: Sequence[Event],
-                                  mapping: Callable[[Event], Event],
+def relation_preservation_harness(events: np.ndarray,
+                                  mapping: Callable[[np.ndarray], np.ndarray],
                                   relation: str) -> list[tuple[int, int, str]]:
     """Ordered pairs on which the bijection breaks the chosen causal relation.
 
     `relation` is one of 'ge', 'gt', 'lightlike-successor' (the oriented cone
     relations) or 'interval-sign' (the symmetric interval-sign relation).
-    Both the map and its inverse on the finite set are examined; the report
-    lists (i, j, 'forward' | 'inverse') sorted, and is empty exactly when the
-    relation is preserved.  Events (and images) of mixed dimension raise
-    DimensionMismatchError, a map that is not injective on the events raises
-    PreconditionError.
+    `events` are rows (N, n), and `mapping` takes them to rows of the same
+    shape; it is called once, on all of them.  Both the map and its inverse
+    on the finite set are examined; the report lists (i, j, 'forward' |
+    'inverse') in (i, j) order, and is empty exactly when the relation is
+    preserved.  Events that are not rows, or images of another shape, raise
+    DimensionMismatchError, a map that is not injective on the events
+    raises PreconditionError.
 
-    The events and their images are stacked once, and the injectivity test
-    and each relation table are built a block of rows at a time, row i
-    being event i against every partner.  A block holds at most
-    HARNESS_BLOCK_PAIRS pairs (one row if a row is longer), so for N events
-    in dimension n the temporary memory is O(max(HARNESS_BLOCK_PAIRS, N) n),
-    not O(N^2 n).
+    The injectivity test and each relation table are built once over all
+    (N, N) pairs, so the temporary memory is O(N^2 n).
     """
     if relation not in _RELATIONS:
         raise ValueError(f"relation must be one of {_RELATIONS}")
-    images = [mapping(p) for p in events]
-    if len(events) < 2:
-        return []
-    P, Q = _stack(events), _stack(images)
-    partner = np.arange(len(P))
-    rows = max(1, HARNESS_BLOCK_PAIRS // len(P))
-    blocks = [partner[lo:lo + rows, None] for lo in range(0, len(P), rows)]
-    for i in blocks:
-        same = np.abs(Q[i] - Q).max(axis=2) < 1e-12
-        if (same & (partner > i)).any():
-            raise PreconditionError("mapping is not injective on the event set")
-    violations = []
-    for i in blocks:
-        before = _relation_row(relation, P[i] - P)
-        changed = (before != _relation_row(relation, Q[i] - Q)) & (partner != i)
-        rows_i, cols = np.nonzero(changed)  # in (i, j) order, hence sorted
-        # the oriented relations break forward when only the events relate
-        forward = (np.ones(len(cols), bool) if relation == "interval-sign"
-                   else before[rows_i, cols])
-        violations += [(a, b, "forward" if f else "inverse") for a, b, f in
-                       zip(i[rows_i, 0].tolist(), cols.tolist(), forward.tolist())]
-    return violations
+    P = np.asarray(events, dtype=float)
+    if P.ndim != 2:
+        raise DimensionMismatchError(f"events must be rows (N, n), got shape {P.shape}")
+    Q = np.asarray(mapping(P), dtype=float)
+    if Q.shape != P.shape:
+        raise DimensionMismatchError(f"images have shape {Q.shape}, events {P.shape}")
+    if np.triu(np.abs(Q[:, None] - Q).max(axis=2) < 1e-12, 1).any():
+        raise PreconditionError("mapping is not injective on the event set")
+    before = _relation_row(relation, P[:, None] - P)
+    changed = before != _relation_row(relation, Q[:, None] - Q)
+    np.fill_diagonal(changed, False)
+    i, j = np.nonzero(changed)  # in (i, j) order, hence sorted
+    # the oriented relations break forward when only the events relate
+    forward = np.ones(len(i), bool) if relation == "interval-sign" else before[i, j]
+    return [(a, b, "forward" if f else "inverse")
+            for a, b, f in zip(i.tolist(), j.tolist(), forward.tolist())]
 
 
 def unit_distance_harness(f: Callable[[np.ndarray], np.ndarray],
                           delta: float,
-                          points: Sequence[np.ndarray],
-                          directions: Sequence[np.ndarray]) -> list[tuple[int, int, float]]:
+                          points: np.ndarray,
+                          directions: np.ndarray) -> list[tuple[int, int, float]]:
     """Check that pairs at Euclidean distance delta stay at distance delta.
 
-    Pairs are built as (x, x + delta * unit direction); the report lists
-    (point index, direction index, |new distance - delta|) for violations,
-    a non-finite distance included.  A zero or non-finite direction raises
+    Pairs are built as (x, x + delta * unit direction) from the rows of
+    `points` (P, m) and `directions` (D, m); `f` takes rows to rows and is
+    called once, on the P points followed by their P D displaced points,
+    point by point.  The report lists (point index, direction index,
+    |new distance - delta|) for violations in (i, j) order, a non-finite
+    distance included.  Points and directions that are not rows of one
+    width raise DimensionMismatchError, a zero or non-finite direction
     PreconditionError.  This checks a necessary condition only.
     """
-    dirs = [np.asarray(d, dtype=float) for d in directions]
-    if not dirs:
-        return []
-    dirs = np.array(dirs)
+    X = np.asarray(points, dtype=float)
+    dirs = np.asarray(directions, dtype=float)
+    if X.ndim != 2 or dirs.shape[1:] != X.shape[1:]:
+        raise DimensionMismatchError(
+            f"points and directions must be rows of one width, got {X.shape} and {dirs.shape}")
     # sqrt of the row-wise dot product is np.linalg.norm of each row, bit for bit
     norms = np.sqrt(np.vecdot(dirs, dirs))
     if not np.all((0.0 < norms) & (norms < np.inf)):
         raise PreconditionError("directions must be nonzero and finite")
     steps = delta * (dirs / norms[:, None])
-    report = []
-    for i, x in enumerate(points):
-        x = np.asarray(x, dtype=float)
-        fx = f(x)
-        d = np.array([f(y) for y in x + steps]) - fx
-        errs = np.abs(np.sqrt(np.vecdot(d, d)) - delta)
-        for j in np.flatnonzero(~(errs <= RESIDUAL_TOL * max(1.0, delta))).tolist():
-            report.append((i, j, float(errs[j])))
-    return report
+    Y = np.asarray(f(np.concatenate([X, (X[:, None] + steps).reshape(-1, X.shape[1])])))
+    d = Y[len(X):].reshape(len(X), len(steps), Y.shape[-1]) - Y[:len(X), None]
+    errs = np.abs(np.sqrt(np.vecdot(d, d)) - delta)
+    i, j = np.nonzero(~(errs <= RESIDUAL_TOL * max(1.0, delta)))
+    return list(zip(i.tolist(), j.tolist(), errs[i, j].tolist()))
 
 
 def _require_dim(n: int) -> None:

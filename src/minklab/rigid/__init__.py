@@ -2,7 +2,7 @@
 finite differences, the boost and rotation isometry flows with the wedge
 chart, and the single-worldline construction of irrotational rigid motion."""
 
-from .curvature import christoffels_fd, riemann_lowered_fd, total_antisymmetrizer
+from .curvature import christoffels_fd, riemann_lowered_fd
 from .decomp import (DEFAULT_STEP, FIRST_DERIV_TOL, SECOND_DERIV_TOL,
                      KinematicDecomposition, killing_test,
                      kinematic_decomposition, lie_accel,
@@ -48,7 +48,6 @@ __all__ = [
     "projected_curvature_check",
     "christoffels_fd",
     "riemann_lowered_fd",
-    "total_antisymmetrizer",
     "field_csv",
     "trajectory_csv",
 ]

@@ -7,7 +7,6 @@ unit sphere then has R_[th ph th ph] = +sin^2."""
 
 from __future__ import annotations
 
-from itertools import permutations
 from typing import Callable
 
 import numpy as np
@@ -17,7 +16,6 @@ from .fields import _jet
 __all__ = [
     "christoffels_fd",
     "riemann_lowered_fd",
-    "total_antisymmetrizer",
 ]
 
 # step of the nested central differences of a closed-form metric
@@ -57,24 +55,3 @@ def riemann_lowered_fd(metric: Callable[[np.ndarray], np.ndarray], q: np.ndarray
                - np.einsum("...msc,...sab->...mabc", gamma, gamma))
     return np.einsum("...mn,...nabc->...mabc", metric(q), riem_up)
 
-
-def total_antisymmetrizer(t: np.ndarray) -> np.ndarray:
-    """Projection of rank-4 tensors, the last four axes of t, onto their
-    totally antisymmetric parts."""
-    lead = tuple(range(t.ndim - 4))
-    out = np.zeros_like(t)
-    for perm in permutations(range(4)):
-        s = _perm_sign(perm)
-        out += s * np.transpose(t, lead + tuple(len(lead) + a for a in perm))
-    return out / 24.0
-
-
-def _perm_sign(perm) -> float:
-    p = list(perm)
-    sign = 1.0
-    for i in range(len(p)):
-        while p[i] != i:
-            j = p[i]
-            p[i], p[j] = p[j], p[i]
-            sign = -sign
-    return sign

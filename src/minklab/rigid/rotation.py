@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import PreconditionError
-from .curvature import riemann_lowered_fd, total_antisymmetrizer
+from .curvature import riemann_lowered_fd
 from .decomp import (DEFAULT_STEP, SECOND_DERIV_TOL, _lie_rows, _probe_rows, _split_jet,
                      _split_rows, spatial_metric)
 from .fields import rotation_killing_field
@@ -96,15 +96,14 @@ def projected_curvature_check(kappa: float, c: float, probes,
     With zero spacetime curvature the comoving curvature must equal
     -3 (id - Alt)(omega (x) omega) in the comoving chart; for rank-four
     tensors over three dimensions the total antisymmetrisation Alt drops
-    out identically.  The curvature and the vorticity are each computed on
-    all probes at once.
+    out identically, so the identity is riem + 3 omega (x) omega.  The
+    curvature and the vorticity are each computed on all probes at once.
     """
     field = rotation_killing_field(kappa, c)
     x = _probe_rows(probes)
     riem = riemann_lowered_fd(comoving_rotation_metric(kappa, c), comoving_coords(x, kappa, c))
     frame = comoving_frame_vectors(x)
     om = np.swapaxes(frame, -1, -2) @ _split_rows(field, x, step)[2] @ frame
-    ww = np.einsum("...ij,...kl->...ijkl", om, om)
-    identity = riem + 3.0 * (ww - total_antisymmetrizer(ww))
+    identity = riem + 3.0 * np.einsum("...ij,...kl->...ijkl", om, om)
     worst = float(np.abs(identity).max())
     return {"max_residual": worst, "passes": worst < SECOND_DERIV_TOL}

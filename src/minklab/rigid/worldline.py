@@ -160,7 +160,7 @@ def _foliation_rows(curve: WorldLineCurve, x: np.ndarray,
         else:
             raise PreconditionError("could not bracket the hyperplane parameter")
         # the open rows, their events, points, brackets and signs of f at lo
-        tau = np.empty(len(x))
+        tau, gap = np.empty(len(x)), np.empty(len(x))
         rows, xo, t, neg = np.arange(len(x)), x, 0.5 * (lo + hi), flo < 0
         for _ in range(200):
             if not len(rows):
@@ -176,12 +176,14 @@ def _foliation_rows(curve: WorldLineCurve, x: np.ndarray,
             new = np.where((n > 0) & (lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
             going = abs(new - t) > 1e-14 + 8.9e-16 * abs(new)
             if not going.all():
-                tau[rows[~going]] = new[~going]
+                # a frozen row keeps the N of its last round, at most one
+                # converged step from its root
+                tau[rows[~going]], gap[rows[~going]] = new[~going], n[~going]
                 rows, xo, neg, lo, hi, new = (a[going] for a in (rows, xo, neg, lo, hi, new))
             t = new
         if len(rows):
             raise PreconditionError("the hyperplane parameter did not converge")
-    for n in foliation_gap(curve, tau, x).tolist():
+    for n in gap.tolist():
         if n <= CAUSTIC_GUARD:
             raise PreconditionError(
                 f"event within the caustic guard (N = {n!r} <= {CAUSTIC_GUARD})")

@@ -269,6 +269,19 @@ class TestConformalFactor:
         probe = np.array([np.sqrt(2.0), 1.0, 1.0, 0.0])
         assert any(np.allclose(p, probe) for p in err.value.probes)
 
+    def test_only_the_violating_probes_reported(self):
+        # f keeps e0 + e1 null but maps e0 - e1 to (1, 0), which is timelike
+        with pytest.raises(ConformalProbeError) as err:
+            conformal_factor(np.array([[1.0, 0.0], [0.5, 0.5]]))
+        assert np.array_equal(err.value.probes, [[1.0, -1.0]])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_null_probes_in_order(self, n):
+        e = np.eye(n)
+        want = [e[0] + s * e[a] for a in range(1, n) for s in (1.0, -1.0)]
+        want += [np.sqrt(2.0) * e[0] + e[a] + e[b] for a in range(1, n) for b in range(a + 1, n)]
+        assert isometry._null_probes(n).tobytes() == np.array(want).tobytes()
+
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
     def test_non_finite_map_rejected(self, entry):
         f = np.eye(4)
@@ -283,38 +296,43 @@ class TestConformalFactor:
         assert got["alpha"] == -1.0 and got["residual"] < 1e-12
 
 
+def _moved(rows, value):
+    """The row map that sends the events at `rows` to `value` and fixes the
+    others: a map by row index, not a function of the coordinates."""
+    def fmap(P):
+        out = P.copy()
+        out[rows] = value
+        return out
+    return fmap
+
+
 class TestRelationHarness:
     @pytest.fixture
     def events(self, rng):
-        return [Event(rng.uniform(-5, 5, 4)) for _ in range(40)]
+        return rng.uniform(-5, 5, (40, 4))
 
     def test_poincare_dilation_preserves_all(self, events, rng):
         L = random_lorentz(4, rng)
         shift = rng.uniform(-1, 1, 4)
 
-        def fmap(p):
-            return Event(1.5 * (L @ p.a) + shift)
+        def fmap(P):
+            return 1.5 * (P @ L.T) + shift
 
         for rel in ("ge", "gt", "lightlike-successor", "interval-sign"):
             assert relation_preservation_harness(events, fmap, rel) == []
 
     def test_time_reflection(self, events):
-        def trev(p):
-            out = p.a.copy()
-            out[0] = -out[0]
-            return Event(out)
-
+        trev = lambda P: P * [-1.0, 1.0, 1.0, 1.0]
         assert relation_preservation_harness(events, trev, "gt") != []
         assert relation_preservation_harness(events, trev, "interval-sign") == []
 
     def test_random_permutation_caught(self, events, rng):
         perm = rng.permutation(len(events))
-        fmap = lambda p: events[perm[next(i for i, e in enumerate(events) if e is p)]]
-        assert relation_preservation_harness(events, fmap, "gt") != []
+        assert relation_preservation_harness(events, lambda P: P[perm], "gt") != []
 
     def test_non_injective_rejected(self, events):
         with pytest.raises(PreconditionError):
-            relation_preservation_harness(events, lambda p: events[0], "gt")
+            relation_preservation_harness(events, lambda P: np.broadcast_to(P[0], P.shape), "gt")
 
 
 def _reference_rel_holds(relation, d, tol):
@@ -333,20 +351,26 @@ def _reference_rel_holds(relation, d, tol):
 
 
 def _reference_harness(events, mapping, relation):
-    """The relation harness as a loop over ordered pairs."""
+    """The relation harness as a loop over ordered pairs, the map called
+    once on all rows."""
     tol = 1e-9
-    images = [mapping(p) for p in events]
+    events = np.asarray(events, dtype=float)
+    if events.ndim != 2:
+        raise DimensionMismatchError("events must be rows")
+    images = mapping(events)
+    if images.shape != events.shape:
+        raise DimensionMismatchError("images must have the shape of the events")
     for i in range(len(images)):
         for j in range(i + 1, len(images)):
-            if np.abs(images[i].a - images[j].a).max() < 1e-12:
+            if np.abs(images[i] - images[j]).max() < 1e-12:
                 raise PreconditionError("mapping is not injective on the event set")
     violations = []
     for i in range(len(events)):
         for j in range(len(events)):
             if i == j:
                 continue
-            before = _reference_rel_holds(relation, (events[i] - events[j]).a, tol)
-            after = _reference_rel_holds(relation, (images[i] - images[j]).a, tol)
+            before = _reference_rel_holds(relation, events[i] - events[j], tol)
+            after = _reference_rel_holds(relation, images[i] - images[j], tol)
             if relation == "interval-sign":
                 if before != after:
                     violations.append((i, j, "forward"))
@@ -364,10 +388,10 @@ RELATIONS = ("ge", "gt", "lightlike-successor", "interval-sign")
 def _events(family, seed):
     rng = np.random.default_rng(seed)
     if family == "float":
-        return [Event(a) for a in rng.uniform(-5, 5, (30, 4))]
+        return rng.uniform(-5, 5, (30, 4))
     if family == "integer":
         # distinct integer events: many pairs are exactly null
-        return [Event(a) for a in np.unique(rng.integers(-3, 4, (50, 4)), axis=0)[:30]]
+        return np.unique(rng.integers(-3, 4, (50, 4)), axis=0)[:30].astype(float)
     # pairs p, p + d with d short and null up to a relative 4e-9, so the
     # interval falls on both sides of the tolerance band
     out = []
@@ -375,105 +399,18 @@ def _events(family, seed):
         u = rng.standard_normal(3)
         s = rng.uniform(0.1, 2.0)
         d = s * np.concatenate([[1.0 + rng.uniform(-4e-9, 4e-9)], u / np.linalg.norm(u)])
-        out += [Event(p), Event(p + d)]
-    return out
+        out += [p, p + d]
+    return np.array(out)
 
 
 def _map(kind, seed):
     rng = np.random.default_rng([seed, 1])
     if kind == "poincare-dilation":
         L, shift = random_lorentz(4, rng), rng.uniform(-1, 1, 4)
-        return lambda p: Event(1.5 * (L @ p.a) + shift)
+        return lambda P: 1.5 * (P @ L.T) + shift
     if kind == "time-reversal":
-        return lambda p: Event(p.a * [-1.0, 1.0, 1.0, 1.0])
-    return lambda p: Event(p.a * [1.0, 2.0, 1.0, 0.5] + [0.0, 1.0, 0.0, -1.0])
-
-
-class TestRelationHarnessReference:
-    @pytest.mark.parametrize("kind", ["poincare-dilation", "time-reversal", "anisotropic"])
-    @pytest.mark.parametrize("family", ["float", "integer", "near-null"])
-    @pytest.mark.parametrize("relation", RELATIONS)
-    def test_matches_pairwise_reference(self, relation, family, kind):
-        events, fmap = _events(family, 0), _map(kind, 0)
-        want = _reference_harness(events, fmap, relation)
-        assert relation_preservation_harness(events, fmap, relation) == want
-
-    def test_integer_events_have_null_pairs(self):
-        events = _events("integer", 0)
-        nulls = sum(inner(p - q, p - q) == 0.0 for p in events for q in events if p is not q)
-        assert nulls > 0
-
-    @pytest.mark.parametrize("relation", RELATIONS)
-    def test_nan_image_matches_reference(self, relation):
-        events = _events("float", 0)
-        fmap = lambda p: Event(np.full(4, np.nan)) if p is events[3] else p
-        want = _reference_harness(events, fmap, relation)
-        assert relation_preservation_harness(events, fmap, relation) == want
-
-    @pytest.mark.parametrize("count", [0, 1])
-    def test_fewer_than_two_events(self, count):
-        events = [Event([1.0, 0.0, 0.0])][:count]
-        assert relation_preservation_harness(events, lambda p: p, "gt") == []
-
-    @pytest.mark.parametrize("pair", [(0, 1), (4, 17)])
-    def test_one_colliding_pair_rejected(self, pair):
-        events = _events("float", 0)
-        a, b = (events[k] for k in pair)
-        fmap = lambda p: a if p is b else p
-        with pytest.raises(PreconditionError):
-            _reference_harness(events, fmap, "gt")
-        with pytest.raises(PreconditionError):
-            relation_preservation_harness(events, fmap, "gt")
-
-    @pytest.mark.parametrize("relation", RELATIONS)
-    def test_coincident_events_match_reference(self, relation):
-        # a map that is not a function of the coordinates can separate two
-        # coincident events; 'ge' holds on their zero displacement
-        events = _events("float", 1)[:6] + [Event([0.5, 0.0, 1.0, 0.0])]
-        events.append(Event(events[-1].a.copy()))
-        step = np.array([0.3, 0.1, 0.0, 0.0])
-        fmap = lambda p: Event(p.a + step) if p is events[-1] else p
-        want = _reference_harness(events, fmap, relation)
-        assert relation_preservation_harness(events, fmap, relation) == want
-        if relation == "ge":
-            assert (6, 7, "forward") in want
-
-    def test_mixed_event_dimensions_rejected(self):
-        events = [Event([0.0, 0.0, 0.0]), Event([1.0, 0.0, 0.0, 0.0])]
-        with pytest.raises(DimensionMismatchError):
-            relation_preservation_harness(events, lambda p: p, "gt")
-
-    def test_mixed_image_dimensions_rejected(self):
-        events = [Event([0.0, 0.0, 0.0]), Event([1.0, 0.0, 0.0])]
-        fmap = lambda p: Event(np.append(p.a, 1.0)) if p is events[0] else p
-        with pytest.raises(DimensionMismatchError):
-            relation_preservation_harness(events, fmap, "gt")
-
-    def test_unknown_relation_rejected(self):
-        with pytest.raises(ValueError, match="relation"):
-            relation_preservation_harness([], lambda p: p, "before")
-
-
-def _row_loop_harness(events, mapping, relation):
-    """The harness as it was before its tables were built in blocks: the
-    injectivity test and both relation tables one row at a time."""
-    images = [mapping(p) for p in events]
-    if len(events) < 2:
-        return []
-    P, Q = isometry._stack(events), isometry._stack(images)
-    for i in range(len(Q) - 1):
-        if (np.abs(Q[i] - Q[i + 1:]).max(axis=1) < 1e-12).any():
-            raise PreconditionError("mapping is not injective on the event set")
-    violations = []
-    for i in range(len(P)):
-        before = isometry._relation_row(relation, P[i] - P)
-        after = isometry._relation_row(relation, Q[i] - Q)
-        changed = before != after
-        changed[i] = False
-        for j in np.flatnonzero(changed).tolist():
-            forward = relation == "interval-sign" or before[j]
-            violations.append((i, j, "forward" if forward else "inverse"))
-    return violations
+        return lambda P: P * [-1.0, 1.0, 1.0, 1.0]
+    return lambda P: P * [1.0, 2.0, 1.0, 0.5] + [0.0, 1.0, 0.0, -1.0]
 
 
 def _mixed_events(dim, count, seed):
@@ -485,84 +422,122 @@ def _mixed_events(dim, count, seed):
         d = rng.standard_normal(dim - 1)
         out[a] = out[a - 1] + rng.uniform(0.2, 2) * np.concatenate(
             [[1.0 + rng.uniform(-4e-9, 4e-9)], d / np.linalg.norm(d)])
-    return [Event(a) for a in out]
+    return out
 
 
 def _maps(dim, seed):
     rng = np.random.default_rng([seed, dim, 2])
     L, shift = random_lorentz(dim, rng), rng.uniform(-1, 1, dim)
     squeeze = np.linspace(0.5, 2.0, dim)
-    return {"poincare-dilation": lambda p: Event(1.5 * (L @ p.a) + shift),
-            "time-reversal": lambda p: Event(p.a * np.r_[-1.0, np.ones(dim - 1)]),
-            "anisotropic": lambda p: Event(p.a * squeeze + 0.25)}
+    return {"poincare-dilation": lambda P: 1.5 * (P @ L.T) + shift,
+            "time-reversal": lambda P: P * np.r_[-1.0, np.ones(dim - 1)],
+            "anisotropic": lambda P: P * squeeze + 0.25}
 
 
-class TestBlockedRelationHarness:
-    """The blocked harness reports exactly what the row loop reported."""
+class TestRelationHarnessReference:
+    @pytest.mark.parametrize("kind", ["poincare-dilation", "time-reversal", "anisotropic"])
+    @pytest.mark.parametrize("family", ["float", "integer", "near-null"])
+    @pytest.mark.parametrize("relation", RELATIONS)
+    def test_matches_pairwise_reference(self, relation, family, kind):
+        events, fmap = _events(family, 0), _map(kind, 0)
+        want = _reference_harness(events, fmap, relation)
+        assert relation_preservation_harness(events, fmap, relation) == want
 
-    @pytest.mark.parametrize("block_pairs", [None, 1, 20, 150])
     @pytest.mark.parametrize("count", [0, 1, 2, 7, 70])
     @pytest.mark.parametrize("dim", [2, 3, 4])
-    def test_matches_row_loop(self, monkeypatch, dim, count, block_pairs):
-        # at the module's block size 70 events make a block of 58 rows and
-        # one of 12; 1 pair per block gives one-row blocks, 20 gives 7
-        # events blocks of 2, 2, 2 and 1 rows, and 150 gives 70 events
-        # blocks of 2 rows
-        if block_pairs is not None:
-            monkeypatch.setattr(isometry, "HARNESS_BLOCK_PAIRS", block_pairs)
+    def test_mixed_events_match_reference(self, dim, count):
         events = _mixed_events(dim, count, 0)
         for fmap in _maps(dim, 0).values():
             for relation in RELATIONS:
-                want = _row_loop_harness(events, fmap, relation)
+                want = _reference_harness(events, fmap, relation)
                 assert relation_preservation_harness(events, fmap, relation) == want
 
-    @pytest.mark.parametrize("block_pairs", [None, 1])
+    def test_integer_events_have_null_pairs(self):
+        events = _events("integer", 0)
+        nulls = sum(inner(p - q, p - q) == 0.0 for i, p in enumerate(events)
+                    for j, q in enumerate(events) if i != j)
+        assert nulls > 0
+
     @pytest.mark.parametrize("relation", RELATIONS)
-    def test_nan_images_match_row_loop(self, monkeypatch, relation, block_pairs):
-        if block_pairs is not None:
-            monkeypatch.setattr(isometry, "HARNESS_BLOCK_PAIRS", block_pairs)
+    def test_nan_image_matches_reference(self, relation):
+        events = _events("float", 0)
+        fmap = _moved(3, np.nan)
+        want = _reference_harness(events, fmap, relation)
+        assert relation_preservation_harness(events, fmap, relation) == want
+
+    @pytest.mark.parametrize("relation", RELATIONS)
+    def test_nan_images_match_reference(self, relation):
         events = _mixed_events(3, 30, 2)
-        poisoned = {id(events[k]) for k in (0, 11, 29)}
-        fmap = lambda p: Event(np.full(3, np.nan)) if id(p) in poisoned else p
-        want = _row_loop_harness(events, fmap, relation)
+        fmap = _moved([0, 11, 29], np.nan)
+        want = _reference_harness(events, fmap, relation)
         assert want
         assert relation_preservation_harness(events, fmap, relation) == want
 
-    @pytest.mark.parametrize("block_pairs", [None, 1])
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fewer_than_two_events(self, count):
+        events = np.array([[1.0, 0.0, 0.0]])[:count]
+        assert relation_preservation_harness(events, lambda P: P, "gt") == []
+
+    @pytest.mark.parametrize("pair", [(0, 1), (4, 17)])
+    def test_one_colliding_pair_rejected(self, pair):
+        events = _events("float", 0)
+        fmap = _moved(pair[1], events[pair[0]])
+        with pytest.raises(PreconditionError):
+            _reference_harness(events, fmap, "gt")
+        with pytest.raises(PreconditionError):
+            relation_preservation_harness(events, fmap, "gt")
+
     @pytest.mark.parametrize("pair", [(0, 1), (3, 68), (68, 69)])
-    def test_non_injective_map_rejected(self, monkeypatch, pair, block_pairs):
-        if block_pairs is not None:
-            monkeypatch.setattr(isometry, "HARNESS_BLOCK_PAIRS", block_pairs)
+    def test_non_injective_map_rejected(self, pair):
         events = _mixed_events(4, 70, 3)
-        a, b = (events[k] for k in pair)
-        fmap = lambda p: a if p is b else p
-        for harness in (_row_loop_harness, relation_preservation_harness):
+        fmap = _moved(pair[1], events[pair[0]])
+        for harness in (_reference_harness, relation_preservation_harness):
             with pytest.raises(PreconditionError, match="injective"):
                 harness(events, fmap, "ge")
 
-    @pytest.mark.parametrize("which", ["events", "images"])
-    def test_mixed_dimensions_rejected(self, which):
-        events = _mixed_events(3, 5, 4) + [Event([1.0, 0.0, 0.0, 0.0])]
-        fmap = lambda p: p
-        if which == "images":
-            events = _mixed_events(3, 6, 4)
-            fmap = lambda p: Event(np.append(p.a, 1.0)) if p is events[4] else p
-        for harness in (_row_loop_harness, relation_preservation_harness):
+    @pytest.mark.parametrize("relation", RELATIONS)
+    def test_coincident_events_match_reference(self, relation):
+        # a map that is not a function of the coordinates can separate two
+        # coincident events; 'ge' holds on their zero displacement
+        events = np.concatenate([_events("float", 1)[:6], [[0.5, 0.0, 1.0, 0.0]] * 2])
+        fmap = _moved(7, events[7] + [0.3, 0.1, 0.0, 0.0])
+        want = _reference_harness(events, fmap, relation)
+        assert relation_preservation_harness(events, fmap, relation) == want
+        if relation == "ge":
+            assert (6, 7, "forward") in want
+
+    @pytest.mark.parametrize("events", [np.zeros(4), np.zeros((2, 3, 4)), np.zeros((0,))],
+                             ids=["one-event", "stack-of-sets", "empty-list"])
+    def test_events_that_are_not_rows_rejected(self, events):
+        for harness in (_reference_harness, relation_preservation_harness):
+            with pytest.raises(DimensionMismatchError):
+                harness(events, lambda P: P, "gt")
+
+    @pytest.mark.parametrize("fmap", [lambda P: np.column_stack([P, np.ones(len(P))]),
+                                      lambda P: P[:, :-1], lambda P: P[:-1], lambda P: P[0]],
+                             ids=["wider", "narrower", "fewer", "one-row"])
+    def test_images_of_another_shape_rejected(self, fmap):
+        events = _mixed_events(3, 6, 4)
+        for harness in (_reference_harness, relation_preservation_harness):
             with pytest.raises(DimensionMismatchError):
                 harness(events, fmap, "gt")
+
+    def test_unknown_relation_rejected(self):
+        with pytest.raises(ValueError, match="relation"):
+            relation_preservation_harness(np.empty((0, 4)), lambda P: P, "before")
 
 
 class TestUnitDistanceHarness:
     def test_euclidean_motion_clean(self, rng):
         Q = random_rotation(4, rng)[1:, 1:]
         t = rng.standard_normal(3)
-        pts = [rng.uniform(-3, 3, 3) for _ in range(20)]
-        dirs = [rng.standard_normal(3) for _ in range(6)]
-        assert unit_distance_harness(lambda x: Q @ x + t, 1.0, pts, dirs) == []
+        pts = rng.uniform(-3, 3, (20, 3))
+        dirs = rng.standard_normal((6, 3))
+        assert unit_distance_harness(lambda x: x @ Q.T + t, 1.0, pts, dirs) == []
 
     def test_scaling_caught(self, rng):
-        pts = [rng.uniform(-3, 3, 3) for _ in range(10)]
-        dirs = [rng.standard_normal(3) for _ in range(4)]
+        pts = rng.uniform(-3, 3, (10, 3))
+        dirs = rng.standard_normal((4, 3))
         assert unit_distance_harness(lambda x: 2.0 * x, 1.0, pts, dirs) != []
 
     def test_reflection_composition_clean(self, rng):
@@ -572,21 +547,30 @@ class TestUnitDistanceHarness:
             return np.eye(3) - 2.0 * np.outer(n, n)
 
         M = refl(rng.standard_normal(3)) @ refl(rng.standard_normal(3))
-        pts = [rng.uniform(-3, 3, 3) for _ in range(15)]
-        dirs = [rng.standard_normal(3) for _ in range(5)]
-        assert unit_distance_harness(lambda x: M @ x, 1.0, pts, dirs) == []
+        pts = rng.uniform(-3, 3, (15, 3))
+        dirs = rng.standard_normal((5, 3))
+        assert unit_distance_harness(lambda x: x @ M.T, 1.0, pts, dirs) == []
 
     @pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0], [np.nan, 1.0, 0.0],
                                      [np.inf, 0.0, 0.0], [1e300, 1e300, 0.0]])
     def test_degenerate_direction_rejected(self, bad, rng):
-        pts = [rng.uniform(-3, 3, 3) for _ in range(3)]
-        dirs = [rng.standard_normal(3), np.array(bad)]
+        pts = rng.uniform(-3, 3, (3, 3))
+        dirs = np.array([rng.standard_normal(3), bad])
         with pytest.raises(PreconditionError), np.errstate(over="ignore"):
             unit_distance_harness(lambda x: 2.0 * x, 1.0, pts, dirs)
 
+    @pytest.mark.parametrize("pts, dirs", [(np.zeros(3), np.ones((2, 3))),
+                                           (np.zeros((2, 3)), []),
+                                           (np.zeros((2, 3)), np.ones(3)),
+                                           (np.zeros((2, 3)), np.ones((2, 2)))],
+                             ids=["one-point", "empty-list", "one-direction", "narrower"])
+    def test_points_and_directions_must_be_rows_of_one_width(self, pts, dirs):
+        with pytest.raises(DimensionMismatchError):
+            unit_distance_harness(lambda x: x, 1.0, pts, dirs)
+
     def test_non_finite_distance_is_violation(self, rng):
-        pts = [rng.uniform(-3, 3, 3) for _ in range(4)]
-        dirs = [rng.standard_normal(3) for _ in range(3)]
+        pts = rng.uniform(-3, 3, (4, 3))
+        dirs = rng.standard_normal((3, 3))
         report = unit_distance_harness(lambda x: x * np.nan, 1.0, pts, dirs)
         assert [(i, j) for i, j, _ in report] == [(i, j) for i in range(4) for j in range(3)]
         assert all(math.isnan(err) for _, _, err in report)
@@ -597,8 +581,9 @@ class TestUnitDistanceHarness:
 
 
 def _pair_loop_unit_distance(f, delta, points, directions):
-    """The per-pair loop that unit_distance_harness replaced: one map call
-    and one np.linalg.norm per (point, direction) pair."""
+    """The unit-distance harness as a loop over (point, direction) pairs,
+    one np.linalg.norm per pair; the map is called once, on the points
+    followed by each point's displaced points."""
     units = []
     for d in directions:
         u = np.asarray(d, dtype=float)
@@ -606,12 +591,13 @@ def _pair_loop_unit_distance(f, delta, points, directions):
         if not 0.0 < norm < np.inf:
             raise PreconditionError("directions must be nonzero and finite")
         units.append(u / norm)
+    moved = [x + delta * u for x in points for u in units]
+    images = f(np.concatenate([points, np.reshape(moved, (-1, points.shape[1]))]))
     report = []
-    for i, x in enumerate(points):
-        x = np.asarray(x, dtype=float)
-        fx = f(x)
-        for j, u in enumerate(units):
-            err = abs(float(np.linalg.norm(f(x + delta * u) - fx)) - delta)
+    for i in range(len(points)):
+        for j in range(len(units)):
+            fy = images[len(points) + i * len(units) + j]
+            err = abs(float(np.linalg.norm(fy - images[i])) - delta)
             if not err <= isometry.RESIDUAL_TOL * max(1.0, delta):
                 report.append((i, j, err))
     return report
@@ -627,14 +613,14 @@ class TestUnitDistanceHarnessReference:
     def test_matches_the_pair_loop(self, rng):
         Q = random_rotation(4, rng)[1:, 1:]
         t = rng.standard_normal(3)
-        maps = [lambda x: Q @ x + t, lambda x: 2.0 * x, lambda x: x * np.nan,
-                lambda x: Q @ x + 1e-9 * np.sin(x), lambda x: x * 1e307,
-                lambda x: x + 1e-10 * x @ x]
+        maps = [lambda x: x @ Q.T + t, lambda x: 2.0 * x, lambda x: x * np.nan,
+                lambda x: x @ Q.T + 1e-9 * np.sin(x), lambda x: x * 1e307,
+                lambda x: x + 1e-10 * np.vecdot(x, x)[:, None]]
         compared = reported = 0
         for _ in range(40):
-            pts = [rng.uniform(-3, 3, 3) for _ in range(int(rng.integers(0, 6)))]
-            dirs = [rng.standard_normal(3) * 10.0 ** rng.uniform(-3, 3)
-                    for _ in range(int(rng.integers(1, 7)))]
+            pts = rng.uniform(-3, 3, (int(rng.integers(0, 6)), 3))
+            dirs = np.array([rng.standard_normal(3) * 10.0 ** rng.uniform(-3, 3)
+                             for _ in range(int(rng.integers(1, 7)))])
             delta = float(rng.choice([1.0, 0.5, 3.0, 1e-4]))
             for f in maps:
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -644,6 +630,48 @@ class TestUnitDistanceHarnessReference:
                 compared += 1
                 reported += bool(want)
         assert reported > compared // 4
+
+
+class TestOneMapCall:
+    def test_relation_harness_calls_its_map_once(self, rng):
+        events, calls = rng.uniform(-5, 5, (40, 4)), []
+
+        def fmap(P):
+            calls.append(P.shape)
+            return P * [-1.0, 1.0, 1.0, 1.0]
+
+        for relation in RELATIONS:
+            calls.clear()
+            relation_preservation_harness(events, fmap, relation)
+            assert calls == [(40, 4)]
+
+    def test_unit_distance_harness_calls_its_map_once(self, rng):
+        pts, dirs, calls = rng.uniform(-3, 3, (25, 3)), rng.standard_normal((8, 3)), []
+
+        def f(x):
+            calls.append(x.shape)
+            return 2.0 * x
+
+        assert len(unit_distance_harness(f, 1.0, pts, dirs)) == 25 * 8
+        assert calls == [(25 + 25 * 8, 3)]
+
+
+class TestSuiteDraws:
+    """The isometry suite draws its events, points and directions as arrays,
+    bit for bit the draws of one sample at a time."""
+
+    @pytest.mark.parametrize("draw, shape", [
+        (lambda rng, size: rng.uniform(-5, 5, size), (40, 4)),
+        (lambda rng, size: rng.uniform(-3, 3, size), (25, 3)),
+        (lambda rng, size: rng.standard_normal(size), (8, 3)),
+    ], ids=["events", "points", "directions"])
+    def test_array_draws_are_the_per_sample_draws(self, draw, shape):
+        for seed in range(10):
+            stack_rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            stack = draw(stack_rng, shape)
+            singles = np.array([draw(single_rng, shape[1]) for _ in range(shape[0])])
+            assert stack.tobytes() == singles.tobytes()
+            assert stack_rng.bit_generator.state == single_rng.bit_generator.state
 
 
 FLAGS = [(True, True), (True, False), (False, True), (False, False)]
@@ -744,10 +772,10 @@ class TestAffineIsometry:
     def test_cones_preserved_with_dilations(self, rng):
         # joint action keeps every oriented cone relation
         L = random_lorentz(4, rng)
-        events = [Event(rng.uniform(-4, 4, 4)) for _ in range(30)]
+        events = rng.uniform(-4, 4, (30, 4))
 
-        def fmap(p):
-            return Event(0.7 * (L @ p.a) + np.array([1.0, 0, 0, 0]))
+        def fmap(P):
+            return 0.7 * (P @ L.T) + np.array([1.0, 0, 0, 0])
 
         for rel in ("ge", "gt", "lightlike-successor"):
             assert relation_preservation_harness(events, fmap, rel) == []

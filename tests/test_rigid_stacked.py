@@ -21,8 +21,7 @@ from minklab.rigid import (VelocityField,
                            lie_accel, projected_curvature_check,
                            reparameterization_invariance_check,
                            riemann_lowered_fd, rotation_killing_checks,
-                           rotation_killing_field, spatial_metric,
-                           total_antisymmetrizer, wiggly_worldline)
+                           rotation_killing_field, spatial_metric, wiggly_worldline)
 from minklab.rigid import decomp, fields, rotation, worldline
 from minklab.rigid.curvature import METRIC_STEP
 from minklab.suites import Config, suite_rigid
@@ -326,11 +325,6 @@ class TestDecompositionsMatchTheLoop:
             want = np.array([one(y) for y in rows])
             assert same(got, want.reshape(x.shape[:-1] + want.shape[1:]))
 
-    def test_antisymmetrizer_rows(self, rng):
-        t = rng.standard_normal((2, 3, 4, 4, 4, 4))
-        want = np.array([ref.total_antisymmetrizer(s) for s in t.reshape(-1, 4, 4, 4, 4)])
-        assert same(total_antisymmetrizer(t), want.reshape(t.shape))
-
     def test_wedge_chart_metric(self, rng):
         from minklab.rigid import wedge_chart_metric
         for x0, lam in zip(rng.uniform(0.05, 6.0, 200), rng.uniform(-4.0, 4.0, 200)):
@@ -387,6 +381,38 @@ class TestStackedRootSolve:
             foliation_time(wl, near, HYPERBOLIC_WINDOW)
         with pytest.raises(PreconditionError, match="caustic guard"):
             herglotz_field(wl, HYPERBOLIC_WINDOW)(near)
+
+    @pytest.mark.parametrize("gap, refused", [(0.9e-3, True), (1.1e-3, False)])
+    def test_one_event_at_the_caustic_guard(self, gap, refused):
+        # on the hyperbolic worldline's x axis the root is tau = 0 and N = x
+        wl, x = hyperbolic_worldline(1.0), np.array([0.0, gap, 0.0, 0.0])
+        for solve in (lambda: foliation_time(wl, x, HYPERBOLIC_WINDOW),
+                      lambda: ref.foliation_time(ref.hyperbolic_curve(1.0), x, HYPERBOLIC_WINDOW)):
+            if refused:
+                with pytest.raises(PreconditionError, match="caustic guard"):
+                    solve()
+            else:
+                assert solve() == 0.0
+
+    def test_one_event_evaluates_the_curve_only_in_its_rounds(self, rng):
+        # the caustic guard reads each row's N from its last Newton round, so
+        # z, zdot and zddot are each evaluated once per round and not after
+        wl, calls = hyperbolic_worldline(1.0), {"z": 0, "zdot": 0, "zddot": 0}
+
+        def counted(name):
+            def ev(t):
+                calls[name] += 1
+                return getattr(wl, name)(t)
+            return ev
+
+        curve = worldline.WorldLineCurve(**{name: counted(name) for name in calls},
+                                         zdddot=wl.zdddot, c=wl.c)
+        x = tube_events(rng, 1)[0]
+        evaluations = []
+        want = ref.foliation_time(ref.hyperbolic_curve(1.0), x, HYPERBOLIC_WINDOW, evaluations)
+        assert same(foliation_time(curve, x, HYPERBOLIC_WINDOW), want)
+        rounds = len(evaluations) - 1  # the window's two ends are one stacked round
+        assert rounds > 2 and calls == {"z": rounds, "zdot": rounds, "zddot": rounds}
 
     def test_no_rows_solve_to_no_rows(self):
         for name in ("herglotz-hyperbolic", "herglotz-wiggly"):
