@@ -35,6 +35,14 @@ _MODE_CODE = {CAUSAL: 0, CHRONOLOGICAL: 1, GALILEI: 2}
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
+def _integer(value, what: str) -> int:
+    """A Python or numpy integer as an int; ValueError for anything else,
+    a bool, a float or a string included, rather than a truncation."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def mode_code(mode: str) -> int:
     if mode not in _MODE_CODE:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -48,7 +56,8 @@ class IntegerGrid:
     extents: tuple[tuple[int, int], ...]
 
     def __init__(self, extents: Sequence[Sequence[int]]):
-        ext = tuple((int(lo), int(hi)) for lo, hi in extents)
+        ext = tuple((_integer(lo, "an axis end"), _integer(hi, "an axis end"))
+                    for lo, hi in extents)
         if len(ext) < 2:
             raise ValueError("a grid needs a time axis and at least one spatial axis")
         for lo, hi in ext:
@@ -88,7 +97,7 @@ class IntegerGrid:
             np.stack([m.reshape(-1) for m in mesh], axis=1))
 
     def index_of(self, point: Sequence[int]) -> int:
-        p = tuple(int(c) for c in point)
+        p = tuple(_integer(c, "a point coordinate") for c in point)
         if len(p) != self.dim or not all(lo <= c <= hi for c, (lo, hi) in zip(p, self.extents)):
             raise ValueError(f"point {p} outside grid")
         idx = 0

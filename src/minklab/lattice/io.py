@@ -22,7 +22,7 @@ import json
 
 import numpy as np
 
-from .grid import IntegerGrid, Region
+from .grid import IntegerGrid, Region, _integer
 
 __all__ = ["region_to_json", "region_from_json", "region_to_pbm"]
 
@@ -57,26 +57,41 @@ def region_to_json(region: Region) -> str:
     return json.dumps(doc, separators=(",", ":"), sort_keys=True)
 
 
+def _pair(value, what: str) -> list[int]:
+    # a JSON number decodes to an int, a float or a bool: only an int counts
+    if not (type(value) is list and len(value) == 2 and type(value[0]) is type(value[1]) is int):
+        raise ValueError(f"{what} {value!r} is not a pair of integers")
+    return value
+
+
 def region_from_json(text: str) -> Region:
-    """The region of a JSON document.  ValueError unless `dim` matches the
-    extents, every row key lies in the grid, and every run has a positive
-    length and lies in its row."""
+    """The region of a JSON document.  ValueError unless it is an object
+    whose `extents` are integer pairs, whose integer `dim` matches them,
+    whose row keys are integer coordinates in the grid, and whose runs are
+    integer pairs of positive length that lie in their row."""
     doc = json.loads(text)
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    if not isinstance(doc, dict):
+        raise ValueError(f"a region document is a JSON object, got {type(doc).__name__}")
+    if type(doc.get("schema_version")) is not int or doc["schema_version"] != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    grid = IntegerGrid([tuple(e) for e in doc["extents"]])
-    if doc.get("dim") != grid.dim:
+    if not (isinstance(doc.get("extents"), list) and isinstance(doc.get("rows"), list)):
+        raise ValueError("a region document needs the lists 'extents' and 'rows'")
+    grid = IntegerGrid([_pair(e, "extent") for e in doc["extents"]])
+    if type(doc.get("dim")) is not int or doc["dim"] != grid.dim:
         raise ValueError(f"dim {doc.get('dim')!r} does not match {grid.dim} extents")
     nd = np.zeros(grid.shape, dtype=bool)
     lead_extents = grid.extents[:-1]
     last_lo, last_hi = grid.extents[-1]
     for row in doc["rows"]:
-        lead, runs = row[0], row[1:]
+        if not (isinstance(row, list) and row and isinstance(row[0], list)):
+            raise ValueError(f"row {row!r} is not [row_key, [start, length], ...]")
+        lead = [_integer(c, "a row key coordinate") for c in row[0]]
         if len(lead) != len(lead_extents) or not all(
                 lo <= c <= hi for c, (lo, hi) in zip(lead, lead_extents)):
             raise ValueError(f"row key {lead!r} outside the grid")
         idx = tuple(c - lo for c, (lo, _) in zip(lead, lead_extents))
-        for start, length in runs:
+        for run in row[1:]:
+            start, length = _pair(run, "run")
             if not (length > 0 and last_lo <= start and start + length - 1 <= last_hi):
                 raise ValueError(f"run {[start, length]!r} in row {lead!r} outside the grid")
             nd[idx][start - last_lo:start - last_lo + length] = True

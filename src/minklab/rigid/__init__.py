@@ -7,7 +7,6 @@ from .decomp import (DEFAULT_STEP, FIRST_DERIV_TOL, SECOND_DERIV_TOL,
                      KinematicDecomposition, killing_test,
                      kinematic_decomposition, lie_accel,
                      reparameterization_invariance_check, spatial_metric)
-from .export import field_csv, trajectory_csv
 from .fields import (VelocityField, boost_killing_field, boost_killing_flow,
                      rindler_from_event, rotation_killing_field,
                      wedge_chart_metric)
@@ -48,6 +47,4 @@ __all__ = [
     "projected_curvature_check",
     "christoffels_fd",
     "riemann_lowered_fd",
-    "field_csv",
-    "trajectory_csv",
 ]

@@ -119,13 +119,15 @@ def wiggly_worldline(eps: float) -> WorldLineCurve:
     return WorldLineCurve(z=z, zdot=zdot, zddot=zddot, zdddot=zdddot)
 
 
-def _offset_and_gap(curve: WorldLineCurve, x: np.ndarray, tau: np.ndarray):
+def _offset_and_gap(curve: WorldLineCurve, x: np.ndarray, tau: np.ndarray,
+                    gap: bool = True):
     """(f, N) along rows, from one evaluation of the curve: the offset
     f = zdot(tau).(x - z(tau)), whose root is sigma(x), and the caustic
-    factor N = 1 - zddot.(x - z)/c^2, with df/dtau = -c^2 N."""
+    factor N = 1 - zddot.(x - z)/c^2, with df/dtau = -c^2 N.  N is None
+    unless `gap`: the bracket rounds read f alone."""
     rel = x - curve.z(tau)
-    return (_inner_rows(curve.zdot(tau), rel),
-            1.0 - _inner_rows(curve.zddot(tau), rel) / (curve.c * curve.c))
+    f = _inner_rows(curve.zdot(tau), rel)
+    return f, (1.0 - _inner_rows(curve.zddot(tau), rel) / (curve.c * curve.c) if gap else None)
 
 
 def _foliation_rows(curve: WorldLineCurve, x: np.ndarray,
@@ -151,8 +153,8 @@ def _foliation_rows(curve: WorldLineCurve, x: np.ndarray,
                 span = hi[rows] - lo[rows]
                 lo[rows], hi[rows] = lo[rows] - 0.5 * span, hi[rows] + 0.5 * span
             # far out f may overflow to inf or NaN, which brackets nothing
-            f = _offset_and_gap(curve, x[np.concatenate([rows, rows])],
-                                np.concatenate([lo[rows], hi[rows]]))[0]
+            f, _ = _offset_and_gap(curve, x[np.concatenate([rows, rows])],
+                                   np.concatenate([lo[rows], hi[rows]]), gap=False)
             flo[rows], fhi[rows] = f[:len(rows)], f[len(rows):]
             rows = rows[~((flo[rows] < 0) & (fhi[rows] > 0) | (fhi[rows] < 0) & (flo[rows] > 0))]
             if not len(rows):

@@ -311,10 +311,10 @@ def record_offsets(monkeypatch, events):
     taus = [[] for _ in events]
     real = worldline._offset_and_gap
 
-    def counted(curve, x, tau):
+    def counted(curve, x, tau, **gap):
         for row, t in zip(x, np.ravel(tau).tolist()):
             taus[index[row.tobytes()]].append(t)
-        return real(curve, x, tau)
+        return real(curve, x, tau, **gap)
 
     monkeypatch.setattr(worldline, "_offset_and_gap", counted)
     return taus

@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 import minklab
+from minklab import cli
 from minklab.cli import main
 from minklab.lattice import engine
 from minklab.rigid import decomp
@@ -144,6 +147,78 @@ class TestBadInput:
         assert main(["demo", demo, flag, value, "--out", str(out)]) == 2
         assert f"error: {error}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, option", [
+        (["demo", "fig2", "--kappa", "3"], "--kappa"),
+        (["demo", "fig2", "--seed", "4"], "--seed"),
+        (["demo", "fig2", "--seed", "0"], "--seed"),
+        (["demo", "image-lines", "--samples", "9"], "--samples"),
+        (["demo", "rindler", "--R", "2"], "--R"),
+        (["demo", "disk", "--orbits", "2"], "--orbits"),
+        (["--suite", "core", "demo", "image-lines"], "--suite"),
+        (["--csv", "demo", "fig2"], "--csv"),
+        (["demo", "fig2", "--json"], "--json"),
+        (["--config", "c.cfg", "demo", "fig2"], "--config"),
+        (["--grid", "41x41", "demo", "disk"], "--grid"),
+        (["--suite", "core", "--kappa", "2"], "--kappa"),
+        (["--suite", "core", "--sigmas", "0,1"], "--sigmas"),
+        (["--suite", "core", "--v-final", "0.2"], "--v-final"),
+    ])
+    def test_option_the_command_does_not_read(self, tmp_path, monkeypatch, capsys,
+                                              argv, option):
+        # refused whether it comes before or after `demo NAME`, and even at
+        # its default value; nothing is written, not even to the cwd
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.cfg").write_text("samples=10\n")
+        assert main([*argv, "--out", "out"]) == 2
+        captured = capsys.readouterr()
+        error, = (line for line in captured.err.splitlines() if line.startswith("error:"))
+        assert "does not read" in error and option in error
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+    @pytest.mark.parametrize("argv", [[], ["--seed", "3"], ["--kappa", "2"]])
+    def test_no_command(self, capsys, argv):
+        assert main(argv) == 2
+        assert "error: either --suite NAME or a demo subcommand is required" in capsys.readouterr().err
+
+    def test_demo_without_name(self, tmp_path, capsys):
+        assert main(["demo", "--out", str(tmp_path / "out")]) == 2
+        assert "error: demo needs a NAME" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_config_key(self, tmp_path, capsys):
+        # the last of two lines does not silently win
+        path = tmp_path / "cfg"
+        path.write_text("samples=10\nsamples=400\n")
+        assert main(["--suite", "core", "--config", str(path),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert "error: config key 'samples' is set twice" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_grid_in_config_and_flag(self, tmp_path, capsys):
+        path = tmp_path / "cfg"
+        path.write_text("grid=13x13x13\n")
+        assert main(["--suite", "lattice", "--config", str(path), "--grid", "41x41",
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert "error: config key 'grid' is set both in" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("argv", [["--suite", "core"], ["demo", "image-lines"]])
+    def test_empty_out(self, tmp_path, monkeypatch, capsys, argv):
+        # not the report on stdout, nor the demo files in the cwd
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert "error: --out needs a path" in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--suite", "core"], ["demo", "fig2"]])
+    def test_empty_grid(self, tmp_path, capsys, argv):
+        # an empty spec is a bad spec, not the default grid
+        assert main([*argv, "--grid", "", "--out", str(tmp_path / "out")]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("spec", ["2x2", "15x15", "41x41x41", "9x9x9x9"])
     def test_bad_fig2_grid(self, tmp_path, capsys, spec):
@@ -422,3 +497,90 @@ class TestDemos:
         norm = np.sqrt(1.0 + sigma ** 2)
         assert np.allclose(dir_t, 1.0 / norm, rtol=0.0, atol=1e-15)
         assert np.allclose(dir_x, sigma / norm, rtol=0.0, atol=1e-15)
+
+    @staticmethod
+    def csv_cells(path):
+        lines = path.read_text().splitlines()
+        return lines[0], [line.split(",") for line in lines[1:]]
+
+    def test_rindler_csv_rows(self, tmp_path):
+        # the orbits lie in the (ct, x) plane: y and z are written as 0.0,
+        # and every float as its repr, so it reads back to the same bits
+        assert main(["demo", "rindler", "--out", str(tmp_path), "--samples", "7",
+                     "--orbits", "2"]) == 0
+        header, rows = self.csv_cells(tmp_path / "rindler_orbits.csv")
+        assert header == "tau,ct,x,y,z"
+        assert len(rows) == 14
+        for row in rows:
+            assert len(row) == 5 and row[3:] == ["0.0", "0.0"]
+            assert all(cell == repr(float(cell)) for cell in row)
+
+    def test_disk_csv_rows(self, tmp_path):
+        assert main(["demo", "disk", "--out", str(tmp_path), "--samples", "3"]) == 0
+        header, rows = self.csv_cells(tmp_path / "disk_field.csv")
+        assert header == "tau,ct,x,y,z,theta_norm,omega_norm,accel_norm"
+        assert len(rows) == 3
+        for row in rows:
+            assert len(row) == 8 and row[3:5] == ["0.0", "0.0"]
+            assert all(cell == repr(float(cell)) for cell in row)
+
+
+class TestFrontEnd:
+    """One parser: options before `demo NAME` take effect, the README's
+    command lines run, and COMMANDS lists what each command reads."""
+
+    def test_out_before_demo(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["--out", "od", "demo", "image-lines"]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["od"]
+        assert (tmp_path / "od" / "image_line_directions.csv").exists()
+
+    @pytest.mark.parametrize("demo, option, value, name", [
+        ("fl-slab", "--seed", "5", "fl_slab.json"),
+        ("fig2", "--grid", "61x61", "fig2_a.pbm"),
+        ("disk", "--kappa", "3", "disk_field.csv"),
+    ])
+    def test_option_before_demo(self, tmp_path, demo, option, value, name):
+        before, after, default = (tmp_path / d for d in ("before", "after", "default"))
+        assert main([option, value, "demo", demo, "--out", str(before)]) == 0
+        assert main(["demo", demo, option, value, "--out", str(after)]) == 0
+        assert main(["demo", demo, "--out", str(default)]) == 0
+        assert (before / name).read_bytes() == (after / name).read_bytes()
+        assert (before / name).read_bytes() != (default / name).read_bytes()
+
+    @staticmethod
+    def readme_command_lines():
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+        return [shlex.split(line.split("#", 1)[0])[1:] for line in section.splitlines() if line.startswith("minklab ")]
+
+    def test_readme_command_lines_run(self, tmp_path, monkeypatch, capsys):
+        lines = self.readme_command_lines()
+        assert len(lines) >= 9
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "tolerances.cfg").write_text("")
+        for argv in lines:
+            assert main(argv) == 0, argv
+            capsys.readouterr()
+        # every --out path stayed in the temporary cwd
+        assert (tmp_path / "report.json").exists() and (tmp_path / "data").is_dir()
+
+    @staticmethod
+    def args_read(function) -> set[str]:
+        tree = ast.parse(Path(cli.__file__).read_text())
+        node, = (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+        return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                and isinstance(n.value, ast.Name) and n.value.id == "args"}
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_commands_table_matches_the_code(self, command):
+        runner, reads = cli.COMMANDS[command]
+        extra = {"out"} if command == "suite" else set()  # _cmd_demo reads a demo's --out
+        assert self.args_read(runner.__name__) == {*reads, *extra}
+
+    def test_every_option_is_read_by_some_command(self):
+        assert self.args_read("_cmd_demo") == {"out"}
+        assert self.args_read("main") == {"command", "name", "suite", "out", "format"}
+        dests = {a.dest for a in cli.build_parser()._actions} - {"help", "command", "name", "out"}
+        assert dests == {dest for _, reads in cli.COMMANDS.values() for dest in reads}
+        assert cli.DEMOS == ("rindler", "disk", "fig2", "fl-slab", "image-lines")

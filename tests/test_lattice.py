@@ -54,6 +54,20 @@ class TestGridAndRegion:
         with pytest.raises(ValueError):
             Region.empty(grid) & Region.empty(other)
 
+    @pytest.mark.parametrize("point", [(0.7, 0), (0, -0.2), (1.0, 0), (True, 0),
+                                       ("1", 0), (0, np.float64(2.0)), (0, np.bool_(True))])
+    def test_non_integer_point_rejected(self, grid, point):
+        # refused, not truncated to a neighbouring cell
+        with pytest.raises(ValueError, match="must be an integer"):
+            grid.index_of(point)
+        with pytest.raises(ValueError, match="must be an integer"):
+            Region.from_points(grid, [(0, 0), point])
+
+    def test_numpy_integer_point_accepted(self, grid):
+        points = np.array([[0, 0], [3, -2]], dtype=np.int64)
+        assert grid.index_of((np.int32(3), np.int64(-2))) == grid.index_of((3, -2))
+        assert Region.from_points(grid, points).points() == [(0, 0), (3, -2)]
+
     @pytest.mark.parametrize("sizes", [(2 ** 32, 2 ** 32), (2 ** 32, 2 ** 31 + 1),
                                        (3, 3037000501), (3, 5, 7, 2 ** 21, 2 ** 40)])
     def test_int64_overflow_rejected(self, sizes):
@@ -707,6 +721,42 @@ class TestExport:
         doc = {"schema_version": 1, "dim": dim, "extents": [[-2, 2], [-2, 2]], "rows": rows}
         with pytest.raises(ValueError):
             region_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", [
+        '[]',
+        '"region"',
+        '{"schema_version": 1, "dim": 2, "rows": []}',
+        '{"schema_version": 1, "dim": 2, "extents": [[-2, 2], [-2, 2]]}',
+        '{"schema_version": 1, "dim": 2, "extents": {"t": [-2, 2]}, "rows": []}',
+        '{"schema_version": 1, "dim": 2, "extents": [[-2, 2], [-2.5, 2]], "rows": []}',
+        '{"schema_version": 1, "dim": 2, "extents": [[-2, 2], [-2, 2, 3]], "rows": []}',
+        '{"schema_version": 1, "dim": 2, "extents": [[-2, 2], 5], "rows": []}',
+        '{"schema_version": 1, "dim": 2, "extents": [[-2, 2], [-2, 2]], "rows": {}}',
+        '{"schema_version": 1, "dim": 2, "extents": [[-2, 2], [-2, 2]], "rows": [[]]}',
+        '{"schema_version": 1, "dim": 2, "extents": [[-2, 2], [-2, 2]], "rows": [5]}',
+        '{"schema_version": 1, "dim": 2, "extents": [[-2, 2], [-2, 2]], "rows": [[0, [0, 1]]]}',
+        '{"schema_version": 1, "dim": 2, "extents": [[-2, 2], [-2, 2]], "rows": [[[0.5], [0, 1]]]}',
+        '{"schema_version": 1, "dim": 2, "extents": [[-2, 2], [-2, 2]], "rows": [[[true], [0, 1]]]}',
+        '{"schema_version": 1, "dim": 2, "extents": [[-2, 2], [-2, 2]], "rows": [[["1"], [0, 1]]]}',
+        '{"schema_version": 1, "dim": 2, "extents": [[-2, 2], [-2, 2]], "rows": [[[0], [0, "a"]]]}',
+        '{"schema_version": 1, "dim": 2, "extents": [[-2, 2], [-2, 2]], "rows": [[[0], [0.5, 1]]]}',
+        '{"schema_version": 1, "dim": 2, "extents": [[-2, 2], [-2, 2]], "rows": [[[0], [0, true]]]}',
+        '{"schema_version": 1, "dim": 2, "extents": [[-2, 2], [-2, 2]], "rows": [[[0], 1]]}',
+        '{"schema_version": 1, "dim": 2, "extents": [[-2, 2], [-2, 2]], "rows": [[[0], [0, 1, 1]]]}',
+        '{"schema_version": 1, "dim": 2, "extents": [[-2, 2], [-2, 2]], "rows": [[[0], [0]]]}',
+        '{"schema_version": 1, "dim": 2,',
+        '{"schema_version": true, "dim": 2, "extents": [[-2, 2], [-2, 2]], "rows": []}',
+        '{"schema_version": 1.0, "dim": 2, "extents": [[-2, 2], [-2, 2]], "rows": []}',
+        '{"schema_version": 1, "dim": 2.0, "extents": [[-2, 2], [-2, 2]], "rows": []}',
+    ], ids=["list", "string", "no-extents", "no-rows", "extents-object", "extent-float",
+            "extent-triple", "extent-int", "rows-object", "empty-row", "row-int",
+            "key-int", "key-float", "key-bool", "key-string", "length-string",
+            "start-float", "length-bool", "run-int", "run-triple", "run-single",
+            "truncated", "version-bool", "version-float", "dim-float"])
+    def test_json_malformed_rejected(self, text):
+        # a ValueError, as documented, and no other error, nor a truncation
+        with pytest.raises(ValueError):
+            region_from_json(text)
 
     def test_json_edges_accepted(self):
         grid = IntegerGrid.centered(5, 5)

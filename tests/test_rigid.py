@@ -9,7 +9,7 @@ from minklab.rigid import (KinematicDecomposition, VelocityField, WorldLineCurve
                            boost_killing_field,
                            boost_killing_flow, comoving_frame_vectors,
                            expected_accel_curl,
-                           field_csv, foliation_gap,
+                           foliation_gap,
                            foliation_time, herglotz_field,
                            hyperbolic_worldline, killing_test,
                            kinematic_decomposition, lie_accel,
@@ -17,7 +17,7 @@ from minklab.rigid import (KinematicDecomposition, VelocityField, WorldLineCurve
                            reparameterization_invariance_check,
                            rindler_from_event, rotation_killing_checks,
                            rotation_killing_field, spatial_metric,
-                           trajectory_csv, wedge_chart_metric, wiggly_worldline)
+                           wedge_chart_metric, wiggly_worldline)
 from minklab.suites import Config, suite_rigid
 
 import rigid_reference
@@ -715,18 +715,4 @@ class TestOneForm:
                 dq[j] = step
                 jac[:, j] = (embed(q0 + dq) - embed(q0 - dq)) / (2 * step)
             assert wedge_chart_metric(x0, lam).tobytes() == (jac.T @ G @ jac).tobytes()
-
-
-class TestExport:
-    def test_trajectory_header_and_rows(self):
-        text = trajectory_csv([(0.0, np.array([0.0, 1.0])),
-                               (0.5, np.array([0.2, 1.1]))])
-        lines = text.splitlines()
-        assert lines[0] == "tau,ct,x,y,z"
-        assert len(lines) == 3
-        assert lines[1].split(",")[1] == "0.0"
-
-    def test_field_header(self):
-        text = field_csv([(0.0, np.array([0.0, 1.0, 0.0, 0.0]), 1e-8, 0.5, 1.0)])
-        assert text.splitlines()[0] == "tau,ct,x,y,z,theta_norm,omega_norm,accel_norm"
 
