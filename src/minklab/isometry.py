@@ -435,10 +435,10 @@ def random_lorentz(n: int, rng: np.random.Generator, size: int | None = None, *,
                    proper: bool = True) -> np.ndarray:
     """Random form-preserving matrix: rotation . boost . rotation.
 
-    With `size` a stack (size, n, n) of them.  Each matrix draws in turn its
-    rapidity, uniform in [-MAX_RAPIDITY, MAX_RAPIDITY], its two rotations
-    and then its parity and time-reversal coins, so a stack of k equals k
-    single calls bit for bit and leaves rng in the same state.  The
+    With `size` a stack (size, n, n) of them, and without it the stack of
+    one.  A stack draws in three calls the rapidities, uniform in
+    [-MAX_RAPIDITY, MAX_RAPIDITY], then the normal blocks of each matrix's
+    two rotations, then each matrix's parity and time-reversal coins.  The
     distribution is a test convenience, not canonical.
     """
     _require_dim(n)
@@ -447,14 +447,9 @@ def random_lorentz(n: int, rng: np.random.Generator, size: int | None = None, *,
         raise ValueError(f"size must be None or a non-negative int, got {size!r}")
     k = 1 if size is None else int(size)
     coins = (not proper) + (not orthochronous)
-    rapidity = np.empty(k)
-    normals = np.empty((k, 2, n - 1, n - 1))
-    flips = np.empty((k, coins))
-    for i in range(k):
-        rapidity[i] = rng.uniform(-MAX_RAPIDITY, MAX_RAPIDITY)
-        rng.standard_normal(out=normals[i])
-        if coins:
-            rng.random(out=flips[i])
+    rapidity = rng.uniform(-MAX_RAPIDITY, MAX_RAPIDITY, k)
+    normals = rng.standard_normal((k, 2, n - 1, n - 1))
+    flips = rng.random((k, coins))
     R = _rotations(normals.reshape(2 * k, n - 1, n - 1)).reshape(k, 2, n, n)
     boost = np.tile(np.eye(n), (k, 1, 1))
     boost[:, 0, 0] = boost[:, 1, 1] = np.cosh(rapidity)

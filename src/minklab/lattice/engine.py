@@ -21,8 +21,8 @@ slices alone: when they leave no interval open, the complement is empty at
 a cost of O(|spatial| (1 + L)), before the middle slices and the
 T |spatial| output build.  Otherwise the middle slices fold into the same
 min and max, which gives the same bits in any order.  `completion`, `join`
-and the orthomodularity check skip that try for their outer complement,
-which contains their non-empty input and so cannot come out empty.  The
+and the orthomodularity check skip that try for their outer complement
+when it contains a non-empty input and so cannot come out empty.  The
 finite-speed (galilei) relation has a closed form.  Result masks are
 computed fresh and adopted by their regions (`Region._adopt`), not copied.
 `oracle.complement_mask_bruteforce`, the relation's definition applied
@@ -172,19 +172,20 @@ def complement(region: Region, mode: str) -> Region:
     return Region._adopt(region.grid, _complement_mask(region, mode_code(mode)))
 
 
-def _outer_complement(region: Region, mode: str) -> Region:
-    """Complement without the extreme-slice try, for a region whose
-    complement contains a known non-empty set (the complement of a
-    complement contains the original set), where the try would be waste.
-    The bits are the same either way."""
+def _outer_complement(region: Region, mode: str, inside_empty: bool) -> Region:
+    """Complement of a region whose complement contains a known set (the
+    complement of a complement contains the original set).  The
+    extreme-slice try runs only when `inside_empty` says that set is empty:
+    otherwise the result cannot be empty and the try would be waste.  The
+    bits are the same either way."""
     return Region._adopt(region.grid,
-                          _complement_mask(region, mode_code(mode), ends_first=False))
+                          _complement_mask(region, mode_code(mode), ends_first=inside_empty))
 
 
 def _completion_pair(region: Region, mode: str) -> tuple[Region, Region]:
     """The region's complement and its completion, the complement's complement."""
     once = complement(region, mode)
-    return once, _outer_complement(once, mode)
+    return once, _outer_complement(once, mode, region.is_empty)
 
 
 def completion(region: Region, mode: str) -> Region:
@@ -204,7 +205,8 @@ def meet(s1: Region, s2: Region, mode: str) -> Region:
 
 def join(s1: Region, s2: Region, mode: str) -> Region:
     """Least upper bound of complete regions: (s1' intersect s2')'."""
-    return _outer_complement(complement(s1, mode) & complement(s2, mode), mode)
+    return _outer_complement(complement(s1, mode) & complement(s2, mode), mode,
+                             s1.is_empty and s2.is_empty)
 
 
 def _cone_offsets(grid: IntegerGrid, p) -> tuple[np.ndarray, np.ndarray]:
@@ -264,9 +266,10 @@ def _orthomodular(a: Region, a_complement: Region, b: Region, mode: str) -> dict
     """The law for complete a <= b, given a's complement.
 
     With b complete, a join b' = (a' meet b'')' = (a' meet b)', whose outer
-    complement contains a and so skips the try for an empty one.
+    complement contains a and so skips the try for an empty one unless a
+    is empty.
     """
-    joined = _outer_complement(a_complement & b, mode)
+    joined = _outer_complement(a_complement & b, mode, a.is_empty)
     rhs = meet(b, joined, mode)
     return {"holds": rhs == a, "witness": rhs - a, "join": joined}
 

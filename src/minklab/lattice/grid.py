@@ -188,7 +188,7 @@ class Region:
 
     @property
     def is_empty(self) -> bool:
-        return not bool(self.mask.any())
+        return np.count_nonzero(self.mask) == 0
 
     def points(self) -> list[tuple[int, ...]]:
         return [tuple(int(x) for x in row) for row in self.grid.coords[self.mask]]

@@ -11,6 +11,7 @@ on pass so regressions stay visible across runs.
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,12 +108,17 @@ def _chk(name: str, residual: float, tolerance: float, note: str = "") -> Check:
     return Check(name, float(residual), float(tolerance), note)
 
 
-# The sample sweeps below draw their random numbers in the order of a
-# per-sample loop, with one array call where that gives the same bits (see
-# _uniform for ranges that depend on an earlier draw), and then take all
-# samples at once as stacks.  A residual folds with one np.max, so a NaN in
-# any sample fails its check, and a sweep that kept no sample reports NaN,
-# so it fails too.
+# Every sampled check draws from its own stream, _stream(seed, name), named
+# by the check or by the prefix of the checks that read the same draws, so
+# its inputs depend on no other check's draws.  A sweep draws whole arrays
+# and takes all samples at once as stacks.  A residual folds with one
+# np.max, so a NaN in any sample fails its check, and a sweep that kept no
+# sample reports NaN, so it fails too.
+
+def _stream(seed: int, name: str) -> np.random.Generator:
+    """The generator of the sampled check or checks `name` at `seed`."""
+    return np.random.default_rng([seed, zlib.crc32(name.encode())])
+
 
 def _worst(residuals) -> float:
     a = np.abs(residuals)
@@ -138,7 +144,6 @@ def _orientation_sweep(rng: np.random.Generator, samples: int) -> int:
 
 
 def suite_core(seed: int, config: Config) -> list[Check]:
-    rng = np.random.default_rng(seed)
     checks = []
     n = 4
     e = np.eye(n)
@@ -178,10 +183,12 @@ def suite_core(seed: int, config: Config) -> list[Check]:
     checks.append(_chk("distance.triangle_violated", not tri < 0, 1.0,
                        "chain strictly shorter than the straight segment"))
     # time-orientation transitivity on random future-timelike triples
-    checks.append(_chk("orientation.transitive", float(_orientation_sweep(rng, config.samples)),
-                       1.0, f"{config.samples} random future triples"))
+    bad = _orientation_sweep(_stream(seed, "orientation.transitive"), config.samples)
+    checks.append(_chk("orientation.transitive", float(bad), 1.0,
+                       f"{config.samples} random future triples"))
     # affine identities
-    pts = [core.Event(rng.integers(-5, 5, size=n).astype(float)) for _ in range(3)]
+    pts = [core.Event(row) for row in
+           _stream(seed, "affine").integers(-5, 5, (3, n)).astype(float)]
     lhs = pts[0] + (pts[1] - pts[2])
     rhs = pts[1] + (pts[0] - pts[2])
     checks.append(_chk("affine.exchange_identity",
@@ -191,7 +198,9 @@ def suite_core(seed: int, config: Config) -> list[Check]:
     expect = pts[0] + (pts[0] - pts[1])
     checks.append(_chk("affine.combination", float(np.abs(comb.a - expect.a).max()),
                        1e-12, "both expansion bases agree"))
-    frame = core.AffineFrame(pts[0], tuple(core.MinkVector(row)
+    rng = _stream(seed, "frame.round_trip")
+    origin = core.Event(rng.integers(-5, 5, n).astype(float))
+    frame = core.AffineFrame(origin, tuple(core.MinkVector(row)
                                            for row in rng.standard_normal((n, n))
                                            + 2 * np.eye(n)))
     x = rng.standard_normal(n)
@@ -203,8 +212,19 @@ def suite_core(seed: int, config: Config) -> list[Check]:
 
 # ------------------------------------------------------------------ isometry
 
+def _cartan_dieudonne_sweep(rng: np.random.Generator, trials: int) -> float:
+    """Worst entry of the composed reflection factors minus the matrix over
+    `trials` random Lorentz matrices, improper and non-orthochronous ones
+    included, in each of dimensions 2, 3 and 4."""
+    worst = []
+    for dim in (2, 3, 4):
+        L = isometry.random_lorentz(dim, rng, trials, orthochronous=False, proper=False)
+        _, factors, _ = isometry._reflection_sweep(L)  # raises past 2 dim - 1 factors
+        worst.append(_worst(isometry.compose_reflections(factors, dim) - L))
+    return _worst(worst)
+
+
 def suite_isometry(seed: int, config: Config) -> list[Check]:
-    rng = np.random.default_rng(seed)
     checks = []
     n = 4
     checks.append(_chk("is_lorentz.identity", isometry.is_lorentz(np.eye(n))[1], 1e-12, ""))
@@ -215,19 +235,16 @@ def suite_isometry(seed: int, config: Config) -> list[Check]:
     refl = isometry.reflect(v, np.array([2.0, 3.0]))
     checks.append(_chk("reflect.worked", float(np.abs(refl - [-2.0, 3.0]).max()),
                        1e-14, "time axis flip"))
-    worst = []
     trials = max(20, config.samples // 4)
-    for dim in (2, 3, 4):
-        L = isometry.random_lorentz(dim, rng, trials, orthochronous=False, proper=False)
-        _, factors, _ = isometry._reflection_sweep(L)  # raises past 2 dim - 1 factors
-        worst.append(_worst(isometry.compose_reflections(factors, dim) - L))
-    checks.append(_chk("cartan_dieudonne.reconstruction", _worst(worst), 1e-9,
+    worst = _cartan_dieudonne_sweep(_stream(seed, "cartan_dieudonne.reconstruction"), trials)
+    checks.append(_chk("cartan_dieudonne.reconstruction", worst, 1e-9,
                        f"{3 * trials} random matrices, dims 2-4"))
     d = isometry.Dilation(2.0, core.Event([0, 0, 0, 0]))
     pt = core.Event([1, 1, 0, 0])
     img = isometry.dilation_apply(d, pt)
     checks.append(_chk("dilation.worked", float(np.abs(img.a - [2, 2, 0, 0]).max()),
                        1e-14, "doubles displacements from the centre"))
+    rng = _stream(seed, "conformal")
     lam = float(rng.uniform(0.5, 2.0))
     f = lam * isometry.random_lorentz(n, rng)
     cf = isometry.conformal_factor(f)
@@ -235,9 +252,9 @@ def suite_isometry(seed: int, config: Config) -> list[Check]:
                        "scaled isometry pulls back to alpha g"))
     checks.append(_chk("conformal.residual", cf["residual"], 1e-9, ""))
 
-    # the array draws take the stream of one event (point, direction) at a
-    # time, and every harness residual is a violation count, so the last
-    # bits of the row maps' matmuls do not reach the report
+    # every harness residual is a violation count, so the last bits of the
+    # row maps' matmuls do not reach the report
+    rng = _stream(seed, "relations")
     events = rng.uniform(-5, 5, (40, n))
     L = isometry.random_lorentz(n, rng)
     shift = rng.uniform(-1, 1, size=n)
@@ -256,6 +273,7 @@ def suite_isometry(seed: int, config: Config) -> list[Check]:
     checks.append(_chk("relations.time_reflection", (not rep_t) + bool(rep_sign), 1.0,
                        "breaks the oriented relation, keeps interval signs"))
 
+    rng = _stream(seed, "unit_distance")
     pts = rng.uniform(-3, 3, (25, 3))
     dirs = rng.standard_normal((8, 3))
     Q = isometry.random_rotation(4, rng)[1:, 1:]
@@ -266,6 +284,7 @@ def suite_isometry(seed: int, config: Config) -> list[Check]:
                        "rigid motion keeps the sampled distance"))
     checks.append(_chk("unit_distance.scaling_caught", not rep_s, 1.0, ""))
 
+    rng = _stream(seed, "group.closure")
     A = isometry.AffineIsometry(isometry.random_lorentz(n, rng), rng.uniform(-1, 1, n))
     B = isometry.AffineIsometry(isometry.random_lorentz(n, rng), rng.uniform(-1, 1, n))
     comp = A @ B
@@ -275,14 +294,6 @@ def suite_isometry(seed: int, config: Config) -> list[Check]:
 
 
 # ---------------------------------------------------------------- kinematics
-
-def _uniform(low, high, u):
-    """rng.uniform(low, high) from its unit draw u = rng.random(), bit for
-    bit: numpy computes low + (high - low) u.  One rng.random((samples, m))
-    call draws the units of a per-sample loop of m uniform calls in loop
-    order, so the bounds of a row's later draws may depend on its earlier."""
-    return low + (high - low) * u
-
 
 def _rapidity_sweep(rng: np.random.Generator, samples: int) -> float:
     """Worst failure of rapidity additivity over random velocity pairs."""
@@ -295,9 +306,8 @@ def _rapidity_sweep(rng: np.random.Generator, samples: int) -> float:
 def _hyperbolic_form_sweep(rng: np.random.Generator, samples: int) -> float:
     """Worst entry of S A S^-1 minus the hyperbolic boost, S = diag(c, 1),
     over random invariant speeds c and velocities below 0.9 c."""
-    u = rng.random((samples, 2))
-    c = _uniform(0.5, 3.0, u[:, 0])
-    v = _uniform(-0.9 * c, 0.9 * c, u[:, 1])
+    c = rng.uniform(0.5, 3.0, samples)
+    v = rng.uniform(-0.9 * c, 0.9 * c)
     A = kinematics.boost_matrix_1d(-1.0 / (c * c), v)
     beta = v / c
     gam = 1.0 / np.sqrt(1 - beta * beta)
@@ -310,12 +320,11 @@ def _hyperbolic_form_sweep(rng: np.random.Generator, samples: int) -> float:
 
 def _reciprocity_sweep(rng: np.random.Generator, samples: int) -> float:
     """Worst entry of A(v) A(-v) minus the identity over random branches k."""
-    u = rng.random((samples, 2))
-    k = _uniform(-2.0, 2.0, u[:, 0])
+    k = rng.uniform(-2.0, 2.0, samples)
     vmax = np.full(samples, 2.0)
     hyperbolic = k < 0
     vmax[hyperbolic] = 0.9 / np.sqrt(-k[hyperbolic])
-    v = _uniform(-vmax, vmax, u[:, 1])
+    v = rng.uniform(-vmax, vmax)
     A = kinematics.boost_matrix_1d(k, v)
     A_rev = kinematics.boost_matrix_1d(k, -v)
     return _worst(A @ A_rev - np.eye(2))
@@ -331,17 +340,11 @@ def _associativity_sweep(rng: np.random.Generator, samples: int) -> float:
 
 def _boost3d_sweep(rng: np.random.Generator) -> tuple[float, float]:
     """Worst Lorentz residual of boost_3d and worst entry of
-    E(D) B(v) E(D^T) - B(D v), E the rotation embedding, over 50 random
-    velocities; one below 0.95 c draws its rotation D right after it, and
-    a faster one draws none."""
-    V, normals = [], []
-    for _ in range(50):
-        v = rng.uniform(-0.6, 0.6, size=3)
-        if np.linalg.norm(v) < 0.95:
-            V.append(v)
-            normals.append(rng.standard_normal((3, 3)))  # random_rotation(4, rng)'s draw
-    V = np.array(V).reshape(-1, 3)
-    D = isometry._rotations(np.array(normals).reshape(-1, 3, 3))[:, 1:, 1:]
+    E(D) B(v) E(D^T) - B(D v), E the rotation embedding, over the random
+    velocities below 0.95 c among 50, each with a random rotation D."""
+    V = rng.uniform(-0.6, 0.6, (50, 3))
+    V = V[np.sqrt(np.vecdot(V, V)) < 0.95]
+    D = isometry._rotations(rng.standard_normal((len(V), 3, 3)))[:, 1:, 1:]
     B = kinematics._boost_3d_rows(V, 1.0)
     embed = kinematics.rotation_embedding
     lhs = embed(D) @ B @ embed(np.swapaxes(D, 1, 2))
@@ -351,8 +354,8 @@ def _boost3d_sweep(rng: np.random.Generator) -> tuple[float, float]:
 
 
 def suite_kinematics(seed: int, config: Config) -> list[Check]:
-    rng = np.random.default_rng(seed)
     checks = []
+    samples = config.samples
     checks.append(_chk("a_of_v.gamma", abs(kinematics.a_of_v(-1.0, 0.6) - 1.25),
                        1e-15, "1/sqrt(1 - 0.36)"))
     checks.append(_chk("compose.einstein", abs(
@@ -365,21 +368,23 @@ def suite_kinematics(seed: int, config: Config) -> list[Check]:
     checks.append(_chk("compose.rotation_pathologies",
                        abs(neg + 1.0) + (not math.isinf(pole)), 1e-15,
                        "pole and sign flip past the pole"))
-    checks.append(_chk("rapidity.additive", _rapidity_sweep(rng, config.samples), 1e-12,
-                       f"{config.samples} random pairs"))
-    checks.append(_chk("boost1d.hyperbolic_form", _hyperbolic_form_sweep(rng, config.samples),
-                       1e-12, "entrywise in rescaled time"))
-    checks.append(_chk("boost1d.reciprocity", _reciprocity_sweep(rng, config.samples), 1e-12,
-                       "opposite velocity inverts the matrix"))
-    worst_lor, worst_eq = _boost3d_sweep(rng)
+    checks.append(_chk("rapidity.additive",
+                       _rapidity_sweep(_stream(seed, "rapidity.additive"), samples), 1e-12,
+                       f"{samples} random pairs"))
+    checks.append(_chk("boost1d.hyperbolic_form", _hyperbolic_form_sweep(
+        _stream(seed, "boost1d.hyperbolic_form"), samples), 1e-12, "entrywise in rescaled time"))
+    checks.append(_chk("boost1d.reciprocity", _reciprocity_sweep(
+        _stream(seed, "boost1d.reciprocity"), samples), 1e-12,
+        "opposite velocity inverts the matrix"))
+    worst_lor, worst_eq = _boost3d_sweep(_stream(seed, "boost3d"))
     checks.append(_chk("boost3d.isometry", worst_lor, 1e-10, ""))
     checks.append(_chk("boost3d.equivariance", worst_eq, 1e-12,
                        "conjugation by rotations rotates the velocity"))
     br = kinematics.classify_branch(-4.0)
     checks.append(_chk("branch.invariant_speed", abs(br.invariant_speed - 0.5)
                        + (br.branch != "lorentz"), 1e-15, ""))
-    checks.append(_chk("compose.associative", _associativity_sweep(rng, config.samples),
-                       1e-12, ""))
+    checks.append(_chk("compose.associative", _associativity_sweep(
+        _stream(seed, "compose.associative"), samples), 1e-12, ""))
     return checks
 
 
@@ -388,41 +393,57 @@ def suite_kinematics(seed: int, config: Config) -> list[Check]:
 _SEGMENTS = 25
 
 
-def _lines_sweep(rng: np.random.Generator) -> tuple[float, int]:
-    """Worst collinearity residual of the images of five points on
-    _SEGMENTS random segments under random proper projective maps, and the
-    number of segments kept.  A segment with any point within EPS_SINGULAR
-    of its map's singular hyperplane is skipped whole."""
-    A = np.empty((_SEGMENTS, 3, 3))
-    a, p, base, direction = np.empty((4, _SEGMENTS, 3))
-    for i in range(_SEGMENTS):
-        A[i] = rng.standard_normal((3, 3)) + 2 * np.eye(3)
-        a[i] = rng.standard_normal(3)
-        p[i] = 0.2 * rng.standard_normal(3)
-        base[i] = rng.uniform(-0.5, 0.5, size=3)
-        direction[i] = rng.standard_normal(3)
+def _lines_sweep(rng: np.random.Generator) -> tuple[float, int, int]:
+    """Worst collinearity residual of the images of five points on each of
+    _SEGMENTS random segments and one fixed segment under random proper
+    projective maps, and the numbers of segments kept and skipped.  A
+    segment with any point within EPS_SINGULAR of its map's singular
+    hyperplane is skipped whole, and so the fixed one always is: its map
+    has p = (-4, 0, 0), and its middle point (0.5, 0, 0) has p.x + 2 = 0."""
+    k = _SEGMENTS + 1
+    A = rng.standard_normal((k, 3, 3)) + 2 * np.eye(3)
+    a = rng.standard_normal((k, 3))
+    p = np.vstack([0.2 * rng.standard_normal((_SEGMENTS, 3)), [-4.0, 0.0, 0.0]])
+    base = np.vstack([rng.uniform(-0.5, 0.5, (_SEGMENTS, 3)), [0.5, 0.0, 0.0]])
+    direction = np.vstack([rng.standard_normal((_SEGMENTS, 3)), [1.0, 0.0, 0.0]])
     s = np.linspace(-0.2, 0.2, 5)[:, None]
     img, den = projective._proj_rows(A[:, None], a[:, None], p[:, None], 2.0,
                                      base[:, None] + s * direction[:, None])
     kept = img[projective._regular(den).all(axis=1)]
-    return _worst([projective.collinearity_residual(pts) for pts in kept]), len(kept)
+    return (_worst([projective.collinearity_residual(pts) for pts in kept]),
+            len(kept), k - len(kept))
 
 
 def _fl_samples(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """Events with t uniform in [0.5, 9] and x in [-3, 3]^3, each drawn t first."""
+    """Events with t uniform in [0.5, 9] and x in [-3, 3]^3."""
     tx = rng.uniform([0.5, -3, -3, -3], [9, 3, 3, 3], (samples, 4))
     return tx[:, 0], tx[:, 1:]
 
 
-def _inverse_sweep(b: projective.FLBoost, t: np.ndarray, x: np.ndarray) -> tuple[float, int]:
-    """Worst sup-norm round-trip error of the deformed boost followed by
-    its inverse, and the number of events at which both legs are regular."""
+def _fl_sweep(rows, b: projective.FLBoost, rng: np.random.Generator,
+              samples: int) -> tuple[float, int, int]:
+    """Worst of the per-event residuals `rows(b, t, x)` returns with its
+    mask of events kept, over `samples` random events and then the fixed
+    event t = R / (c (gamma - 1)), x = 0, where b's denominator is zero, so
+    that it is skipped; and the numbers of events kept and skipped."""
+    t, x = _fl_samples(rng, samples)
+    t = np.append(t, b.R / (b.c * (b.gamma - 1.0)))
+    x = np.vstack([x, np.zeros(3)])
+    res, keep = rows(b, t, x)
+    used = int(np.count_nonzero(keep))
+    return _worst(res[keep]), used, t.size - used
+
+
+def _inverse_rows(b: projective.FLBoost, t: np.ndarray,
+                  x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per event, the sup-norm round-trip error of the deformed boost
+    followed by its inverse, and the mask of events at which both legs are
+    regular."""
     binv = projective.FLBoost(-b.velocity, b.c, b.R)
     t1, x1, d1 = projective._fl_rows(b, t, x)
     t2, x2, d2 = projective._fl_rows(binv, t1, x1)
-    keep = projective._regular(d1) & projective._regular(d2)
-    res = np.maximum(np.abs(t2 - t), np.abs(x2 - x).max(axis=1))
-    return _worst(res[keep]), int(np.count_nonzero(keep))
+    return (np.maximum(np.abs(t2 - t), np.abs(x2 - x).max(axis=1)),
+            projective._regular(d1) & projective._regular(d2))
 
 
 def _large_scale_sweep(t: np.ndarray, x: np.ndarray) -> float:
@@ -437,50 +458,48 @@ def _large_scale_sweep(t: np.ndarray, x: np.ndarray) -> float:
     return _worst(np.maximum(np.abs(t1 - t2), np.abs(x1 - x2).max(axis=1)) / bound)
 
 
-def _slab_sweep(rng: np.random.Generator, samples: int) -> tuple[int, int]:
-    """Number of instants t uniform in [-20, 20] whose squash image at
-    R = 5, c = 1 is outside the tabulated image of their slab, and the
-    number kept: those more than 1e-9 from the horizons and regular under
-    the squash."""
+def _slab_sweep(rng: np.random.Generator, samples: int) -> tuple[int, int, int]:
+    """Number of instants t whose squash image at R = 5, c = 1 is outside
+    the tabulated image of their slab, over `samples` instants uniform in
+    [-20, 20] and then the horizon t = R/c; and the numbers of instants
+    kept, those more than 1e-9 from the horizons and regular under the
+    squash, and skipped."""
     R, c = 5.0, 1.0
-    t = rng.uniform(-20, 20, samples)
+    t = np.append(rng.uniform(-20, 20, samples), R / c)
     kept, tp = projective._slab_table(t, R, c, 1e-9)
     outside = np.choose(projective._slab_rows(kept, R, c),
                         [~(tp >= 0), ~(tp < -R / c), ~((-R / c < tp) & (tp <= 0))])
-    return int(np.count_nonzero(outside)), len(kept)
+    return int(np.count_nonzero(outside)), len(kept), t.size - len(kept)
 
 
 def suite_projective(seed: int, config: Config) -> list[Check]:
-    rng = np.random.default_rng(seed)
     checks = []
     worked = projective.ProjectiveMap.worked_example(2)
     img = projective.proj_apply(worked, np.array([0.25, 0.5]))
     checks.append(_chk("proj.worked_map", float(np.abs(img - np.array([0.25, 0.5]) / 0.75).max()),
                        1e-14, "scales by 1/(1 - first coordinate)"))
-    worst, used = _lines_sweep(rng)
+    worst, used, skipped = _lines_sweep(_stream(seed, "proj.lines_to_lines"))
     checks.append(_chk("proj.lines_to_lines", worst, 1e-10,
-                       f"sampled segments stay collinear; {used} samples, "
-                       f"{_SEGMENTS - used} skipped"))
+                       f"sampled segments stay collinear; {used} samples, {skipped} skipped"))
     demo = projective.parallelism_breaking_demo([0.0, 1.0, 2.0])
     ang = demo["pairwise_angles"]
     checks.append(_chk("proj.parallelism_broken",
                        sum(not a > 1e-6 for a in ang.values()), 1.0,
                        "image directions depend on the line offset"))
     b = projective.FLBoost(np.array([0.5, 0, 0]), c=1.0, R=10.0)
-    t, x = _fl_samples(rng, config.samples)
-    res, keep = projective._conjugation_rows(b, t, x)
-    used = int(np.count_nonzero(keep))
-    checks.append(_chk("fl.conjugation", _worst(res[keep]), 1e-10,
-                       f"{used} samples, {config.samples - used} skipped"))
+    worst, used, skipped = _fl_sweep(projective._conjugation_rows, b,
+                                     _stream(seed, "fl.conjugation"), config.samples)
+    checks.append(_chk("fl.conjugation", worst, 1e-10, f"{used} samples, {skipped} skipped"))
     n = min(100, config.samples)
-    worst, used = _inverse_sweep(b, t[:n], x[:n])
-    checks.append(_chk("fl.inverse", worst, 1e-10, f"{used} samples, {n - used} skipped"))
-    checks.append(_chk("fl.large_scale_limit", _large_scale_sweep(t[:n], x[:n]), 1.0,
+    worst, used, skipped = _fl_sweep(_inverse_rows, b, _stream(seed, "fl.inverse"), n)
+    checks.append(_chk("fl.inverse", worst, 1e-10, f"{used} samples, {skipped} skipped"))
+    t, x = _fl_samples(_stream(seed, "fl.large_scale_limit"), n)
+    checks.append(_chk("fl.large_scale_limit", _large_scale_sweep(t, x), 1.0,
                        "deviation over its bound 10 (|x| + c|t|)/R"))
-    bad, used = _slab_sweep(rng, config.samples)
+    bad, used, skipped = _slab_sweep(_stream(seed, "fl.slab_table"), config.samples)
     checks.append(_chk("fl.slab_table", float(bad), 1.0,
                        f"squash maps the three slabs as tabulated; {used} samples, "
-                       f"{config.samples - used} skipped"))
+                       f"{skipped} skipped"))
     return checks
 
 
@@ -490,10 +509,8 @@ def _radar_sweep(rng: np.random.Generator, lines: int) -> tuple[float, float]:
     """Worst g-orthogonality of the radar event and worst echo-product
     identity -(q - p)^2 = |q_plus - q| |q - q_minus| at ten chord points,
     over random timelike 3+1 lines and events off them."""
-    V, B, P = np.empty((3, lines, 4))
-    for i in range(lines):
-        V[i] = rng.standard_normal(4)
-        B[i], P[i] = rng.uniform(-2, 2, (2, 4))
+    V = rng.standard_normal((lines, 4))
+    B, P = rng.uniform(-2, 2, (2, lines, 4))
     r, v, _ = simultaneity._canonical_lines(B, _future_timelike(V, 0.2), 1.0)
     off = ~simultaneity._contains_rows(r, v, P)
     r, v, P = r[off], v[off], P[off]
@@ -509,10 +526,8 @@ def _radar_sweep(rng: np.random.Generator, lines: int) -> tuple[float, float]:
 def _mutual_sweep(rng: np.random.Generator, pairs: int) -> float:
     """Worst g-orthogonality of q - q' to both lines over random pairs of
     timelike 2+1 lines; parallel pairs are skipped."""
-    V, B = np.empty((2, pairs, 2, 3))
-    for i in range(pairs):
-        V[i] = rng.standard_normal((2, 3))
-        B[i] = rng.uniform(-2, 2, (2, 3))
+    V = rng.standard_normal((pairs, 2, 3))
+    B = rng.uniform(-2, 2, (pairs, 2, 3))
     r, v, _ = simultaneity._canonical_lines(B, _future_timelike(V, 0.2), 1.0)
     skew = ~simultaneity._parallel_rows(v[:, 0], v[:, 1])
     r, v = r[skew], v[skew]
@@ -521,7 +536,6 @@ def _mutual_sweep(rng: np.random.Generator, pairs: int) -> float:
 
 
 def suite_simultaneity(seed: int, config: Config) -> list[Check]:
-    rng = np.random.default_rng(seed)
     checks = []
     line = simultaneity.WorldLine(core.Event([0.0, 2.0]), core.MinkVector([1.0, 0.0]))
     pts = simultaneity.line_cone_intersect(line, core.Event([0.0, 0.0]))
@@ -529,7 +543,7 @@ def suite_simultaneity(seed: int, config: Config) -> list[Check]:
     checks.append(_chk("cone.two_points", float(np.abs(
         np.asarray(got) - [(-2.0, 2.0), (2.0, 2.0)]).max()), 1e-12,
         "timelike line meets the cone twice"))
-    worst_mid, worst_prod = _radar_sweep(rng, config.samples // 4)
+    worst_mid, worst_prod = _radar_sweep(_stream(seed, "radar"), config.samples // 4)
     checks.append(_chk("radar.orthogonal", worst_mid, 1e-10,
                        "midpoint is the orthogonal foot"))
     checks.append(_chk("radar.product_identity", worst_prod, 1e-10,
@@ -540,7 +554,7 @@ def suite_simultaneity(seed: int, config: Config) -> list[Check]:
     checks.append(_chk("mutual.intersection_case",
                        _worst(np.array([q.a, qp.a]) - [-2.0, 0.0]), 1e-10,
                        "intersecting observers agree at the crossing"))
-    worst = _mutual_sweep(rng, config.samples // 4)
+    worst = _mutual_sweep(_stream(seed, "mutual.orthogonality"), config.samples // 4)
     checks.append(_chk("mutual.orthogonality", worst, 1e-10, "skew pairs"))
     plane = simultaneity.simultaneity_hyperplane(l1, core.Event([0.0, 0.0]))
     checks.append(_chk("hyperplane.time_slice",
@@ -558,16 +572,16 @@ _ORACLE_SIDE = {2: 13, 3: 9, 4: 5}
 
 
 def suite_lattice(seed: int, config: Config) -> list[Check]:
-    rng = np.random.default_rng(seed)
     checks = []
     grid = lat.IntegerGrid.centered(*config.grid)
     # production complement path against the brute-force oracle, on a grid
     # with as many axes as the suite's
     small = lat.IntegerGrid.centered(*[_ORACLE_SIDE.get(grid.dim, 3)] * grid.dim)
+    rng = _stream(seed, "kernel.bit_identical")
+    density = rng.uniform(0.05, 0.4, (15, 1))
     mismatches = 0
     modes = (lat.CAUSAL, lat.CHRONOLOGICAL, lat.GALILEI)
-    for _ in range(15):
-        mask = rng.random(small.size) < float(rng.uniform(0.05, 0.4))
+    for mask in rng.random((15, small.size)) < density:
         region = lat.Region(small, mask)
         for code, mode in enumerate(modes):
             brute = complement_mask_bruteforce(small.coords, mask, code)
@@ -575,6 +589,7 @@ def suite_lattice(seed: int, config: Config) -> list[Check]:
     checks.append(_chk("kernel.bit_identical", mismatches, 1.0,
                        "light-cone distances vs brute force"))
     # law sweep
+    rng = _stream(seed, "laws")
     regions = [lat.random_region(grid, rng) for _ in range(config.regions)]
     sweeps = {mode: lat.law_sweep(regions, mode) for mode in (lat.CAUSAL, lat.CHRONOLOGICAL)}
     bad = sum(len(v) for sweep in sweeps.values() for v in sweep["violations"].values())

@@ -389,7 +389,8 @@ def _per_sample_orientation(rng, samples):
 @pytest.mark.parametrize("samples", [60, 200, 800])
 @pytest.mark.parametrize("seed", range(10))
 def test_orientation_sweep_matches_per_sample_reference(seed, samples):
-    ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    name = "orientation.transitive"
+    ref, rng = suites._stream(seed, name), suites._stream(seed, name)
     want = _per_sample_orientation(ref, samples)
     assert suites._orientation_sweep(rng, samples) == want
     assert rng.bit_generator.state == ref.bit_generator.state

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from minklab import isometry
+from minklab import isometry, suites
 from minklab.core import (DimensionMismatchError, Event, MinkVector,
                           PreconditionError, inner, metric_matrix)
 from minklab.isometry import (AffineIsometry, ConformalProbeError, Dilation,
@@ -661,30 +661,37 @@ class TestOneMapCall:
 
 
 class TestSuiteDraws:
-    """The isometry suite draws its events, points and directions as arrays,
-    bit for bit the draws of one sample at a time."""
+    """Each sampled isometry check, recomputed alone from its own stream,
+    gives the residual that the suite reports."""
 
-    @pytest.mark.parametrize("draw, shape", [
-        (lambda rng, size: rng.uniform(-5, 5, size), (40, 4)),
-        (lambda rng, size: rng.uniform(-3, 3, size), (25, 3)),
-        (lambda rng, size: rng.standard_normal(size), (8, 3)),
-    ], ids=["events", "points", "directions"])
-    def test_array_draws_are_the_per_sample_draws(self, draw, shape):
-        for seed in range(10):
-            stack_rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            stack = draw(stack_rng, shape)
-            singles = np.array([draw(single_rng, shape[1]) for _ in range(shape[0])])
-            assert stack.tobytes() == singles.tobytes()
-            assert stack_rng.bit_generator.state == single_rng.bit_generator.state
+    @pytest.mark.parametrize("samples", [60, 200, 800])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_checks_recomputed_from_their_streams(self, seed, samples):
+        report = suites.run_suite("isometry", seed, suites.Config(samples=samples))
+        reported = {c["name"]: c["residual"] for c in report["checks"]}
+        name = "cartan_dieudonne.reconstruction"
+        assert reported[name] == suites._cartan_dieudonne_sweep(
+            suites._stream(seed, name), max(20, samples // 4))
+        rng = suites._stream(seed, "conformal")
+        lam = float(rng.uniform(0.5, 2.0))
+        cf = conformal_factor(lam * random_lorentz(4, rng))
+        assert reported["conformal.alpha"] == abs(cf["alpha"] - lam * lam)
+        assert reported["conformal.residual"] == cf["residual"]
+        rng = suites._stream(seed, "group.closure")
+        A = AffineIsometry(random_lorentz(4, rng), rng.uniform(-1, 1, 4))
+        B = AffineIsometry(random_lorentz(4, rng), rng.uniform(-1, 1, 4))
+        assert reported["group.closure"] == lorentz_residual((A @ B).linear)
+        assert report["passed"]
 
 
 FLAGS = [(True, True), (True, False), (False, True), (False, False)]
 
 
-def _reference_lorentz(n, rng, orthochronous, proper):
-    """One random Lorentz matrix, drawn and computed matrix by matrix."""
-    def rotation():
-        q, r = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))
+def _reference_lorentz(n, rng, k, orthochronous, proper):
+    """k random Lorentz matrices, computed matrix by matrix from the three
+    array draws of random_lorentz."""
+    def rotation(m):
+        q, r = np.linalg.qr(m)
         q = q @ np.diag(np.sign(np.diag(r)))
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
@@ -692,34 +699,45 @@ def _reference_lorentz(n, rng, orthochronous, proper):
         out[1:, 1:] = q
         return out
 
-    rho = rng.uniform(-2.0, 2.0)
-    boost = np.eye(n)
-    boost[0, 0] = boost[1, 1] = np.cosh(rho)
-    boost[0, 1] = boost[1, 0] = -np.sinh(rho)
-    L = rotation() @ boost @ rotation()
-    if not proper and rng.random() < 0.5:
-        L = L @ np.diag([1.0] * (n - 1) + [-1.0])
-    if not orthochronous and rng.random() < 0.5:
-        L = np.diag([-1.0] + [1.0] * (n - 1)) @ L
-    return L
+    rapidity = rng.uniform(-2.0, 2.0, k)
+    normals = rng.standard_normal((k, 2, n - 1, n - 1))
+    coins = rng.random((k, (not proper) + (not orthochronous)))
+    out = []
+    for rho, (m1, m2), flips in zip(rapidity, normals, coins):
+        boost = np.eye(n)
+        boost[0, 0] = boost[1, 1] = np.cosh(rho)
+        boost[0, 1] = boost[1, 0] = -np.sinh(rho)
+        L = rotation(m1) @ boost @ rotation(m2)
+        if not proper and flips[0] < 0.5:
+            L = L @ np.diag([1.0] * (n - 1) + [-1.0])
+        if not orthochronous and flips[-1] < 0.5:
+            L = np.diag([-1.0] + [1.0] * (n - 1)) @ L
+        out.append(L)
+    return out
 
 
 class TestRandomDraws:
     @pytest.mark.parametrize("k", [0, 1, 7])
     @pytest.mark.parametrize("orthochronous, proper", FLAGS)
     @pytest.mark.parametrize("dim", [2, 3, 4])
-    def test_stack_equals_single_calls(self, dim, orthochronous, proper, k):
+    def test_stack_matches_per_matrix_reference(self, dim, orthochronous, proper, k):
         flags = dict(orthochronous=orthochronous, proper=proper)
-        stack_rng, single_rng = np.random.default_rng([dim, k]), np.random.default_rng([dim, k])
-        ref_rng = np.random.default_rng([dim, k])
+        stack_rng, ref_rng = np.random.default_rng([dim, k]), np.random.default_rng([dim, k])
         stack = random_lorentz(dim, stack_rng, k, **flags)
-        singles = [random_lorentz(dim, single_rng, **flags) for _ in range(k)]
-        refs = [_reference_lorentz(dim, ref_rng, **flags) for _ in range(k)]
+        refs = _reference_lorentz(dim, ref_rng, k, **flags)
         assert stack.shape == (k, dim, dim)
-        assert stack.tobytes() == b"".join(L.tobytes() for L in singles)
         assert stack.tobytes() == b"".join(L.tobytes() for L in refs)
-        assert stack_rng.bit_generator.state == single_rng.bit_generator.state
         assert stack_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("orthochronous, proper", FLAGS)
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_single_call_is_the_stack_of_one(self, dim, orthochronous, proper):
+        flags = dict(orthochronous=orthochronous, proper=proper)
+        single_rng, stack_rng = np.random.default_rng(dim), np.random.default_rng(dim)
+        single = random_lorentz(dim, single_rng, **flags)
+        assert single.shape == (dim, dim)
+        assert single.tobytes() == random_lorentz(dim, stack_rng, 1, **flags)[0].tobytes()
+        assert single_rng.bit_generator.state == stack_rng.bit_generator.state
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_components_drawn(self, dim):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from minklab import kinematics, suites
 from minklab.core import PreconditionError, metric_matrix
-from minklab.isometry import random_rotation
+from minklab.isometry import _rotations, random_rotation
 from minklab.kinematics import (BoostFamily, a_of_v, boost_3d,
                                 boost_matrix_1d, classify_branch,
                                 compose_velocities, rapidity,
@@ -278,14 +278,13 @@ def test_rapidity_round_trip_property(v):
 
 
 
-# The kinematics suite's sweeps, drawn and computed sample by sample; the
-# suite must report the same residuals bit for bit and leave the generator
-# in the same state after each sweep.
+# The kinematics suite's sweeps computed sample by sample, on inputs drawn
+# as the sweeps draw them; the suite must report the same residuals bit for
+# bit and leave each sweep's generator in the same state.
 
 def _per_sample_rapidity(rng, samples):
     worst = 0.0
-    for _ in range(samples):
-        v, vp = rng.uniform(-0.9, 0.9, size=2)
+    for v, vp in rng.uniform(-0.9, 0.9, (samples, 2)):
         lhs = rapidity(compose_velocities(-1.0, v, vp))
         rhs = rapidity(v) + rapidity(vp)
         worst = max(worst, abs(lhs - rhs))
@@ -294,10 +293,9 @@ def _per_sample_rapidity(rng, samples):
 
 def _per_sample_hyperbolic_form(rng, samples):
     worst = 0.0
-    for _ in range(samples):
-        c = float(rng.uniform(0.5, 3.0))
+    cs = rng.uniform(0.5, 3.0, samples)
+    for c, v in zip(cs.tolist(), rng.uniform(-0.9 * cs, 0.9 * cs).tolist()):
         k = -1.0 / (c * c)
-        v = float(rng.uniform(-0.9 * c, 0.9 * c))
         A = boost_matrix_1d(k, v)
         beta = v / c
         gam = 1.0 / math.sqrt(1 - beta * beta)
@@ -309,10 +307,9 @@ def _per_sample_hyperbolic_form(rng, samples):
 
 def _per_sample_reciprocity(rng, samples):
     worst = 0.0
-    for _ in range(samples):
-        k = float(rng.uniform(-2.0, 2.0))
-        vmax = 0.9 / math.sqrt(-k) if k < 0 else 2.0
-        v = float(rng.uniform(-vmax, vmax))
+    ks = rng.uniform(-2.0, 2.0, samples).tolist()
+    vmax = np.array([0.9 / math.sqrt(-k) if k < 0 else 2.0 for k in ks])
+    for k, v in zip(ks, rng.uniform(-vmax, vmax).tolist()):
         A = boost_matrix_1d(k, v)
         worst = max(worst, float(np.abs(A @ boost_matrix_1d(k, -v) - np.eye(2)).max()))
     return worst
@@ -358,17 +355,17 @@ def boost3d_reference(v, c=1.0):
 
 
 def _per_sample_boost3d(rng):
-    """The suite's spatial-boost loop, which runs between the reciprocity
-    and associativity sweeps."""
+    """The suite's spatial-boost sweep, one velocity and its rotation at a
+    time: 50 velocities, and a rotation for each one below 0.95 c."""
     G = metric_matrix(4)
     worst_lor = worst_eq = 0.0
-    for _ in range(50):
-        v = rng.uniform(-0.6, 0.6, size=3)
-        if np.linalg.norm(v) >= 0.95:
-            continue
+    V = rng.uniform(-0.6, 0.6, (50, 3))
+    V = V[np.sqrt(np.vecdot(V, V)) < 0.95]
+    normals = rng.standard_normal((len(V), 3, 3))
+    for v, m in zip(V, normals):
         B = boost3d_reference(v)
         worst_lor = max(worst_lor, float(np.abs(B.T @ G @ B - G).max()))
-        D = random_rotation(4, rng)[1:, 1:]
+        D = _rotations(m[None])[0, 1:, 1:]
         lhs = embedding_reference(D) @ B @ embedding_reference(D.T)
         worst_eq = max(worst_eq, float(np.abs(lhs - boost3d_reference(D @ v)).max()))
     return worst_lor, worst_eq
@@ -376,8 +373,7 @@ def _per_sample_boost3d(rng):
 
 def _per_sample_associativity(rng, samples):
     worst = 0.0
-    for _ in range(samples):
-        v1, v2, v3 = rng.uniform(-0.9, 0.9, size=3)
+    for v1, v2, v3 in rng.uniform(-0.9, 0.9, (samples, 3)):
         lhs = compose_velocities(-1.0, compose_velocities(-1.0, v1, v2), v3)
         rhs = compose_velocities(-1.0, v1, compose_velocities(-1.0, v2, v3))
         worst = max(worst, abs(lhs - rhs))
@@ -391,19 +387,19 @@ def _bits(*values):
 @pytest.mark.parametrize("samples", [60, 200, 800])
 @pytest.mark.parametrize("seed", range(10))
 def test_suite_sweeps_match_per_sample_reference(seed, samples):
-    ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
     want, got = {}, {}
     for name, reference, sweep in [
             ("rapidity.additive", _per_sample_rapidity, suites._rapidity_sweep),
             ("boost1d.hyperbolic_form", _per_sample_hyperbolic_form, suites._hyperbolic_form_sweep),
             ("boost1d.reciprocity", _per_sample_reciprocity, suites._reciprocity_sweep),
             ("compose.associative", _per_sample_associativity, suites._associativity_sweep)]:
-        if name == "compose.associative":
-            (want["boost3d.isometry"], want["boost3d.equivariance"]) = _per_sample_boost3d(ref)
-            (got["boost3d.isometry"], got["boost3d.equivariance"]) = suites._boost3d_sweep(rng)
-            assert rng.bit_generator.state == ref.bit_generator.state
+        ref, rng = suites._stream(seed, name), suites._stream(seed, name)
         want[name], got[name] = reference(ref, samples), sweep(rng, samples)
         assert rng.bit_generator.state == ref.bit_generator.state
+    ref, rng = suites._stream(seed, "boost3d"), suites._stream(seed, "boost3d")
+    (want["boost3d.isometry"], want["boost3d.equivariance"]) = _per_sample_boost3d(ref)
+    (got["boost3d.isometry"], got["boost3d.equivariance"]) = suites._boost3d_sweep(rng)
+    assert rng.bit_generator.state == ref.bit_generator.state
     assert _bits(*got.values()) == _bits(*want.values())
     report = suites.run_suite("kinematics", seed, suites.Config(samples=samples))
     reported = {c["name"]: c["residual"] for c in report["checks"]}

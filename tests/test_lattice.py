@@ -437,6 +437,33 @@ def count_complements(monkeypatch):
     return calls
 
 
+class TestEmptyInputs:
+    """The completion of the empty set and the join of two empty sets are
+    empty: their outer complement, of the full grid, exits at its two
+    extreme slices without the distance pass over the middle ones."""
+
+    @pytest.mark.parametrize("mode", [CAUSAL, CHRONOLOGICAL])
+    @pytest.mark.parametrize("shape", [(13, 13), (41, 41), (9, 9, 9), (7, 5, 5, 5)])
+    def test_only_the_extreme_slices_are_read(self, shape, mode, monkeypatch):
+        grid = IntegerGrid.centered(*shape)
+        empty = Region.empty(grid)
+        slices = []
+        real = engine._slice_bounds
+
+        def counted(members, times, code):
+            slices.append(times.tolist())
+            return real(members, times, code)
+
+        monkeypatch.setattr(engine, "_slice_bounds", counted)
+        got = completion(empty, mode)
+        assert got == oracle_complement(oracle_complement(empty, mode), mode)
+        assert got.is_empty and slices == [[0, shape[0] - 1]]
+        slices.clear()
+        got = join(empty, empty, mode)
+        assert got == oracle_join(grid, empty, empty, mode)
+        assert got.is_empty and slices == [[0, shape[0] - 1]]
+
+
 class TestOrthomodularity:
     def test_trivial_equal_case(self, grid, rng):
         a = completion(random_region(grid, rng), CAUSAL)

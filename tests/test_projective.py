@@ -428,16 +428,21 @@ def slab_reference(t, R, c):
 
 
 def _per_sample_lines(rng):
+    """The suite's segment sweep one segment at a time, on its draws: 25
+    random segments, then a fixed one whose middle point (0.5, 0, 0) is
+    singular for p = (-4, 0, 0)."""
+    A = rng.standard_normal((26, 3, 3)) + 2 * np.eye(3)
+    a = rng.standard_normal((26, 3))
+    p = np.vstack([0.2 * rng.standard_normal((25, 3)), [-4.0, 0.0, 0.0]])
+    base = np.vstack([rng.uniform(-0.5, 0.5, (25, 3)), [0.5, 0.0, 0.0]])
+    direction = np.vstack([rng.standard_normal((25, 3)), [1.0, 0.0, 0.0]])
     worst, used = 0.0, 0
-    for _ in range(25):
-        A = rng.standard_normal((3, 3)) + 2 * np.eye(3)
-        m = ProjectiveMap(A, rng.standard_normal(3), 0.2 * rng.standard_normal(3), 2.0)
-        base = rng.uniform(-0.5, 0.5, size=3)
-        direction = rng.standard_normal(3)
+    for i in range(26):
+        m = ProjectiveMap(A[i], a[i], p[i], 2.0)
         pts = []
         for s in np.linspace(-0.2, 0.2, 5):
             try:
-                pts.append(proj_reference(m, base + s * direction))
+                pts.append(proj_reference(m, base[i] + s * direction[i]))
             except SingularHyperplaneError:
                 pts = []
                 break
@@ -448,8 +453,8 @@ def _per_sample_lines(rng):
 
 
 def _per_sample_fl_samples(rng, samples):
-    return [(float(rng.uniform(0.5, 9.0)), rng.uniform(-3, 3, size=3))
-            for _ in range(samples)]
+    return [(float(row[0]), row[1:])
+            for row in rng.uniform([0.5, -3, -3, -3], [9, 3, 3, 3], (samples, 4))]
 
 
 def _per_sample_conjugation(b, samples):
@@ -496,8 +501,7 @@ def _per_sample_large_scale(samples, R=1e6):
 
 def _per_sample_slab(rng, samples, R=5.0, c=1.0):
     bad, used = 0, 0
-    for _ in range(samples):
-        t = float(rng.uniform(-20, 20))
+    for t in rng.uniform(-20, 20, samples).tolist() + [R / c]:
         if abs(abs(t) - R / c) < 1e-9:
             continue
         slab = slab_reference(t, R, c)
@@ -515,28 +519,38 @@ def _bits(*values):
     return [np.float64(x).tobytes() for x in values]
 
 
+def _streams(seed, name):
+    return suites._stream(seed, name), suites._stream(seed, name)
+
+
 @pytest.mark.parametrize("samples", [60, 200, 800])
 @pytest.mark.parametrize("seed", range(10))
 def test_suite_sweeps_match_per_sample_reference(seed, samples):
-    ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref, rng = _streams(seed, "proj.lines_to_lines")
     want_lines, got_lines = _per_sample_lines(ref), suites._lines_sweep(rng)
     assert rng.bit_generator.state == ref.bit_generator.state
-    events = _per_sample_fl_samples(ref, samples)
-    t, x = suites._fl_samples(rng, samples)
-    assert rng.bit_generator.state == ref.bit_generator.state
-    assert t.tobytes() == np.array([e[0] for e in events]).tobytes()
-    assert x.tobytes() == np.array([e[1] for e in events]).tobytes()
     b = FLBoost(np.array([0.5, 0, 0]), c=1.0, R=10.0)
+    singular = [(b.R / (b.c * (b.gamma - 1.0)), np.zeros(3))]
     n = min(100, samples)
-    want_conj = _per_sample_conjugation(b, events)
-    res, keep = projective._conjugation_rows(b, t, x)
-    got_conj = (suites._worst(res[keep]), int(np.count_nonzero(keep)))
-    want_inv, got_inv = _per_sample_inverse(b, events[:n]), suites._inverse_sweep(b, t[:n], x[:n])
-    want_lim, got_lim = _per_sample_large_scale(events[:n]), suites._large_scale_sweep(t[:n], x[:n])
+    ref, rng = _streams(seed, "fl.conjugation")
+    want_conj = _per_sample_conjugation(b, _per_sample_fl_samples(ref, samples) + singular)
+    got_conj = suites._fl_sweep(projective._conjugation_rows, b, rng, samples)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    ref, rng = _streams(seed, "fl.inverse")
+    want_inv = _per_sample_inverse(b, _per_sample_fl_samples(ref, n) + singular)
+    got_inv = suites._fl_sweep(suites._inverse_rows, b, rng, n)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    ref, rng = _streams(seed, "fl.large_scale_limit")
+    want_lim = _per_sample_large_scale(_per_sample_fl_samples(ref, n))
+    got_lim = suites._large_scale_sweep(*suites._fl_samples(rng, n))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    ref, rng = _streams(seed, "fl.slab_table")
     want_slab, got_slab = _per_sample_slab(ref, samples), suites._slab_sweep(rng, samples)
     assert rng.bit_generator.state == ref.bit_generator.state
-    assert got_lines[1] == want_lines[1] and got_conj[1] == want_conj[1]
-    assert got_inv[1] == want_inv[1] and got_slab == want_slab
+    assert got_lines[1:] == (want_lines[1], 26 - want_lines[1])
+    assert got_conj[1:] == (want_conj[1], samples + 1 - want_conj[1])
+    assert got_inv[1:] == (want_inv[1], n + 1 - want_inv[1])
+    assert got_slab == (*want_slab, samples + 1 - want_slab[1])
     assert _bits(got_lines[0], got_conj[0], got_inv[0], got_lim) == _bits(
         want_lines[0], want_conj[0], want_inv[0], want_lim)
     report = suites.run_suite("projective", seed, suites.Config(samples=samples))
@@ -546,13 +560,24 @@ def test_suite_sweeps_match_per_sample_reference(seed, samples):
         "fl.slab_table"))) == _bits(want_lines[0], want_conj[0], want_inv[0], want_lim,
                                     want_slab[0])
     assert reported["proj.lines_to_lines"]["note"].endswith(
-        f"; {want_lines[1]} samples, {25 - want_lines[1]} skipped")
+        f"; {want_lines[1]} samples, {26 - want_lines[1]} skipped")
     assert reported["fl.conjugation"]["note"] == (
-        f"{want_conj[1]} samples, {samples - want_conj[1]} skipped")
-    assert reported["fl.inverse"]["note"] == f"{want_inv[1]} samples, {n - want_inv[1]} skipped"
+        f"{want_conj[1]} samples, {samples + 1 - want_conj[1]} skipped")
+    assert reported["fl.inverse"]["note"] == (
+        f"{want_inv[1]} samples, {n + 1 - want_inv[1]} skipped")
     assert reported["fl.slab_table"]["note"].endswith(
-        f"; {want_slab[1]} samples, {samples - want_slab[1]} skipped")
+        f"; {want_slab[1]} samples, {samples + 1 - want_slab[1]} skipped")
     assert report["passed"]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_every_skip_note_shows_a_skipped_sample(seed):
+    # each sweep that can skip ends on a fixed singular row
+    notes = {c["name"]: c["note"] for c in suites.run_suite("projective", seed,
+                                                             suites.Config())["checks"]}
+    for name in ("proj.lines_to_lines", "fl.conjugation", "fl.inverse", "fl.slab_table"):
+        skipped = int(notes[name].removesuffix(" skipped").rsplit(" ", 1)[1])
+        assert skipped >= 1, (name, notes[name])
 
 
 def test_conjugation_check_matches_per_sample_reference(rng):
@@ -620,8 +645,8 @@ class TestSingularRows:
 
     def test_inverse_sweep_counts(self):
         b, t0 = self.fl_zero()
-        worst, used = suites._inverse_sweep(b, np.array([1.0, t0, 2.0]), np.zeros((3, 3)))
-        assert used == 2 and worst < 1e-10
+        res, keep = suites._inverse_rows(b, np.array([1.0, t0, 2.0]), np.zeros((3, 3)))
+        assert keep.tolist() == [True, False, True] and res[keep].max() < 1e-10
 
     def test_lines_skip_whole_segments(self):
         m = ProjectiveMap.worked_example(2)
@@ -642,8 +667,8 @@ class TestSingularRows:
 
         want = _per_sample_lines(np.random.default_rng(5))
         monkeypatch.setattr(projective, "_proj_rows", one_singular_point)
-        worst, used = suites._lines_sweep(np.random.default_rng(5))
-        assert (want[1], used) == (25, 24) and worst <= want[0]
+        worst, used, skipped = suites._lines_sweep(np.random.default_rng(5))
+        assert (want[1], used, skipped) == (25, 24, 2) and worst <= want[0]
 
     def test_large_scale_sweep_refuses_a_singular_row(self):
         b = FLBoost(np.array([0.5, 0, 0]), c=1.0, R=1e6)

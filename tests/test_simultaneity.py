@@ -314,17 +314,18 @@ class TestScalarForms:
                 assert _bits(*got) == _bits(*want)
 
 
-# The simultaneity suite's sweeps, drawn and computed sample by sample; the
-# suite must report the same residuals bit for bit and leave the generator
-# in the same state after each sweep.
+# The simultaneity suite's sweeps computed sample by sample, on inputs drawn
+# as the sweeps draw them; the suite must report the same residuals bit for
+# bit and leave each sweep's generator in the same state.
 
 def _per_sample_radar(rng, lines):
     worst_mid = worst_prod = 0.0
-    for _ in range(lines):
-        v = rng.standard_normal(4)
+    V = rng.standard_normal((lines, 4))
+    B, P = rng.uniform(-2, 2, (2, lines, 4))
+    for v, base, event in zip(V, B, P):
         v[0] = abs(v[0]) + np.linalg.norm(v[1:]) + 0.2
-        ln = WorldLine(Event(rng.uniform(-2, 2, 4)), MinkVector(v))
-        p = Event(rng.uniform(-2, 2, 4))
+        ln = WorldLine(Event(base), MinkVector(v))
+        p = Event(event)
         if ln.contains(p):
             continue
         q = radar_simultaneous_event(ln, p)
@@ -340,12 +341,13 @@ def _per_sample_radar(rng, lines):
 
 def _per_sample_mutual(rng, pairs):
     worst = 0.0
-    for _ in range(pairs):
-        v1, v2 = rng.standard_normal((2, 3))
+    V = rng.standard_normal((pairs, 2, 3))
+    B = rng.uniform(-2, 2, (pairs, 2, 3))
+    for (v1, v2), (b1, b2) in zip(V, B):
         v1[0] = abs(v1[0]) + np.linalg.norm(v1[1:]) + 0.2
         v2[0] = abs(v2[0]) + np.linalg.norm(v2[1:]) + 0.2
-        la = WorldLine(Event(rng.uniform(-2, 2, 3)), MinkVector(v1))
-        lb = WorldLine(Event(rng.uniform(-2, 2, 3)), MinkVector(v2))
+        la = WorldLine(Event(b1), MinkVector(v1))
+        lb = WorldLine(Event(b2), MinkVector(v2))
         try:
             q, qp = mutual_simultaneity(la, lb)
         except PreconditionError:
@@ -358,13 +360,15 @@ def _per_sample_mutual(rng, pairs):
 @pytest.mark.parametrize("samples", [60, 200, 800])
 @pytest.mark.parametrize("seed", range(10))
 def test_suite_sweeps_match_per_sample_reference(seed, samples):
-    ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref, rng = suites._stream(seed, "radar"), suites._stream(seed, "radar")
     want = dict(zip(["radar.orthogonal", "radar.product_identity"],
                     _per_sample_radar(ref, samples // 4)))
     got = dict(zip(want, suites._radar_sweep(rng, samples // 4)))
     assert rng.bit_generator.state == ref.bit_generator.state
-    want["mutual.orthogonality"] = _per_sample_mutual(ref, samples // 4)
-    got["mutual.orthogonality"] = suites._mutual_sweep(rng, samples // 4)
+    name = "mutual.orthogonality"
+    ref, rng = suites._stream(seed, name), suites._stream(seed, name)
+    want[name], got[name] = _per_sample_mutual(ref, samples // 4), suites._mutual_sweep(
+        rng, samples // 4)
     assert rng.bit_generator.state == ref.bit_generator.state
     assert _bits(*got.values()) == _bits(*want.values())
     report = run_suite("simultaneity", seed, Config(samples=samples))
