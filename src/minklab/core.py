@@ -288,8 +288,9 @@ def strict_inverted_cs_holds(v, sample_count: int = 1000, seed: int = 0) -> dict
     random sweep; the returned dict carries `holds` and, when False, a
     `witness` vector violating strictness.  The sweep draws all samples at
     once, the same stream as drawing them one by one, and the witness is the
-    first violating sample independent of v.  The batched draw and rank test
-    take O(sample_count n) memory for v of dimension n.
+    first violating sample independent of v.  The seed is an int or a
+    Generator, which the sweep draws from as it stands.  The batched draw
+    and rank test take O(sample_count n) memory for v of dimension n.
     """
     if sample_count < 0:
         raise ValueError(f"sample_count must be non-negative (got {sample_count})")

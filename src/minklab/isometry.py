@@ -195,7 +195,7 @@ def _reflection_sweep(L: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
         raise ValueError("L must hold square matrices")
     N, n = L.shape[0], L.shape[1]
     E, G = _frame(n)
-    r = np.abs(L.mT @ G @ L - G).max(initial=0.0)
+    r = _lorentz_residuals(L, G).max(initial=0.0)
     if not r < 1e-8:
         raise PreconditionError(f"input is not an isometry (residual {r:.3e})")
     phi = L.copy()

@@ -3,8 +3,10 @@
 The family is A(v) = [[a, k v a], [-v a, a]] with a(v) = 1/sqrt(1 + k v^2);
 the sign of the constant k picks the branch: k > 0 gives Euclidean rotations
 in a rescaled time coordinate, k = 0 the Galilean shear, k < 0 hyperbolic
-boosts with invariant speed c = 1/sqrt(-k).  Full spatial boosts follow from
-rotation equivariance.
+boosts with invariant speed c = 1/sqrt(-k).  The spatial boost is the
+closed form by a 3-velocity, one helper that projective's boosts share; the
+kinematics suite checks that it is rotation-equivariant, which is how the
+paper carries the 1D family to 3+1.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ __all__ = [
     "boost_matrix_1d",
     "compose_velocities",
     "rapidity",
-    "rotation_embedding",
-    "rotation_taking_x_axis",
     "boost_3d",
 ]
 
@@ -122,67 +122,51 @@ def rapidity(v, c: float = 1.0):
     return np.array(list(map(math.atanh, beta.ravel().tolist()))).reshape(beta.shape)
 
 
-def rotation_embedding(D: np.ndarray) -> np.ndarray:
-    """4x4 block matrix acting as identity on time and D on space; one per
-    matrix of a stack (..., 3, 3)."""
-    D = np.asarray(D, dtype=float)
-    out = np.zeros(D.shape[:-2] + (4, 4))
-    out[..., 0, 0] = 1.0
-    out[..., 1:, 1:] = D
-    return out
+def _gamma_rows(v: np.ndarray, c: float) -> np.ndarray:
+    """1/sqrt(1 - v.v/c^2) of each velocity of a stack (..., 3).
 
-
-_EX = np.array([1.0, 0.0, 0.0])
-
-
-def rotation_taking_x_axis(direction: np.ndarray) -> np.ndarray:
-    """Minimal rotation D with D e_x = direction/|direction|; one per
-    direction of a stack (..., 3).
-
-    Rodrigues construction about e_x cross direction; the antipodal case
-    uses the 180-degree rotation about e_y.
+    The one speed check of the spatial boosts: the stack is refused unless
+    every speed is below c, so a NaN speed is refused too.
     """
-    d = np.asarray(direction, dtype=float)
-    norm = np.sqrt(np.vecdot(d, d))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = d / norm[..., None]
-        c = np.vecdot(_EX, d)
-        # e_x cross d is (0, -d_z, d_y).  np.cross puts 0 d_z - 0 d_y, a zero
-        # of either sign, in the first entry; no result depends on that sign,
-        # so the (1, 2) and (2, 1) entries of K stay 0.
-        axis = np.zeros_like(d)
-        axis[..., 1], axis[..., 2] = -d[..., 2], d[..., 1]
-        s = np.sqrt(np.vecdot(axis, axis))
-        axis = axis / s[..., None]
-    K = np.zeros(d.shape + (3,))
-    K[..., 0, 1], K[..., 0, 2] = -axis[..., 2], axis[..., 1]
-    K[..., 1, 0], K[..., 2, 0] = axis[..., 2], -axis[..., 1]
-    out = np.eye(3) + s[..., None, None] * K + (1.0 - c)[..., None, None] * (K @ K)
-    out = np.where((c < -1.0 + 1e-14)[..., None, None], np.diag([-1.0, 1.0, -1.0]), out)
-    return np.where(((norm == 0.0) | (c > 1.0 - 1e-14))[..., None, None], np.eye(3), out)
+    vv = np.vecdot(v, v)
+    below = np.sqrt(vv) < c
+    if not (below is np.True_ or below.all()):  # one velocity skips the reduction
+        speed = math.sqrt(np.ravel(vv)[~np.ravel(below)][0])
+        raise PreconditionError(f"speed {speed} is not below c = {c}")
+    return 1.0 / np.sqrt(1.0 - vv / (c * c))
+
+
+def _boost_rows(v: np.ndarray, gamma: np.ndarray, t, x, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form boost of the events (t, x), t of shape S and x of shape
+    S + (3,), by velocities v (..., 3) below c with their gammas (...),
+    broadcast against the events: t' = gamma (t - v.x/c^2) and
+    x' = gamma (x_par - v t) + x_perp, x_par the part of x along v."""
+    vv = np.vecdot(v, v)
+    vx = np.vecdot(x, v)
+    xpar = (vx / (vv + (vv == 0.0)))[..., None] * v  # at rest, v.v divides as 1
+    return (gamma * (t - vx / (c * c)),
+            gamma[..., None] * (xpar - v * t[..., None]) + (x - xpar))
+
+
+# the basis events (t, x) of (t, x, y, z), in column order
+_BASIS_T, _BASIS_X = np.eye(4)[:, 0], np.eye(4)[:, 1:]
 
 
 def _boost_3d_rows(v: np.ndarray, c: float) -> np.ndarray:
-    """boost_3d of each velocity of a stack (..., 3), all below c."""
-    speed = np.sqrt(np.vecdot(v, v))
-    B = np.zeros(v.shape[:-1] + (4, 4))
-    B[..., :2, :2] = boost_matrix_1d(-1.0 / (c * c), speed)
-    B[..., 2, 2] = B[..., 3, 3] = 1.0
-    D = rotation_embedding(rotation_taking_x_axis(v))
-    return np.where((speed == 0.0)[..., None, None], np.eye(4),
-                    D @ B @ np.swapaxes(D, -1, -2))
+    """boost_3d of each velocity of a stack (..., 3)."""
+    v = v[..., None, :]
+    tp, xp = _boost_rows(v, _gamma_rows(v, c), _BASIS_T, _BASIS_X, c)
+    return np.concatenate([tp[..., None, :], np.swapaxes(xp, -1, -2)], axis=-2)
 
 
 def boost_3d(velocity: np.ndarray, c: float = 1.0) -> np.ndarray:
     """4x4 boost on (t, x, y, z) for a spatial velocity below c.
 
-    Built by rotating the x-axis onto the velocity direction, applying the
-    1D family member with k = -1/c^2 on the (t, x) block, and rotating back.
+    Its columns are the closed-form boosts of the basis events; on the
+    (t, x) block of a velocity along x it is the 1D family member with
+    k = -1/c^2.
     """
     v = np.asarray(velocity, dtype=float)
     if v.shape != (3,):
         raise ValueError("velocity must be a 3-vector")
-    speed = float(np.linalg.norm(v))
-    if not speed < c:  # NaN included
-        raise PreconditionError(f"speed {speed} is not below c = {c}")
     return _boost_3d_rows(v, c)

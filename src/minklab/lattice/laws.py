@@ -212,7 +212,9 @@ def lattice_property_suite(grid: IntegerGrid, mode: str, seed: int,
                            n_regions: int = 50) -> dict:
     """Orthocomplement-law sweep over random regions plus the structural
     counterexamples: covering, and the modularity and distributivity
-    pentagon it spans, all from the same central pair (p, q)."""
+    pentagon it spans, all from the same central pair (p, q).  The seed is
+    an int or a Generator, which the random regions are drawn from as it
+    stands."""
     rng = np.random.default_rng(seed)
     sweep = law_sweep([random_region(grid, rng) for _ in range(n_regions)], mode)
     failures = sorted(((idx, law) for law in LAWS for idx in sweep["violations"][law]),

@@ -3,9 +3,10 @@ invariant length scale.
 
 A projective map acts as x -> (A x + a)/(p.x + q) away from its singular
 hyperplane p.x + q = 0 (plain dot product: p is a covector).  The deformed
-boost family applies the usual gamma-factor numerators of a boost over the
-denominator 1 - (gamma-1) c t / R + gamma v.x/(R c); it is conjugate to the
-ordinary boost by the time-dependent squash (t, x) -> (t, x)/(1 - c t / R).
+boost family applies the numerators of the ordinary boost (kinematics'
+closed form) over the denominator 1 - (gamma-1) c t / R + gamma v.x/(R c);
+it is conjugate to the ordinary boost by the time-dependent squash
+(t, x) -> (t, x)/(1 - c t / R).
 
 Each formula is computed once, by a private `_*_rows` helper that takes
 stacks of events along leading axes and returns the images together with
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kinematics
 from .core import Event, PreconditionError
 
 __all__ = [
@@ -175,33 +177,16 @@ class FLBoost:
 
     def __init__(self, velocity, c: float = 1.0, R: float = 1.0):
         v = np.asarray(velocity, dtype=float).reshape(3)
-        if np.linalg.norm(v) >= c:
-            raise PreconditionError("boost speed must be below c")
+        c = float(c)
+        # refuses a speed not below c
+        object.__setattr__(self, "_gamma", kinematics._gamma_rows(v, c))
         object.__setattr__(self, "velocity", v)
-        object.__setattr__(self, "c", float(c))
+        object.__setattr__(self, "c", c)
         object.__setattr__(self, "R", float(R))
 
     @property
     def gamma(self) -> float:
-        return _gamma(self.velocity, self.c)
-
-
-def _gamma(v: np.ndarray, c: float) -> float:
-    """1/sqrt(1 - v.v/c^2) of a velocity v (3,) below c."""
-    return 1.0 / math.sqrt(1.0 - float(v @ v) / (c * c))
-
-
-def _boost_rows(v: np.ndarray, gamma: float, t, x, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form boost by one velocity v (3,) below c, with its gamma, of
-    the events (t, x), t of shape S and x of shape S + (3,)."""
-    vv = float(v @ v)
-    vx = np.vecdot(x, v)
-    if vv == 0.0:
-        xpar, xperp = np.zeros_like(x), x
-    else:
-        xpar = (vx / vv)[..., None] * v
-        xperp = x - xpar
-    return gamma * (t - vx / (c * c)), gamma * (xpar - v * t[..., None]) + xperp
+        return float(self._gamma)
 
 
 def lorentz_boost_event(velocity, t: float, x, c: float = 1.0) -> tuple[float, np.ndarray]:
@@ -211,20 +196,19 @@ def lorentz_boost_event(velocity, t: float, x, c: float = 1.0) -> tuple[float, n
     then returns arrays.
     """
     v = np.asarray(velocity, dtype=float).reshape(3)
-    if float(v @ v) / (c * c) >= 1.0:
-        raise PreconditionError("boost speed must be below c")
+    gamma = kinematics._gamma_rows(v, c)
     t = np.float64(t) if np.ndim(t) == 0 else np.asarray(t, dtype=float)
-    tp, xp = _boost_rows(v, _gamma(v, c), t,
-                         np.asarray(x, dtype=float).reshape(t.shape + (3,)), c)
+    tp, xp = kinematics._boost_rows(v, gamma, t,
+                                    np.asarray(x, dtype=float).reshape(t.shape + (3,)), c)
     return (float(tp), xp) if tp.ndim == 0 else (tp, xp)
 
 
 def _fl_rows(b: FLBoost, t, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The deformed boost b of the events (t, x), shapes S and S + (3,), with
     its denominators."""
-    g = b.gamma
+    g = b._gamma
     den = 1.0 - (g - 1.0) * b.c * t / b.R + g * np.vecdot(b.velocity, x) / (b.R * b.c)
-    tp, xp = _boost_rows(b.velocity, g, t, x, b.c)
+    tp, xp = kinematics._boost_rows(b.velocity, g, t, x, b.c)
     d = _divisor(den)
     return tp / d, xp / d[..., None], den
 
@@ -307,7 +291,7 @@ def _conjugation_rows(b: FLBoost, t, x) -> tuple[np.ndarray, np.ndarray]:
     which every leg is regular."""
     t1, x1, d1 = _fl_rows(b, t, x)
     tm, xm, d2 = _squash_rows(-b.R, b.c, t, x)
-    tl, xl = _boost_rows(b.velocity, b.gamma, tm, xm, b.c)
+    tl, xl = kinematics._boost_rows(b.velocity, b._gamma, tm, xm, b.c)
     t2, x2, d3 = _squash_rows(b.R, b.c, tl, xl)
     res = np.maximum(np.abs(t1 - t2) * b.c, np.abs(x1 - x2).max(axis=-1))
     return res, _regular(d1) & _regular(d2) & _regular(d3)

@@ -215,9 +215,7 @@ def foliation_gap(curve: WorldLineCurve, tau, event):
     Vanishing N marks crossing hyperplanes, a spatial distance c^2/accel
     away from the curve.
     """
-    x = np.asarray(event, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    return 1.0 - _inner_rows(curve.zddot(tau), x - curve.z(tau)) / (curve.c * curve.c)
+    return _offset_and_gap(curve, np.asarray(event, dtype=float), np.asarray(tau, dtype=float))[1]
 
 
 def herglotz_field(curve: WorldLineCurve,

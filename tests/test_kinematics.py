@@ -10,8 +10,8 @@ from minklab.core import PreconditionError, metric_matrix
 from minklab.isometry import _rotations, random_rotation
 from minklab.kinematics import (BoostFamily, a_of_v, boost_3d,
                                 boost_matrix_1d, classify_branch,
-                                compose_velocities, rapidity,
-                                rotation_embedding, rotation_taking_x_axis)
+                                compose_velocities, rapidity)
+from minklab.projective import lorentz_boost_event
 
 
 def hyperbolic_form(v, c):
@@ -200,6 +200,10 @@ class TestBranches:
         assert BoostFamily(-4.0).invariant_speed == 0.5
 
 
+# the basis events (t, x) of (t, x, y, z), in column order
+_BASIS_EVENTS = [(1.0, np.zeros(3)), *((0.0, e) for e in np.eye(3))]
+
+
 class TestBoost3D:
     def test_zero_velocity_identity(self):
         assert np.array_equal(boost_3d(np.zeros(3)), np.eye(4))
@@ -226,22 +230,18 @@ class TestBoost3D:
             v = rng.uniform(-0.55, 0.55, 3)
             if np.linalg.norm(v) >= 0.95:
                 continue
-            D = random_rotation(4, rng)[1:, 1:]
-            lhs = rotation_embedding(D) @ boost_3d(v) @ rotation_embedding(D.T)
-            assert np.abs(lhs - boost_3d(D @ v)).max() < 1e-12
+            R = random_rotation(4, rng)
+            assert np.abs(R @ boost_3d(v) @ R.T - boost_3d(R[1:, 1:] @ v)).max() < 1e-12
 
-    def test_matches_closed_form_on_basis(self, rng):
-        from minklab.projective import lorentz_boost_event
+    def test_columns_are_the_boosted_basis_events(self, rng):
         for _ in range(50):
             c = float(rng.uniform(0.5, 2.0))
             v = rng.uniform(-0.5, 0.5, 3) * c
             if np.linalg.norm(v) >= 0.9 * c:
                 continue
-            B = boost_3d(v, c)
-            for col, (t, x) in enumerate([(1.0, np.zeros(3)), (0.0, np.eye(3)[0]),
-                                          (0.0, np.eye(3)[1]), (0.0, np.eye(3)[2])]):
-                tp, xp = lorentz_boost_event(v, t, x, c)
-                assert np.abs(B[:, col] - np.concatenate([[tp], xp])).max() < 1e-12
+            columns = [np.concatenate([[tp], xp]) for tp, xp in (
+                lorentz_boost_event(v, t, x, c) for t, x in _BASIS_EVENTS)]
+            assert boost_3d(v, c).tobytes() == np.stack(columns, axis=1).tobytes()
 
     def test_superluminal_rejected(self):
         with pytest.raises(PreconditionError):
@@ -251,18 +251,6 @@ class TestBoost3D:
     def test_non_finite_velocity_rejected(self, bad):
         with pytest.raises(PreconditionError):
             boost_3d(np.array([0.1, bad, 0.0]))
-
-    def test_rotation_taking_x_axis_cases(self, rng):
-        assert np.array_equal(rotation_taking_x_axis(np.array([1.0, 0, 0])), np.eye(3))
-        anti = rotation_taking_x_axis(np.array([-1.0, 0, 0]))
-        assert np.allclose(anti @ np.array([1.0, 0, 0]), [-1.0, 0, 0])
-        assert abs(np.linalg.det(anti) - 1.0) < 1e-14
-        for _ in range(50):
-            d = rng.standard_normal(3)
-            D = rotation_taking_x_axis(d)
-            assert np.allclose(D @ np.array([1.0, 0, 0]), d / np.linalg.norm(d),
-                               atol=1e-12)
-            assert abs(np.linalg.det(D) - 1.0) < 1e-12
 
 
 @given(st.floats(-0.99, 0.99), st.floats(-0.99, 0.99))
@@ -315,43 +303,19 @@ def _per_sample_reciprocity(rng, samples):
     return worst
 
 
-def rotation_reference(direction):
-    """The Rodrigues construction that rotation_taking_x_axis replaced."""
-    d = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(d)
-    if norm == 0.0:
-        return np.eye(3)
-    d = d / norm
-    ex = np.array([1.0, 0.0, 0.0])
-    c = float(ex @ d)
-    if c > 1.0 - 1e-14:
-        return np.eye(3)
-    if c < -1.0 + 1e-14:
-        return np.diag([-1.0, 1.0, -1.0])
-    axis = np.cross(ex, d)
-    s = np.linalg.norm(axis)
-    axis = axis / s
-    K = np.array([[0.0, -axis[2], axis[1]],
-                  [axis[2], 0.0, -axis[0]],
-                  [-axis[1], axis[0], 0.0]])
-    return np.eye(3) + s * K + (1.0 - c) * (K @ K)
-
-
-def embedding_reference(D):
-    out = np.eye(4)
-    out[1:, 1:] = D
-    return out
-
-
-def boost3d_reference(v, c=1.0):
-    """The boost_3d that the stacked form replaced."""
-    speed = float(np.linalg.norm(v))
-    if speed == 0.0:
-        return np.eye(4)
-    B = np.eye(4)
-    B[:2, :2] = boost_matrix_1d(-1.0 / (c * c), speed)
-    D = embedding_reference(rotation_reference(v))
-    return D @ B @ D.T
+def closed_form_reference(v, c=1.0):
+    """boost_3d of one velocity, column by column: the closed-form boost
+    t' = gamma (t - v.x/c^2), x' = gamma (x_par - v t) + x_perp of each
+    basis event, written out for that velocity alone."""
+    vv = float(v @ v)
+    gamma = 1.0 / math.sqrt(1.0 - vv / (c * c))
+    B = np.empty((4, 4))
+    for col, (t, x) in enumerate(_BASIS_EVENTS):
+        vx = float(x @ v)
+        xpar = np.zeros(3) if vv == 0.0 else (vx / vv) * v
+        B[0, col] = gamma * (t - vx / (c * c))
+        B[1:, col] = gamma * (xpar - v * t) + (x - xpar)
+    return B
 
 
 def _per_sample_boost3d(rng):
@@ -363,11 +327,11 @@ def _per_sample_boost3d(rng):
     V = V[np.sqrt(np.vecdot(V, V)) < 0.95]
     normals = rng.standard_normal((len(V), 3, 3))
     for v, m in zip(V, normals):
-        B = boost3d_reference(v)
+        B = closed_form_reference(v)
         worst_lor = max(worst_lor, float(np.abs(B.T @ G @ B - G).max()))
-        D = _rotations(m[None])[0, 1:, 1:]
-        lhs = embedding_reference(D) @ B @ embedding_reference(D.T)
-        worst_eq = max(worst_eq, float(np.abs(lhs - boost3d_reference(D @ v)).max()))
+        R = _rotations(m[None])[0]
+        lhs = R @ B @ R.T
+        worst_eq = max(worst_eq, float(np.abs(lhs - closed_form_reference(R[1:, 1:] @ v)).max()))
     return worst_lor, worst_eq
 
 
@@ -473,21 +437,50 @@ def _directions(rng):
                            rng.uniform(-0.55, 0.55, (400, 3)) * (rng.random((400, 3)) < 0.7)])
 
 
-def test_rotation_and_boost_equal_the_formulas_they_replaced(rng):
-    dirs = _directions(rng)
-    stacked = rotation_taking_x_axis(dirs)
-    for d, got in zip(dirs, stacked):
-        want = rotation_reference(d).tobytes()
-        assert rotation_taking_x_axis(d).tobytes() == want
-        assert got.tobytes() == want
-    vel = dirs[np.sqrt(np.vecdot(dirs, dirs)) < 0.95]
+def test_boost_3d_equals_the_per_velocity_closed_form(rng):
+    vel = _directions(rng)
+    vel = vel[np.sqrt(np.vecdot(vel, vel)) < 0.95]
     stacked = kinematics._boost_3d_rows(vel, 1.0)
     for v, got in zip(vel, stacked):
-        want = boost3d_reference(v).tobytes()
+        want = closed_form_reference(v).tobytes()
         assert boost_3d(v).tobytes() == want
         assert got.tobytes() == want
-    assert rotation_embedding(stacked[:5, 1:, 1:]).tobytes() == np.array(
-        [embedding_reference(D) for D in stacked[:5, 1:, 1:]]).tobytes()
+
+
+def rodrigues_reference(v, c=1.0):
+    """An independent construction of the spatial boost: rotate e_x onto
+    the velocity with the Rodrigues formula, apply the 1D family member on
+    the (t, x) block, and rotate back."""
+    speed = float(np.linalg.norm(v))
+    if speed == 0.0:
+        return np.eye(4)
+    d = v / speed
+    ex = np.array([1.0, 0.0, 0.0])
+    cos = float(ex @ d)
+    if cos > 1.0 - 1e-14:
+        D = np.eye(3)
+    elif cos < -1.0 + 1e-14:
+        D = np.diag([-1.0, 1.0, -1.0])
+    else:
+        axis = np.cross(ex, d)
+        sin = np.linalg.norm(axis)
+        axis = axis / sin
+        K = np.array([[0.0, -axis[2], axis[1]],
+                      [axis[2], 0.0, -axis[0]],
+                      [-axis[1], axis[0], 0.0]])
+        D = np.eye(3) + sin * K + (1.0 - cos) * (K @ K)
+    E = np.eye(4)
+    E[1:, 1:] = D
+    B = np.eye(4)
+    B[:2, :2] = boost_matrix_1d(-1.0 / (c * c), speed)
+    return E @ B @ E.T
+
+
+@pytest.mark.parametrize("c", [1.0, 2.5])
+def test_boost_3d_matches_the_rodrigues_construction(rng, c):
+    vel = _directions(rng) * c
+    for v in vel[np.sqrt(np.vecdot(vel, vel)) < 0.95 * c]:
+        assert np.abs(boost_3d(v, c) - rodrigues_reference(v, c)).max() < 1e-12
 
 
 # The boost family on stacks: each row equals the single-velocity call bit

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from minklab import projective, suites
+from minklab import kinematics, projective, suites
 from minklab.core import Event, PreconditionError
 from minklab.projective import (EPS_SINGULAR, FLBoost, ProjectiveMap,
                                 SingularHyperplaneError, collinearity_residual,
@@ -182,9 +182,14 @@ class TestFLBoost:
             assert abs(tp - tl) <= bound
             assert np.abs(xp - xl).max() <= bound
 
-    def test_superluminal_rejected(self):
-        with pytest.raises(PreconditionError):
-            FLBoost(np.array([1.5, 0, 0]), c=1.0, R=1.0)
+    @pytest.mark.parametrize("velocity, c", [([1.5, 0, 0], 1.0), ([0, 0, -2.0], 2.0),
+                                             ([math.nan, 0, 0], 1.0), ([0, math.nan, 0], 2.0),
+                                             ([math.inf, 0, 0], 1.0), ([0, 0, -math.inf], 2.0)])
+    def test_speed_not_below_c_rejected(self, velocity, c):
+        with pytest.raises(PreconditionError, match="not below c"):
+            FLBoost(velocity, c=c, R=1.0)
+        with pytest.raises(PreconditionError, match="not below c"):
+            lorentz_boost_event(velocity, 1.0, np.zeros(3), c)
 
     def test_inverse_pair(self, rng):
         b = FLBoost(np.array([0.4, 0.2, -0.1]), c=1.0, R=7.0)
@@ -678,7 +683,7 @@ class TestSingularRows:
 
 
 def test_nan_in_a_later_sample_fails_the_check(monkeypatch):
-    boost_rows = projective._boost_rows
+    boost_rows = kinematics._boost_rows
 
     def poisoned(v, gamma, t, x, c):
         tp, xp = boost_rows(v, gamma, t, x, c)
@@ -687,7 +692,7 @@ def test_nan_in_a_later_sample_fails_the_check(monkeypatch):
             tp[7] = math.nan
         return tp, xp
 
-    monkeypatch.setattr(projective, "_boost_rows", poisoned)
+    monkeypatch.setattr(kinematics, "_boost_rows", poisoned)
     report = suites.run_suite("projective", 0, suites.Config())
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert failed == {"fl.conjugation", "fl.inverse", "fl.large_scale_limit"}

@@ -2,8 +2,9 @@
 
 A check's inputs depend on no other check's draws: a sweep run alone on its
 stream reports what the full suite reports, and an extra draw in one stream
-moves no other check.  Sweeps draw whole arrays; the AST test below keeps
-per-sample draw loops out of `suites.py` and `isometry.random_lorentz`.
+moves no other check.  Sweeps draw whole arrays; the AST tests below keep
+per-sample draw loops out of `suites.py` and `isometry.random_lorentz`, and
+the raw seed out of every call in a suite but `_stream`.
 """
 
 import ast
@@ -68,6 +69,25 @@ def _draws_in_loops(tree: ast.AST) -> list[str]:
     return found
 
 
+def _reads_seed(node: ast.AST) -> bool:
+    """Whether the expression reads `seed` outside the calls nested in it."""
+    if isinstance(node, ast.Name):
+        return node.id == "seed"
+    return not isinstance(node, ast.Call) and any(
+        _reads_seed(child) for child in ast.iter_child_nodes(node))
+
+
+def _seed_takers(tree: ast.AST) -> set[str]:
+    """The calls inside the `suite_*` functions that take `seed` in an
+    argument, as source of the called function."""
+    return {ast.unparse(node.func)
+            for top in tree.body
+            if isinstance(top, ast.FunctionDef) and top.name.startswith("suite_")
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call) and any(
+                _reads_seed(arg) for arg in (*node.args, *(k.value for k in node.keywords)))}
+
+
 class TestNoDrawLoops:
     def test_default_rng_only_in_stream(self):
         callers = []
@@ -91,6 +111,16 @@ class TestNoDrawLoops:
                          "y = [rng.standard_normal(2) for _ in range(4)]\n"
                          "z = [r for r in rng.random((4, 2))]\n")
         assert _draws_in_loops(tree) == ["2: rng.uniform(0, 1)", "3: rng.standard_normal(2)"]
+
+    def test_suites_pass_the_seed_to_stream_alone(self):
+        assert _seed_takers(SUITES_TREE) == {"_stream"}
+
+    def test_a_call_that_takes_the_seed_is_caught(self):
+        tree = ast.parse("def suite_x(seed, config):\n"
+                         "    a = f(g(seed + 1), _stream(seed, 'x'))\n"
+                         "    b = h(1, seed=seed)\n"
+                         "def other(seed):\n    return k(seed)\n")
+        assert _seed_takers(tree) == {"g", "_stream", "h"}
 
     def test_stream_names_and_keys_are_distinct(self):
         assert len(STREAMS) >= 20
