@@ -65,67 +65,54 @@ def metric_matrix(dim: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class MinkVector:
-    """Element of the translation vector space, time component first."""
+class _Coords:
+    """Coordinates, time component first: the one record under MinkVector
+    and Event, which add only their operators."""
 
-    components: np.ndarray
+    a: np.ndarray
 
-    def __init__(self, components: Iterable[float]):
-        object.__setattr__(self, "components", _as_array(components))
+    def __init__(self, a: Iterable[float]):
+        object.__setattr__(self, "a", _as_array(a))
 
     @property
     def dim(self) -> int:
-        return self.components.size
+        return self.a.size
 
-    @property
-    def a(self) -> np.ndarray:
-        return self.components
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.a.tolist()})"
+
+
+class MinkVector(_Coords):
+    """Element of the translation vector space."""
 
     def __add__(self, other):
         if isinstance(other, MinkVector):
             _check_dims(self, other)
-            return MinkVector(self.components + other.components)
+            return MinkVector(self.a + other.a)
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, MinkVector):
             _check_dims(self, other)
-            return MinkVector(self.components - other.components)
+            return MinkVector(self.a - other.a)
         return NotImplemented
 
     def __mul__(self, scalar: float) -> "MinkVector":
-        return MinkVector(self.components * float(scalar))
+        return MinkVector(self.a * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "MinkVector":
-        return MinkVector(-self.components)
-
-    def __repr__(self) -> str:
-        return f"MinkVector({self.components.tolist()})"
+        return MinkVector(-self.a)
 
 
-@dataclass(frozen=True, eq=False)
-class Event:
+class Event(_Coords):
     """Point of the affine space.  Supports p - q and p + v, nothing else."""
-
-    coordinates: np.ndarray
-
-    def __init__(self, coordinates: Iterable[float]):
-        object.__setattr__(self, "coordinates", _as_array(coordinates))
-
-    @property
-    def dim(self) -> int:
-        return self.coordinates.size
-
-    @property
-    def a(self) -> np.ndarray:
-        return self.coordinates
 
     def __add__(self, other):
         if isinstance(other, MinkVector):
             _check_dims(self, other)
-            return Event(self.coordinates + other.components)
+            return Event(self.a + other.a)
         if isinstance(other, Event):
             raise TypeError("cannot add two events; subtract them instead")
         return NotImplemented
@@ -133,14 +120,11 @@ class Event:
     def __sub__(self, other):
         if isinstance(other, Event):
             _check_dims(self, other)
-            return MinkVector(self.coordinates - other.coordinates)
+            return MinkVector(self.a - other.a)
         if isinstance(other, MinkVector):
             _check_dims(self, other)
-            return Event(self.coordinates - other.components)
+            return Event(self.a - other.a)
         return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"Event({self.coordinates.tolist()})"
 
 
 def _check_dims(x, y) -> None:
@@ -149,8 +133,10 @@ def _check_dims(x, y) -> None:
 
 
 def _vec(v) -> np.ndarray:
+    """Coordinates of a MinkVector, or of a flat array-like of at least 2
+    components."""
     if isinstance(v, MinkVector):
-        return v.components
+        return v.a
     return _as_array(v)
 
 
@@ -228,7 +214,7 @@ def classify(v, m: Metric) -> CausalClass:
     return CausalClass(label, "future" if va[0] > 0 else "past")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hyperplane:
     """Affine hyperplane through `base` with g-normal `normal`."""
 
@@ -395,7 +381,7 @@ def affine_combination(points: Sequence[Event], weights: Sequence[float]) -> Eve
     return base + MinkVector(acc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineFrame:
     """Origin plus a basis, regarded as a chart R^n -> affine space."""
 

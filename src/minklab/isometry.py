@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (DimensionMismatchError, Event, MinkVector, PreconditionError,
-                   _inner_rows, inner, metric_matrix)
+                   _inner_rows, _vec, inner, metric_matrix)
 
 __all__ = [
     "AffineIsometry",
@@ -61,7 +61,7 @@ def is_lorentz(L: np.ndarray) -> tuple[bool, float]:
     return r < LORENTZ_TOL, r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineIsometry:
     """Affine map p -> L p + a with L form-preserving.
 
@@ -122,32 +122,28 @@ def _reflection_matrices(A: np.ndarray) -> np.ndarray:
     return E - (2.0 / vv)[:, None, None] * (A[:, :, None] * GA[:, None, :])
 
 
-def _as_array(v) -> np.ndarray:
-    return v.a if isinstance(v, MinkVector) else np.asarray(v, dtype=float)
-
-
 def reflection_matrix(v) -> np.ndarray:
     """Matrix of x -> x - 2 v (x.v)/(v.v); undefined for null or non-finite axes."""
-    return _reflection_matrices(_as_array(v)[None])[0]
+    return _reflection_matrices(_vec(v)[None])[0]
 
 
 def reflect(v, x):
     """Reflect x at the hyperplane g-orthogonal to v."""
-    va, xa = _as_array(v), _as_array(x)
+    va, xa = _vec(v), _vec(x)
     vv = _axis_forms(va[None])[0]
     out = xa - 2.0 * va * (inner(xa, va) / vv)
     return MinkVector(out) if isinstance(x, MinkVector) else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Reflection:
     """Reflection at the hyperplane orthogonal to the (non-null) axis."""
 
     axis: np.ndarray
-    matrix: np.ndarray = field(repr=False, compare=False)
+    matrix: np.ndarray = field(repr=False)
 
     def __init__(self, axis):
-        a = _as_array(axis)
+        a = _vec(axis)
         object.__setattr__(self, "axis", a)
         object.__setattr__(self, "matrix", reflection_matrix(a))  # validates the axis
 
@@ -160,10 +156,10 @@ class Reflection:
         return out
 
 
-def compose_reflections(mats: np.ndarray, dim: int) -> np.ndarray:
+def compose_reflections(mats: np.ndarray) -> np.ndarray:
     """Product of reflection matrices, in the given order: each stack of m
-    in the array (..., m, dim, dim) is composed in order."""
-    out = np.eye(dim)
+    in the array (..., m, n, n) is composed in order."""
+    out = np.eye(mats.shape[-1])
     for j in range(mats.shape[-3]):
         out = out @ mats[..., j, :, :]
     return out
@@ -250,7 +246,7 @@ def cartan_dieudonne(L: np.ndarray) -> list[Reflection]:
     return [Reflection._validated(axes[0, j], mats[0, j]) for j in used[0].nonzero()[0]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dilation:
     """p -> m + factor * (p - m) with factor > 0."""
 

@@ -13,7 +13,7 @@ stacks of events along leading axes and returns the images together with
 their denominators; `_regular` marks the rows clear of the singular
 hyperplane.  The public functions apply the helper to one event, with no
 leading axis, and raise SingularHyperplaneError where it is not regular;
-lorentz_boost_event and the squash pair take stacks too.
+lorentz_boost_event and the squash take stacks too.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "fl_boost_apply",
     "lorentz_boost_event",
     "deformation_phi",
-    "deformation_phi_inverse",
     "time_slab",
     "conjugation_check",
 ]
@@ -51,7 +50,7 @@ class SingularHyperplaneError(ValueError):
 def _regular(den: np.ndarray) -> np.ndarray:
     """Rows whose denominator is not within EPS_SINGULAR of zero; a NaN
     denominator counts as regular, so its NaN image reaches the residual."""
-    return ~(np.abs(den) <= EPS_SINGULAR)
+    return ~(abs(den) <= EPS_SINGULAR)
 
 
 def _divisor(den: np.ndarray) -> np.ndarray:
@@ -63,13 +62,14 @@ def _divisor(den: np.ndarray) -> np.ndarray:
 def _refuse_singular(den: np.ndarray,
                      message: str = f"denominator {{!r}} within {EPS_SINGULAR} of zero") -> None:
     """Raise SingularHyperplaneError, with the first singular denominator in
-    the message, unless every row is regular."""
-    for d in den.ravel().tolist() if den.ndim else [float(den)]:
-        if abs(d) <= EPS_SINGULAR:
-            raise SingularHyperplaneError(message.format(d))
+    the message, unless every row is _regular."""
+    regular = _regular(den)
+    # one event's den is a numpy scalar, whose .all() costs more than the test
+    if not (regular.all() if regular.ndim else regular):
+        raise SingularHyperplaneError(message.format(float(den[~regular].flat[0])))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectiveMap:
     """x -> (A x + a)/(p.x + q); proper projective iff p != 0."""
 
@@ -167,9 +167,12 @@ def parallelism_breaking_demo(sigma_values) -> dict:
     return {"directions": directions, "pairwise_angles": angles}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FLBoost:
-    """Deformed boost with velocity, light speed c and invariant length R."""
+    """Deformed boost with velocity, light speed c and invariant length R.
+
+    The speed must be below c, and R positive and finite.
+    """
 
     velocity: np.ndarray
     c: float = 1.0
@@ -177,12 +180,14 @@ class FLBoost:
 
     def __init__(self, velocity, c: float = 1.0, R: float = 1.0):
         v = np.asarray(velocity, dtype=float).reshape(3)
-        c = float(c)
+        c, R = float(c), float(R)
+        if not 0.0 < R < math.inf:  # NaN included
+            raise PreconditionError(f"R must be positive and finite, got {R!r}")
         # refuses a speed not below c
         object.__setattr__(self, "_gamma", kinematics._gamma_rows(v, c))
         object.__setattr__(self, "velocity", v)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "R", float(R))
+        object.__setattr__(self, "R", R)
 
     @property
     def gamma(self) -> float:
@@ -236,25 +241,20 @@ def _squash_rows(R: float, c: float, t, x) -> tuple[np.ndarray, np.ndarray, np.n
 def deformation_phi(R: float, c: float, t: float, x) -> tuple[float, np.ndarray]:
     """(t, x) -> (t, x)/(1 - c t / R); singular at t = R/c.
 
-    It is the inverse squash at -R; see deformation_phi_inverse.  Also
-    squashes a stack of events, t of shape S and x of shape S + (k,), and
-    then returns arrays.
+    The inverse squash (t, x) -> (t, x)/(1 + c t / R) is the squash at -R:
+    negating R is exact, so 1 - c t/(-R) equals 1 + c t/R bit for bit.  A
+    float or int t is one event; any other t is a stack of events of shape
+    S = np.shape(t), x of shape S + (k,), and then arrays are returned.
     """
-    return deformation_phi_inverse(-R, c, t, x)
-
-
-def deformation_phi_inverse(R: float, c: float, t: float, x) -> tuple[float, np.ndarray]:
-    """Inverse squash (t, x) -> (t, x)/(1 + c t / R); singular at t = -R/c.
-
-    It is the squash at -R: negating R is exact, so 1 - c t/(-R) equals
-    1 + c t/R bit for bit.  Also maps a stack of events, t of shape S and
-    x of shape S + (k,), and then returns arrays.
-    """
-    t = np.float64(t) if np.ndim(t) == 0 else np.asarray(t, dtype=float)
-    xa = np.asarray(x, dtype=float)
-    tp, xp, den = _squash_rows(-R, c, t, xa.reshape(-1) if t.ndim == 0 else xa)
+    if isinstance(t, (int, float)):
+        t = np.float64(t)
+        den = _squash_den(R, c, t)
+        if not _regular(den):
+            raise SingularHyperplaneError(f"deformation denominator {float(den)!r} too small")
+        return float(t / den), np.asarray(x, dtype=float) / den
+    tp, xp, den = _squash_rows(R, c, np.asarray(t, dtype=float), np.asarray(x, dtype=float))
     _refuse_singular(den, "deformation denominator {!r} too small")
-    return (float(tp), xp.reshape(xa.shape)) if t.ndim == 0 else (tp, xp)
+    return tp, xp
 
 
 _SLABS = ("front", "beyond", "past")

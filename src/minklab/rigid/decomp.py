@@ -53,7 +53,7 @@ def spatial_metric(u: np.ndarray, c: float = 1.0) -> np.ndarray:
     return ul[..., :, None] * ul[..., None, :] / (c * c) - G
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KinematicDecomposition:
     """Split of the lowered velocity gradient at an event.
 

@@ -185,10 +185,10 @@ def _foliation_rows(curve: WorldLineCurve, x: np.ndarray,
             t = new
         if len(rows):
             raise PreconditionError("the hyperplane parameter did not converge")
-    for n in gap.tolist():
-        if n <= CAUSTIC_GUARD:
-            raise PreconditionError(
-                f"event within the caustic guard (N = {n!r} <= {CAUSTIC_GUARD})")
+    caustic = gap <= CAUSTIC_GUARD
+    if caustic.any():
+        raise PreconditionError(f"event within the caustic guard "
+                                f"(N = {float(gap[caustic][0])!r} <= {CAUSTIC_GUARD})")
     return tau
 
 

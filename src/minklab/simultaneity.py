@@ -20,15 +20,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WorldLine:
     """Straight line base + lambda * direction.
 
-    Stored in canonical form so that equal point sets compare equal: the
-    direction is future-normalised to direction^2 = c^2 (timelike) or unit
-    Euclidean norm with positive time component (lightlike), and the base is
-    the point of smallest Euclidean norm on the line.  A base or direction
-    with a NaN or infinite entry is refused.
+    Stored in canonical form, so that equal point sets get equal `base` and
+    `direction` arrays (`==` itself is identity): the direction is
+    future-normalised to direction^2 = c^2 (timelike) or unit Euclidean norm
+    with positive time component (lightlike), and the base is the point of
+    smallest Euclidean norm on the line.  A base or direction with a NaN or
+    infinite entry is refused.
     """
 
     base: Event

@@ -222,7 +222,7 @@ def _cartan_dieudonne_sweep(rng: np.random.Generator, trials: int) -> float:
     for dim in (2, 3, 4):
         L = isometry.random_lorentz(dim, rng, trials, orthochronous=False, proper=False)
         _, factors, _ = isometry._reflection_sweep(L)  # raises past 2 dim - 1 factors
-        worst.append(_worst(isometry.compose_reflections(factors, dim) - L))
+        worst.append(_worst(isometry.compose_reflections(factors) - L))
     return _worst(worst)
 
 

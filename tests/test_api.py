@@ -1,5 +1,6 @@
 """The public API holds only what the package itself or the benchmark uses,
-and every function reads every parameter it takes.
+and every function reads every parameter it takes.  Records that hold
+arrays or coordinates compare and hash by identity.
 
 A module-level public function or class that nothing in `src/minklab` or
 `perfbench/` refers to (by name or as an attribute) is a test-only wrapper:
@@ -14,7 +15,20 @@ changes nothing.
 """
 
 import ast
+import dataclasses
+import importlib
+import pkgutil
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+import minklab
+from minklab.core import AffineFrame, Event, Hyperplane, MinkVector
+from minklab.isometry import AffineIsometry, Dilation, Reflection
+from minklab.projective import FLBoost, ProjectiveMap
+from minklab.rigid import KinematicDecomposition
+from minklab.simultaneity import WorldLine
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -114,3 +128,50 @@ def unread_parameters() -> set[str]:
 
 def test_every_parameter_is_read():
     assert unread_parameters() == set()
+
+
+# one small instance of each record that holds arrays or coordinates
+RECORDS = {
+    AffineFrame: lambda: AffineFrame(Event([0.0, 0.0]), (MinkVector([1.0, 0.0]),
+                                                         MinkVector([0.0, 1.0]))),
+    AffineIsometry: lambda: AffineIsometry(np.eye(2), np.ones(2)),
+    Dilation: lambda: Dilation(2.0, Event([0.0, 0.0])),
+    FLBoost: lambda: FLBoost(np.array([0.5, 0.0, 0.0]), c=1.0, R=10.0),
+    Hyperplane: lambda: Hyperplane(MinkVector([1.0, 0.0]), Event([0.0, 0.0])),
+    KinematicDecomposition: lambda: KinematicDecomposition(np.eye(2), np.zeros((2, 2)),
+                                                           np.ones(2)),
+    ProjectiveMap: lambda: ProjectiveMap.worked_example(2),
+    Reflection: lambda: Reflection(np.array([1.0, 0.5])),
+    WorldLine: lambda: WorldLine(Event([0.0, 1.0]), MinkVector([1.0, 0.0])),
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_records_compare_and_hash_by_identity(cls):
+    x, twin = RECORDS[cls](), RECORDS[cls]()
+    assert x == x and not x != x
+    assert x != twin and not x == twin
+    assert hash(x) == hash(x) and hash(x) != hash(twin)
+
+
+def _holds_arrays(field: dataclasses.Field) -> bool:
+    """Whether a dataclass field is annotated with an array or a coordinate
+    record (a callable that takes arrays is neither)."""
+    return (any(name in field.type for name in ("ndarray", "Event", "MinkVector"))
+            and not field.type.startswith("Callable"))
+
+
+def test_every_record_holding_arrays_is_listed_and_compares_by_identity():
+    # a generated __eq__ on an ndarray field raises, and on a coordinate
+    # record compares by identity anyway
+    found = set()
+    for info in pkgutil.walk_packages(minklab.__path__, "minklab."):
+        module = importlib.import_module(info.name)
+        found |= {cls for cls in vars(module).values()
+                  if isinstance(cls, type) and cls.__module__ == info.name
+                  and dataclasses.is_dataclass(cls) and not cls.__name__.startswith("_")
+                  and any(map(_holds_arrays, dataclasses.fields(cls)))}
+    # events, vectors and lattice regions are not among the nine records
+    # built above, and compare by identity too
+    assert {c.__name__ for c in found - set(RECORDS)} == {"Event", "MinkVector", "Region"}
+    assert not [c for c in found if c.__dataclass_params__.eq]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -57,6 +58,18 @@ class TestEventVectorDiscipline:
         pts = rng.integers(-50, 50, size=(3, 4)).astype(float)
         p, q, r = (Event(row) for row in pts)
         assert np.array_equal((p + (q - r)).a, (q + (p - r)).a)
+
+    @pytest.mark.parametrize("cls", [Event, MinkVector])
+    def test_one_frozen_coordinate_record(self, cls):
+        # events and vectors hold their coordinates in the one field `a`
+        x = cls([1, 2.5])
+        assert [f.name for f in dataclasses.fields(x)] == ["a"]
+        assert vars(x) == {"a": x.a} and x.a.dtype == float and x.dim == 2
+        assert repr(x) == f"{cls.__name__}([1.0, 2.5])"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            x.a = np.zeros(2)
+        with pytest.raises(ValueError, match="at least 2 components"):
+            cls([1.0])
 
 
 class TestClassify:

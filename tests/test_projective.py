@@ -8,11 +8,15 @@ from minklab import kinematics, projective, suites
 from minklab.core import Event, PreconditionError
 from minklab.projective import (EPS_SINGULAR, FLBoost, ProjectiveMap,
                                 SingularHyperplaneError, collinearity_residual,
-                                conjugation_check, deformation_phi,
-                                deformation_phi_inverse, fl_boost_apply,
+                                conjugation_check, deformation_phi, fl_boost_apply,
                                 lorentz_boost_event,
                                 parallelism_breaking_demo, proj_apply,
                                 time_slab)
+
+
+def phi_inverse(R, c, t, x):
+    """The inverse squash (t, x)/(1 + c t / R): the squash at -R."""
+    return deformation_phi(-R, c, t, x)
 
 
 class TestProjApply:
@@ -191,6 +195,11 @@ class TestFLBoost:
         with pytest.raises(PreconditionError, match="not below c"):
             lorentz_boost_event(velocity, 1.0, np.zeros(3), c)
 
+    @pytest.mark.parametrize("R", [0.0, -1.0, math.nan, math.inf])
+    def test_R_not_positive_and_finite_rejected(self, R):
+        with pytest.raises(PreconditionError, match="R must be positive and finite"):
+            FLBoost(np.array([0.5, 0.0, 0.0]), c=1.0, R=R)
+
     def test_inverse_pair(self, rng):
         b = FLBoost(np.array([0.4, 0.2, -0.1]), c=1.0, R=7.0)
         binv = FLBoost(-b.velocity, b.c, b.R)
@@ -228,8 +237,9 @@ class TestFLBoost:
 class TestDeformation:
     def test_time_zero_fixed(self, rng):
         x = rng.standard_normal(3)
-        tp, xp = deformation_phi(5.0, 1.0, 0.0, x)
-        assert tp == 0.0 and np.array_equal(xp, x)
+        for t in (0.0, 0):  # an int instant is one event too
+            tp, xp = deformation_phi(5.0, 1.0, t, x)
+            assert type(tp) is float and tp == 0.0 and np.array_equal(xp, x)
 
     def test_half_horizon_lands_on_horizon(self):
         R, c = 4.0, 2.0
@@ -244,7 +254,7 @@ class TestDeformation:
                 continue
             x = rng.standard_normal(3)
             tp, xp = deformation_phi(R, c, t, x)
-            tb, xb = deformation_phi_inverse(R, c, tp, xp)
+            tb, xb = phi_inverse(R, c, tp, xp)
             assert abs(tb - t) < 1e-12
             assert np.abs(xb - x).max() < 1e-12
 
@@ -252,7 +262,7 @@ class TestDeformation:
         with pytest.raises(SingularHyperplaneError):
             deformation_phi(2.0, 1.0, 2.0, np.zeros(3))
         with pytest.raises(SingularHyperplaneError):
-            deformation_phi_inverse(2.0, 1.0, -2.0, np.zeros(3))
+            phi_inverse(2.0, 1.0, -2.0, np.zeros(3))
 
     def test_slab_table(self, rng):
         R, c = 3.0, 1.5
@@ -303,7 +313,7 @@ class TestConjugation:
 
 class TestOneClosedForm:
     """fl_boost_apply divides lorentz_boost_event's numerators by its own
-    denominator, and deformation_phi_inverse is the squash at -R.  The
+    denominator, and the inverse squash is deformation_phi at -R.  The
     references are the separate formulas they replaced, compared bit for
     bit, refusals included."""
 
@@ -367,14 +377,14 @@ class TestOneClosedForm:
                 t = float(rng.uniform(-60, 60))
             x = rng.uniform(-5, 5, 3)
             want = self.outcome(self.phi_inverse_reference, R, c, t, x)
-            assert self.outcome(deformation_phi_inverse, R, c, t, x) == want
+            assert self.outcome(phi_inverse, R, c, t, x) == want
             refused += want[0] == "refused"
         assert refused > 100
 
 
 def test_squash_pair_takes_stacks(rng):
     t, x = rng.uniform(-20, 20, (4, 5)), rng.uniform(-3, 3, (4, 5, 2))
-    for fn in (deformation_phi, deformation_phi_inverse):
+    for fn in (deformation_phi, phi_inverse):
         tp, xp = fn(3.0, 1.5, t, x)
         want = [fn(3.0, 1.5, ti, xi) for ti, xi in zip(t.ravel().tolist(), x.reshape(-1, 2))]
         assert tp.shape == (4, 5) and xp.shape == (4, 5, 2)
@@ -624,8 +634,8 @@ class TestSingularRows:
         with pytest.raises(SingularHyperplaneError, match="deformation denominator 0.0 too small"):
             deformation_phi(R, c, R / c, np.zeros(3))
         with pytest.raises(SingularHyperplaneError, match="deformation denominator 0.0 too small"):
-            deformation_phi_inverse(R, c, -R / c, np.zeros(3))
-        for fn, horizon in ((deformation_phi, R / c), (deformation_phi_inverse, -R / c)):
+            phi_inverse(R, c, -R / c, np.zeros(3))
+        for fn, horizon in ((deformation_phi, R / c), (phi_inverse, -R / c)):
             with pytest.raises(SingularHyperplaneError, match="deformation denominator 0.0 too small"):
                 fn(R, c, np.array([0.5, horizon, 1.0]), np.zeros((3, 2)))
         for horizon in (R / c, -R / c):
@@ -633,6 +643,15 @@ class TestSingularRows:
                 time_slab(horizon, R, c)
         assert [time_slab(s, R, c) for s in (0.0, 1.0, 2.5, -0.0, -3.0)] == [
             "front", "front", "beyond", "front", "past"]
+
+    def test_refusal_names_the_first_singular_denominator(self):
+        # a NaN denominator is regular, so its NaN image reaches the residual
+        projective._refuse_singular(np.array([math.nan, math.inf, -1.0]))
+        for den, shown in ((np.array([[math.nan, 2.0], [5e-9, 0.0]]), "5e-09"),
+                           (np.float64(-0.0), "-0.0"), (np.array(1e-8), "1e-08")):
+            with pytest.raises(SingularHyperplaneError,
+                               match=rf"^denominator {shown} within 1e-08 of zero$"):
+                projective._refuse_singular(den)
 
     def test_conjugation_masks_and_counts(self):
         b, t0 = self.fl_zero()
@@ -646,7 +665,7 @@ class TestSingularRows:
         with pytest.raises(SingularHyperplaneError, match="denominator 0.0 within 1e-08 of zero"):
             fl_boost_apply(b, t0, np.zeros(3))
         with pytest.raises(SingularHyperplaneError):
-            deformation_phi_inverse(b.R, b.c, -b.R / b.c, np.zeros(3))
+            phi_inverse(b.R, b.c, -b.R / b.c, np.zeros(3))
 
     def test_inverse_sweep_counts(self):
         b, t0 = self.fl_zero()

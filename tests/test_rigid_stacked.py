@@ -5,6 +5,7 @@ references in rigid_reference: the per-axis central-difference loop, the
 scalar closed forms and the per-event root solve."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -381,6 +382,17 @@ class TestStackedRootSolve:
             foliation_time(wl, near, HYPERBOLIC_WINDOW)
         with pytest.raises(PreconditionError, match="caustic guard"):
             herglotz_field(wl, HYPERBOLIC_WINDOW)(near)
+
+    def test_the_refusal_names_the_first_row_in_the_guard(self):
+        wl = hyperbolic_worldline(1.0)
+        x = np.array([[0.0, 0.5, 0.0, 0.0], [0.0, 0.9e-3, 0.0, 0.0], [0.0, 2e-4, 0.0, 0.0]])
+        with pytest.raises(PreconditionError) as one:
+            foliation_time(wl, x[1], HYPERBOLIC_WINDOW)
+        with pytest.raises(PreconditionError) as stack:
+            foliation_time(wl, x, HYPERBOLIC_WINDOW)
+        assert str(stack.value) == str(one.value)
+        assert re.fullmatch(r"event within the caustic guard \(N = 0\.0009\d* <= 0\.001\)",
+                            str(one.value))
 
     @pytest.mark.parametrize("gap, refused", [(0.9e-3, True), (1.1e-3, False)])
     def test_one_event_at_the_caustic_guard(self, gap, refused):
